@@ -29,6 +29,7 @@ from .fields import (
     DiffusionBasis,
     as_field,
     as_volume,
+    curvature_terms,
     derivatives,
     diffusion_basis,
     directional_second_derivative,

@@ -186,6 +186,19 @@ def write_metrics_csv(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _write_single_metrics(path, method: str, baseline, result) -> None:
+    """One metrics row scoring ``result`` against ``baseline`` as both input
+    and reference."""
+    row = (
+        method,
+        psnr_vs_input(baseline, result),
+        psnr_vs_reference(baseline, result),
+        contrast_ratio(result),
+        contrast_per_pixel(result),
+    )
+    write_metrics_csv(path, [row])
+
+
 def _parse_roi(raw) -> Roi | None:
     if not raw:
         return None
@@ -329,14 +342,16 @@ COMMANDS: dict[str, list[Opt]] = {
 }
 
 
-def _filter_volume(vol: np.ndarray, params: AdaptiveParams):
-    filtered = []
-    traces = []
-    for sl in vol:
-        out, trace = run_filter(sl, params)
-        filtered.append(out)
-        traces.append(trace)
-    return np.stack(filtered), traces
+def _filter_volume(vol: np.ndarray, params: AdaptiveParams, trace_stem=None) -> np.ndarray:
+    """Filter each slice; with ``trace_stem``, write slice k's relative
+    changes to ``<trace_stem>_trace_s<k>.csv`` as soon as it is done, so no
+    slice's trace outlives its loop step."""
+    filtered = np.empty_like(vol)
+    for k, sl in enumerate(vol):
+        filtered[k], trace = run_filter(sl, params)
+        if trace_stem is not None:
+            trace.to_csv(f"{trace_stem}_trace_s{k}.csv")
+    return filtered
 
 
 def cmd_phantom(v: dict) -> None:
@@ -400,12 +415,8 @@ def cmd_phantom(v: dict) -> None:
 def cmd_filter(v: dict) -> None:
     vol = read_volume(v["input"])
     params = _adaptive_params(v, v["mode"])
-    filtered, traces = _filter_volume(vol, params)
-    write_volume(filtered, v["output"])
-    if v["trace"]:
-        base = str(Path(v["output"]).with_suffix(""))
-        for k, trace in enumerate(traces):
-            trace.to_csv(f"{base}_trace_s{k}.csv")
+    trace_stem = str(Path(v["output"]).with_suffix("")) if v["trace"] else None
+    write_volume(_filter_volume(vol, params, trace_stem), v["output"])
     write_manifest(f"{v['output']}.manifest.txt", "filter", v, [v["input"]])
 
 
@@ -433,15 +444,7 @@ def cmd_swi(v: dict) -> None:
     if v["pgm"]:
         export_pgm(result, v["pgm"])
     if v["metrics_csv"]:
-        plain = project(mag, "min")
-        row = (
-            "swi",
-            psnr_vs_input(plain, result),
-            psnr_vs_reference(plain, result),
-            contrast_ratio(result),
-            contrast_per_pixel(result),
-        )
-        write_metrics_csv(v["metrics_csv"], [row])
+        _write_single_metrics(v["metrics_csv"], "swi", project(mag, "min"), result)
     write_manifest(
         f"{v['output']}.manifest.txt", "swi", v, [v["magnitude"], v["phase"]]
     )
@@ -467,24 +470,13 @@ def cmd_mip(v: dict) -> None:
     if v["pgm"]:
         export_pgm(result, v["pgm"])
     if v["metrics_csv"]:
-        row = (
-            "mip",
-            psnr_vs_input(projected, result),
-            psnr_vs_reference(projected, result),
-            contrast_ratio(result),
-            contrast_per_pixel(result),
-        )
-        write_metrics_csv(v["metrics_csv"], [row])
+        _write_single_metrics(v["metrics_csv"], "mip", projected, result)
     write_manifest(f"{v['output']}.manifest.txt", "mip", v, [v["input"]])
 
 
 def _read_sigma_file(path, channels: int):
     try:
-        lines = Path(path).read_text().split()
-    except OSError:
-        raise
-    try:
-        sigmas = [float(t) for t in lines]
+        sigmas = [float(t) for t in Path(path).read_text().split()]
     except ValueError as exc:
         raise ConfigError(f"sigma file {path}: non-numeric entry") from exc
     if len(sigmas) != channels:
@@ -520,14 +512,7 @@ def cmd_pc(v: dict) -> None:
         export_pgm(combined, v["pgm"])
     if v["metrics_csv"]:
         plain = pa_combine(combine_flow(xs, ys, zs, v["flow_mode"]), sigma)
-        row = (
-            "pc",
-            psnr_vs_input(plain, combined),
-            psnr_vs_reference(plain, combined),
-            contrast_ratio(combined),
-            contrast_per_pixel(combined),
-        )
-        write_metrics_csv(v["metrics_csv"], [row])
+        _write_single_metrics(v["metrics_csv"], "pc", plain, combined)
     write_manifest(f"{v['out_stem']}_combined.vol.manifest.txt", "pc", v, inputs)
 
 
@@ -614,16 +599,8 @@ def cmd_alpha_sweep(v: dict) -> None:
     base_proj = project(vol, kind)
     lines = ["alpha,psnr_input"]
     for alpha in sorted(v["alphas"]):
-        params = AdaptiveParams(
-            alpha=alpha,
-            mode=v["mode"],
-            tail_prob=v["tail_prob"],
-            tolerance=v["tolerance"],
-            max_iterations=v["max_iterations"],
-            step=v["step"],
-        )
-        filtered, _ = _filter_volume(vol, params)
-        img = project(filtered, kind)
+        params = _adaptive_params({**v, "alpha": alpha}, v["mode"])
+        img = project(_filter_volume(vol, params), kind)
         lines.append(f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(base_proj, img))}")
     Path(v["output"]).write_text("\n".join(lines) + "\n", encoding="ascii")
     write_manifest(f"{v['output']}.manifest.txt", "alpha-sweep", v, [v["input"]])

@@ -20,8 +20,8 @@ import numpy as np
 
 from .fields import (
     as_field,
+    curvature_terms,
     derivatives,
-    diffusion_basis,
     structureness,
 )
 
@@ -251,22 +251,15 @@ def orthogonal_step(field, params: PMParams) -> np.ndarray:
 
     The update is lam1 * D_o + lam2 * D_p where D_o and D_p are the second
     derivatives across and along the gradient, lam1 = g(|grad u|) and
-    lam2 = f''(|grad u|). Pixels with zero gradient are left unchanged.
+    lam2 = f''(|grad u|). D_p is the gradient term of ``curvature_terms`` and
+    D_o the rest of the Laplacian. Pixels with zero gradient are left
+    unchanged.
     """
     u = as_field(field)
     b = derivatives(u)
+    d_par = curvature_terms(b)[0]
     g2 = b.ux * b.ux + b.uy * b.uy
-    safe = np.where(g2 > 0.0, g2, 1.0)
-    d_ortho = np.where(
-        g2 > 0.0,
-        (b.ux * b.ux * b.uyy - 2.0 * b.ux * b.uy * b.uxy + b.uy * b.uy * b.uxx) / safe,
-        0.0,
-    )
-    d_par = np.where(
-        g2 > 0.0,
-        (b.ux * b.ux * b.uxx + 2.0 * b.ux * b.uy * b.uxy + b.uy * b.uy * b.uyy) / safe,
-        0.0,
-    )
+    d_ortho = np.where(g2 > 0.0, b.uxx + b.uyy - d_par, 0.0)
     gnorm = np.sqrt(g2)
     lam1 = pm_diffusivity(gnorm, params)
     lam2 = pm_flux_second_derivative(gnorm, params)
@@ -332,15 +325,15 @@ def adaptive_mu(c, d_e, alpha: float, mode: str = "mip_min", bounds: BoundPair |
     return out if out.ndim else float(out)
 
 
-def _resolve_bounds(basis, params: AdaptiveParams, bounds):
+def _resolve_bounds(d_eta, d_e2, params: AdaptiveParams, bounds):
     """Per-direction bounds for mip mode: explicit, shared, or histogram-derived."""
     if params.mode != "mip":
         return None, None
     if bounds is None:
-        if basis.d_eta.size >= 100:
+        if d_eta.size >= 100:
             return (
-                histogram_bounds(basis.d_eta, params.tail_prob),
-                histogram_bounds(basis.d_e2, params.tail_prob),
+                histogram_bounds(d_eta, params.tail_prob),
+                histogram_bounds(d_e2, params.tail_prob),
             )
         return None, None
     if isinstance(bounds, BoundPair):
@@ -348,34 +341,44 @@ def _resolve_bounds(basis, params: AdaptiveParams, bounds):
     return bounds.get("eta"), bounds.get("e2")
 
 
-def _sharpening(basis, params: AdaptiveParams, bounds=None) -> np.ndarray:
-    """sum(mu_i * d_i) over the directions of ``basis``."""
-    b_eta, b_e2 = _resolve_bounds(basis, params, bounds)
-    mu_eta = adaptive_mu(basis.c, basis.d_eta, params.alpha, params.mode, b_eta)
-    mu_e2 = adaptive_mu(basis.c, basis.d_e2, params.alpha, params.mode, b_e2)
-    update = mu_eta * basis.d_eta + mu_e2 * basis.d_e2
+def _sharpening(u, params: AdaptiveParams, bounds=None) -> np.ndarray:
+    """sum(mu_i * d_i) over the gradient and curvature directions of ``u``.
+
+    d_e1 and d_e2 are the Hessian eigenvalues lam_max and lam_min.
+    """
+    d_eta, d_e1, d_e2, c = curvature_terms(derivatives(u))
+    b_eta, b_e2 = _resolve_bounds(d_eta, d_e2, params, bounds)
+    mu_eta = adaptive_mu(c, d_eta, params.alpha, params.mode, b_eta)
+    mu_e2 = adaptive_mu(c, d_e2, params.alpha, params.mode, b_e2)
+    update = mu_eta * d_eta + mu_e2 * d_e2
     if params.mode == "mip_min":
         # minimum projection keeps the maximum-curvature term as well
-        mu_e1 = adaptive_mu(basis.c, basis.d_e1, params.alpha, params.mode, None)
-        update = update + mu_e1 * basis.d_e1
+        mu_e1 = adaptive_mu(c, d_e1, params.alpha, params.mode, None)
+        update = update + mu_e1 * d_e1
     return update
 
 
 def adaptive_update(field, params: AdaptiveParams, bounds=None) -> np.ndarray:
     """Raw per-pixel update sum(mu_i * d_i) of one directional filter step."""
-    return _sharpening(diffusion_basis(derivatives(as_field(field))), params, bounds)
+    return _sharpening(as_field(field), params, bounds)
 
 
 def _iteration_update(u, params: AdaptiveParams) -> np.ndarray:
-    """Raw update of one run_filter iteration, from one derivative evaluation."""
-    basis = diffusion_basis(derivatives(u))
-    update = _sharpening(basis, params)
-    if params.mode == "mip_min":
-        # a new array rather than in place: the update outlives the call as
-        # basis_sum, and allocating it after the temporaries keeps the heap
-        # of a whole-volume run compact
-        update = update + MIP_MIN_NU * (basis.d_eta + basis.d_e2)
-    return update
+    """Raw update of one run_filter iteration, from one derivative evaluation.
+
+    In mip_min mode the sharpening sum and the forward diffusion
+    MIP_MIN_NU * (d_eta + d_e2) are fused per direction, with the weight
+    tanh(k * d), k = alpha * c / 2, that ``adaptive_mu`` gives.
+    """
+    if params.mode != "mip_min":
+        return _sharpening(u, params)
+    d_eta, d_e1, d_e2, c = curvature_terms(derivatives(u))
+    k = 0.5 * params.alpha * c
+    return (
+        (MIP_MIN_NU - np.tanh(k * d_eta)) * d_eta
+        + (MIP_MIN_NU - np.tanh(k * d_e2)) * d_e2
+        - np.tanh(k * d_e1) * d_e1
+    )
 
 
 def directional_step(field, params: AdaptiveParams, bounds=None) -> np.ndarray:
@@ -480,11 +483,11 @@ def directional_ad_step(field, params: PMParams, grad_threshold: float) -> np.nd
     """
     u = as_field(field)
     b = derivatives(u)
-    basis = diffusion_basis(b)
+    d_eta, d_e1, d_e2, _ = curvature_terms(b)
     gnorm = np.sqrt(b.ux * b.ux + b.uy * b.uy)
     g = pm_diffusivity(gnorm, params)
     g_e1 = np.where(gnorm > grad_threshold, 0.0, g)
-    update = g * basis.d_eta + g_e1 * basis.d_e1 + g * basis.d_e2
+    update = g * d_eta + g_e1 * d_e1 + g * d_e2
     return u + params.dt * update
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "hessian_eigen",
     "directional_second_derivative",
     "structureness",
+    "curvature_terms",
     "diffusion_basis",
 ]
 
@@ -115,6 +116,13 @@ def _fix_sign(vx, vy):
     return vx * sign + 0.0, vy * sign + 0.0
 
 
+def _eigenvalues(a, b, c):
+    # closed-form eigenvalues half +- disc of [[a, b], [b, c]], and disc
+    half = 0.5 * (a + c)
+    disc = np.sqrt(0.25 * (a - c) ** 2 + b * b)
+    return half + disc, half - disc, disc
+
+
 def hessian_eigen(bundle: DerivativeBundle):
     """Closed-form eigen decomposition of the per-pixel 2x2 Hessian.
 
@@ -124,10 +132,7 @@ def hessian_eigen(bundle: DerivativeBundle):
     pair e1 = (1, 0), e2 = (0, 1).
     """
     a, b, c = bundle.uxx, bundle.uxy, bundle.uyy
-    half = 0.5 * (a + c)
-    disc = np.sqrt(0.25 * (a - c) ** 2 + b * b)
-    lam_max = half + disc
-    lam_min = half - disc
+    lam_max, lam_min, disc = _eigenvalues(a, b, c)
 
     # candidate eigenvectors for lam_max: the columns of (H - lam_min I).
     # Both have non-negative leading entries; pick the better conditioned one.
@@ -179,8 +184,34 @@ def structureness(bundle: DerivativeBundle) -> np.ndarray:
     return np.sqrt(bundle.uxx**2 + bundle.uyy**2)
 
 
+def curvature_terms(bundle: DerivativeBundle):
+    """Second derivatives along the gradient and the principal curvature
+    directions, without building any direction.
+
+    Returns ``(d_eta, lam_max, lam_min, c)``. d_eta is the second derivative
+    along the unit gradient, (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / |grad u|^2,
+    and 0 where the gradient vanishes. lam_max and lam_min are the Hessian
+    eigenvalues: v^T H v of a unit eigenvector is its eigenvalue, so they are
+    ``diffusion_basis``'s d_e1 and d_e2, and both are 0 for a zero Hessian. c
+    is the structureness sqrt(uxx^2 + uyy^2). This is the one kernel every
+    directional filter step uses.
+    """
+    ux, uy, a, b, c = bundle.ux, bundle.uy, bundle.uxx, bundle.uxy, bundle.uyy
+    lam_max, lam_min, _ = _eigenvalues(a, b, c)
+    xx = ux * ux
+    yy = uy * uy
+    g2 = xx + yy
+    num = xx * a + 2.0 * ux * uy * b + yy * c
+    d_eta = np.divide(num, g2, out=np.zeros_like(g2), where=g2 > 0.0)
+    return d_eta, lam_max, lam_min, structureness(bundle)
+
+
 def diffusion_basis(bundle: DerivativeBundle) -> DiffusionBasis:
-    """Assemble the full directional frame from a derivative bundle."""
+    """Assemble the full directional frame from a derivative bundle.
+
+    The filters need only the curvatures, which ``curvature_terms`` gives
+    without eigenvectors; this frame is for inspecting the directions.
+    """
     lam_max, lam_min, e1x, e1y, e2x, e2y = hessian_eigen(bundle)
     del lam_max, lam_min
     gnorm = np.sqrt(bundle.ux**2 + bundle.uy**2)

@@ -122,11 +122,6 @@ def export_profile_csv(field, row_index: int, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def load_volume_or_field(path) -> np.ndarray:
-    """Read a MIPVOL file, returning the volume (use [0] for 1-slice files)."""
-    return read_volume(path)
-
-
 def field_from_volume(volume) -> np.ndarray:
     """Collapse a 1-slice volume to a field; error on deeper stacks."""
     vol = as_volume(volume)

@@ -1,5 +1,6 @@
 """Scalar, orthogonal-split, and adaptive directional diffusion filters."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -485,3 +486,40 @@ class TestStructurenessIntegration:
         u = smooth_field(rng, (10, 10))
         c = structureness(derivatives(u))
         assert np.all(c >= 0.0)
+
+
+class TestEigenvectorFreeHotPath:
+    """The filters take their curvatures from curvature_terms alone."""
+
+    @pytest.fixture
+    def no_eigenvectors(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("eigenvector routine called on the hot path")
+
+        names = ("hessian_eigen", "diffusion_basis", "directional_second_derivative")
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "mipdiff" or mod_name.startswith("mipdiff."):
+                for name in names:
+                    if hasattr(mod, name):
+                        monkeypatch.setattr(mod, name, boom)
+
+    def test_filters_run_without_eigenvectors(self, no_eigenvectors, rng):
+        u = smooth_field(rng, (24, 24), offset=1.0, scale=0.1)
+        for mode in ("mip", "mip_min"):
+            out, _ = run_filter(u, AdaptiveParams(mode=mode, max_iterations=2))
+            assert np.all(np.isfinite(out))
+            assert np.all(np.isfinite(directional_step(u, AdaptiveParams(mode=mode))))
+        p = PMParams(delta=0.05)
+        assert np.all(np.isfinite(directional_ad_step(u, p, grad_threshold=0.01)))
+        assert np.all(np.isfinite(orthogonal_step(u, p)))
+
+    def test_orthogonal_step_keeps_zero_gradient_pixels(self, no_eigenvectors):
+        # paraboloid: zero gradient but non-zero Hessian at its centre
+        y, x = np.mgrid[0:11, 0:11].astype(np.float64)
+        u = 1.0 + 0.01 * ((x - 5.0) ** 2 + (y - 5.0) ** 2)
+        b = derivatives(u)
+        still = (b.ux == 0.0) & (b.uy == 0.0)
+        assert still[5, 5] and b.uxx[5, 5] != 0.0
+        out = orthogonal_step(u, PMParams(delta=0.05))
+        np.testing.assert_array_equal(out[still], u[still])
+        assert np.any(out[~still] != u[~still])

@@ -10,6 +10,7 @@ from mipdiff.fields import (
     DerivativeBundle,
     as_field,
     as_volume,
+    curvature_terms,
     derivatives,
     diffusion_basis,
     directional_second_derivative,
@@ -247,3 +248,51 @@ class TestDiffusionBasis:
         np.testing.assert_allclose(basis.d_e1, np.array(d_e1), atol=1e-12)
         np.testing.assert_allclose(basis.d_e2, np.array(d_e2), atol=1e-12)
         np.testing.assert_allclose(basis.c, np.array(c), atol=1e-12)
+
+
+class TestCurvatureTerms:
+    @staticmethod
+    def check_against_oracle(u):
+        got = curvature_terms(derivatives(u))
+        want = oracles.directional_basis(oracles.grid(u))
+        # oracle order is (d_eta, d_e1, d_e2, c); d_e1/d_e2 are lam_max/lam_min
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, np.array(w), rtol=0, atol=1e-12)
+        return got
+
+    def test_matches_scalar_oracle_on_smooth_and_noisy_fields(self, rng):
+        for _ in range(5):
+            ny, nx = rng.integers(3, 17, size=2)
+            self.check_against_oracle(smooth_field(rng, (ny, nx), scale=2.0))
+            self.check_against_oracle(rng.normal(1.0, 0.2, (ny, nx)))
+
+    def test_degenerate_pixels_match_scalar_oracle(self, rng):
+        # a flat block (zero Hessian, zero gradient), a paraboloid
+        # (isotropic Hessian, zero gradient at its centre) and noise
+        y, x = np.mgrid[0:15, 0:15].astype(np.float64)
+        u = 0.05 * ((x - 10.0) ** 2 + (y - 7.0) ** 2)
+        u[:, :4] = 1.0
+        u[:, 13:] += rng.normal(0.0, 0.1, (15, 2))
+        d_eta, lam_max, lam_min, c = self.check_against_oracle(u)
+        assert d_eta[7, 10] == 0.0 and lam_max[7, 10] == lam_min[7, 10] > 0.0
+        assert np.all(lam_max[:, :3] == 0.0) and np.all(c[:, :3] == 0.0)
+
+    def test_eigenvalues_are_hessian_eigen(self, rng):
+        b = derivatives(smooth_field(rng, (20, 24), scale=3.0))
+        _, lam_max, lam_min, c = curvature_terms(b)
+        want_max, want_min, *_ = hessian_eigen(b)
+        np.testing.assert_array_equal(lam_max, want_max)
+        np.testing.assert_array_equal(lam_min, want_min)
+        np.testing.assert_array_equal(c, structureness(b))
+
+    def test_zero_hessian_is_all_zero(self):
+        for arr in curvature_terms(bundle_from_hessian(0, 0, 0)):
+            assert np.all(arr == 0.0)
+
+    def test_isotropic_hessian(self):
+        d_eta, lam_max, lam_min, c = curvature_terms(bundle_from_hessian(3, 0, 3))
+        assert np.all(lam_max == 3.0) and np.all(lam_min == 3.0)
+        np.testing.assert_allclose(c, np.sqrt(18.0), rtol=0, atol=1e-15)
+        # no gradient anywhere in the bundle: d_eta is defined as zero
+        assert np.all(d_eta == 0.0)
+
