@@ -387,14 +387,14 @@ def cmd_phantom(v: dict) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     stem = out_dir / v["stem"]
-    out = generate(spec)
+    out = generate(spec, build_channels=not v["flow"])
     write_volume(out.clean, f"{stem}_clean.vol")
     write_volume(out.noisy, f"{stem}_noisy.vol")
     write_volume(out.truth_mask, f"{stem}_mask.vol")
     if v["flow"]:
         if channels is None:
             raise ConfigError("flow output needs channels >= 1")
-        flow = generate_flow(spec)
+        flow = generate_flow(spec, phantom=out)
         for k in range(len(channels.sigmas)):
             for axis in ("x", "y", "z"):
                 write_volume(flow[axis][k], f"{stem}_c{k + 1}_{axis}.vol")

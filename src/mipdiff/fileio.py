@@ -46,7 +46,11 @@ class NonFiniteValueError(VolumeIOError):
 
 
 def read_volume(path) -> np.ndarray:
-    """Read a MIPVOL file into a float64 array of shape (nz, ny, nx)."""
+    """Read a MIPVOL file into a float64 array of shape (nz, ny, nx).
+
+    The payload is read one z-slice at a time into a reused float32
+    buffer, so no whole-volume temporary is built beside the result.
+    """
     with open(path, "rb") as f:
         header = f.readline(256)
         if not header.endswith(b"\n"):
@@ -61,30 +65,42 @@ def read_volume(path) -> np.ndarray:
         if nx < 1 or ny < 1 or nz < 1:
             raise DimensionError(f"{path}: non-positive dimensions {nx}x{ny}x{nz}")
         count = nx * ny * nz
-        payload = f.read(4 * count)
-    if len(payload) < 4 * count:
+        vol = np.empty((nz, ny, nx))
+        buf = np.empty((ny, nx), dtype="<f4")
+        got = 0
+        finite = True
+        for z in range(nz):
+            n = f.readinto(buf)
+            got += n
+            if n < buf.nbytes:
+                break
+            # a short payload is reported before a non-finite sample
+            finite = finite and bool(np.isfinite(buf).all())
+            vol[z] = buf
+    if got < 4 * count:
         raise TruncatedPayloadError(
-            f"{path}: expected {4 * count} payload bytes, got {len(payload)}"
+            f"{path}: expected {4 * count} payload bytes, got {got}"
         )
-    arr = np.frombuffer(payload, dtype="<f4").reshape(nz, ny, nx)
-    if not np.isfinite(arr).all():
+    if not finite:
         raise NonFiniteValueError(f"{path}: payload contains NaN or Inf samples")
-    return arr.astype(np.float64)
+    return vol
 
 
 def write_volume(volume, path) -> None:
-    """Write a volume as MIPVOL. Payload is cast to little-endian float32."""
+    """Write a volume as MIPVOL. Payload is cast to little-endian float32
+    one z-slice at a time."""
     arr = np.asarray(volume, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[None, :, :]
     if arr.ndim != 3 or min(arr.shape) < 1:
         raise DimensionError(f"cannot write volume of shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all(np.isfinite(sl).all() for sl in arr):
         raise NonFiniteValueError(f"{path}: refusing to write NaN or Inf samples")
     nz, ny, nx = arr.shape
     with open(path, "wb") as f:
         f.write(f"{MAGIC} {nx} {ny} {nz}\n".encode("ascii"))
-        f.write(arr.astype("<f4").tobytes())
+        for sl in arr:
+            f.write(sl.astype("<f4", order="C"))
 
 
 def export_pgm(field, path) -> None:

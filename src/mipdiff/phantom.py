@@ -113,17 +113,17 @@ def default_venous_spec(seed: int = 1234) -> PhantomSpec:
     return PhantomSpec(tubes=(tube,), seed=seed)
 
 
-def _coordinate_grids(spec: PhantomSpec):
-    z = np.arange(spec.depth, dtype=np.float64)[:, None, None]
-    y = np.arange(spec.height, dtype=np.float64)[None, :, None]
-    x = np.arange(spec.width, dtype=np.float64)[None, None, :]
-    return x, y, z
+def _slice_grids(spec: PhantomSpec):
+    """Column and row coordinates of one z-slice, shaped to broadcast."""
+    y = np.arange(spec.height, dtype=np.float64)[:, None]
+    x = np.arange(spec.width, dtype=np.float64)[None, :]
+    return x, y
 
 
-def _axis_distance(spec: PhantomSpec, tube: TubeSpec) -> np.ndarray:
-    """Distance from every voxel to the tube's polyline axis."""
-    x, y, z = _coordinate_grids(spec)
-    dist = np.full((spec.depth, spec.height, spec.width), np.inf)
+def _axis_distance(tube: TubeSpec, x, y, z: float) -> np.ndarray:
+    """Distance from every voxel of the slice at depth ``z`` to the tube's
+    polyline axis."""
+    dist = np.full((y.shape[0], x.shape[1]), np.inf)
     pts = [np.asarray(p, dtype=np.float64) for p in tube.points]
     for a, b in zip(pts[:-1], pts[1:]):
         ab = b - a
@@ -144,14 +144,12 @@ def _axis_distance(spec: PhantomSpec, tube: TubeSpec) -> np.ndarray:
     return dist
 
 
-def _baseline(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
-    """Unit level plus a smooth three-term sinusoid mixture.
+def _baseline_mixture(spec: PhantomSpec, rng: np.random.Generator):
+    """Draw the three sinusoid terms of the baseline modulation.
 
     Wavelengths stay at or above width/4 so the modulation is strictly
-    low-frequency; the mixture is scaled to peak amplitude
-    ``baseline_amplitude``.
+    low-frequency. Returns None when ``baseline_amplitude`` is zero.
     """
-    base = np.ones((spec.depth, spec.height, spec.width))
     # draw mixture parameters even when amplitude is zero to keep the
     # generator stream layout independent of the amplitude value
     n_terms = 3
@@ -160,15 +158,22 @@ def _baseline(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_terms)
     z_gain = rng.uniform(0.0, 0.5, size=n_terms)
     if spec.baseline_amplitude == 0:
-        return base
-    x, y, z = _coordinate_grids(spec)
-    mix = np.zeros_like(base)
-    for lam, az, ph, zg in zip(wavelengths, azimuth, phases, z_gain):
+        return None
+    return list(zip(wavelengths, azimuth, phases, z_gain))
+
+
+def _baseline(spec: PhantomSpec, mixture, x, y, z: float):
+    """Unit level plus the mixture, scaled to peak amplitude
+    ``baseline_amplitude``, on the slice at depth ``z``."""
+    if mixture is None:
+        return 1.0
+    mix = np.zeros((y.shape[0], x.shape[1]))
+    for lam, az, ph, zg in mixture:
         k = 2.0 * math.pi / lam
         arg = k * (math.cos(az) * x + math.sin(az) * y + zg * z) + ph
         mix += np.sin(arg)
-    mix /= n_terms
-    return base + spec.baseline_amplitude * mix
+    mix /= len(mixture)
+    return 1.0 + spec.baseline_amplitude * mix
 
 
 def _sensitivity_maps(spec: PhantomSpec) -> list:
@@ -184,8 +189,7 @@ def _sensitivity_maps(spec: PhantomSpec) -> list:
             for k in range(n)
         ]
     width = ch.width if ch.width is not None else 0.6 * max(spec.width, spec.height)
-    y = np.arange(spec.height, dtype=np.float64)[:, None]
-    x = np.arange(spec.width, dtype=np.float64)[None, :]
+    x, y = _slice_grids(spec)
     maps = []
     for mx, my in centers:
         r2 = (x - mx) ** 2 + (y - my) ** 2
@@ -193,32 +197,47 @@ def _sensitivity_maps(spec: PhantomSpec) -> list:
     return maps
 
 
-def generate(spec: PhantomSpec) -> PhantomOutput:
+def generate(spec: PhantomSpec, build_channels: bool = True) -> PhantomOutput:
     """Build the phantom volumes described by ``spec``.
 
     Tubes contribute contrast * exp(-d^2 / (2 (radius/2)^2)) with d the
     distance to the axis; the truth mask marks d <= radius. Zero noise
-    sigma reproduces the clean volume exactly.
+    sigma reproduces the clean volume exactly. The volumes are filled one
+    z-slice at a time, so the outputs are the only whole-volume arrays.
+    With ``build_channels=False`` a channelized spec yields no channel
+    volumes (``channels`` is None); everything else is unchanged.
     """
     rng = np.random.default_rng(spec.seed)
-    clean = _baseline(spec, rng)
-    mask = np.zeros(clean.shape)
-    for tube in spec.tubes:
-        d = _axis_distance(spec, tube)
-        sigma_r = tube.radius / 2.0
-        clean = clean + tube.contrast * np.exp(-(d * d) / (2.0 * sigma_r * sigma_r))
-        mask = np.maximum(mask, (d <= tube.radius).astype(np.float64))
+    mixture = _baseline_mixture(spec, rng)
+    x, y = _slice_grids(spec)
+    shape = (spec.depth, spec.height, spec.width)
+    clean = np.empty(shape)
+    mask = np.zeros(shape)
+    for k in range(spec.depth):
+        z = float(k)
+        clean[k] = _baseline(spec, mixture, x, y, z)
+        for tube in spec.tubes:
+            d = _axis_distance(tube, x, y, z)
+            sigma_r = tube.radius / 2.0
+            clean[k] += tube.contrast * np.exp(-(d * d) / (2.0 * sigma_r * sigma_r))
+            mask[k][d <= tube.radius] = 1.0
+    # noise is drawn as one volume so the generator stream does not depend
+    # on the slicing; addition commutes, so adding in place is exact
     if spec.noise_sigma > 0:
-        noisy = clean + rng.normal(0.0, spec.noise_sigma, size=clean.shape)
+        noisy = rng.normal(0.0, spec.noise_sigma, size=shape)
+        noisy += clean
     else:
         noisy = clean.copy()
     channels = None
-    if spec.channels is not None:
+    if spec.channels is not None and build_channels:
         channels = []
         for s_map, sig in zip(_sensitivity_maps(spec), spec.channels.sigmas):
-            vol = clean * s_map[None, :, :]
             if sig > 0:
-                vol = vol + rng.normal(0.0, sig, size=vol.shape)
+                vol = rng.normal(0.0, sig, size=shape)
+                for k in range(spec.depth):
+                    vol[k] += clean[k] * s_map
+            else:
+                vol = clean * s_map
             channels.append(vol)
     metadata = {
         "generator": "numpy default_rng (PCG64)",
@@ -236,7 +255,7 @@ def generate(spec: PhantomSpec) -> PhantomOutput:
     )
 
 
-def generate_flow(spec: PhantomSpec, weights=(0.5, 0.3, 0.2)) -> dict:
+def generate_flow(spec: PhantomSpec, weights=(0.5, 0.3, 0.2), phantom=None) -> dict:
     """Per-channel directional flow projections of a channelized phantom.
 
     The clean maximum projection is split into X/Y/Z components by
@@ -244,6 +263,8 @@ def generate_flow(spec: PhantomSpec, weights=(0.5, 0.3, 0.2)) -> dict:
     with independent noise of sigma_k/sqrt(3) per component so the additive
     recombination carries noise sigma_k. Returns a dict with component
     lists, the projected clean image, and the projected tube mask.
+    ``phantom`` is an output of ``generate(spec)`` to project instead of
+    generating the volumes again.
     """
     if spec.channels is None:
         raise ValueError("flow generation needs a channel spec")
@@ -251,9 +272,10 @@ def generate_flow(spec: PhantomSpec, weights=(0.5, 0.3, 0.2)) -> dict:
         raise ValueError("need exactly three component weights")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError("component weights must sum to 1")
-    out = generate(spec)
-    clean2d = out.clean.max(axis=0)
-    mask2d = out.truth_mask.max(axis=0)
+    if phantom is None:
+        phantom = generate(spec, build_channels=False)
+    clean2d = phantom.clean.max(axis=0)
+    mask2d = phantom.truth_mask.max(axis=0)
     rng = np.random.default_rng(spec.seed + 1)
     xs, ys, zs = [], [], []
     comp_sigma_scale = 1.0 / math.sqrt(3.0)

@@ -3,9 +3,15 @@
 Everything here walks pixels one at a time with plain Python floats and the
 math module. No code is shared with the package, so agreement between the
 two routes is evidence rather than tautology. Grids are nested lists or are
-indexed element by element; nothing vectorized is allowed in this file.
+indexed element by element; nothing vectorized is allowed in this file,
+with one exception: ``phantom_generate`` at the end is the earlier
+whole-volume numpy phantom generator, kept verbatim, because the phantom's
+contract is bit-identity with it and a scalar loop would round the
+transcendental functions differently.
 """
 import math
+
+import numpy as np
 
 
 def mirror(i: int, n: int) -> int:
@@ -289,3 +295,104 @@ def contrast_per_pixel(rows):
                     if 0 <= yy < ny and 0 <= xx < nx:
                         total += abs(rows[y][x] - rows[yy][xx])
     return total / (nx * ny)
+
+
+# --- whole-volume phantom generator (verbatim numpy reference) -------------
+
+
+def _coordinate_grids(spec):
+    z = np.arange(spec.depth, dtype=np.float64)[:, None, None]
+    y = np.arange(spec.height, dtype=np.float64)[None, :, None]
+    x = np.arange(spec.width, dtype=np.float64)[None, None, :]
+    return x, y, z
+
+
+def _axis_distance(spec, tube):
+    """Distance from every voxel to the tube's polyline axis."""
+    x, y, z = _coordinate_grids(spec)
+    dist = np.full((spec.depth, spec.height, spec.width), np.inf)
+    pts = [np.asarray(p, dtype=np.float64) for p in tube.points]
+    for a, b in zip(pts[:-1], pts[1:]):
+        ab = b - a
+        denom = float(ab @ ab)
+        dxa = x - a[0]
+        dya = y - a[1]
+        dza = z - a[2]
+        if denom == 0.0:
+            d2 = dxa * dxa + dya * dya + dza * dza
+        else:
+            t = (dxa * ab[0] + dya * ab[1] + dza * ab[2]) / denom
+            t = np.clip(t, 0.0, 1.0)
+            ex = dxa - t * ab[0]
+            ey = dya - t * ab[1]
+            ez = dza - t * ab[2]
+            d2 = ex * ex + ey * ey + ez * ez
+        dist = np.minimum(dist, np.sqrt(d2))
+    return dist
+
+
+def _baseline(spec, rng):
+    base = np.ones((spec.depth, spec.height, spec.width))
+    n_terms = 3
+    wavelengths = rng.uniform(spec.width / 4.0, spec.width, size=n_terms)
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=n_terms)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_terms)
+    z_gain = rng.uniform(0.0, 0.5, size=n_terms)
+    if spec.baseline_amplitude == 0:
+        return base
+    x, y, z = _coordinate_grids(spec)
+    mix = np.zeros_like(base)
+    for lam, az, ph, zg in zip(wavelengths, azimuth, phases, z_gain):
+        k = 2.0 * math.pi / lam
+        arg = k * (math.cos(az) * x + math.sin(az) * y + zg * z) + ph
+        mix += np.sin(arg)
+    mix /= n_terms
+    return base + spec.baseline_amplitude * mix
+
+
+def _sensitivity_maps(spec):
+    ch = spec.channels
+    n = len(ch.sigmas)
+    if ch.centers is not None:
+        centers = [tuple(map(float, c)) for c in ch.centers]
+    else:
+        cx, cy = (spec.width - 1) / 2.0, (spec.height - 1) / 2.0
+        r = 0.35 * min(spec.width, spec.height)
+        centers = [
+            (cx + r * math.cos(2.0 * math.pi * k / n), cy + r * math.sin(2.0 * math.pi * k / n))
+            for k in range(n)
+        ]
+    width = ch.width if ch.width is not None else 0.6 * max(spec.width, spec.height)
+    y = np.arange(spec.height, dtype=np.float64)[:, None]
+    x = np.arange(spec.width, dtype=np.float64)[None, :]
+    maps = []
+    for mx, my in centers:
+        r2 = (x - mx) ** 2 + (y - my) ** 2
+        maps.append(ch.floor + (1.0 - ch.floor) * np.exp(-r2 / (2.0 * width * width)))
+    return maps
+
+
+def phantom_generate(spec):
+    """(clean, noisy, truth_mask, channels) of a phantom spec, built with
+    whole-volume arrays."""
+    rng = np.random.default_rng(spec.seed)
+    clean = _baseline(spec, rng)
+    mask = np.zeros(clean.shape)
+    for tube in spec.tubes:
+        d = _axis_distance(spec, tube)
+        sigma_r = tube.radius / 2.0
+        clean = clean + tube.contrast * np.exp(-(d * d) / (2.0 * sigma_r * sigma_r))
+        mask = np.maximum(mask, (d <= tube.radius).astype(np.float64))
+    if spec.noise_sigma > 0:
+        noisy = clean + rng.normal(0.0, spec.noise_sigma, size=clean.shape)
+    else:
+        noisy = clean.copy()
+    channels = None
+    if spec.channels is not None:
+        channels = []
+        for s_map, sig in zip(_sensitivity_maps(spec), spec.channels.sigmas):
+            vol = clean * s_map[None, :, :]
+            if sig > 0:
+                vol = vol + rng.normal(0.0, sig, size=vol.shape)
+            channels.append(vol)
+    return clean, noisy, mask, channels

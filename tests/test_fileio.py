@@ -1,4 +1,6 @@
 """Volume container format, PGM export, and profile CSV transcription."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mipdiff.fileio import (
     read_volume,
     write_volume,
 )
+from mipdiff.phantom import default_venous_spec, generate
 
 
 def write_raw(path, header: bytes, payload: bytes):
@@ -120,6 +123,96 @@ class TestVolumeErrors:
         write_raw(path, b"BADMAGIC 1 1 1\n", b"\x00" * 4)
         with pytest.raises(MagicMismatchError, match="named.vol"):
             read_volume(path)
+
+
+class TestSliceBoundaries:
+    """Volumes are read and written one z-slice at a time."""
+
+    @pytest.mark.parametrize("shape", [(1, 5, 7), (7, 3, 11)])
+    def test_odd_shapes_round_trip(self, tmp_path, shape):
+        vol = np.random.default_rng(3).normal(size=shape).astype("<f4").astype(np.float64)
+        path = tmp_path / "v.vol"
+        write_volume(vol, path)
+        nz, ny, nx = shape
+        raw = path.read_bytes()
+        header = f"MIPVOL1 {nx} {ny} {nz}\n".encode("ascii")
+        assert raw == header + vol.astype("<f4").tobytes()
+        np.testing.assert_array_equal(read_volume(path), vol)
+
+    def test_non_contiguous_volume_written_in_c_order(self, tmp_path):
+        vol = np.arange(2 * 3 * 5, dtype=np.float64).reshape(5, 3, 2).transpose(2, 1, 0)
+        path = tmp_path / "t.vol"
+        write_volume(vol, path)
+        np.testing.assert_array_equal(read_volume(path), vol)
+
+    def test_nan_in_last_slice(self, tmp_path):
+        vol = np.ones((7, 3, 5), dtype="<f4")
+        vol[-1, -1, -1] = np.nan
+        path = tmp_path / "nan.vol"
+        write_raw(path, b"MIPVOL1 5 3 7\n", vol.tobytes())
+        with pytest.raises(NonFiniteValueError, match="NaN or Inf"):
+            read_volume(path)
+
+    def test_write_rejects_nan_in_last_slice_before_creating_file(self, tmp_path):
+        vol = np.ones((7, 3, 5))
+        vol[-1, 0, 0] = np.nan
+        path = tmp_path / "nan.vol"
+        with pytest.raises(NonFiniteValueError):
+            write_volume(vol, path)
+        assert not path.exists()
+
+    def test_one_byte_short_in_last_slice(self, tmp_path):
+        payload = np.ones((7, 3, 5), dtype="<f4").tobytes()
+        path = tmp_path / "short.vol"
+        write_raw(path, b"MIPVOL1 5 3 7\n", payload[:-1])
+        with pytest.raises(TruncatedPayloadError, match="expected 420 payload bytes, got 419"):
+            read_volume(path)
+
+    def test_truncation_reported_before_non_finite(self, tmp_path):
+        vol = np.ones((3, 2, 2), dtype="<f4")
+        vol[0, 0, 0] = np.inf
+        path = tmp_path / "both.vol"
+        write_raw(path, b"MIPVOL1 2 2 3\n", vol.tobytes()[:-4])
+        with pytest.raises(TruncatedPayloadError, match="got 44"):
+            read_volume(path)
+
+    def test_trailing_bytes_ignored(self, tmp_path):
+        vol = np.arange(7 * 3 * 5, dtype="<f4").reshape(7, 3, 5)
+        path = tmp_path / "tail.vol"
+        write_raw(path, b"MIPVOL1 5 3 7\n", vol.tobytes() + b"trailing junk")
+        np.testing.assert_array_equal(read_volume(path), vol)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+class TestMemoryGuards:
+    """Reading adds only the result volume, writing no whole volume."""
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        return generate(default_venous_spec()).noisy
+
+    def test_read_adds_one_volume(self, tmp_path, noisy):
+        path = tmp_path / "v.vol"
+        write_volume(noisy, path)
+        vol, added = _traced_peak(read_volume, path)
+        assert vol.shape == noisy.shape
+        assert added / noisy.nbytes <= 1.1
+
+    def test_write_adds_no_volume(self, tmp_path, noisy):
+        path = tmp_path / "v.vol"
+        _, added = _traced_peak(write_volume, noisy, path)
+        assert path.stat().st_size > 4 * noisy.size
+        assert added / noisy.nbytes <= 0.1
 
 
 class TestPgmExport:

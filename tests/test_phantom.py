@@ -1,7 +1,10 @@
 """Synthetic tube phantom generation and the dip-amplitude statistic."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from mipdiff.phantom import (
     ChannelSpec,
     PhantomSpec,
@@ -110,6 +113,78 @@ class TestGenerate:
             assert ratio.max() <= 1.0 + 1e-12
 
 
+ORACLE_SPECS = {
+    "bent_tube_with_baseline": PhantomSpec(
+        width=29, height=23, depth=9, baseline_amplitude=0.3, seed=41,
+        tubes=(TubeSpec(points=((0.0, 4.0, 1.0), (10.5, 18.0, 4.0),
+                                (20.0, 6.5, 7.5), (28.0, 20.0, 2.0)),
+                        radius=2.5, contrast=-0.3),),
+    ),
+    "zero_length_segment": PhantomSpec(
+        width=17, height=19, depth=6, seed=42,
+        tubes=(TubeSpec(points=((3.0, 5.0, 2.0), (3.0, 5.0, 2.0),
+                                (14.0, 12.0, 4.0)), radius=1.5),),
+    ),
+    "overlapping_tubes": PhantomSpec(
+        width=31, height=27, depth=11, baseline_amplitude=0.1, seed=43,
+        tubes=(TubeSpec(points=((0.0, 13.0, 5.0), (30.0, 13.0, 5.0))),
+               TubeSpec(points=((15.0, 0.0, 2.0), (15.0, 26.0, 8.0)),
+                        radius=3.0, contrast=0.25)),
+    ),
+    "channelized": PhantomSpec(
+        width=24, height=20, depth=5, seed=44,
+        tubes=(TubeSpec(points=((0.0, 10.0, 2.0), (23.0, 9.0, 2.5))),),
+        channels=ChannelSpec(sigmas=(0.05, 0.0, 0.1)),
+    ),
+    "depth_one": PhantomSpec(
+        width=16, height=13, depth=1, baseline_amplitude=0.2, seed=45,
+        tubes=(TubeSpec(points=((0.0, 6.0, 0.0), (15.0, 6.0, 0.0))),),
+    ),
+}
+
+
+class TestWholeVolumeOracle:
+    """The slice-wise generator equals the whole-volume reference bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_outputs_equal_oracle_exactly(self, name):
+        spec = ORACLE_SPECS[name]
+        out = generate(spec)
+        clean, noisy, mask, channels = oracles.phantom_generate(spec)
+        np.testing.assert_array_equal(out.clean, clean)
+        np.testing.assert_array_equal(out.noisy, noisy)
+        np.testing.assert_array_equal(out.truth_mask, mask)
+        if channels is None:
+            assert out.channels is None
+        else:
+            assert len(out.channels) == len(channels)
+            for got, want in zip(out.channels, channels):
+                np.testing.assert_array_equal(got, want)
+
+    def test_skipping_channels_leaves_the_rest_unchanged(self):
+        spec = ORACLE_SPECS["channelized"]
+        full = generate(spec)
+        bare = generate(spec, build_channels=False)
+        assert bare.channels is None
+        assert bare.metadata == full.metadata
+        np.testing.assert_array_equal(bare.noisy, full.noisy)
+        np.testing.assert_array_equal(bare.truth_mask, full.truth_mask)
+
+
+def test_generate_peak_memory_is_outputs_plus_slices():
+    spec = default_venous_spec()
+    volume_bytes = 8 * spec.width * spec.height * spec.depth
+    tracemalloc.start()
+    try:
+        out = generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.noisy.shape == (spec.depth, spec.height, spec.width)
+    # clean, noisy and the truth mask are three volumes
+    assert peak / volume_bytes <= 4.0
+
+
 class TestGenerateFlow:
     def spec(self, sig=(0.05, 0.1)):
         return PhantomSpec(width=32, height=32, depth=8, noise_sigma=0.0,
@@ -147,6 +222,13 @@ class TestGenerateFlow:
             flow_a["x"][1] + flow_a["y"][1] + flow_a["z"][1]
         )
         assert abs(resid.std(ddof=1) - 0.1) < 0.015
+
+    def test_reuses_a_given_phantom(self):
+        spec = self.spec()
+        np.testing.assert_array_equal(
+            generate_flow(spec, phantom=generate(spec))["x"][1],
+            generate_flow(spec)["x"][1],
+        )
 
     def test_deterministic(self):
         a = generate_flow(self.spec())
