@@ -26,12 +26,10 @@ from .diffusion import (
 )
 from .fields import (
     DerivativeBundle,
-    DiffusionBasis,
     as_field,
     as_volume,
     curvature_terms,
     derivatives,
-    diffusion_basis,
     directional_second_derivative,
     hessian_eigen,
     structureness,

@@ -186,17 +186,30 @@ def write_metrics_csv(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _write_single_metrics(path, method: str, baseline, result) -> None:
-    """One metrics row scoring ``result`` against ``baseline`` as both input
-    and reference."""
-    row = (
+def _metrics_row(method: str, base, ref, test, roi: Roi | None = None) -> tuple:
+    """One ``write_metrics_csv`` row scoring ``test`` against the input
+    ``base`` and the reference ``ref``."""
+    return (
         method,
-        psnr_vs_input(baseline, result),
-        psnr_vs_reference(baseline, result),
-        contrast_ratio(result),
-        contrast_per_pixel(result),
+        psnr_vs_input(base, test, roi),
+        psnr_vs_reference(ref, test, roi),
+        contrast_ratio(test, roi),
+        contrast_per_pixel(test),
     )
-    write_metrics_csv(path, [row])
+
+
+def _write_image(v: dict, command: str, img, path, inputs: list, baseline) -> None:
+    """Write ``img`` to ``path``, then the optional ``--pgm`` preview, then the
+    optional one-row ``--metrics-csv`` scoring ``img`` against
+    ``baseline()``, called only then, as both input and reference, then
+    ``<path>.manifest.txt``."""
+    write_volume(img, path)
+    if v["pgm"]:
+        export_pgm(img, v["pgm"])
+    if v["metrics_csv"]:
+        base = baseline()
+        write_metrics_csv(v["metrics_csv"], [_metrics_row(command, base, base, img)])
+    write_manifest(f"{path}.manifest.txt", command, v, inputs)
 
 
 def _parse_roi(raw) -> Roi | None:
@@ -209,24 +222,18 @@ def _parse_roi(raw) -> Roi | None:
         x0, y0, w, h = (int(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"roi has non-integer entries: {raw!r}") from exc
-    try:
-        return Roi(x0, y0, w, h)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Roi(x0, y0, w, h)
 
 
 def _adaptive_params(v: dict, mode: str) -> AdaptiveParams:
-    try:
-        return AdaptiveParams(
-            alpha=v["alpha"],
-            mode=mode,
-            tail_prob=v["tail_prob"],
-            tolerance=v["tolerance"],
-            max_iterations=v["max_iterations"],
-            step=v["step"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return AdaptiveParams(
+        alpha=v["alpha"],
+        mode=mode,
+        tail_prob=v["tail_prob"],
+        tolerance=v["tolerance"],
+        max_iterations=v["max_iterations"],
+        step=v["step"],
+    )
 
 
 _FILTER_OPTS = [
@@ -334,10 +341,7 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("output", "str", required=True, help="alpha,psnr_input CSV path"),
         Opt("alphas", "floats", (1.0, 2.0, 4.0, 8.0, 16.0)),
         Opt("mode", "str", "mip_min", choices=("mip", "mip_min")),
-        Opt("step", "float", 0.2),
-        Opt("tolerance", "float", 1e-4),
-        Opt("max_iterations", "int", 6),
-        Opt("tail_prob", "float", 0.05),
+        *_FILTER_OPTS[1:],  # all but alpha, which --alphas sweeps
     ],
 }
 
@@ -367,44 +371,40 @@ def cmd_phantom(v: dict) -> None:
                 f"got {len(sigmas)} channel_sigmas for {v['channels']} channels"
             )
         channels = ChannelSpec(sigmas=tuple(sigmas))
-    try:
-        spec = PhantomSpec(
-            width=v["width"],
-            height=v["height"],
-            depth=v["depth"],
-            baseline_amplitude=v["baseline_amplitude"],
-            tubes=(
-                TubeSpec(
-                    points=((0.0, tube_y, tube_z), (v["width"] - 1.0, tube_y, tube_z)),
-                    radius=v["radius"],
-                    contrast=v["contrast"],
-                ),
+    spec = PhantomSpec(
+        width=v["width"],
+        height=v["height"],
+        depth=v["depth"],
+        baseline_amplitude=v["baseline_amplitude"],
+        tubes=(
+            TubeSpec(
+                points=((0.0, tube_y, tube_z), (v["width"] - 1.0, tube_y, tube_z)),
+                radius=v["radius"],
+                contrast=v["contrast"],
             ),
-            noise_sigma=v["noise_sigma"],
-            seed=v["seed"],
-            channels=channels,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        ),
+        noise_sigma=v["noise_sigma"],
+        seed=v["seed"],
+        channels=channels,
+    )
+    if v["flow"] and channels is None:
+        raise ConfigError("flow output needs channels >= 1")
     stem = out_dir / v["stem"]
     out = generate(spec, build_channels=not v["flow"])
     write_volume(out.clean, f"{stem}_clean.vol")
     write_volume(out.noisy, f"{stem}_noisy.vol")
     write_volume(out.truth_mask, f"{stem}_mask.vol")
     if v["flow"]:
-        if channels is None:
-            raise ConfigError("flow output needs channels >= 1")
         flow = generate_flow(spec, phantom=out)
         for k in range(len(channels.sigmas)):
             for axis in ("x", "y", "z"):
                 write_volume(flow[axis][k], f"{stem}_c{k + 1}_{axis}.vol")
         write_volume(flow["clean"], f"{stem}_flow_clean.vol")
         write_volume(flow["mask"], f"{stem}_flow_mask.vol")
-        sigma_lines = [repr(float(s)) for s in channels.sigmas]
-        Path(f"{stem}_sigma.txt").write_text("\n".join(sigma_lines) + "\n")
     elif channels is not None:
         for k, ch in enumerate(out.channels, start=1):
             write_volume(ch, f"{stem}_c{k}.vol")
+    if channels is not None:
         sigma_lines = [repr(float(s)) for s in channels.sigmas]
         Path(f"{stem}_sigma.txt").write_text("\n".join(sigma_lines) + "\n")
     meta_lines = [f"{k} = {_fmt_value(val)}" for k, val in out.metadata.items()]
@@ -433,21 +433,12 @@ def cmd_swi(v: dict) -> None:
     mag = read_volume(v["magnitude"])
     phase = read_volume(v["phase"])
     params = _adaptive_params(v, "mip_min")
-    try:
-        mask_params = PhaseMaskParams(exponent=v["mask_exponent"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    mask_params = PhaseMaskParams(exponent=v["mask_exponent"])
     result = swi_pipeline(
         mag, phase, params, mask_params, mask_before_projection=v["mask_before_projection"]
     )
-    write_volume(result, v["output"])
-    if v["pgm"]:
-        export_pgm(result, v["pgm"])
-    if v["metrics_csv"]:
-        _write_single_metrics(v["metrics_csv"], "swi", project(mag, "min"), result)
-    write_manifest(
-        f"{v['output']}.manifest.txt", "swi", v, [v["magnitude"], v["phase"]]
-    )
+    _write_image(v, "swi", result, v["output"], [v["magnitude"], v["phase"]],
+                 lambda: project(mag, "min"))
 
 
 def cmd_mip(v: dict) -> None:
@@ -455,23 +446,15 @@ def cmd_mip(v: dict) -> None:
     projected = project(vol, "max")
     params = _adaptive_params(v, "mip")
     if v["hysteresis"]:
-        try:
-            hp = HysteresisParams(
-                alpha_low=v["alpha_low"],
-                alpha_high=v["alpha_high"],
-                c_threshold=v["c_threshold"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        hp = HysteresisParams(
+            alpha_low=v["alpha_low"],
+            alpha_high=v["alpha_high"],
+            c_threshold=v["c_threshold"],
+        )
         result, _, _ = hysteresis_filter(projected, params, hp)
     else:
         result, _ = run_filter(projected, params)
-    write_volume(result, v["output"])
-    if v["pgm"]:
-        export_pgm(result, v["pgm"])
-    if v["metrics_csv"]:
-        _write_single_metrics(v["metrics_csv"], "mip", projected, result)
-    write_manifest(f"{v['output']}.manifest.txt", "mip", v, [v["input"]])
+    _write_image(v, "mip", result, v["output"], [v["input"]], lambda: projected)
 
 
 def _read_sigma_file(path, channels: int):
@@ -488,17 +471,10 @@ def _read_sigma_file(path, channels: int):
 
 def cmd_pc(v: dict) -> None:
     stem = v["input_stem"]
-    inputs = []
-    xs, ys, zs = [], [], []
-    for k in range(1, v["channels"] + 1):
-        triplet = {}
-        for axis in ("x", "y", "z"):
-            path = f"{stem}_c{k}_{axis}.vol"
-            inputs.append(path)
-            triplet[axis] = field_from_volume(read_volume(path))
-        xs.append(triplet["x"])
-        ys.append(triplet["y"])
-        zs.append(triplet["z"])
+    inputs = [f"{stem}_c{k}_{axis}.vol"
+              for k in range(1, v["channels"] + 1) for axis in ("x", "y", "z")]
+    fields = [field_from_volume(read_volume(path)) for path in inputs]
+    xs, ys, zs = fields[0::3], fields[1::3], fields[2::3]
     sigma = None
     if v["sigma_file"]:
         sigma = _read_sigma_file(v["sigma_file"], v["channels"])
@@ -507,13 +483,8 @@ def cmd_pc(v: dict) -> None:
     scaled, combined = pc_pipeline(xs, ys, zs, params, flow_mode=v["flow_mode"], sigma=sigma)
     for k, ch in enumerate(scaled, start=1):
         write_volume(ch, f"{v['out_stem']}_c{k}.vol")
-    write_volume(combined, f"{v['out_stem']}_combined.vol")
-    if v["pgm"]:
-        export_pgm(combined, v["pgm"])
-    if v["metrics_csv"]:
-        plain = pa_combine(combine_flow(xs, ys, zs, v["flow_mode"]), sigma)
-        _write_single_metrics(v["metrics_csv"], "pc", plain, combined)
-    write_manifest(f"{v['out_stem']}_combined.vol.manifest.txt", "pc", v, inputs)
+    _write_image(v, "pc", combined, f"{v['out_stem']}_combined.vol", inputs,
+                 lambda: pa_combine(combine_flow(xs, ys, zs, v["flow_mode"]), sigma))
 
 
 def cmd_metrics(v: dict) -> None:
@@ -521,14 +492,7 @@ def cmd_metrics(v: dict) -> None:
     test = field_from_volume(read_volume(v["test"]))
     ref = base if v["reference"] is None else field_from_volume(read_volume(v["reference"]))
     roi = _parse_roi(v["roi"])
-    row = (
-        v["method"],
-        psnr_vs_input(base, test, roi),
-        psnr_vs_reference(ref, test, roi),
-        contrast_ratio(test, roi),
-        contrast_per_pixel(test),
-    )
-    write_metrics_csv(v["output"], [row])
+    write_metrics_csv(v["output"], [_metrics_row(v["method"], base, ref, test, roi)])
     inputs = [v["input"], v["test"]] + ([v["reference"]] if v["reference"] else [])
     write_manifest(f"{v['output']}.manifest.txt", "metrics", v, inputs)
 
@@ -537,15 +501,12 @@ def _pm_params(v: dict, vol: np.ndarray) -> PMParams:
     delta = v["delta"]
     if delta is None:
         delta = default_delta(vol.reshape(-1, vol.shape[-1]))
-    try:
-        return PMParams(
-            delta=delta,
-            dt=v["dt"],
-            iterations=v["iterations"],
-            diffusivity_kind=v["diffusivity_kind"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PMParams(
+        delta=delta,
+        dt=v["dt"],
+        iterations=v["iterations"],
+        diffusivity_kind=v["diffusivity_kind"],
+    )
 
 
 def cmd_compare(v: dict) -> None:
@@ -570,22 +531,12 @@ def cmd_compare(v: dict) -> None:
             "directional",
             per_slice(lambda sl: run_directional_ad(sl, pm_params, v["grad_threshold"])),
         ),
-        ("proposed", per_slice(lambda sl: run_filter(sl, adaptive)[0])),
+        ("proposed", _filter_volume(noisy, adaptive)),
     ]
     base_proj = project(noisy, kind)
     ref_proj = project(reference, kind)
-    rows = []
-    for name, filtered_vol in methods:
-        img = project(filtered_vol, kind)
-        rows.append(
-            (
-                name,
-                psnr_vs_input(base_proj, img, roi),
-                psnr_vs_reference(ref_proj, img, roi),
-                contrast_ratio(img, roi),
-                contrast_per_pixel(img),
-            )
-        )
+    rows = [_metrics_row(name, base_proj, ref_proj, project(filtered_vol, kind), roi)
+            for name, filtered_vol in methods]
     write_metrics_csv(v["output"], rows)
     inputs = [v["input"]] + ([v["reference"]] if v["reference"] else [])
     write_manifest(f"{v['output']}.manifest.txt", "compare", v, inputs)

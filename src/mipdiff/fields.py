@@ -15,13 +15,11 @@ __all__ = [
     "as_field",
     "as_volume",
     "DerivativeBundle",
-    "DiffusionBasis",
     "derivatives",
     "hessian_eigen",
     "directional_second_derivative",
     "structureness",
     "curvature_terms",
-    "diffusion_basis",
 ]
 
 
@@ -54,29 +52,6 @@ class DerivativeBundle:
     uxx: np.ndarray
     uyy: np.ndarray
     uxy: np.ndarray
-
-
-@dataclass(frozen=True)
-class DiffusionBasis:
-    """Per-pixel local frame for directional diffusion.
-
-    eta is the unit gradient direction, e1/e2 the unit eigenvectors of the
-    2x2 Hessian sorted by eigenvalue (e1 max, e2 min). d_* are the second
-    directional derivatives along each direction and c is the structureness
-    sqrt(uxx^2 + uyy^2). Degenerate pixels carry (0, 0) directions and zero
-    derivatives.
-    """
-
-    eta_x: np.ndarray
-    eta_y: np.ndarray
-    e1_x: np.ndarray
-    e1_y: np.ndarray
-    e2_x: np.ndarray
-    e2_y: np.ndarray
-    d_eta: np.ndarray
-    d_e1: np.ndarray
-    d_e2: np.ndarray
-    c: np.ndarray
 
 
 def derivatives(field) -> DerivativeBundle:
@@ -192,9 +167,9 @@ def curvature_terms(bundle: DerivativeBundle):
     along the unit gradient, (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / |grad u|^2,
     and 0 where the gradient vanishes. lam_max and lam_min are the Hessian
     eigenvalues: v^T H v of a unit eigenvector is its eigenvalue, so they are
-    ``diffusion_basis``'s d_e1 and d_e2, and both are 0 for a zero Hessian. c
-    is the structureness sqrt(uxx^2 + uyy^2). This is the one kernel every
-    directional filter step uses.
+    the second derivatives along the principal curvature directions, and
+    both are 0 for a zero Hessian. c is the structureness sqrt(uxx^2 + uyy^2).
+    This is the one kernel every directional filter step uses.
     """
     ux, uy, a, b, c = bundle.ux, bundle.uy, bundle.uxx, bundle.uxy, bundle.uyy
     lam_max, lam_min, _ = _eigenvalues(a, b, c)
@@ -204,29 +179,3 @@ def curvature_terms(bundle: DerivativeBundle):
     num = xx * a + 2.0 * ux * uy * b + yy * c
     d_eta = np.divide(num, g2, out=np.zeros_like(g2), where=g2 > 0.0)
     return d_eta, lam_max, lam_min, structureness(bundle)
-
-
-def diffusion_basis(bundle: DerivativeBundle) -> DiffusionBasis:
-    """Assemble the full directional frame from a derivative bundle.
-
-    The filters need only the curvatures, which ``curvature_terms`` gives
-    without eigenvectors; this frame is for inspecting the directions.
-    """
-    lam_max, lam_min, e1x, e1y, e2x, e2y = hessian_eigen(bundle)
-    del lam_max, lam_min
-    gnorm = np.sqrt(bundle.ux**2 + bundle.uy**2)
-    safe = np.where(gnorm > 0.0, gnorm, 1.0)
-    eta_x = np.where(gnorm > 0.0, bundle.ux / safe, 0.0)
-    eta_y = np.where(gnorm > 0.0, bundle.uy / safe, 0.0)
-    return DiffusionBasis(
-        eta_x=eta_x,
-        eta_y=eta_y,
-        e1_x=e1x,
-        e1_y=e1y,
-        e2_x=e2x,
-        e2_y=e2y,
-        d_eta=directional_second_derivative(bundle, (eta_x, eta_y)),
-        d_e1=directional_second_derivative(bundle, (e1x, e1y)),
-        d_e2=directional_second_derivative(bundle, (e2x, e2y)),
-        c=structureness(bundle),
-    )

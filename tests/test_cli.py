@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from mipdiff.cli import main, parse_config
-from mipdiff.diffusion import AdaptiveParams, run_filter
+from mipdiff.diffusion import AdaptiveParams, HysteresisParams, PMParams, run_filter
 from mipdiff.fileio import read_volume, write_volume
-from mipdiff.metrics import psnr_vs_input
+from mipdiff.metrics import Roi, psnr_vs_input
+from mipdiff.phantom import PhantomSpec
 from mipdiff.phased_array import pc_pipeline
-from mipdiff.projection import project
+from mipdiff.projection import PhaseMaskParams, project
 
 
 def run_cli(*args):
@@ -78,6 +79,36 @@ class TestConfigParsing:
                        "--mode", "sideways")
         assert code == 2
         assert "mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, library_call", [
+        (["phantom", "--out-dir", "{d}/ph", "--width", "4"],
+         lambda: PhantomSpec(width=4)),
+        (["filter", "--input", "{src}", "--output", "{d}/o.vol", "--step", "-1"],
+         lambda: AdaptiveParams(step=-1.0)),
+        (["swi", "--magnitude", "{src}", "--phase", "{src}", "--output", "{d}/o.vol",
+          "--mask-exponent", "0"],
+         lambda: PhaseMaskParams(exponent=0)),
+        (["mip", "--input", "{src}", "--output", "{d}/o.vol", "--hysteresis",
+          "--alpha-low", "3"],
+         lambda: HysteresisParams(alpha_low=3.0)),
+        (["compare", "--input", "{src}", "--output", "{d}/o.csv", "--dt", "0.5"],
+         lambda: PMParams(delta=0.1, dt=0.5)),
+        (["metrics", "--input", "{img}", "--test", "{img}", "--output", "{d}/o.csv",
+          "--roi", "0,0,0,4"],
+         lambda: Roi(0, 0, 0, 4)),
+    ], ids=["phantom", "filter", "swi", "mip", "compare", "metrics"])
+    def test_library_rejection_is_one_config_error_line(
+        self, tmp_path, noisy_volume, capsys, argv, library_call
+    ):
+        src, vol = noisy_volume
+        img = tmp_path / "img.vol"
+        write_volume(vol[0], img)
+        with pytest.raises(ValueError) as rejected:
+            library_call()
+        args = [a.format(d=tmp_path, src=src, img=img) for a in argv]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err == f"mipdiff {argv[0]}: config error: {rejected.value}\n"
 
 
 class TestExitCodes:
@@ -178,6 +209,16 @@ class TestPhantomCommand:
                 assert (base / f"fl_c{k}_{axis}.vol").exists()
         sig = (base / "fl_sigma.txt").read_text().split()
         assert [float(s) for s in sig] == [0.05, 0.1]
+
+    def test_flow_without_channels_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "ph"
+        code = run_cli("phantom", "--out-dir", out_dir, "--width", "16",
+                       "--height", "16", "--depth", "2", "--flow")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "mipdiff phantom: config error: flow output needs channels >= 1\n"
+        )
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_channel_sigma_count_mismatch(self, tmp_path, capsys):
         code = run_cli("phantom", "--out-dir", tmp_path / "ph",

@@ -12,7 +12,6 @@ from mipdiff.fields import (
     as_volume,
     curvature_terms,
     derivatives,
-    diffusion_basis,
     directional_second_derivative,
     hessian_eigen,
     structureness,
@@ -218,36 +217,6 @@ class TestStructureness:
         c = structureness(derivatives(u))
         peak_rows = np.unique(np.argmax(c, axis=0))
         assert all(abs(int(r) - 16) <= 3 for r in peak_rows)
-
-
-class TestDiffusionBasis:
-    def test_eta_is_unit_gradient(self, rng):
-        u = smooth_field(rng, (12, 12))
-        b = derivatives(u)
-        basis = diffusion_basis(b)
-        gnorm = np.sqrt(b.ux**2 + b.uy**2)
-        nz = gnorm > 0
-        np.testing.assert_allclose(
-            basis.eta_x[nz] * gnorm[nz], b.ux[nz], atol=1e-14
-        )
-        np.testing.assert_allclose(
-            basis.eta_y[nz] * gnorm[nz], b.uy[nz], atol=1e-14
-        )
-
-    def test_principal_directions_order_curvature(self, rng):
-        for _ in range(20):
-            u = smooth_field(rng, (15, 15), scale=2.0)
-            basis = diffusion_basis(derivatives(u))
-            assert np.all(basis.d_e1 >= basis.d_e2 - 1e-12)
-
-    def test_matches_scalar_oracle(self, rng):
-        u = smooth_field(rng, (10, 10))
-        basis = diffusion_basis(derivatives(u))
-        d_eta, d_e1, d_e2, c = oracles.directional_basis(oracles.grid(u))
-        np.testing.assert_allclose(basis.d_eta, np.array(d_eta), atol=1e-12)
-        np.testing.assert_allclose(basis.d_e1, np.array(d_e1), atol=1e-12)
-        np.testing.assert_allclose(basis.d_e2, np.array(d_e2), atol=1e-12)
-        np.testing.assert_allclose(basis.c, np.array(c), atol=1e-12)
 
 
 class TestCurvatureTerms:
