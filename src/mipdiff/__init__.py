@@ -8,7 +8,6 @@ from .diffusion import (
     HysteresisParams,
     PMParams,
     adaptive_mu,
-    adaptive_update,
     default_delta,
     directional_ad_step,
     directional_step,

@@ -359,8 +359,6 @@ def _filter_volume(vol: np.ndarray, params: AdaptiveParams, trace_stem=None) -> 
 
 
 def cmd_phantom(v: dict) -> None:
-    out_dir = Path(v["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     tube_y = v["tube_y"] if v["tube_y"] is not None else (v["height"] - 1) / 2.0
     tube_z = v["tube_z"] if v["tube_z"] is not None else (v["depth"] - 1) / 2.0
     channels = None
@@ -389,6 +387,8 @@ def cmd_phantom(v: dict) -> None:
     )
     if v["flow"] and channels is None:
         raise ConfigError("flow output needs channels >= 1")
+    out_dir = Path(v["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = out_dir / v["stem"]
     out = generate(spec, build_channels=not v["flow"])
     write_volume(out.clean, f"{stem}_clean.vol")

@@ -41,7 +41,6 @@ __all__ = [
     "run_orthogonal",
     "histogram_bounds",
     "adaptive_mu",
-    "adaptive_update",
     "directional_step",
     "run_filter",
     "hysteresis_combine",
@@ -303,6 +302,13 @@ def histogram_bounds(d_e, tail_prob: float = 0.05) -> BoundPair:
     return BoundPair(float(lo), float(hi))
 
 
+def _gate(t, d_e, bounds: BoundPair | None):
+    """Weight t zeroed where d_e lies outside the open interval ``bounds``."""
+    if bounds is None:
+        return t
+    return np.where((d_e > bounds.ue_min) & (d_e < bounds.ue_max), t, 0.0)
+
+
 def adaptive_mu(c, d_e, alpha: float, mode: str = "mip_min", bounds: BoundPair | None = None):
     """Adaptive directional weight mu = -+ tanh(alpha * c * d_e / 2).
 
@@ -316,83 +322,50 @@ def adaptive_mu(c, d_e, alpha: float, mode: str = "mip_min", bounds: BoundPair |
     c_arr = _as_arr(c)
     d_arr = _as_arr(d_e)
     s = np.tanh(0.5 * alpha * c_arr * d_arr)
-    if mode == "mip_min":
-        out = -s
-    elif bounds is not None:
-        out = np.where((d_arr > bounds.ue_min) & (d_arr < bounds.ue_max), s, 0.0)
-    else:
-        out = s
+    out = -s if mode == "mip_min" else _gate(s, d_arr, bounds)
     return out if out.ndim else float(out)
 
 
-def _resolve_bounds(d_eta, d_e2, params: AdaptiveParams, bounds):
-    """Per-direction bounds for mip mode: explicit, shared, or histogram-derived."""
-    if params.mode != "mip":
-        return None, None
-    if bounds is None:
-        if d_eta.size >= 100:
-            return (
-                histogram_bounds(d_eta, params.tail_prob),
-                histogram_bounds(d_e2, params.tail_prob),
-            )
-        return None, None
-    if isinstance(bounds, BoundPair):
-        return bounds, bounds
-    return bounds.get("eta"), bounds.get("e2")
+def _update(u, params: AdaptiveParams, bounds: BoundPair | None = None, nu: float = 0.0):
+    """Raw per-pixel update of one directional step, from one derivative evaluation.
 
-
-def _sharpening(u, params: AdaptiveParams, bounds=None) -> np.ndarray:
-    """sum(mu_i * d_i) over the gradient and curvature directions of ``u``.
-
-    d_e1 and d_e2 are the Hessian eigenvalues lam_max and lam_min.
+    With t_i = tanh(alpha * c * d_i / 2), the weight of ``adaptive_mu``, and
+    d_e1, d_e2 the Hessian eigenvalues lam_max, lam_min: ``mip_min`` returns
+    (nu - t_eta) * d_eta + (nu - t_e2) * d_e2 - t_e1 * d_e1, the sharpening
+    sum plus forward diffusion nu * (d_eta + d_e2); ``mip`` returns
+    t_eta * d_eta + t_e2 * d_e2 with each weight gated to its bounds, which
+    are histogram-derived when ``bounds`` is None and ``u`` has at least 100
+    pixels.
     """
-    d_eta, d_e1, d_e2, c = curvature_terms(derivatives(u))
-    b_eta, b_e2 = _resolve_bounds(d_eta, d_e2, params, bounds)
-    mu_eta = adaptive_mu(c, d_eta, params.alpha, params.mode, b_eta)
-    mu_e2 = adaptive_mu(c, d_e2, params.alpha, params.mode, b_e2)
-    update = mu_eta * d_eta + mu_e2 * d_e2
-    if params.mode == "mip_min":
-        # minimum projection keeps the maximum-curvature term as well
-        mu_e1 = adaptive_mu(c, d_e1, params.alpha, params.mode, None)
-        update = update + mu_e1 * d_e1
-    return update
-
-
-def adaptive_update(field, params: AdaptiveParams, bounds=None) -> np.ndarray:
-    """Raw per-pixel update sum(mu_i * d_i) of one directional filter step."""
-    return _sharpening(as_field(field), params, bounds)
-
-
-def _iteration_update(u, params: AdaptiveParams) -> np.ndarray:
-    """Raw update of one run_filter iteration, from one derivative evaluation.
-
-    In mip_min mode the sharpening sum and the forward diffusion
-    MIP_MIN_NU * (d_eta + d_e2) are fused per direction, with the weight
-    tanh(k * d), k = alpha * c / 2, that ``adaptive_mu`` gives.
-    """
-    if params.mode != "mip_min":
-        return _sharpening(u, params)
     d_eta, d_e1, d_e2, c = curvature_terms(derivatives(u))
     k = 0.5 * params.alpha * c
-    return (
-        (MIP_MIN_NU - np.tanh(k * d_eta)) * d_eta
-        + (MIP_MIN_NU - np.tanh(k * d_e2)) * d_e2
-        - np.tanh(k * d_e1) * d_e1
-    )
+    if params.mode == "mip_min":
+        return (
+            (nu - np.tanh(k * d_eta)) * d_eta
+            + (nu - np.tanh(k * d_e2)) * d_e2
+            - np.tanh(k * d_e1) * d_e1
+        )
+    b_eta = b_e2 = bounds
+    if bounds is None and d_eta.size >= 100:
+        b_eta = histogram_bounds(d_eta, params.tail_prob)
+        b_e2 = histogram_bounds(d_e2, params.tail_prob)
+    t_eta = _gate(np.tanh(k * d_eta), d_eta, b_eta)
+    t_e2 = _gate(np.tanh(k * d_e2), d_e2, b_e2)
+    return t_eta * d_eta + t_e2 * d_e2
 
 
-def directional_step(field, params: AdaptiveParams, bounds=None) -> np.ndarray:
-    """One explicit step u <- u + step * sum(mu_i * d_i).
+def directional_step(field, params: AdaptiveParams, bounds: BoundPair | None = None) -> np.ndarray:
+    """One explicit sharpening step u <- u + step * sum(mu_i * d_i).
 
     ``bounds`` may be None (mip mode derives per-direction histogram bounds
-    when the field has at least 100 pixels), a shared BoundPair, or a dict
-    with optional ``eta``/``e2`` entries. alpha = 0 returns the input
-    unchanged, bit for bit.
+    when the field has at least 100 pixels) or one BoundPair shared by both
+    directions. No forward diffusion is added in either mode. alpha = 0
+    returns the input unchanged, bit for bit.
     """
     u = as_field(field)
     if params.alpha == 0:
         return u.copy()
-    return u + params.step * adaptive_update(u, params, bounds)
+    return u + params.step * _update(u, params, bounds)
 
 
 def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
@@ -400,7 +373,7 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
     below tolerance or max_iterations is reached.
 
     Each iteration is u <- u + step * update. In ``mip`` mode the update is
-    ``adaptive_update``'s sharpening term; in ``mip_min`` mode it is that
+    ``directional_step``'s sharpening term; in ``mip_min`` mode it is that
     term plus forward diffusion MIP_MIN_NU * (d_eta + d_e2), both taken from
     one derivative evaluation. alpha = 0 leaves the input unchanged.
     Non-convergence is reported in the trace, not raised."""
@@ -408,12 +381,13 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
     changes: list[float] = []
     basis_sum = np.zeros_like(u)
     converged = False
+    nu = MIP_MIN_NU if params.mode == "mip_min" else 0.0
     for _ in range(params.max_iterations):
         if params.alpha == 0:
             update = np.zeros_like(u)
             u_next = u.copy()
         else:
-            update = _iteration_update(u, params)
+            update = _update(u, params, None, nu)
             u_next = u + params.step * update
         diff = float(np.linalg.norm(u_next - u))
         base = float(np.linalg.norm(u))

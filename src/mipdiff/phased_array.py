@@ -20,6 +20,8 @@ __all__ = [
     "pc_pipeline",
 ]
 
+RATIO_EPS = 1e-12
+
 
 def combine_flow(x_components, y_components, z_components, mode: str = "sum"):
     """Merge per-channel directional flow projections into one image each.
@@ -75,18 +77,18 @@ def pa_combine(channels, sigma=None) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def filter_synthesized_scale(filtered_channels, combined_trace: FilterTrace, eps: float = 1e-12):
+def filter_synthesized_scale(filtered_channels, combined_trace: FilterTrace):
     """Rescale filtered channels by their filter-update ratio maps.
 
     Each entry of ``filtered_channels`` is a (field, trace) pair from the
     per-channel filter runs; the scale map is trace.basis_sum divided by the
     combined image's basis_sum. Pixels where the denominator magnitude falls
-    below ``eps`` pass the channel through unscaled.
+    below ``RATIO_EPS`` pass the channel through unscaled.
     """
     if not filtered_channels:
         raise ValueError("need at least one channel")
     denom = np.asarray(combined_trace.basis_sum, dtype=np.float64)
-    small = np.abs(denom) < eps
+    small = np.abs(denom) < RATIO_EPS
     safe = np.where(small, 1.0, denom)
     out = []
     for field, trace in filtered_channels:

@@ -218,7 +218,21 @@ class TestPhantomCommand:
         assert capsys.readouterr().err == (
             "mipdiff phantom: config error: flow output needs channels >= 1\n"
         )
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--width", "4"),
+            ("--channels", "2", "--channel-sigmas", "0.1"),
+            ("--flow",),
+        ],
+        ids=["width_4", "sigma_count", "flow_no_channels"],
+    )
+    def test_config_error_creates_no_out_dir(self, tmp_path, args):
+        out_dir = tmp_path / "ph"
+        assert run_cli("phantom", "--out-dir", out_dir, *args) == 2
+        assert not out_dir.exists()
 
     def test_channel_sigma_count_mismatch(self, tmp_path, capsys):
         code = run_cli("phantom", "--out-dir", tmp_path / "ph",

@@ -16,7 +16,6 @@ from mipdiff.diffusion import (
     HysteresisParams,
     PMParams,
     adaptive_mu,
-    adaptive_update,
     default_delta,
     directional_ad_step,
     directional_step,
@@ -32,7 +31,22 @@ from mipdiff.diffusion import (
     run_pm,
     orthogonal_step,
 )
-from mipdiff.fields import derivatives, structureness
+from mipdiff.fields import curvature_terms, derivatives, structureness
+
+
+def adaptive_mu_step(u, params, bounds=None, nu=0.0):
+    """u + step * sum((nu_i + mu_i) * d_i) with mu_i from ``adaptive_mu``;
+    nu weights eta and e2 only, and mip mode has no e1 term."""
+    d_eta, d_e1, d_e2, c = curvature_terms(derivatives(u))
+    dirs = [d_eta, d_e2] if params.mode == "mip" else [d_eta, d_e2, d_e1]
+    gates = [bounds] * len(dirs)
+    if params.mode == "mip" and bounds is None and u.size >= 100:
+        gates = [histogram_bounds(d, params.tail_prob) for d in dirs]
+    update = sum(
+        (n + adaptive_mu(c, d, params.alpha, params.mode, b)) * d
+        for n, d, b in zip((nu, nu, 0.0), dirs, gates)
+    )
+    return u + params.step * update
 
 
 class TestParams:
@@ -286,13 +300,29 @@ class TestDirectionalStep:
 
     def test_mip_min_update_is_non_positive(self, rng):
         u = smooth_field(rng, (16, 16), offset=1.0, scale=0.1)
-        upd = adaptive_update(u, AdaptiveParams(alpha=6.0, mode="mip_min"))
-        assert np.all(upd <= 0.0)
+        out = directional_step(u, AdaptiveParams(alpha=6.0, mode="mip_min"))
+        assert np.all(out <= u)
 
     def test_mip_update_is_non_negative(self, rng):
         u = smooth_field(rng, (16, 16), offset=1.0, scale=0.1)
-        upd = adaptive_update(u, AdaptiveParams(alpha=6.0, mode="mip"))
-        assert np.all(upd >= 0.0)
+        out = directional_step(u, AdaptiveParams(alpha=6.0, mode="mip"))
+        assert np.all(out >= u)
+
+    @pytest.mark.parametrize(
+        "mode, shape, bounds",
+        [
+            ("mip_min", (16, 16), None),
+            ("mip", (16, 16), None),  # histogram-derived bounds
+            ("mip", (8, 8), None),  # under 100 pixels: ungated
+            ("mip", (16, 16), BoundPair(-0.1, 0.1)),
+        ],
+        ids=["mip_min", "mip_auto_bounds", "mip_ungated", "mip_explicit_bounds"],
+    )
+    def test_is_the_adaptive_mu_sum(self, rng, mode, shape, bounds):
+        u = rng.normal(1.0, 0.2, shape)
+        params = AdaptiveParams(alpha=4.0, step=0.15, mode=mode)
+        got = directional_step(u, params, bounds=bounds)
+        np.testing.assert_array_equal(got, adaptive_mu_step(u, params, bounds))
 
     def test_matches_scalar_oracle_mip_min(self, rng):
         for _ in range(10):
@@ -330,13 +360,6 @@ class TestDirectionalStep:
         u[3, 3] = 1.2
         out = directional_step(u, AdaptiveParams(alpha=4.0, mode="mip"))
         assert out.shape == (6, 6)
-
-    def test_per_direction_bounds_dict(self, rng):
-        u = rng.normal(1.0, 0.2, (9, 9))
-        params = AdaptiveParams(alpha=4.0, mode="mip")
-        wide = directional_step(u, params, bounds={"eta": None, "e2": None})
-        shared = directional_step(u, params, bounds=BoundPair(-1e9, 1e9))
-        np.testing.assert_allclose(wide, shared, atol=1e-15)
 
 
 class TestRunFilter:
@@ -380,6 +403,13 @@ class TestRunFilter:
             got, _ = run_filter(u, params)
             want = oracles.mip_min_iteration(oracles.grid(u), alpha, 0.15, MIP_MIN_NU)
             np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
+
+    def test_mip_min_iteration_is_the_adaptive_mu_sum(self, rng):
+        # nu + (-t) equals nu - t exactly, so the fused update matches bit for bit
+        u = rng.normal(1.0, 0.2, (16, 16))
+        params = AdaptiveParams(alpha=4.0, step=0.15, mode="mip_min", max_iterations=1)
+        out, _ = run_filter(u, params)
+        np.testing.assert_array_equal(out, adaptive_mu_step(u, params, nu=MIP_MIN_NU))
 
     def test_mip_min_defaults_smooth_flat_noise(self, rng):
         # the sharpening term alone only lowers pixels, so noise dips deepen;
