@@ -18,12 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import (
-    as_field,
-    curvature_terms,
-    derivatives,
-    structureness,
-)
+from .fields import _bundle, _padded, _stencil, as_field, curvature_terms, structureness
 
 __all__ = [
     "PMParams",
@@ -63,6 +58,13 @@ DEFAULT_ALPHA = 0.5
 # falls below the directional baseline's on seed 2 (criterion 4); 0.3 meets
 # both on every seed.
 MIP_MIN_NU = 0.3
+
+# Pixels per row strip of the directional kernel (_update): each float64
+# temporary of a strip is then about 64 KiB, so a strip's working set stays
+# in a core's L2 cache and its temporaries, below glibc's default 128 KiB
+# mmap threshold, are reused from the heap instead of being mapped and
+# page-faulted in for every use.
+_STRIP_PIXELS = 8192
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def orthogonal_step(field, params: PMParams) -> np.ndarray:
     unchanged.
     """
     u = as_field(field)
-    b = derivatives(u)
+    b = _bundle(u)
     d_par = curvature_terms(b)[0]
     g2 = b.ux * b.ux + b.uy * b.uy
     d_ortho = np.where(g2 > 0.0, b.uxx + b.uyy - d_par, 0.0)
@@ -326,32 +328,51 @@ def adaptive_mu(c, d_e, alpha: float, mode: str = "mip_min", bounds: BoundPair |
     return out if out.ndim else float(out)
 
 
-def _update(u, params: AdaptiveParams, bounds: BoundPair | None = None, nu: float = 0.0):
-    """Raw per-pixel update of one directional step, from one derivative evaluation.
+def _update(q, params: AdaptiveParams, bounds: BoundPair | None, nu: float, out, maps=None):
+    """Raw per-pixel update of one directional step, written into ``out``.
 
+    ``q`` holds the field inside its reflective border (``fields._padded``).
     With t_i = tanh(alpha * c * d_i / 2), the weight of ``adaptive_mu``, and
-    d_e1, d_e2 the Hessian eigenvalues lam_max, lam_min: ``mip_min`` returns
+    d_e1, d_e2 the Hessian eigenvalues lam_max, lam_min: ``mip_min`` gives
     (nu - t_eta) * d_eta + (nu - t_e2) * d_e2 - t_e1 * d_e1, the sharpening
-    sum plus forward diffusion nu * (d_eta + d_e2); ``mip`` returns
+    sum plus forward diffusion nu * (d_eta + d_e2); ``mip`` gives
     t_eta * d_eta + t_e2 * d_e2 with each weight gated to its bounds, which
-    are histogram-derived when ``bounds`` is None and ``u`` has at least 100
-    pixels.
+    are histogram-derived when ``bounds`` is None and the field has at least
+    100 pixels.
+
+    The stencil, curvature terms and weights run over strips of
+    ``_STRIP_PIXELS // width`` rows (at least one). ``mip`` mode first fills
+    its d_eta, d_e2 and k = alpha * c / 2 maps into ``maps`` (a (3, ny, nx)
+    buffer, allocated when None), takes the bounds from the whole maps, then
+    gates and sums strip by strip. Every pixel sees the arithmetic of a
+    whole-slice evaluation, so the result is the same bit for bit.
     """
-    d_eta, d_e1, d_e2, c = curvature_terms(derivatives(u))
-    k = 0.5 * params.alpha * c
+    ny, nx = out.shape
+    rows = max(1, _STRIP_PIXELS // nx)
+    strips = [slice(r0, min(r0 + rows, ny)) for r0 in range(0, ny, rows)]
+    h = 0.5 * params.alpha
     if params.mode == "mip_min":
-        return (
-            (nu - np.tanh(k * d_eta)) * d_eta
-            + (nu - np.tanh(k * d_e2)) * d_e2
-            - np.tanh(k * d_e1) * d_e1
-        )
+        for s in strips:
+            d_eta, d_e1, d_e2, c = curvature_terms(_stencil(q, nx, s.start, s.stop))
+            k = h * c
+            t = (nu - np.tanh(k * d_eta)) * d_eta + (nu - np.tanh(k * d_e2)) * d_e2
+            out[s] = (t - np.tanh(k * d_e1) * d_e1)[:, 1:-1]
+        return out
+    d_eta, d_e2, k = np.empty((3, ny, nx)) if maps is None else maps
+    for s in strips:
+        d_eta_s, _, d_e2_s, c = curvature_terms(_stencil(q, nx, s.start, s.stop))
+        d_eta[s] = d_eta_s[:, 1:-1]
+        d_e2[s] = d_e2_s[:, 1:-1]
+        np.multiply(h, c[:, 1:-1], out=k[s])
     b_eta = b_e2 = bounds
-    if bounds is None and d_eta.size >= 100:
+    if bounds is None and out.size >= 100:
         b_eta = histogram_bounds(d_eta, params.tail_prob)
         b_e2 = histogram_bounds(d_e2, params.tail_prob)
-    t_eta = _gate(np.tanh(k * d_eta), d_eta, b_eta)
-    t_e2 = _gate(np.tanh(k * d_e2), d_e2, b_e2)
-    return t_eta * d_eta + t_e2 * d_e2
+    for s in strips:
+        t_eta = _gate(np.tanh(k[s] * d_eta[s]), d_eta[s], b_eta)
+        t_e2 = _gate(np.tanh(k[s] * d_e2[s]), d_e2[s], b_e2)
+        np.add(t_eta * d_eta[s], t_e2 * d_e2[s], out=out[s])
+    return out
 
 
 def directional_step(field, params: AdaptiveParams, bounds: BoundPair | None = None) -> np.ndarray:
@@ -365,7 +386,7 @@ def directional_step(field, params: AdaptiveParams, bounds: BoundPair | None = N
     u = as_field(field)
     if params.alpha == 0:
         return u.copy()
-    return u + params.step * _update(u, params, bounds)
+    return u + params.step * _update(_padded(u), params, bounds, 0.0, np.empty_like(u))
 
 
 def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
@@ -376,20 +397,37 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
     ``directional_step``'s sharpening term; in ``mip_min`` mode it is that
     term plus forward diffusion MIP_MIN_NU * (d_eta + d_e2), both taken from
     one derivative evaluation. alpha = 0 leaves the input unchanged.
-    Non-convergence is reported in the trace, not raised."""
+    Non-convergence is reported in the trace, not raised.
+
+    The input is validated once; the run then works in buffers allocated
+    once: the padded field, refilled in place each iteration, the update
+    (the trace's basis_sum after the last iteration), the next field, the
+    change and, in ``mip`` mode, the maps of ``_update``. An iteration that leaves a NaN
+    or Inf behind stops the run before the next one, as an invalid input
+    would."""
     u = as_field(field).copy()
-    changes: list[float] = []
-    basis_sum = np.zeros_like(u)
-    converged = False
+    if params.alpha == 0:
+        return u, FilterTrace(
+            iterations=1, relative_changes=[0.0], basis_sum=np.zeros_like(u), converged=True
+        )
+    ny, nx = u.shape
+    q = np.empty((ny + 2) * (nx + 2) + 2)
+    update = np.empty_like(u)
+    u_next = np.empty_like(u)
+    scratch = np.empty_like(u)
+    maps = np.empty((3, ny, nx)) if params.mode == "mip" else None
     nu = MIP_MIN_NU if params.mode == "mip_min" else 0.0
+    changes: list[float] = []
+    converged = False
+    diff = 0.0
     for _ in range(params.max_iterations):
-        if params.alpha == 0:
-            update = np.zeros_like(u)
-            u_next = u.copy()
-        else:
-            update = _update(u, params, None, nu)
-            u_next = u + params.step * update
-        diff = float(np.linalg.norm(u_next - u))
+        # a finite norm of the last change means every pixel is finite
+        if not math.isfinite(diff) and not np.isfinite(u).all():
+            raise ValueError("field contains NaN or Inf values")
+        _update(_padded(u, q), params, None, nu, update, maps)
+        np.multiply(params.step, update, out=u_next)
+        np.add(u, u_next, out=u_next)
+        diff = float(np.linalg.norm(np.subtract(u_next, u, out=scratch)))
         base = float(np.linalg.norm(u))
         if diff == 0.0:
             rel = 0.0
@@ -398,15 +436,14 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
         else:
             rel = diff / base
         changes.append(rel)
-        basis_sum = update
-        u = u_next
+        u, u_next = u_next, u
         if rel < params.tolerance:
             converged = True
             break
     return u, FilterTrace(
         iterations=len(changes),
         relative_changes=changes,
-        basis_sum=basis_sum,
+        basis_sum=update,
         converged=converged,
     )
 
@@ -440,7 +477,8 @@ def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     p_low = psnr_vs_input(u, low_out)
     p_high = psnr_vs_input(u, high_out)
     ref = low_out if p_low >= p_high else high_out
-    c_ref = structureness(derivatives(ref))
+    # psnr_vs_input has validated both results
+    c_ref = structureness(_bundle(ref))
     threshold = hparams.c_threshold
     if threshold is None:
         threshold = float(np.quantile(c_ref, 0.9))
@@ -456,7 +494,7 @@ def directional_ad_step(field, params: PMParams, grad_threshold: float) -> np.nd
     edges (|grad u| > grad_threshold) so contours are not smeared.
     """
     u = as_field(field)
-    b = derivatives(u)
+    b = _bundle(u)
     d_eta, d_e1, d_e2, _ = curvature_terms(b)
     gnorm = np.sqrt(b.ux * b.ux + b.uy * b.uy)
     g = pm_diffusivity(gnorm, params)
@@ -470,7 +508,7 @@ def run_directional_ad(field, params: PMParams, grad_threshold: float | None = N
     90th percentile of the input's gradient magnitude and stays fixed."""
     u = as_field(field)
     if grad_threshold is None:
-        b = derivatives(u)
+        b = _bundle(u)
         gnorm = np.sqrt(b.ux * b.ux + b.uy * b.uy)
         grad_threshold = float(np.quantile(gnorm, 0.9))
     for _ in range(params.iterations):

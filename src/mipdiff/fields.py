@@ -61,25 +61,65 @@ def derivatives(field) -> DerivativeBundle:
     derivatives vanish at the border and second derivatives stay consistent
     with the interior stencil. Requires at least a 3x3 field.
     """
-    u = as_field(field)
+    return _bundle(as_field(field))
+
+
+def _padded(u, out=None) -> np.ndarray:
+    """The validated field ``u`` inside a one-pixel reflective border, as a
+    flat buffer: ``q[1:-1]`` is ``np.pad(u, 1, mode="reflect")`` row by row,
+    and ``q[0]``, ``q[-1]`` are zero spares that let ``_stencil`` shift whole
+    padded rows by one pixel.
+
+    Written into ``out`` (``(ny + 2) * (nx + 2) + 2`` values) when given, so
+    an iteration can refill one workspace instead of allocating a copy.
+    """
     ny, nx = u.shape
     if ny < 3 or nx < 3:
         raise ValueError(f"derivative stencils need at least 3x3, got {ny}x{nx}")
-    p = np.pad(u, 1, mode="reflect")
-    e = p[1:-1, 2:]
-    w = p[1:-1, :-2]
-    s = p[2:, 1:-1]
-    n = p[:-2, 1:-1]
-    se = p[2:, 2:]
-    sw = p[2:, :-2]
-    ne = p[:-2, 2:]
-    nw = p[:-2, :-2]
+    q = np.empty((ny + 2) * (nx + 2) + 2) if out is None else out
+    q[0] = q[-1] = 0.0
+    p = q[1:-1].reshape(ny + 2, nx + 2)
+    p[1:-1, 1:-1] = u
+    p[0] = p[2]
+    p[-1] = p[-3]
+    p[:, 0] = p[:, 2]
+    p[:, -1] = p[:, -3]
+    return q
+
+
+def _stencil(q, nx: int, r0: int, r1: int) -> DerivativeBundle:
+    """Derivative bundle of field rows r0:r1, read from the padded buffer
+    ``q`` of ``_padded`` for a field ``nx`` wide. The one stencil of this
+    module.
+
+    Each array has shape (r1 - r0, nx + 2): every neighbour is one
+    contiguous range of whole padded rows, shifted, so the arithmetic runs
+    on contiguous memory. Columns 1..nx are the pixels; columns 0 and
+    nx + 1 mix border and wrapped-around values and belong to no pixel.
+    """
+    width = nx + 2
+    a = (r0 + 1) * width + 1
+    b = (r1 + 1) * width + 1
+
+    def at(dy, dx):
+        o = dy * width + dx
+        return q[a + o : b + o].reshape(r1 - r0, width)
+
+    u, e, w, s, n = at(0, 0), at(0, 1), at(0, -1), at(1, 0), at(-1, 0)
     ux = 0.5 * (e - w)
     uy = 0.5 * (s - n)
     uxx = e - 2.0 * u + w
     uyy = s - 2.0 * u + n
-    uxy = 0.25 * ((se - ne) - (sw - nw))
+    uxy = 0.25 * ((at(1, 1) - at(-1, 1)) - (at(1, -1) - at(-1, -1)))
     return DerivativeBundle(ux=ux, uy=uy, uxx=uxx, uyy=uyy, uxy=uxy)
+
+
+def _bundle(u) -> DerivativeBundle:
+    """``derivatives`` of an already validated field, without scanning it
+    again. The pixel columns are copied out, so the arrays are contiguous."""
+    ny, nx = u.shape
+    b = _stencil(_padded(u), nx, 0, ny)
+    return DerivativeBundle(**{name: v[:, 1:-1].copy() for name, v in vars(b).items()})
 
 
 def _fix_sign(vx, vy):

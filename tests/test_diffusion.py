@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import smooth_field
+from mipdiff import diffusion
 from mipdiff.diffusion import (
     MIP_MIN_NU,
     AdaptiveParams,
@@ -34,19 +35,52 @@ from mipdiff.diffusion import (
 from mipdiff.fields import curvature_terms, derivatives, structureness
 
 
-def adaptive_mu_step(u, params, bounds=None, nu=0.0):
-    """u + step * sum((nu_i + mu_i) * d_i) with mu_i from ``adaptive_mu``;
-    nu weights eta and e2 only, and mip mode has no e1 term."""
+def adaptive_mu_update(u, params, bounds=None, nu=0.0):
+    """sum((nu_i + mu_i) * d_i) over the whole slice, with d_i from the public
+    ``derivatives``/``curvature_terms`` and mu_i from ``adaptive_mu``; nu
+    weights eta and e2 only, and mip mode has no e1 term. Summed in the
+    filter kernel's order, and nu + (-t) is nu - t exactly, so the result
+    matches the kernel bit for bit, signed zeros included."""
     d_eta, d_e1, d_e2, c = curvature_terms(derivatives(u))
     dirs = [d_eta, d_e2] if params.mode == "mip" else [d_eta, d_e2, d_e1]
     gates = [bounds] * len(dirs)
     if params.mode == "mip" and bounds is None and u.size >= 100:
         gates = [histogram_bounds(d, params.tail_prob) for d in dirs]
-    update = sum(
+    terms = [
         (n + adaptive_mu(c, d, params.alpha, params.mode, b)) * d
         for n, d, b in zip((nu, nu, 0.0), dirs, gates)
-    )
-    return u + params.step * update
+    ]
+    return sum(terms[1:], terms[0])
+
+
+def adaptive_mu_step(u, params, bounds=None, nu=0.0):
+    """u + step * adaptive_mu_update(u, params, bounds, nu)."""
+    return u + params.step * adaptive_mu_update(u, params, bounds, nu)
+
+
+def whole_slice_run(u, params):
+    """run_filter's loop on whole slices: (out, relative_changes, basis_sum)."""
+    nu = MIP_MIN_NU if params.mode == "mip_min" else 0.0
+    changes, update = [], np.zeros_like(u)
+    for _ in range(params.max_iterations):
+        if params.alpha == 0:
+            update, u_next = np.zeros_like(u), u.copy()
+        else:
+            update = adaptive_mu_update(u, params, nu=nu)
+            u_next = u + params.step * update
+        diff = float(np.linalg.norm(u_next - u))
+        base = float(np.linalg.norm(u))
+        rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
+        changes.append(rel)
+        u = u_next
+        if rel < params.tolerance:
+            break
+    return u, changes, update
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestParams:
@@ -437,6 +471,71 @@ class TestRunFilter:
         assert len(lines) == trace.iterations + 1
 
 
+# Strip heights at _STRIP_PIXELS = 8192: 128 rows at width 64 (300 = 2 * 128
+# + 44), 81 at width 100 (250 = 3 * 81 + 7), one row above 8192 columns.
+STRIP_SHAPES = {
+    "300x64": (300, 64),
+    "250x100": (250, 100),
+    "3x40": (3, 40),
+    "3x8300": (3, 8300),
+    "7x8300": (7, 8300),
+}
+
+
+class TestStripBlocking:
+    """The strip-blocked kernel equals a whole-slice evaluation from the
+    public derivatives and curvature_terms, bit for bit."""
+
+    @staticmethod
+    def check(u, params):
+        out, trace = run_filter(u, params)
+        want_out, want_changes, want_basis = whole_slice_run(u, params)
+        assert_same_bits(out, want_out)
+        assert trace.relative_changes == want_changes
+        assert_same_bits(trace.basis_sum, want_basis)
+        want_step = u.copy() if params.alpha == 0 else adaptive_mu_step(u, params)
+        assert_same_bits(directional_step(u, params), want_step)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("mode", ["mip_min", "mip"])
+    @pytest.mark.parametrize("shape", STRIP_SHAPES.values(), ids=STRIP_SHAPES.keys())
+    def test_matches_whole_slice(self, rng, shape, mode, alpha):
+        u = rng.normal(1.0, 0.1, shape)
+        self.check(u, AdaptiveParams(alpha=alpha, mode=mode, max_iterations=3))
+
+    @pytest.mark.parametrize("strip_pixels", [1, 20, 33, 70])
+    def test_matches_whole_slice_at_any_strip_height(self, monkeypatch, rng, strip_pixels):
+        # width 16: strips of 1, 1, 2 and 4 rows over 11 rows
+        monkeypatch.setattr(diffusion, "_STRIP_PIXELS", strip_pixels)
+        u = rng.normal(1.0, 0.1, (11, 16))
+        for mode in ("mip_min", "mip"):
+            self.check(u, AdaptiveParams(alpha=2.0, mode=mode, max_iterations=3))
+
+    def test_ungated_mip_below_100_pixels(self, monkeypatch, rng):
+        monkeypatch.setattr(diffusion, "_STRIP_PIXELS", 20)  # 2-row strips
+        u = rng.normal(1.0, 0.1, (9, 10))
+        self.check(u, AdaptiveParams(alpha=2.0, mode="mip", max_iterations=3))
+
+    @pytest.mark.parametrize("mode", ["mip_min", "mip"])
+    def test_explicit_bounds(self, rng, mode):
+        u = rng.normal(1.0, 0.1, STRIP_SHAPES["300x64"])
+        params = AdaptiveParams(alpha=2.0, mode=mode)
+        b = BoundPair(-0.05, 0.05)
+        assert_same_bits(directional_step(u, params, b), adaptive_mu_step(u, params, b))
+
+    def test_oracles_on_field_taller_than_one_strip(self, rng):
+        # width 700: strips of 11 and 6 rows
+        u = rng.normal(1.0, 0.2, (17, 700))
+        g = oracles.grid(u)
+        params = AdaptiveParams(alpha=2.0, step=0.15, mode="mip_min", max_iterations=1)
+        got, _ = run_filter(u, params)
+        want = oracles.mip_min_iteration(g, 2.0, 0.15, MIP_MIN_NU)
+        np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
+        got = directional_step(u, AdaptiveParams(alpha=2.0, step=0.15, mode="mip"))
+        want = oracles.directional_step(g, 2.0, "mip", 0.15)
+        np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
+
+
 class TestHysteresis:
     def test_infinite_threshold_selects_low(self, rng):
         low = rng.normal(0.0, 1.0, (6, 6))
@@ -553,3 +652,90 @@ class TestEigenvectorFreeHotPath:
         out = orthogonal_step(u, PMParams(delta=0.05))
         np.testing.assert_array_equal(out[still], u[still])
         assert np.any(out[~still] != u[~still])
+
+    @pytest.fixture
+    def no_whole_slice_stencil(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("whole-slice derivatives or np.pad called on the hot path")
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "mipdiff" or mod_name.startswith("mipdiff."):
+                if hasattr(mod, "derivatives"):
+                    monkeypatch.setattr(mod, "derivatives", boom)
+        monkeypatch.setattr(np, "pad", boom)
+
+    def test_filters_run_without_derivatives_or_pad(self, no_whole_slice_stencil, rng):
+        u = rng.normal(1.0, 0.1, (40, 300))  # 27-row strips
+        for mode in ("mip", "mip_min"):
+            out, _ = run_filter(u, AdaptiveParams(mode=mode))
+            assert np.all(np.isfinite(out))
+            assert np.all(np.isfinite(directional_step(u, AdaptiveParams(mode=mode))))
+            combined, _, _ = hysteresis_filter(u, AdaptiveParams(mode=mode), HysteresisParams())
+            assert np.all(np.isfinite(combined))
+        p = PMParams(delta=0.05, iterations=2)
+        assert np.all(np.isfinite(orthogonal_step(u, p)))
+        assert np.all(np.isfinite(run_directional_ad(u, p)))
+
+    @pytest.fixture
+    def as_field_calls(self, monkeypatch):
+        from mipdiff import fields
+
+        calls = []
+        real = fields.as_field
+
+        def counted(data):
+            calls.append(1)
+            return real(data)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "mipdiff" or mod_name.startswith("mipdiff."):
+                if getattr(mod, "as_field", None) is real:
+                    monkeypatch.setattr(mod, "as_field", counted)
+        return calls
+
+    def test_each_call_validates_its_field_once(self, as_field_calls, rng):
+        u = rng.normal(1.0, 0.1, (24, 24))
+        for mode in ("mip", "mip_min"):
+            as_field_calls.clear()
+            _, trace = run_filter(u, AdaptiveParams(mode=mode, tolerance=1e-300))
+            assert trace.iterations == 6
+            assert len(as_field_calls) == 1
+            as_field_calls.clear()
+            directional_step(u, AdaptiveParams(mode=mode))
+            assert len(as_field_calls) == 1
+        p = PMParams(delta=0.05, iterations=3)
+        for step in (orthogonal_step, lambda v, q: directional_ad_step(v, q, 0.01)):
+            as_field_calls.clear()
+            step(u, p)
+            assert len(as_field_calls) == 1
+        as_field_calls.clear()
+        run_directional_ad(u, p)
+        assert len(as_field_calls) == 1 + p.iterations
+
+    def test_kept_errors(self):
+        bad = np.ones((5, 5))
+        bad[2, 2] = np.nan
+        tiny = np.array([[1.0, 2.0], [3.0, 4.0]])
+        for mode in ("mip", "mip_min"):
+            params = AdaptiveParams(mode=mode)
+            for call in (run_filter, directional_step):
+                with pytest.raises(ValueError, match="NaN or Inf"):
+                    call(bad, params)
+                with pytest.raises(ValueError, match="3x3"):
+                    call(np.ones((2, 5)), params)
+            out, trace = run_filter(tiny, AdaptiveParams(alpha=0.0, mode=mode))
+            np.testing.assert_array_equal(out, tiny)
+            assert trace.iterations == 1 and trace.converged
+            np.testing.assert_array_equal(
+                directional_step(tiny, AdaptiveParams(alpha=0.0, mode=mode)), tiny
+            )
+
+    def test_non_finite_iterate_stops_the_run(self, rng):
+        # the stencil overflows on the first iteration; the next one refuses
+        # the non-finite field, as a non-finite input is refused
+        u = 1e308 * rng.uniform(-1.0, 1.0, (8, 8))
+        with np.errstate(all="ignore"):
+            out, _ = run_filter(u, AdaptiveParams(alpha=2.0, max_iterations=1))
+            assert not np.all(np.isfinite(out))
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                run_filter(u, AdaptiveParams(alpha=2.0, max_iterations=2))
