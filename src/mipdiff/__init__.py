@@ -41,6 +41,7 @@ from .fileio import (
     VolumeIOError,
     export_pgm,
     export_profile_csv,
+    iter_slices,
     read_volume,
     write_volume,
 )
@@ -73,6 +74,7 @@ from .projection import (
     phase_mask,
     project,
     project_min_argmin,
+    project_slices,
     swi_pipeline,
 )
 

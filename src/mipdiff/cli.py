@@ -36,13 +36,14 @@ from .fileio import (
     VolumeIOError,
     export_pgm,
     field_from_volume,
+    iter_slices,
     read_volume,
     write_volume,
 )
 from .metrics import Roi, contrast_per_pixel, contrast_ratio, psnr_vs_input, psnr_vs_reference
 from .phantom import ChannelSpec, PhantomSpec, TubeSpec, generate, generate_flow
 from .phased_array import combine_flow, pa_combine, pc_pipeline
-from .projection import PhaseMaskParams, project, swi_pipeline
+from .projection import PhaseMaskParams, project, project_slices, swi_pipeline
 
 __all__ = ["main", "ConfigError"]
 
@@ -154,14 +155,33 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _read(path, inputs: list) -> np.ndarray:
+    """``read_volume(path)``, appending ``(path, sha256)`` to ``inputs`` with
+    the digest taken in the same pass."""
+    h = hashlib.sha256()
+    vol = read_volume(path, h)
+    inputs.append((path, h.hexdigest()))
+    return vol
+
+
+def _slices(path, inputs: list):
+    """``iter_slices(path)``, appending ``(path, sha256)`` to ``inputs`` once
+    the last slice is read."""
+    h = hashlib.sha256()
+    yield from iter_slices(path, h)
+    inputs.append((path, h.hexdigest()))
+
+
 def write_manifest(path, command: str, values: dict, inputs: list) -> None:
-    """Record every effective option plus input digests, config-file style."""
+    """Record every effective option plus the ``(path, sha256)`` pairs of
+    ``inputs``, config-file style. Each digest was taken when the command
+    read its file, so no input is read again here."""
     lines = [
         f"# mipdiff {__version__} manifest",
         f"# subcommand: {command}",
     ]
-    for p in inputs:
-        lines.append(f"# input sha256 {_sha256(p)} {p}")
+    for p, digest in inputs:
+        lines.append(f"# input sha256 {digest} {p}")
     for key, value in values.items():
         if key == "config" or value is None:
             continue
@@ -413,37 +433,38 @@ def cmd_phantom(v: dict) -> None:
 
 
 def cmd_filter(v: dict) -> None:
-    vol = read_volume(v["input"])
+    inputs = []
+    vol = _read(v["input"], inputs)
     params = _adaptive_params(v, v["mode"])
     trace_stem = str(Path(v["output"]).with_suffix("")) if v["trace"] else None
     write_volume(_filter_volume(vol, params, trace_stem), v["output"])
-    write_manifest(f"{v['output']}.manifest.txt", "filter", v, [v["input"]])
+    write_manifest(f"{v['output']}.manifest.txt", "filter", v, inputs)
 
 
 def cmd_project(v: dict) -> None:
-    vol = read_volume(v["input"])
-    img = project(vol, v["kind"])
+    inputs = []
+    img = project_slices(_slices(v["input"], inputs), v["kind"])
     write_volume(img, v["output"])
     if v["pgm"]:
         export_pgm(img, v["pgm"])
-    write_manifest(f"{v['output']}.manifest.txt", "project", v, [v["input"]])
+    write_manifest(f"{v['output']}.manifest.txt", "project", v, inputs)
 
 
 def cmd_swi(v: dict) -> None:
-    mag = read_volume(v["magnitude"])
-    phase = read_volume(v["phase"])
+    inputs = []
+    mag = _read(v["magnitude"], inputs)
+    phase = _read(v["phase"], inputs)
     params = _adaptive_params(v, "mip_min")
     mask_params = PhaseMaskParams(exponent=v["mask_exponent"])
     result = swi_pipeline(
         mag, phase, params, mask_params, mask_before_projection=v["mask_before_projection"]
     )
-    _write_image(v, "swi", result, v["output"], [v["magnitude"], v["phase"]],
-                 lambda: project(mag, "min"))
+    _write_image(v, "swi", result, v["output"], inputs, lambda: project(mag, "min"))
 
 
 def cmd_mip(v: dict) -> None:
-    vol = read_volume(v["input"])
-    projected = project(vol, "max")
+    inputs = []
+    projected = project_slices(_slices(v["input"], inputs), "max")
     params = _adaptive_params(v, "mip")
     if v["hysteresis"]:
         hp = HysteresisParams(
@@ -454,7 +475,7 @@ def cmd_mip(v: dict) -> None:
         result, _, _ = hysteresis_filter(projected, params, hp)
     else:
         result, _ = run_filter(projected, params)
-    _write_image(v, "mip", result, v["output"], [v["input"]], lambda: projected)
+    _write_image(v, "mip", result, v["output"], inputs, lambda: projected)
 
 
 def _read_sigma_file(path, channels: int):
@@ -471,14 +492,15 @@ def _read_sigma_file(path, channels: int):
 
 def cmd_pc(v: dict) -> None:
     stem = v["input_stem"]
-    inputs = [f"{stem}_c{k}_{axis}.vol"
-              for k in range(1, v["channels"] + 1) for axis in ("x", "y", "z")]
-    fields = [field_from_volume(read_volume(path)) for path in inputs]
+    paths = [f"{stem}_c{k}_{axis}.vol"
+             for k in range(1, v["channels"] + 1) for axis in ("x", "y", "z")]
+    inputs = []
+    fields = [field_from_volume(_read(path, inputs)) for path in paths]
     xs, ys, zs = fields[0::3], fields[1::3], fields[2::3]
     sigma = None
     if v["sigma_file"]:
         sigma = _read_sigma_file(v["sigma_file"], v["channels"])
-        inputs.append(v["sigma_file"])
+        inputs.append((v["sigma_file"], _sha256(v["sigma_file"])))
     params = _adaptive_params(v, "mip")
     scaled, combined = pc_pipeline(xs, ys, zs, params, flow_mode=v["flow_mode"], sigma=sigma)
     for k, ch in enumerate(scaled, start=1):
@@ -488,12 +510,12 @@ def cmd_pc(v: dict) -> None:
 
 
 def cmd_metrics(v: dict) -> None:
-    base = field_from_volume(read_volume(v["input"]))
-    test = field_from_volume(read_volume(v["test"]))
-    ref = base if v["reference"] is None else field_from_volume(read_volume(v["reference"]))
+    inputs = []
+    base = field_from_volume(_read(v["input"], inputs))
+    test = field_from_volume(_read(v["test"], inputs))
+    ref = base if v["reference"] is None else field_from_volume(_read(v["reference"], inputs))
     roi = _parse_roi(v["roi"])
     write_metrics_csv(v["output"], [_metrics_row(v["method"], base, ref, test, roi)])
-    inputs = [v["input"], v["test"]] + ([v["reference"]] if v["reference"] else [])
     write_manifest(f"{v['output']}.manifest.txt", "metrics", v, inputs)
 
 
@@ -510,8 +532,9 @@ def _pm_params(v: dict, vol: np.ndarray) -> PMParams:
 
 
 def cmd_compare(v: dict) -> None:
-    noisy = read_volume(v["input"])
-    reference = noisy if v["reference"] is None else read_volume(v["reference"])
+    inputs = []
+    noisy = _read(v["input"], inputs)
+    reference = noisy if v["reference"] is None else _read(v["reference"], inputs)
     if reference.shape != noisy.shape:
         raise ConfigError(
             f"reference shape {reference.shape} differs from input {noisy.shape}"
@@ -538,12 +561,12 @@ def cmd_compare(v: dict) -> None:
     rows = [_metrics_row(name, base_proj, ref_proj, project(filtered_vol, kind), roi)
             for name, filtered_vol in methods]
     write_metrics_csv(v["output"], rows)
-    inputs = [v["input"]] + ([v["reference"]] if v["reference"] else [])
     write_manifest(f"{v['output']}.manifest.txt", "compare", v, inputs)
 
 
 def cmd_alpha_sweep(v: dict) -> None:
-    vol = read_volume(v["input"])
+    inputs = []
+    vol = _read(v["input"], inputs)
     if not v["alphas"]:
         raise ConfigError("alphas must list at least one value")
     kind = "min" if v["mode"] == "mip_min" else "max"
@@ -554,7 +577,7 @@ def cmd_alpha_sweep(v: dict) -> None:
         img = project(_filter_volume(vol, params), kind)
         lines.append(f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(base_proj, img))}")
     Path(v["output"]).write_text("\n".join(lines) + "\n", encoding="ascii")
-    write_manifest(f"{v['output']}.manifest.txt", "alpha-sweep", v, [v["input"]])
+    write_manifest(f"{v['output']}.manifest.txt", "alpha-sweep", v, inputs)
 
 
 _HANDLERS = {

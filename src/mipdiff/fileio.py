@@ -16,6 +16,7 @@ __all__ = [
     "DimensionError",
     "TruncatedPayloadError",
     "NonFiniteValueError",
+    "iter_slices",
     "read_volume",
     "write_volume",
     "export_pgm",
@@ -45,62 +46,131 @@ class NonFiniteValueError(VolumeIOError):
     pass
 
 
-def read_volume(path) -> np.ndarray:
-    """Read a MIPVOL file into a float64 array of shape (nz, ny, nx).
+# Payload bytes moved per readinto/write call: groups of whole z-slices,
+# one slice when a slice alone is this large.
+_IO_BYTES = 1 << 20
+# A group holds at most 1/_IO_SHARE of the volume's slices, so the I/O
+# buffer stays small beside the volume read or written.
+_IO_SHARE = 8
+# Smallest float64 magnitude that rounds to infinity as float32
+# (2**128 - 2**103, half an ulp above the largest float32).
+_F32_OVERFLOW = 2.0**128 - 2.0**103
 
-    The payload is read one z-slice at a time into a reused float32
-    buffer, so no whole-volume temporary is built beside the result.
-    """
-    with open(path, "rb") as f:
-        header = f.readline(256)
-        if not header.endswith(b"\n"):
-            raise MagicMismatchError(f"{path}: missing or overlong header line")
-        tokens = header.decode("ascii", errors="replace").split()
-        if len(tokens) != 4 or tokens[0] != MAGIC:
-            raise MagicMismatchError(f"{path}: expected '{MAGIC} nx ny nz' header")
-        try:
-            nx, ny, nz = (int(t) for t in tokens[1:])
-        except ValueError as exc:
-            raise DimensionError(f"{path}: non-integer dimensions {tokens[1:]}") from exc
-        if nx < 1 or ny < 1 or nz < 1:
-            raise DimensionError(f"{path}: non-positive dimensions {nx}x{ny}x{nz}")
-        count = nx * ny * nz
-        vol = np.empty((nz, ny, nx))
-        buf = np.empty((ny, nx), dtype="<f4")
-        got = 0
-        finite = True
-        for z in range(nz):
-            n = f.readinto(buf)
-            got += n
-            if n < buf.nbytes:
-                break
-            # a short payload is reported before a non-finite sample
-            finite = finite and bool(np.isfinite(buf).all())
-            vol[z] = buf
-    if got < 4 * count:
+
+def _group(nz: int, ny: int, nx: int) -> int:
+    """Slices per I/O call: up to ``_IO_BYTES`` and ``nz // _IO_SHARE``, at least 1."""
+    return max(1, min(_IO_BYTES // (4 * ny * nx), nz // _IO_SHARE))
+
+
+def _read_header(f, path, digest) -> tuple[int, int, int]:
+    """Check the header line and return the volume shape (nz, ny, nx)."""
+    header = f.readline(256)
+    if not header.endswith(b"\n"):
+        raise MagicMismatchError(f"{path}: missing or overlong header line")
+    tokens = header.decode("ascii", errors="replace").split()
+    if len(tokens) != 4 or tokens[0] != MAGIC:
+        raise MagicMismatchError(f"{path}: expected '{MAGIC} nx ny nz' header")
+    try:
+        nx, ny, nz = (int(t) for t in tokens[1:])
+    except ValueError as exc:
+        raise DimensionError(f"{path}: non-integer dimensions {tokens[1:]}") from exc
+    if nx < 1 or ny < 1 or nz < 1:
+        raise DimensionError(f"{path}: non-positive dimensions {nx}x{ny}x{nz}")
+    if digest is not None:
+        digest.update(header)
+    return nz, ny, nx
+
+
+def _payload(f, path, shape, digest):
+    """Yield the payload's z-slices, read in groups into one reused float32
+    buffer and checked for finiteness; then raise for a short payload, and
+    after that for a non-finite sample. ``digest`` also gets any bytes
+    after the payload."""
+    nz, ny, nx = shape
+    buf = np.empty((_group(nz, ny, nx), ny, nx), dtype="<f4")
+    raw = memoryview(buf).cast("B")
+    flags = np.empty(buf.shape, dtype=bool)
+    slice_bytes = 4 * ny * nx
+    got = 0
+    finite = True
+    for z0 in range(0, nz, len(buf)):
+        want = min(len(buf), nz - z0) * slice_bytes
+        n = f.readinto(raw[:want])
+        got += n
+        if digest is not None:
+            digest.update(raw[:n])
+        group = buf[: n // slice_bytes]
+        finite = finite and bool(np.isfinite(group, out=flags[: len(group)]).all())
+        yield from group
+        if n < want:
+            break
+    if digest is not None:
+        for block in iter(lambda: f.read(1 << 16), b""):
+            digest.update(block)
+    # a short payload is reported before a non-finite sample
+    if got < slice_bytes * nz:
         raise TruncatedPayloadError(
-            f"{path}: expected {4 * count} payload bytes, got {got}"
+            f"{path}: expected {slice_bytes * nz} payload bytes, got {got}"
         )
     if not finite:
         raise NonFiniteValueError(f"{path}: payload contains NaN or Inf samples")
+
+
+def iter_slices(path, digest=None):
+    """Yield the z-slices of a MIPVOL file as float32 (ny, nx) arrays.
+
+    Each yielded array is overwritten by a later slice; copy it to keep it.
+    The file's checks are those of ``read_volume``: header errors raise at
+    the first slice, a short or non-finite payload after the last one.
+    With ``digest`` (a ``hashlib`` object), every byte of the file, header
+    and trailing bytes included, is fed to it, so a complete pass leaves
+    the digest of the whole file.
+    """
+    with open(path, "rb") as f:
+        yield from _payload(f, path, _read_header(f, path, digest), digest)
+
+
+def read_volume(path, digest=None) -> np.ndarray:
+    """Read a MIPVOL file into a float64 array of shape (nz, ny, nx).
+
+    The slices of ``iter_slices`` are copied into the result, so no
+    whole-volume temporary is built beside it; ``digest`` is as there.
+    """
+    with open(path, "rb") as f:
+        shape = _read_header(f, path, digest)
+        vol = np.empty(shape)
+        for z, sl in enumerate(_payload(f, path, shape, digest)):
+            vol[z] = sl
     return vol
 
 
 def write_volume(volume, path) -> None:
     """Write a volume as MIPVOL. Payload is cast to little-endian float32
-    one z-slice at a time."""
+    in groups of whole z-slices.
+
+    Samples that are NaN, infinite, or round to infinity as float32 are
+    refused before the file is opened.
+    """
     arr = np.asarray(volume, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[None, :, :]
     if arr.ndim != 3 or min(arr.shape) < 1:
         raise DimensionError(f"cannot write volume of shape {arr.shape}")
-    if not all(np.isfinite(sl).all() for sl in arr):
-        raise NonFiniteValueError(f"{path}: refusing to write NaN or Inf samples")
     nz, ny, nx = arr.shape
+    step = _group(nz, ny, nx)
+    groups = [arr[z0 : z0 + step] for z0 in range(0, nz, step)]
+    # min/max propagate NaN, which fails both comparisons
+    if not all(-_F32_OVERFLOW < g.min() and g.max() < _F32_OVERFLOW for g in groups):
+        raise NonFiniteValueError(
+            f"{path}: refusing to write NaN or Inf samples, or samples beyond float32 range"
+        )
+    buf = np.empty((step, ny, nx), dtype="<f4")
     with open(path, "wb") as f:
         f.write(f"{MAGIC} {nx} {ny} {nz}\n".encode("ascii"))
-        for sl in arr:
-            f.write(sl.astype("<f4", order="C"))
+        for g in groups:
+            out = buf[: len(g)]
+            out[...] = g
+            f.write(out)
 
 
 def export_pgm(field, path) -> None:

@@ -101,6 +101,7 @@ def contrast_per_pixel(field) -> float:
     if ny < 2 or nx < 2:
         raise ValueError(f"contrast per pixel needs at least 2x2, got {ny}x{nx}")
     total = 0.0
+    buf = np.empty(ny * nx)  # one contiguous difference buffer for all 8 shifts
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
             if dx == 0 and dy == 0:
@@ -109,5 +110,7 @@ def contrast_per_pixel(field) -> float:
             xs = slice(max(0, dx), nx + min(0, dx))
             ys2 = slice(max(0, -dy), ny + min(0, -dy))
             xs2 = slice(max(0, -dx), nx + min(0, -dx))
-            total += float(np.abs(u[ys, xs] - u[ys2, xs2]).sum())
+            h, w = ys.stop - ys.start, xs.stop - xs.start
+            diff = np.subtract(u[ys, xs], u[ys2, xs2], out=buf[: h * w].reshape(h, w))
+            total += float(np.abs(diff, out=diff).sum())
     return total / (nx * ny)

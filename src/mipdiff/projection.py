@@ -12,6 +12,7 @@ from .fields import as_field, as_volume
 __all__ = [
     "PhaseMaskParams",
     "project",
+    "project_slices",
     "project_min_argmin",
     "phase_mask",
     "apply_mask",
@@ -30,14 +31,24 @@ class PhaseMaskParams:
             raise ValueError("mask exponent must be >= 1")
 
 
+def project_slices(slices, kind: str = "min") -> np.ndarray:
+    """Pixelwise ``min`` or ``max`` of an iterable of 2-D slices, folded one
+    slice at a time into a float64 image, so no volume is built; the first
+    slice is copied, the later ones may be reused buffers."""
+    ops = {"min": np.minimum, "max": np.maximum}
+    if kind not in ops:
+        raise ValueError(f"unknown projection kind {kind!r}")
+    op = ops[kind]
+    it = iter(slices)
+    acc = np.array(next(it), dtype=np.float64)
+    for sl in it:
+        op(acc, sl, out=acc)
+    return acc
+
+
 def project(volume, kind: str = "min") -> np.ndarray:
     """Pixelwise extreme across slices: ``min`` or ``max``."""
-    vol = as_volume(volume)
-    if kind == "min":
-        return vol.min(axis=0)
-    if kind == "max":
-        return vol.max(axis=0)
-    raise ValueError(f"unknown projection kind {kind!r}")
+    return project_slices(as_volume(volume), kind)
 
 
 def project_min_argmin(volume):

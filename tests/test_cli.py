@@ -1,11 +1,14 @@
 """Command-line interface: option precedence, manifests, exit codes, CSVs."""
+import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mipdiff import cli
 from mipdiff.cli import main, parse_config
 from mipdiff.diffusion import AdaptiveParams, HysteresisParams, PMParams, run_filter
 from mipdiff.fileio import read_volume, write_volume
@@ -283,6 +286,115 @@ class TestProjectAndMetrics:
         code = run_cli("metrics", "--input", img, "--test", img,
                        "--roi", "1,2,3", "--output", tmp_path / "m.csv")
         assert code == 2
+
+
+def manifest_digests(path) -> list:
+    """(sha256, path) of each ``# input sha256`` line of a manifest."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    return [tuple(line.split()[3:5]) for line in lines if line.startswith("# input sha256 ")]
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+class TestStreamedRoutes:
+    """Each MIPVOL input is read once: ``project`` and ``mip`` fold its slices,
+    and every manifest digest comes from the pass that read the file."""
+
+    @pytest.fixture
+    def no_read_volume(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read_volume called")
+
+        monkeypatch.setattr(cli, "read_volume", refuse)
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_project_folds_slices(self, tmp_path, noisy_volume, no_read_volume, kind):
+        src, _ = noisy_volume
+        out = tmp_path / "p.vol"
+        assert run_cli("project", "--input", src, "--output", out, "--kind", kind) == 0
+        want = getattr(read_volume(src), kind)(axis=0)
+        assert read_volume(out)[0].tobytes() == want.tobytes()
+
+    def test_mip_folds_slices(self, tmp_path, noisy_volume, no_read_volume):
+        src, _ = noisy_volume
+        out = tmp_path / "o.vol"
+        assert run_cli("mip", "--input", src, "--output", out, "--alpha", "0",
+                       "--metrics-csv", tmp_path / "m.csv") == 0
+        assert manifest_digests(f"{out}.manifest.txt") == [(file_sha256(src), str(src))]
+
+    @pytest.mark.parametrize("args", [("project",), ("filter", "--max-iterations", "1")])
+    def test_trailing_bytes_hashed(self, tmp_path, noisy_volume, args):
+        src, _ = noisy_volume
+        with open(src, "ab") as f:
+            f.write(b"trailing bytes")
+        out = tmp_path / "o.vol"
+        assert run_cli(*args, "--input", src, "--output", out) == 0
+        assert manifest_digests(f"{out}.manifest.txt") == [(file_sha256(src), str(src))]
+
+    def test_rewritten_input_gets_new_digest(self, tmp_path, noisy_volume):
+        src, vol = noisy_volume
+        out = tmp_path / "p.vol"
+        assert run_cli("project", "--input", src, "--output", out) == 0
+        first = manifest_digests(f"{out}.manifest.txt")
+        write_volume(vol + 1.0, src)
+        assert run_cli("project", "--input", src, "--output", out) == 0
+        second = manifest_digests(f"{out}.manifest.txt")
+        assert second == [(file_sha256(src), str(src))]
+        assert second != first
+
+    def test_every_input_digest_in_order(self, tmp_path):
+        a, b = tmp_path / "a.vol", tmp_path / "b.vol"
+        write_volume(np.ones((4, 5)), a)
+        write_volume(np.full((4, 5), 2.0), b)
+        csv = tmp_path / "m.csv"
+        assert run_cli("metrics", "--input", a, "--test", b, "--reference", a,
+                       "--output", csv) == 0
+        assert manifest_digests(f"{csv}.manifest.txt") == [
+            (file_sha256(p), str(p)) for p in (a, b, a)
+        ]
+
+    def test_pc_hashes_sigma_file(self, tmp_path):
+        assert run_cli("phantom", "--out-dir", tmp_path, "--stem", "fl",
+                       "--width", "16", "--height", "16", "--depth", "3",
+                       "--channels", "1", "--flow") == 0
+        sigma = tmp_path / "fl_sigma.txt"
+        assert run_cli("pc", "--input-stem", tmp_path / "fl", "--channels", "1",
+                       "--out-stem", tmp_path / "pc", "--max-iterations", "1",
+                       "--sigma-file", sigma) == 0
+        inputs = [tmp_path / f"fl_c1_{axis}.vol" for axis in "xyz"] + [sigma]
+        got = manifest_digests(tmp_path / "pc_combined.vol.manifest.txt")
+        assert got == [(file_sha256(p), str(p)) for p in inputs]
+
+    def test_truncated_after_nan_slice_exits_1(self, tmp_path, capsys):
+        vol = np.ones((4, 8, 8), dtype="<f4")
+        vol[1, 2, 3] = np.nan
+        src = tmp_path / "bad.vol"
+        src.write_bytes(b"MIPVOL1 8 8 4\n" + vol.tobytes()[:-4])
+        out = tmp_path / "p.vol"
+        for command in ("project", "mip"):
+            assert run_cli(command, "--input", src, "--output", out) == 1
+            assert "expected 1024 payload bytes, got 1020" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_project_peak_memory(self, tmp_path):
+        vol = np.random.default_rng(5).normal(1.0, 0.05, (64, 256, 256)).astype("<f4")
+        src = tmp_path / "big.vol"
+        src.write_bytes(b"MIPVOL1 256 256 64\n" + vol.tobytes())
+        want = vol.min(axis=0)
+        del vol
+        out = tmp_path / "p.vol"
+        tracemalloc.start()
+        try:
+            code = run_cli("project", "--input", src, "--output", out,
+                           "--pgm", tmp_path / "p.pgm")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20
+        np.testing.assert_array_equal(read_volume(out)[0], want)
 
 
 class TestCompareCommand:

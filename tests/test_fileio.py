@@ -1,5 +1,7 @@
 """Volume container format, PGM export, and profile CSV transcription."""
+import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from mipdiff.fileio import (
     export_pgm,
     export_profile_csv,
     field_from_volume,
+    iter_slices,
     read_volume,
     write_volume,
 )
+from mipdiff import fileio
 from mipdiff.phantom import default_venous_spec, generate
 
 
@@ -181,6 +185,117 @@ class TestSliceBoundaries:
         path = tmp_path / "tail.vol"
         write_raw(path, b"MIPVOL1 5 3 7\n", vol.tobytes() + b"trailing junk")
         np.testing.assert_array_equal(read_volume(path), vol)
+
+
+class TestSliceReader:
+    """One reader serves ``iter_slices`` and ``read_volume``; payloads move
+    in groups of whole slices, and a digest sees every byte of the file."""
+
+    @pytest.fixture
+    def small_groups(self, monkeypatch):
+        # 2 slices of 3x5 float32 (60 bytes each) per I/O call
+        monkeypatch.setattr(fileio, "_IO_BYTES", 120)
+
+    def test_group_sizes(self):
+        assert fileio._group(96, 512, 512) == 1
+        assert fileio._group(64, 256, 256) == 4
+        assert fileio._group(32, 64, 64) == 4
+        assert fileio._group(1, 4, 4) == 1
+        assert fileio._group(10**6, 4, 4) == fileio._IO_BYTES // 64
+
+    @pytest.mark.parametrize("nz", [1, 7, 16, 17, 19])
+    def test_grouped_round_trip(self, tmp_path, small_groups, nz):
+        vol = np.random.default_rng(nz).normal(size=(nz, 3, 5)).astype("<f4")
+        path = tmp_path / "v.vol"
+        write_volume(vol.astype(np.float64), path)
+        assert path.read_bytes() == b"MIPVOL1 5 3 %d\n" % nz + vol.tobytes()
+        slices = [sl.copy() for sl in iter_slices(path)]
+        assert all(sl.dtype == np.float32 and sl.shape == (3, 5) for sl in slices)
+        np.testing.assert_array_equal(np.stack(slices), vol)
+        np.testing.assert_array_equal(read_volume(path), vol)
+
+    def test_slices_share_one_buffer(self, tmp_path, small_groups):
+        path = tmp_path / "v.vol"
+        write_volume(np.arange(17 * 15.0).reshape(17, 3, 5), path)
+        bases = {sl.base.ctypes.data for sl in iter_slices(path)}
+        assert len(bases) == 1
+
+    def test_header_error_raised_at_first_slice(self, tmp_path):
+        path = tmp_path / "bad.vol"
+        write_raw(path, b"BADMAGIC 2 2 1\n", b"\x00" * 16)
+        slices = iter_slices(path)
+        with pytest.raises(MagicMismatchError):
+            next(slices)
+
+    @pytest.mark.parametrize("cut", [4, 60, 64, 124])
+    def test_truncated_after_nan_slice(self, tmp_path, small_groups, cut):
+        vol = np.ones((17, 3, 5), dtype="<f4")
+        vol[0, 1, 1] = np.nan
+        vol[16, 0, 0] = np.inf
+        path = tmp_path / "both.vol"
+        payload = vol.tobytes()[:-cut]
+        write_raw(path, b"MIPVOL1 5 3 17\n", payload)
+        match = f"expected 1020 payload bytes, got {len(payload)}"
+        with pytest.raises(TruncatedPayloadError, match=match):
+            read_volume(path)
+        with pytest.raises(TruncatedPayloadError, match=match):
+            for _ in iter_slices(path):
+                pass
+
+    def test_non_finite_raised_after_last_slice(self, tmp_path, small_groups):
+        vol = np.ones((5, 3, 5), dtype="<f4")
+        vol[0, 0, 0] = np.nan
+        path = tmp_path / "nan.vol"
+        write_raw(path, b"MIPVOL1 5 3 5\n", vol.tobytes())
+        slices = iter_slices(path)
+        for _ in range(5):
+            next(slices)
+        with pytest.raises(NonFiniteValueError, match="NaN or Inf"):
+            next(slices)
+
+    @pytest.mark.parametrize("tail", [b"", b"x", b"trailing junk" * 10000])
+    def test_digest_is_whole_file_sha256(self, tmp_path, small_groups, tail):
+        vol = np.arange(7 * 15, dtype="<f4").reshape(7, 3, 5)
+        path = tmp_path / "tail.vol"
+        write_raw(path, b"MIPVOL1 5 3 7\n", vol.tobytes() + tail)
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        h = hashlib.sha256()
+        np.testing.assert_array_equal(read_volume(path, h), vol)
+        assert h.hexdigest() == want
+        h = hashlib.sha256()
+        for _ in iter_slices(path, h):
+            pass
+        assert h.hexdigest() == want
+
+
+class TestFloat32Range:
+    """``write_volume`` refuses samples that float32 would turn into Inf."""
+
+    LIMIT = 2.0**128 - 2.0**103  # midpoint between float32's max and 2**128
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_just_inside_rounds_to_float32_max(self, tmp_path, sign):
+        vol = np.zeros((2, 2, 3))
+        vol[1, 1, 2] = sign * np.nextafter(self.LIMIT, 0.0)
+        path = tmp_path / "big.vol"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_volume(vol, path)
+        back = read_volume(path)
+        assert back[1, 1, 2] == sign * float(np.finfo(np.float32).max)
+
+    @pytest.mark.parametrize("value", [LIMIT, -LIMIT, 1e39, -1e300])
+    def test_overflow_refused_before_open(self, tmp_path, value):
+        vol = np.ones((9, 2, 3))
+        vol[8, 1, 2] = value
+        path = tmp_path / "big.vol"
+        with pytest.raises(NonFiniteValueError, match="float32 range"):
+            write_volume(vol, path)
+        assert not path.exists()
+        path.write_bytes(b"keep")
+        with pytest.raises(NonFiniteValueError):
+            write_volume(vol, path)
+        assert path.read_bytes() == b"keep"
 
 
 def _traced_peak(fn, *args):

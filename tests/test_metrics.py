@@ -136,6 +136,18 @@ class TestContrastPerPixel:
             want = oracles.contrast_per_pixel(oracles.grid(u))
             assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (300, 5), (512, 512)])
+    def test_bit_identical_to_fresh_difference_arrays(self, rng, shape):
+        # the reused buffer must keep numpy's summation order of each shift
+        u = rng.normal(0.0, 1.0, shape)
+        ny, nx = shape
+        want = 0.0
+        for dy, dx in [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]:
+            a = u[max(0, dy):ny + min(0, dy), max(0, dx):nx + min(0, dx)]
+            b = u[max(0, -dy):ny + min(0, -dy), max(0, -dx):nx + min(0, -dx)]
+            want += float(np.abs(a - b).sum())
+        assert contrast_per_pixel(u) == want / (nx * ny)
+
     def test_needs_two_by_two(self):
         with pytest.raises(ValueError):
             contrast_per_pixel(np.zeros((1, 5)))

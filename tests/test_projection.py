@@ -6,6 +6,7 @@ import pytest
 
 from conftest import smooth_field
 from mipdiff.diffusion import AdaptiveParams, run_filter
+from mipdiff.fileio import iter_slices, read_volume, write_volume
 from mipdiff.phantom import default_venous_spec, dip_amplitude, generate
 from mipdiff.projection import (
     PhaseMaskParams,
@@ -13,6 +14,7 @@ from mipdiff.projection import (
     phase_mask,
     project,
     project_min_argmin,
+    project_slices,
     swi_pipeline,
 )
 
@@ -50,6 +52,50 @@ class TestProject:
         vol = rng.normal(0.0, 1.0, (7, 6, 5))
         mip, idx = project_min_argmin(vol)
         np.testing.assert_array_equal(mip, np.take_along_axis(vol, idx[None], 0)[0])
+
+
+class TestFoldedProjection:
+    """``project`` and the CLI fold slices one at a time; the result equals
+    numpy's whole-volume reduction byte for byte."""
+
+    @staticmethod
+    def signed_zero_volume(rng, depth):
+        vol = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(depth, 6, 7))
+        vol[:, 0, :] = rng.choice([-0.0, 0.0], size=(depth, 7))  # ties of zeros only
+        return vol
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 40])
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_equals_whole_volume_reduction(self, tmp_path, rng, depth, kind):
+        path = tmp_path / "v.vol"
+        write_volume(self.signed_zero_volume(rng, depth), path)
+        vol = read_volume(path)
+        want = getattr(vol, kind)(axis=0)
+        for got in (project_slices(iter_slices(path), kind), project(vol, kind)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_signed_zero_ties_in_both_orders(self, kind):
+        vol = np.array([[[0.0, -0.0]], [[-0.0, 0.0]]])
+        want = getattr(vol, kind)(axis=0)
+        assert project(vol, kind).tobytes() == want.tobytes()
+        assert project(vol[::-1], kind).tobytes() == getattr(vol[::-1], kind)(axis=0).tobytes()
+
+    def test_first_slice_copied_from_reused_buffer(self):
+        buf = np.empty((2, 3), dtype=np.float32)
+
+        def slices():
+            for value in (3.0, 1.0, 2.0):
+                buf.fill(value)
+                yield buf
+
+        np.testing.assert_array_equal(project_slices(slices(), "min"), np.ones((2, 3)))
+        np.testing.assert_array_equal(project_slices(slices(), "max"), np.full((2, 3), 3.0))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            project_slices([np.zeros((2, 2))], "median")
 
 
 class TestPhaseMask:
