@@ -14,14 +14,13 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .diffusion import (
-    DEFAULT_ALPHA,
     AdaptiveParams,
     HysteresisParams,
     PMParams,
@@ -137,14 +136,6 @@ def _resolve(opts: list[Opt], cli_values: dict, config_path) -> dict:
     return merged
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -183,7 +174,7 @@ def write_manifest(path, command: str, values: dict, inputs: list) -> None:
     for p, digest in inputs:
         lines.append(f"# input sha256 {digest} {p}")
     for key, value in values.items():
-        if key == "config" or value is None:
+        if value is None:
             continue
         lines.append(f"{key} = {_fmt_value(value)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -218,18 +209,18 @@ def _metrics_row(method: str, base, ref, test, roi: Roi | None = None) -> tuple:
     )
 
 
-def _write_image(v: dict, command: str, img, path, inputs: list, baseline) -> None:
+def _write_image(v: dict, command: str, img, path, baseline=None) -> str:
     """Write ``img`` to ``path``, then the optional ``--pgm`` preview, then the
     optional one-row ``--metrics-csv`` scoring ``img`` against
-    ``baseline()``, called only then, as both input and reference, then
-    ``<path>.manifest.txt``."""
+    ``baseline()``, called only then, as both input and reference; return
+    the manifest path ``<path>.manifest.txt``."""
     write_volume(img, path)
     if v["pgm"]:
         export_pgm(img, v["pgm"])
-    if v["metrics_csv"]:
+    if v.get("metrics_csv"):
         base = baseline()
         write_metrics_csv(v["metrics_csv"], [_metrics_row(command, base, base, img)])
-    write_manifest(f"{path}.manifest.txt", command, v, inputs)
+    return f"{path}.manifest.txt"
 
 
 def _parse_roi(raw) -> Roi | None:
@@ -245,125 +236,11 @@ def _parse_roi(raw) -> Roi | None:
     return Roi(x0, y0, w, h)
 
 
-def _adaptive_params(v: dict, mode: str) -> AdaptiveParams:
-    return AdaptiveParams(
-        alpha=v["alpha"],
-        mode=mode,
-        tail_prob=v["tail_prob"],
-        tolerance=v["tolerance"],
-        max_iterations=v["max_iterations"],
-        step=v["step"],
-    )
-
-
-_FILTER_OPTS = [
-    Opt("alpha", "float", DEFAULT_ALPHA, help="adaptive gain (0 = identity)"),
-    Opt("step", "float", 0.2, help="explicit update step size"),
-    Opt("tolerance", "float", 1e-4, help="relative L2 stopping change"),
-    Opt("max_iterations", "int", 6, help="iteration cap"),
-    Opt("tail_prob", "float", 0.05, help="total tail mass excluded by mip-mode bounds"),
-]
-
-COMMANDS: dict[str, list[Opt]] = {
-    "phantom": [
-        Opt("config", "str"),
-        Opt("out_dir", "str", required=True, help="directory for outputs"),
-        Opt("stem", "str", "phantom", help="file-name stem"),
-        Opt("width", "int", 64),
-        Opt("height", "int", 64),
-        Opt("depth", "int", 32),
-        Opt("tube_y", "float", None, help="tube row (default: image centre)"),
-        Opt("tube_z", "float", None, help="tube slice (default: mid depth)"),
-        Opt("radius", "float", 2.0, help="tube radius in pixels"),
-        Opt("contrast", "float", -0.2, help="signed tube contrast"),
-        Opt("baseline_amplitude", "float", 0.0, help="smooth baseline modulation"),
-        Opt("noise_sigma", "float", 0.05, help="white-noise sigma"),
-        Opt("seed", "int", 1234, help="generator seed"),
-        Opt("channels", "int", 0, help="coil channel count (0 = none)"),
-        Opt("channel_sigmas", "floats", (), help="per-channel noise sigmas"),
-        Opt("flow", "bool", False, help="emit per-channel X/Y/Z flow projections"),
-    ],
-    "filter": [
-        Opt("config", "str"),
-        Opt("input", "str", required=True, help="input MIPVOL path"),
-        Opt("output", "str", required=True, help="filtered MIPVOL path"),
-        Opt("mode", "str", "mip_min", choices=("mip", "mip_min")),
-        *_FILTER_OPTS,
-        Opt("trace", "bool", False, help="write per-slice iteration traces"),
-    ],
-    "project": [
-        Opt("config", "str"),
-        Opt("input", "str", required=True),
-        Opt("output", "str", required=True),
-        Opt("kind", "str", "min", choices=("min", "max")),
-        Opt("pgm", "str", None, help="optional PGM preview path"),
-    ],
-    "swi": [
-        Opt("config", "str"),
-        Opt("magnitude", "str", required=True, help="magnitude MIPVOL path"),
-        Opt("phase", "str", required=True, help="phase MIPVOL path (radians)"),
-        Opt("output", "str", required=True, help="enhanced projection MIPVOL path"),
-        *_FILTER_OPTS,
-        Opt("mask_exponent", "int", 4, help="negative-phase mask exponent"),
-        Opt("mask_before_projection", "bool", False, help="weight slices before projecting"),
-        Opt("pgm", "str", None),
-        Opt("metrics_csv", "str", None),
-    ],
-    "mip": [
-        Opt("config", "str"),
-        Opt("input", "str", required=True),
-        Opt("output", "str", required=True),
-        *_FILTER_OPTS,
-        Opt("hysteresis", "bool", False, help="combine a low- and high-gain pass"),
-        Opt("alpha_low", "float", 0.5),
-        Opt("alpha_high", "float", 2.0),
-        Opt("c_threshold", "float", None, help="structureness cut (default: 90th percentile)"),
-        Opt("pgm", "str", None),
-        Opt("metrics_csv", "str", None),
-    ],
-    "pc": [
-        Opt("config", "str"),
-        Opt("input_stem", "str", required=True, help="stem of <stem>_c<k>_{x,y,z}.vol files"),
-        Opt("channels", "int", required=True),
-        Opt("out_stem", "str", required=True),
-        Opt("sigma_file", "str", None, help="per-channel sigma list, one value per line"),
-        Opt("flow_mode", "str", "sum", choices=("sum", "magnitude")),
-        *_FILTER_OPTS,
-        Opt("pgm", "str", None),
-        Opt("metrics_csv", "str", None),
-    ],
-    "metrics": [
-        Opt("config", "str"),
-        Opt("input", "str", required=True, help="baseline image (1-slice MIPVOL)"),
-        Opt("test", "str", required=True, help="image under evaluation"),
-        Opt("reference", "str", None, help="ground-truth image (default: input)"),
-        Opt("roi", "str", None, help="x0,y0,width,height"),
-        Opt("output", "str", required=True, help="metrics CSV path"),
-        Opt("method", "str", "image", help="row label"),
-    ],
-    "compare": [
-        Opt("config", "str"),
-        Opt("input", "str", required=True, help="noisy volume"),
-        Opt("reference", "str", None, help="clean volume (default: input)"),
-        Opt("output", "str", required=True, help="metrics CSV path"),
-        Opt("roi", "str", None),
-        Opt("kind", "str", "min", choices=("min", "max")),
-        Opt("delta", "float", None, help="contrast scale (default: 10% of slice range)"),
-        Opt("dt", "float", 0.25),
-        Opt("iterations", "int", 10, help="steps for the scalar-diffusivity filters"),
-        Opt("diffusivity_kind", "str", "rational", choices=("rational", "exponential")),
-        Opt("grad_threshold", "float", None, help="edge switch (default: 90th percentile)"),
-        *_FILTER_OPTS,
-    ],
-    "alpha-sweep": [
-        Opt("config", "str"),
-        Opt("input", "str", required=True),
-        Opt("output", "str", required=True, help="alpha,psnr_input CSV path"),
-        Opt("alphas", "floats", (1.0, 2.0, 4.0, 8.0, 16.0)),
-        Opt("mode", "str", "mip_min", choices=("mip", "mip_min")),
-        *_FILTER_OPTS[1:],  # all but alpha, which --alphas sweeps
-    ],
-}
+def _params(cls, v: dict, **given):
+    """``cls`` with each field taken from ``given``, or else from the option
+    of the same name in ``v``."""
+    return cls(**{f.name: given[f.name] if f.name in given else v[f.name]
+                  for f in fields(cls)})
 
 
 def _filter_volume(vol: np.ndarray, params: AdaptiveParams, trace_stem=None) -> np.ndarray:
@@ -378,7 +255,7 @@ def _filter_volume(vol: np.ndarray, params: AdaptiveParams, trace_stem=None) -> 
     return filtered
 
 
-def cmd_phantom(v: dict) -> None:
+def cmd_phantom(v: dict, inputs: list) -> str:
     tube_y = v["tube_y"] if v["tube_y"] is not None else (v["height"] - 1) / 2.0
     tube_z = v["tube_z"] if v["tube_z"] is not None else (v["depth"] - 1) / 2.0
     channels = None
@@ -389,22 +266,8 @@ def cmd_phantom(v: dict) -> None:
                 f"got {len(sigmas)} channel_sigmas for {v['channels']} channels"
             )
         channels = ChannelSpec(sigmas=tuple(sigmas))
-    spec = PhantomSpec(
-        width=v["width"],
-        height=v["height"],
-        depth=v["depth"],
-        baseline_amplitude=v["baseline_amplitude"],
-        tubes=(
-            TubeSpec(
-                points=((0.0, tube_y, tube_z), (v["width"] - 1.0, tube_y, tube_z)),
-                radius=v["radius"],
-                contrast=v["contrast"],
-            ),
-        ),
-        noise_sigma=v["noise_sigma"],
-        seed=v["seed"],
-        channels=channels,
-    )
+    tube = _params(TubeSpec, v, points=((0.0, tube_y, tube_z), (v["width"] - 1.0, tube_y, tube_z)))
+    spec = _params(PhantomSpec, v, tubes=(tube,), channels=channels)
     if v["flow"] and channels is None:
         raise ConfigError("flow output needs channels >= 1")
     out_dir = Path(v["out_dir"])
@@ -429,58 +292,50 @@ def cmd_phantom(v: dict) -> None:
         Path(f"{stem}_sigma.txt").write_text("\n".join(sigma_lines) + "\n")
     meta_lines = [f"{k} = {_fmt_value(val)}" for k, val in out.metadata.items()]
     Path(f"{stem}_meta.txt").write_text("\n".join(meta_lines) + "\n")
-    write_manifest(f"{stem}_manifest.txt", "phantom", v, [])
+    return f"{stem}_manifest.txt"
 
 
-def cmd_filter(v: dict) -> None:
-    inputs = []
+def cmd_filter(v: dict, inputs: list) -> str:
     vol = _read(v["input"], inputs)
-    params = _adaptive_params(v, v["mode"])
     trace_stem = str(Path(v["output"]).with_suffix("")) if v["trace"] else None
-    write_volume(_filter_volume(vol, params, trace_stem), v["output"])
-    write_manifest(f"{v['output']}.manifest.txt", "filter", v, inputs)
+    write_volume(_filter_volume(vol, _params(AdaptiveParams, v), trace_stem), v["output"])
+    return f"{v['output']}.manifest.txt"
 
 
-def cmd_project(v: dict) -> None:
-    inputs = []
+def cmd_project(v: dict, inputs: list) -> str:
     img = project_slices(_slices(v["input"], inputs), v["kind"])
-    write_volume(img, v["output"])
-    if v["pgm"]:
-        export_pgm(img, v["pgm"])
-    write_manifest(f"{v['output']}.manifest.txt", "project", v, inputs)
+    return _write_image(v, "project", img, v["output"])
 
 
-def cmd_swi(v: dict) -> None:
-    inputs = []
+def cmd_swi(v: dict, inputs: list) -> str:
     mag = _read(v["magnitude"], inputs)
     phase = _read(v["phase"], inputs)
-    params = _adaptive_params(v, "mip_min")
+    params = _params(AdaptiveParams, v, mode="mip_min")
     mask_params = PhaseMaskParams(exponent=v["mask_exponent"])
     result = swi_pipeline(
         mag, phase, params, mask_params, mask_before_projection=v["mask_before_projection"]
     )
-    _write_image(v, "swi", result, v["output"], inputs, lambda: project(mag, "min"))
+    return _write_image(v, "swi", result, v["output"], lambda: project(mag, "min"))
 
 
-def cmd_mip(v: dict) -> None:
-    inputs = []
+def cmd_mip(v: dict, inputs: list) -> str:
     projected = project_slices(_slices(v["input"], inputs), "max")
-    params = _adaptive_params(v, "mip")
+    params = _params(AdaptiveParams, v, mode="mip")
     if v["hysteresis"]:
-        hp = HysteresisParams(
-            alpha_low=v["alpha_low"],
-            alpha_high=v["alpha_high"],
-            c_threshold=v["c_threshold"],
-        )
-        result, _, _ = hysteresis_filter(projected, params, hp)
+        result, _, _ = hysteresis_filter(projected, params, _params(HysteresisParams, v))
     else:
         result, _ = run_filter(projected, params)
-    _write_image(v, "mip", result, v["output"], inputs, lambda: projected)
+    return _write_image(v, "mip", result, v["output"], lambda: projected)
 
 
-def _read_sigma_file(path, channels: int):
+def _read_sigma_file(path, channels: int, inputs: list):
+    """The sigmas listed in ``path``, appending ``(path, sha256)`` of the
+    parsed bytes to ``inputs``."""
+    data = Path(path).read_bytes()
+    inputs.append((path, hashlib.sha256(data).hexdigest()))
+    text = data.decode()
     try:
-        sigmas = [float(t) for t in Path(path).read_text().split()]
+        sigmas = [float(t) for t in text.split()]
     except ValueError as exc:
         raise ConfigError(f"sigma file {path}: non-numeric entry") from exc
     if len(sigmas) != channels:
@@ -490,49 +345,31 @@ def _read_sigma_file(path, channels: int):
     return sigmas
 
 
-def cmd_pc(v: dict) -> None:
+def cmd_pc(v: dict, inputs: list) -> str:
     stem = v["input_stem"]
     paths = [f"{stem}_c{k}_{axis}.vol"
              for k in range(1, v["channels"] + 1) for axis in ("x", "y", "z")]
-    inputs = []
-    fields = [field_from_volume(_read(path, inputs)) for path in paths]
-    xs, ys, zs = fields[0::3], fields[1::3], fields[2::3]
-    sigma = None
-    if v["sigma_file"]:
-        sigma = _read_sigma_file(v["sigma_file"], v["channels"])
-        inputs.append((v["sigma_file"], _sha256(v["sigma_file"])))
-    params = _adaptive_params(v, "mip")
+    images = [field_from_volume(_read(path, inputs)) for path in paths]
+    xs, ys, zs = images[0::3], images[1::3], images[2::3]
+    sigma = _read_sigma_file(v["sigma_file"], v["channels"], inputs) if v["sigma_file"] else None
+    params = _params(AdaptiveParams, v, mode="mip")
     scaled, combined = pc_pipeline(xs, ys, zs, params, flow_mode=v["flow_mode"], sigma=sigma)
     for k, ch in enumerate(scaled, start=1):
         write_volume(ch, f"{v['out_stem']}_c{k}.vol")
-    _write_image(v, "pc", combined, f"{v['out_stem']}_combined.vol", inputs,
-                 lambda: pa_combine(combine_flow(xs, ys, zs, v["flow_mode"]), sigma))
+    return _write_image(v, "pc", combined, f"{v['out_stem']}_combined.vol",
+                        lambda: pa_combine(combine_flow(xs, ys, zs, v["flow_mode"]), sigma))
 
 
-def cmd_metrics(v: dict) -> None:
-    inputs = []
+def cmd_metrics(v: dict, inputs: list) -> str:
     base = field_from_volume(_read(v["input"], inputs))
     test = field_from_volume(_read(v["test"], inputs))
     ref = base if v["reference"] is None else field_from_volume(_read(v["reference"], inputs))
     roi = _parse_roi(v["roi"])
     write_metrics_csv(v["output"], [_metrics_row(v["method"], base, ref, test, roi)])
-    write_manifest(f"{v['output']}.manifest.txt", "metrics", v, inputs)
+    return f"{v['output']}.manifest.txt"
 
 
-def _pm_params(v: dict, vol: np.ndarray) -> PMParams:
-    delta = v["delta"]
-    if delta is None:
-        delta = default_delta(vol.reshape(-1, vol.shape[-1]))
-    return PMParams(
-        delta=delta,
-        dt=v["dt"],
-        iterations=v["iterations"],
-        diffusivity_kind=v["diffusivity_kind"],
-    )
-
-
-def cmd_compare(v: dict) -> None:
-    inputs = []
+def cmd_compare(v: dict, inputs: list) -> str:
     noisy = _read(v["input"], inputs)
     reference = noisy if v["reference"] is None else _read(v["reference"], inputs)
     if reference.shape != noisy.shape:
@@ -541,31 +378,27 @@ def cmd_compare(v: dict) -> None:
         )
     roi = _parse_roi(v["roi"])
     kind = v["kind"]
-    pm_params = _pm_params(v, noisy)
-    adaptive = _adaptive_params(v, "mip_min" if kind == "min" else "mip")
-
-    def per_slice(fn):
-        return np.stack([fn(sl) for sl in noisy])
-
-    methods = [
-        ("pm", per_slice(lambda sl: run_pm(sl, pm_params))),
-        ("orthogonal", per_slice(lambda sl: run_orthogonal(sl, pm_params))),
-        (
-            "directional",
-            per_slice(lambda sl: run_directional_ad(sl, pm_params, v["grad_threshold"])),
-        ),
-        ("proposed", _filter_volume(noisy, adaptive)),
-    ]
+    delta = v["delta"]
+    if delta is None:
+        delta = default_delta(noisy.reshape(-1, noisy.shape[-1]))
+    pm_params = _params(PMParams, v, delta=delta)
+    adaptive = _params(AdaptiveParams, v, mode="mip_min" if kind == "min" else "mip")
+    methods = {
+        "pm": lambda sl: run_pm(sl, pm_params),
+        "orthogonal": lambda sl: run_orthogonal(sl, pm_params),
+        "directional": lambda sl: run_directional_ad(sl, pm_params, v["grad_threshold"]),
+        "proposed": lambda sl: run_filter(sl, adaptive)[0],
+    }
     base_proj = project(noisy, kind)
     ref_proj = project(reference, kind)
-    rows = [_metrics_row(name, base_proj, ref_proj, project(filtered_vol, kind), roi)
-            for name, filtered_vol in methods]
+    # each method's slices are projected as they are filtered
+    rows = [_metrics_row(name, base_proj, ref_proj, project_slices(map(fn, noisy), kind), roi)
+            for name, fn in methods.items()]
     write_metrics_csv(v["output"], rows)
-    write_manifest(f"{v['output']}.manifest.txt", "compare", v, inputs)
+    return f"{v['output']}.manifest.txt"
 
 
-def cmd_alpha_sweep(v: dict) -> None:
-    inputs = []
+def cmd_alpha_sweep(v: dict, inputs: list) -> str:
     vol = _read(v["input"], inputs)
     if not v["alphas"]:
         raise ConfigError("alphas must list at least one value")
@@ -573,23 +406,120 @@ def cmd_alpha_sweep(v: dict) -> None:
     base_proj = project(vol, kind)
     lines = ["alpha,psnr_input"]
     for alpha in sorted(v["alphas"]):
-        params = _adaptive_params({**v, "alpha": alpha}, v["mode"])
-        img = project(_filter_volume(vol, params), kind)
+        params = _params(AdaptiveParams, v, alpha=alpha)
+        img = project_slices(map(lambda sl: run_filter(sl, params)[0], vol), kind)
         lines.append(f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(base_proj, img))}")
     Path(v["output"]).write_text("\n".join(lines) + "\n", encoding="ascii")
-    write_manifest(f"{v['output']}.manifest.txt", "alpha-sweep", v, inputs)
+    return f"{v['output']}.manifest.txt"
 
 
-_HANDLERS = {
-    "phantom": cmd_phantom,
-    "filter": cmd_filter,
-    "project": cmd_project,
-    "swi": cmd_swi,
-    "mip": cmd_mip,
-    "pc": cmd_pc,
-    "metrics": cmd_metrics,
-    "compare": cmd_compare,
-    "alpha-sweep": cmd_alpha_sweep,
+_FILTER_OPTS = [
+    Opt("alpha", "float", AdaptiveParams.alpha, help="adaptive gain (0 = identity)"),
+    Opt("step", "float", AdaptiveParams.step, help="explicit update step size"),
+    Opt("tolerance", "float", AdaptiveParams.tolerance, help="relative L2 stopping change"),
+    Opt("max_iterations", "int", AdaptiveParams.max_iterations, help="iteration cap"),
+    Opt("tail_prob", "float", AdaptiveParams.tail_prob,
+        help="total tail mass excluded by mip-mode bounds"),
+]
+_MODE_OPT = Opt("mode", "str", AdaptiveParams.mode, choices=("mip", "mip_min"))
+
+# name -> (handler, options); each handler fills the inputs list it is given
+# and returns its manifest path, and main writes the manifest.
+COMMANDS: dict[str, tuple] = {
+    "phantom": (cmd_phantom, [
+        Opt("out_dir", "str", required=True, help="directory for outputs"),
+        Opt("stem", "str", "phantom", help="file-name stem"),
+        Opt("width", "int", PhantomSpec.width),
+        Opt("height", "int", PhantomSpec.height),
+        Opt("depth", "int", PhantomSpec.depth),
+        Opt("tube_y", "float", None, help="tube row (default: image centre)"),
+        Opt("tube_z", "float", None, help="tube slice (default: mid depth)"),
+        Opt("radius", "float", TubeSpec.radius, help="tube radius in pixels"),
+        Opt("contrast", "float", TubeSpec.contrast, help="signed tube contrast"),
+        Opt("baseline_amplitude", "float", PhantomSpec.baseline_amplitude,
+            help="smooth baseline modulation"),
+        Opt("noise_sigma", "float", PhantomSpec.noise_sigma, help="white-noise sigma"),
+        Opt("seed", "int", PhantomSpec.seed, help="generator seed"),
+        Opt("channels", "int", 0, help="coil channel count (0 = none)"),
+        Opt("channel_sigmas", "floats", (), help="per-channel noise sigmas"),
+        Opt("flow", "bool", False, help="emit per-channel X/Y/Z flow projections"),
+    ]),
+    "filter": (cmd_filter, [
+        Opt("input", "str", required=True, help="input MIPVOL path"),
+        Opt("output", "str", required=True, help="filtered MIPVOL path"),
+        _MODE_OPT,
+        *_FILTER_OPTS,
+        Opt("trace", "bool", False, help="write per-slice iteration traces"),
+    ]),
+    "project": (cmd_project, [
+        Opt("input", "str", required=True),
+        Opt("output", "str", required=True),
+        Opt("kind", "str", "min", choices=("min", "max")),
+        Opt("pgm", "str", None, help="optional PGM preview path"),
+    ]),
+    "swi": (cmd_swi, [
+        Opt("magnitude", "str", required=True, help="magnitude MIPVOL path"),
+        Opt("phase", "str", required=True, help="phase MIPVOL path (radians)"),
+        Opt("output", "str", required=True, help="enhanced projection MIPVOL path"),
+        *_FILTER_OPTS,
+        Opt("mask_exponent", "int", PhaseMaskParams.exponent,
+            help="negative-phase mask exponent"),
+        Opt("mask_before_projection", "bool", False, help="weight slices before projecting"),
+        Opt("pgm", "str", None),
+        Opt("metrics_csv", "str", None),
+    ]),
+    "mip": (cmd_mip, [
+        Opt("input", "str", required=True),
+        Opt("output", "str", required=True),
+        *_FILTER_OPTS,
+        Opt("hysteresis", "bool", False, help="combine a low- and high-gain pass"),
+        Opt("alpha_low", "float", HysteresisParams.alpha_low),
+        Opt("alpha_high", "float", HysteresisParams.alpha_high),
+        Opt("c_threshold", "float", HysteresisParams.c_threshold,
+            help="structureness cut (default: 90th percentile)"),
+        Opt("pgm", "str", None),
+        Opt("metrics_csv", "str", None),
+    ]),
+    "pc": (cmd_pc, [
+        Opt("input_stem", "str", required=True, help="stem of <stem>_c<k>_{x,y,z}.vol files"),
+        Opt("channels", "int", required=True),
+        Opt("out_stem", "str", required=True),
+        Opt("sigma_file", "str", None, help="per-channel sigma list, one value per line"),
+        Opt("flow_mode", "str", "sum", choices=("sum", "magnitude")),
+        *_FILTER_OPTS,
+        Opt("pgm", "str", None),
+        Opt("metrics_csv", "str", None),
+    ]),
+    "metrics": (cmd_metrics, [
+        Opt("input", "str", required=True, help="baseline image (1-slice MIPVOL)"),
+        Opt("test", "str", required=True, help="image under evaluation"),
+        Opt("reference", "str", None, help="ground-truth image (default: input)"),
+        Opt("roi", "str", None, help="x0,y0,width,height"),
+        Opt("output", "str", required=True, help="metrics CSV path"),
+        Opt("method", "str", "image", help="row label"),
+    ]),
+    "compare": (cmd_compare, [
+        Opt("input", "str", required=True, help="noisy volume"),
+        Opt("reference", "str", None, help="clean volume (default: input)"),
+        Opt("output", "str", required=True, help="metrics CSV path"),
+        Opt("roi", "str", None),
+        Opt("kind", "str", "min", choices=("min", "max")),
+        Opt("delta", "float", None, help="contrast scale (default: 10%% of slice range)"),
+        Opt("dt", "float", PMParams.dt),
+        Opt("iterations", "int", PMParams.iterations,
+            help="steps for the scalar-diffusivity filters"),
+        Opt("diffusivity_kind", "str", PMParams.diffusivity_kind,
+            choices=("rational", "exponential")),
+        Opt("grad_threshold", "float", None, help="edge switch (default: 90th percentile)"),
+        *_FILTER_OPTS,
+    ]),
+    "alpha-sweep": (cmd_alpha_sweep, [
+        Opt("input", "str", required=True),
+        Opt("output", "str", required=True, help="alpha,psnr_input CSV path"),
+        Opt("alphas", "floats", (1.0, 2.0, 4.0, 8.0, 16.0)),
+        _MODE_OPT,
+        *_FILTER_OPTS[1:],  # all but alpha, which --alphas sweeps
+    ]),
 }
 
 
@@ -600,8 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mipdiff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, opts in COMMANDS.items():
+    for command, (_, opts) in COMMANDS.items():
         p = sub.add_parser(command)
+        p.add_argument("--config", help="key = value file of option values")
         for opt in opts:
             flag = "--" + opt.name.replace("_", "-")
             if opt.kind == "bool":
@@ -613,21 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = args.command
-    opts = COMMANDS[command]
+    handler, opts = COMMANDS[command]
     cli_values = {o.name: getattr(args, o.name) for o in opts}
     try:
-        values = _resolve(opts, cli_values, cli_values.get("config"))
-        _HANDLERS[command](values)
+        values = _resolve(opts, cli_values, args.config)
+        inputs = []
+        write_manifest(handler(values, inputs), command, values, inputs)
     except ConfigError as exc:
         print(f"mipdiff {command}: config error: {exc}", file=sys.stderr)
         return 2
-    except VolumeIOError as exc:
-        print(f"mipdiff {command}: i/o error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VolumeIOError, OSError) as exc:
         print(f"mipdiff {command}: i/o error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -6,6 +6,9 @@ then z. In-memory arithmetic is float64; file payloads are 32-bit.
 """
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 
 from .fields import as_field, as_volume
@@ -63,7 +66,10 @@ def _group(nz: int, ny: int, nx: int) -> int:
 
 
 def _read_header(f, path, digest) -> tuple[int, int, int]:
-    """Check the header line and return the volume shape (nz, ny, nx)."""
+    """Check the header line and return the volume shape (nz, ny, nx).
+
+    A regular file too short for the payload the header promises raises
+    here, before anything is allocated for it."""
     header = f.readline(256)
     if not header.endswith(b"\n"):
         raise MagicMismatchError(f"{path}: missing or overlong header line")
@@ -76,6 +82,12 @@ def _read_header(f, path, digest) -> tuple[int, int, int]:
         raise DimensionError(f"{path}: non-integer dimensions {tokens[1:]}") from exc
     if nx < 1 or ny < 1 or nz < 1:
         raise DimensionError(f"{path}: non-positive dimensions {nx}x{ny}x{nz}")
+    st = os.fstat(f.fileno())
+    # only a regular file has a size to check; a stream cannot even tell()
+    if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < 4 * nx * ny * nz:
+        raise TruncatedPayloadError(
+            f"{path}: expected {4 * nx * ny * nz} payload bytes, got {st.st_size - f.tell()}"
+        )
     if digest is not None:
         digest.update(header)
     return nz, ny, nx
@@ -120,8 +132,9 @@ def iter_slices(path, digest=None):
     """Yield the z-slices of a MIPVOL file as float32 (ny, nx) arrays.
 
     Each yielded array is overwritten by a later slice; copy it to keep it.
-    The file's checks are those of ``read_volume``: header errors raise at
-    the first slice, a short or non-finite payload after the last one.
+    The file's checks are those of ``read_volume``: header errors, and a
+    regular file shorter than its payload, raise at the first slice; a
+    non-finite payload, or a short one from a stream, after the last one.
     With ``digest`` (a ``hashlib`` object), every byte of the file, header
     and trailing bytes included, is fed to it, so a complete pass leaves
     the digest of the whole file.

@@ -39,16 +39,6 @@ class Roi:
         return field[self.y0 : self.y0 + self.height, self.x0 : self.x0 + self.width]
 
 
-def _psnr(peak_source: np.ndarray, baseline: np.ndarray, test: np.ndarray) -> float:
-    mse = float(np.mean((test - baseline) ** 2))
-    if mse == 0.0:
-        return math.inf
-    peak = float(np.max(peak_source))
-    if peak == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(peak * peak / mse)
-
-
 def psnr_vs_input(input_field, filtered_field, roi: Roi | None = None) -> float:
     """Peak signal-to-noise ratio of a filtered image against its input.
 
@@ -62,19 +52,19 @@ def psnr_vs_input(input_field, filtered_field, roi: Roi | None = None) -> float:
     if roi is not None:
         u0 = roi.crop(u0)
         u = roi.crop(u)
-    return _psnr(u0, u0, u)
+    mse = float(np.mean((u - u0) ** 2))
+    if mse == 0.0:
+        return math.inf
+    peak = float(np.max(u0))
+    if peak == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(peak * peak / mse)
 
 
 def psnr_vs_reference(reference_field, test_field, roi: Roi | None = None) -> float:
-    """PSNR of a test image against a ground-truth reference."""
-    ref = as_field(reference_field)
-    t = as_field(test_field)
-    if ref.shape != t.shape:
-        raise ValueError(f"shape mismatch {ref.shape} vs {t.shape}")
-    if roi is not None:
-        ref = roi.crop(ref)
-        t = roi.crop(t)
-    return _psnr(ref, ref, t)
+    """PSNR of a test image against a ground-truth reference, which takes
+    the input's place: the peak is the reference's ROI maximum."""
+    return psnr_vs_input(reference_field, test_field, roi)
 
 
 def contrast_ratio(field, roi: Roi | None = None) -> float:

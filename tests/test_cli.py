@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mipdiff.cli import main, parse_config
 from mipdiff.diffusion import AdaptiveParams, HysteresisParams, PMParams, run_filter
 from mipdiff.fileio import read_volume, write_volume
 from mipdiff.metrics import Roi, psnr_vs_input
-from mipdiff.phantom import PhantomSpec
+from mipdiff.phantom import PhantomSpec, TubeSpec
 from mipdiff.phased_array import pc_pipeline
 from mipdiff.projection import PhaseMaskParams, project
 
@@ -113,6 +114,66 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err == f"mipdiff {argv[0]}: config error: {rejected.value}\n"
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_lists_config(self, command, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        assert "--config CONFIG" in capsys.readouterr().out
+
+    def test_config_key_in_config_file_refused(self, tmp_path, noisy_volume, capsys):
+        src, _ = noisy_volume
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"config = {cfg}\n")
+        assert run_cli("project", "--config", cfg, "--input", src,
+                       "--output", tmp_path / "o.vol") == 2
+        assert capsys.readouterr().err == (
+            "mipdiff project: config error: option 'config' cannot be set from a config file\n"
+        )
+
+    def test_params_fields_come_from_options(self, tmp_path, monkeypatch):
+        """Each field of a parameter object the CLI builds is passed explicitly
+        or read from the option of the same name, whose default is the
+        field's own; a renamed option fails here instead of silently
+        falling back to the library default."""
+        built = []
+        params = cli._params
+
+        def recording(cls, v, **given):
+            built.append((command, cls, set(given)))
+            return params(cls, v, **given)
+
+        monkeypatch.setattr(cli, "_params", recording)
+        d = tmp_path
+        vol, one = d / "fl_noisy.vol", ["--max-iterations", "1"]
+        runs = {
+            "phantom": ["--out-dir", d, "--stem", "fl", "--width", "12", "--height", "12",
+                        "--depth", "3", "--channels", "1", "--flow"],
+            "filter": ["--input", vol, "--output", d / "f.vol", *one],
+            "swi": ["--magnitude", vol, "--phase", d / "fl_mask.vol", "--output", d / "s.vol",
+                    *one],
+            "mip": ["--input", vol, "--output", d / "m.vol", "--hysteresis", *one],
+            "pc": ["--input-stem", d / "fl", "--channels", "1", "--out-stem", d / "pc", *one],
+            "compare": ["--input", vol, "--output", d / "c.csv", "--iterations", "1", *one],
+            "alpha-sweep": ["--input", vol, "--output", d / "a.csv", "--alphas", "1", *one],
+        }
+        for command, args in runs.items():
+            assert run_cli(command, *args) == 0
+        assert {(c, cls) for c, cls, _ in built} == {
+            ("phantom", TubeSpec), ("phantom", PhantomSpec), ("filter", AdaptiveParams),
+            ("swi", AdaptiveParams), ("mip", AdaptiveParams), ("mip", HysteresisParams),
+            ("pc", AdaptiveParams), ("compare", PMParams), ("compare", AdaptiveParams),
+            ("alpha-sweep", AdaptiveParams),
+        }
+        for command, cls, given in built:
+            options = {o.name: o for o in cli.COMMANDS[command][1]}
+            for f in fields(cls):
+                if f.name in given:
+                    continue
+                assert f.name in options, (command, cls.__name__, f.name)
+                if f.default is not MISSING:
+                    assert options[f.name].default == f.default, (command, f.name)
+
 
 class TestExitCodes:
     def test_missing_input_exits_1_with_path(self, tmp_path, capsys):
@@ -127,6 +188,27 @@ class TestExitCodes:
         code = run_cli("project", "--input", bad, "--output", tmp_path / "o.vol")
         assert code == 1
         assert "bad.vol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failure", ["bad_roi", "sigma_count", "truncated"])
+    def test_failed_command_leaves_no_manifest(self, tmp_path, noisy_volume, failure):
+        src, vol = noisy_volume
+        img = tmp_path / "img.vol"
+        write_volume(vol[0], img)
+        for axis in "xyz":
+            write_volume(vol[0], tmp_path / f"fl_c1_{axis}.vol")
+        (tmp_path / "sigma.txt").write_text("0.05\n0.1\n")
+        short = tmp_path / "short.vol"
+        short.write_bytes(src.read_bytes()[:-4])
+        code, argv = {
+            "bad_roi": (2, ["metrics", "--input", img, "--test", img, "--roi", "1,2,3",
+                            "--output", tmp_path / "m.csv"]),
+            "sigma_count": (2, ["pc", "--input-stem", tmp_path / "fl", "--channels", "1",
+                                "--out-stem", tmp_path / "pc",
+                                "--sigma-file", tmp_path / "sigma.txt"]),
+            "truncated": (1, ["filter", "--input", short, "--output", tmp_path / "f.vol"]),
+        }[failure]
+        assert run_cli(*argv) == code
+        assert list(tmp_path.rglob("*manifest*")) == []
 
     def test_success_is_zero(self, tmp_path, noisy_volume):
         src, _ = noisy_volume
@@ -377,6 +459,25 @@ class TestStreamedRoutes:
             assert run_cli(command, "--input", src, "--output", out) == 1
             assert "expected 1024 payload bytes, got 1020" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["project", "metrics"])
+    def test_oversized_header_exits_1(self, tmp_path, capsys, command):
+        src = tmp_path / "huge.vol"
+        src.write_bytes(b"MIPVOL1 100000 100000 100000\n\0\0\0\0")
+        argv = {"project": ["--input", src],
+                "metrics": ["--input", src, "--test", src]}[command]
+        tracemalloc.start()
+        try:
+            code = run_cli(command, *argv, "--output", tmp_path / "o")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"mipdiff {command}: i/o error: {src}: "
+            "expected 4000000000000000 payload bytes, got 4\n"
+        )
+        assert peak < 2**20
 
     def test_project_peak_memory(self, tmp_path):
         vol = np.random.default_rng(5).normal(1.0, 0.05, (64, 256, 256)).astype("<f4")

@@ -1,5 +1,7 @@
 """Volume container format, PGM export, and profile CSV transcription."""
 import hashlib
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -242,6 +244,22 @@ class TestSliceReader:
             for _ in iter_slices(path):
                 pass
 
+    def test_short_stream_raised_after_last_slice(self, tmp_path, small_groups):
+        # a FIFO has no size to check up front, so the payload count catches it
+        path = tmp_path / "v.fifo"
+        os.mkfifo(path)
+        payload = np.ones((5, 3, 5), dtype="<f4").tobytes()[:-8]
+        writer = threading.Thread(target=write_raw, args=(path, b"MIPVOL1 5 3 5\n", payload))
+        writer.start()
+        try:
+            slices = iter_slices(path)
+            for _ in range(4):
+                next(slices)
+            with pytest.raises(TruncatedPayloadError, match="expected 300 payload bytes, got 292"):
+                next(slices)
+        finally:
+            writer.join()
+
     def test_non_finite_raised_after_last_slice(self, tmp_path, small_groups):
         vol = np.ones((5, 3, 5), dtype="<f4")
         vol[0, 0, 0] = np.nan
@@ -322,6 +340,20 @@ class TestMemoryGuards:
         vol, added = _traced_peak(read_volume, path)
         assert vol.shape == noisy.shape
         assert added / noisy.nbytes <= 1.1
+
+    @pytest.mark.parametrize("read", [read_volume, lambda path: next(iter_slices(path))],
+                             ids=["read_volume", "iter_slices"])
+    def test_oversized_header_refused_before_allocating(self, tmp_path, read):
+        path = tmp_path / "huge.vol"
+        write_raw(path, b"MIPVOL1 1024 1024 64\n", b"\x00" * 4)
+
+        def refused():
+            with pytest.raises(TruncatedPayloadError,
+                               match="expected 268435456 payload bytes, got 4"):
+                read(path)
+
+        _, added = _traced_peak(refused)
+        assert added < 2**16
 
     def test_write_adds_no_volume(self, tmp_path, noisy):
         path = tmp_path / "v.vol"
