@@ -18,7 +18,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import _bundle, _padded, _stencil, as_field, curvature_terms, structureness
+from .fields import (
+    _bundle,
+    _eigenvalues,
+    _gradient_term,
+    _padded,
+    _stencil,
+    as_field,
+    curvature_terms,
+    structureness,
+)
 
 __all__ = [
     "PMParams",
@@ -247,6 +256,20 @@ def run_pm(field, params: PMParams) -> np.ndarray:
     return u
 
 
+def _orthogonal_update(q, shape, params: PMParams):
+    """Raw per-pixel update lam1 * D_o + lam2 * D_p of ``orthogonal_step``
+    for a field of ``shape`` held in the padded buffer ``q`` (``fields._padded``),
+    as a view of the stencil's pixel columns."""
+    ny, nx = shape
+    b = _stencil(q, nx, 0, ny)
+    d_par, g2 = _gradient_term(b)
+    d_ortho = np.where(g2 > 0.0, b.uxx + b.uyy - d_par, 0.0)
+    gnorm = np.sqrt(g2)
+    lam1 = pm_diffusivity(gnorm, params)
+    lam2 = pm_flux_second_derivative(gnorm, params)
+    return (lam1 * d_ortho + lam2 * d_par)[:, 1:-1]
+
+
 def orthogonal_step(field, params: PMParams) -> np.ndarray:
     """One explicit step of the gradient/orthogonal split of the divergence.
 
@@ -257,22 +280,30 @@ def orthogonal_step(field, params: PMParams) -> np.ndarray:
     unchanged.
     """
     u = as_field(field)
-    b = _bundle(u)
-    d_par = curvature_terms(b)[0]
-    g2 = b.ux * b.ux + b.uy * b.uy
-    d_ortho = np.where(g2 > 0.0, b.uxx + b.uyy - d_par, 0.0)
-    gnorm = np.sqrt(g2)
-    lam1 = pm_diffusivity(gnorm, params)
-    lam2 = pm_flux_second_derivative(gnorm, params)
-    return u + params.dt * (lam1 * d_ortho + lam2 * d_par)
+    return u + params.dt * _orthogonal_update(_padded(u), u.shape, params)
+
+
+def _iterate(u, q, params: PMParams, update, *args) -> np.ndarray:
+    """``params.iterations`` steps u <- u + dt * update(q, shape, params,
+    *args) of the validated field ``u``, held in the padded buffer ``q``,
+    which is refilled in place for each later step. A step that leaves a
+    NaN or Inf behind stops the run before the next one, as an invalid
+    input would."""
+    for i in range(params.iterations):
+        if i:
+            if not np.isfinite(u).all():
+                raise ValueError("field contains NaN or Inf values")
+            _padded(u, q)
+        u = u + params.dt * update(q, u.shape, params, *args)
+    return u
 
 
 def run_orthogonal(field, params: PMParams) -> np.ndarray:
-    """Apply ``params.iterations`` orthogonal-split steps."""
+    """Apply ``params.iterations`` orthogonal-split steps.
+
+    The input is validated once, and every step reads one padded buffer."""
     u = as_field(field)
-    for _ in range(params.iterations):
-        u = orthogonal_step(u, params)
-    return u
+    return _iterate(u, _padded(u), params, _orthogonal_update)
 
 
 def _nearest_rank_index(q: float, n: int) -> int:
@@ -297,11 +328,15 @@ def histogram_bounds(d_e, tail_prob: float = 0.05) -> BoundPair:
     n = values.size
     if n < 100:
         raise ValueError(f"histogram bounds need >= 100 pixels, got {n}")
-    s = np.sort(values)
     q = tail_prob / 2.0
-    lo = s[_nearest_rank_index(q, n)]
-    hi = s[_nearest_rank_index(1.0 - q, n)]
-    return BoundPair(float(lo), float(hi))
+    i = _nearest_rank_index(q, n)
+    j = _nearest_rank_index(1.0 - q, n)
+    # exact selection: rank i, then rank j among the values above it, found
+    # in place in the partitioned copy (j > i, as tail_prob < 0.5 and n >= 100)
+    s = np.partition(values, i)
+    above = s[i + 1 :]
+    above.partition(j - i - 1)
+    return BoundPair(float(s[i]), float(above[j - i - 1]))
 
 
 def _gate(t, d_e, bounds: BoundPair | None):
@@ -486,6 +521,20 @@ def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     return hysteresis_combine(low_out, high_out, c_ref, resolved), low_out, high_out
 
 
+def _directional_ad_update(q, shape, params: PMParams, grad_threshold: float):
+    """Raw per-pixel update of ``directional_ad_step`` for a field of
+    ``shape`` held in the padded buffer ``q``, as a view of the stencil's
+    pixel columns."""
+    ny, nx = shape
+    b = _stencil(q, nx, 0, ny)
+    d_eta, g2 = _gradient_term(b)
+    d_e1, d_e2, _ = _eigenvalues(b.uxx, b.uxy, b.uyy)
+    gnorm = np.sqrt(g2)
+    g = pm_diffusivity(gnorm, params)
+    g_e1 = np.where(gnorm > grad_threshold, 0.0, g)
+    return (g * d_eta + g_e1 * d_e1 + g * d_e2)[:, 1:-1]
+
+
 def directional_ad_step(field, params: PMParams, grad_threshold: float) -> np.ndarray:
     """One step of gradient-switched directional diffusion.
 
@@ -494,23 +543,17 @@ def directional_ad_step(field, params: PMParams, grad_threshold: float) -> np.nd
     edges (|grad u| > grad_threshold) so contours are not smeared.
     """
     u = as_field(field)
-    b = _bundle(u)
-    d_eta, d_e1, d_e2, _ = curvature_terms(b)
-    gnorm = np.sqrt(b.ux * b.ux + b.uy * b.uy)
-    g = pm_diffusivity(gnorm, params)
-    g_e1 = np.where(gnorm > grad_threshold, 0.0, g)
-    update = g * d_eta + g_e1 * d_e1 + g * d_e2
-    return u + params.dt * update
+    return u + params.dt * _directional_ad_update(_padded(u), u.shape, params, grad_threshold)
 
 
 def run_directional_ad(field, params: PMParams, grad_threshold: float | None = None) -> np.ndarray:
     """Iterate the gradient-switched filter. The threshold defaults to the
-    90th percentile of the input's gradient magnitude and stays fixed."""
+    90th percentile of the input's gradient magnitude and stays fixed.
+
+    Validation and buffers are those of ``run_orthogonal``."""
     u = as_field(field)
+    q = _padded(u)
     if grad_threshold is None:
-        b = _bundle(u)
-        gnorm = np.sqrt(b.ux * b.ux + b.uy * b.uy)
-        grad_threshold = float(np.quantile(gnorm, 0.9))
-    for _ in range(params.iterations):
-        u = directional_ad_step(u, params, grad_threshold)
-    return u
+        g2 = _gradient_term(_stencil(q, u.shape[1], 0, u.shape[0]))[1]
+        grad_threshold = float(np.quantile(np.sqrt(g2[:, 1:-1]), 0.9))
+    return _iterate(u, q, params, _directional_ad_update, grad_threshold)

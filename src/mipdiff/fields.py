@@ -199,6 +199,18 @@ def structureness(bundle: DerivativeBundle) -> np.ndarray:
     return np.sqrt(bundle.uxx**2 + bundle.uyy**2)
 
 
+def _gradient_term(bundle: DerivativeBundle):
+    """``(d_eta, g2)``: the second derivative along the unit gradient,
+    (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / g2 and 0 where the gradient
+    vanishes, and the squared gradient norm g2 = ux^2 + uy^2."""
+    ux, uy = bundle.ux, bundle.uy
+    xx = ux * ux
+    yy = uy * uy
+    g2 = xx + yy
+    num = xx * bundle.uxx + 2.0 * ux * uy * bundle.uxy + yy * bundle.uyy
+    return np.divide(num, g2, out=np.zeros_like(g2), where=g2 > 0.0), g2
+
+
 def curvature_terms(bundle: DerivativeBundle):
     """Second derivatives along the gradient and the principal curvature
     directions, without building any direction.
@@ -209,13 +221,8 @@ def curvature_terms(bundle: DerivativeBundle):
     eigenvalues: v^T H v of a unit eigenvector is its eigenvalue, so they are
     the second derivatives along the principal curvature directions, and
     both are 0 for a zero Hessian. c is the structureness sqrt(uxx^2 + uyy^2).
-    This is the one kernel every directional filter step uses.
+    Every directional filter step takes its curvatures from here, or from
+    the same ``_gradient_term`` and ``_eigenvalues`` when it needs fewer.
     """
-    ux, uy, a, b, c = bundle.ux, bundle.uy, bundle.uxx, bundle.uxy, bundle.uyy
-    lam_max, lam_min, _ = _eigenvalues(a, b, c)
-    xx = ux * ux
-    yy = uy * uy
-    g2 = xx + yy
-    num = xx * a + 2.0 * ux * uy * b + yy * c
-    d_eta = np.divide(num, g2, out=np.zeros_like(g2), where=g2 > 0.0)
-    return d_eta, lam_max, lam_min, structureness(bundle)
+    lam_max, lam_min, _ = _eigenvalues(bundle.uxx, bundle.uxy, bundle.uyy)
+    return _gradient_term(bundle)[0], lam_max, lam_min, structureness(bundle)

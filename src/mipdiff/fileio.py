@@ -93,36 +93,76 @@ def _read_header(f, path, digest) -> tuple[int, int, int]:
     return nz, ny, nx
 
 
-def _payload(f, path, shape, digest):
-    """Yield the payload's z-slices, read in groups into one reused float32
-    buffer and checked for finiteness; then raise for a short payload, and
-    after that for a non-finite sample. ``digest`` also gets any bytes
-    after the payload."""
+def _regular(f) -> bool:
+    return stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+
+
+def _take(f, size: int) -> bytearray:
+    """Up to ``size`` bytes of the stream ``f``, read in chunks of at most
+    ``_IO_BYTES``, so nothing larger than what has arrived is allocated."""
+    data = bytearray()
+    while len(data) < size and (chunk := f.read(min(_IO_BYTES, size - len(data)))):
+        data += chunk
+    return data
+
+
+def _file_groups(f, shape):
+    """A regular file's payload in groups of whole slices, read into one
+    reused float32 buffer: yield the bytes of each read and the slices it
+    completed, and stop after a short read."""
     nz, ny, nx = shape
     buf = np.empty((_group(nz, ny, nx), ny, nx), dtype="<f4")
     raw = memoryview(buf).cast("B")
-    flags = np.empty(buf.shape, dtype=bool)
     slice_bytes = 4 * ny * nx
-    got = 0
-    finite = True
     for z0 in range(0, nz, len(buf)):
         want = min(len(buf), nz - z0) * slice_bytes
         n = f.readinto(raw[:want])
-        got += n
+        yield raw[:n], buf[: n // slice_bytes]
+        if n < want:
+            return
+
+
+def _stream_groups(f, shape):
+    """A stream's payload in the groups of ``_file_groups``. A stream has no
+    size to check against the header, so each group is taken in before it
+    is viewed as slices, and nothing is sized by the header alone; the
+    slices stay valid after later groups."""
+    nz, ny, nx = shape
+    rows = _group(nz, ny, nx)
+    slice_bytes = 4 * ny * nx
+    for z0 in range(0, nz, rows):
+        want = min(rows, nz - z0) * slice_bytes
+        data = _take(f, want)
+        whole = len(data) // slice_bytes
+        yield memoryview(data), np.ndarray((whole, ny, nx), "<f4", buffer=data)
+        if len(data) < want:
+            return
+
+
+def _payload(f, path, shape, digest):
+    """Yield the payload's z-slices, checked for finiteness; then raise for
+    a short payload, and after that for a non-finite sample. ``digest``
+    also gets any bytes after the payload."""
+    nz, ny, nx = shape
+    groups = (_file_groups if _regular(f) else _stream_groups)(f, shape)
+    flags = None
+    got = 0
+    finite = True
+    for raw, group in groups:
+        got += raw.nbytes
         if digest is not None:
-            digest.update(raw[:n])
-        group = buf[: n // slice_bytes]
+            digest.update(raw)
+        if flags is None:  # the first group is the largest
+            flags = np.empty(group.shape, dtype=bool)
         finite = finite and bool(np.isfinite(group, out=flags[: len(group)]).all())
         yield from group
-        if n < want:
-            break
     if digest is not None:
         for block in iter(lambda: f.read(1 << 16), b""):
             digest.update(block)
     # a short payload is reported before a non-finite sample
-    if got < slice_bytes * nz:
+    if got < 4 * nx * ny * nz:
         raise TruncatedPayloadError(
-            f"{path}: expected {slice_bytes * nz} payload bytes, got {got}"
+            f"{path}: expected {4 * nx * ny * nz} payload bytes, got {got}"
         )
     if not finite:
         raise NonFiniteValueError(f"{path}: payload contains NaN or Inf samples")
@@ -131,8 +171,8 @@ def _payload(f, path, shape, digest):
 def iter_slices(path, digest=None):
     """Yield the z-slices of a MIPVOL file as float32 (ny, nx) arrays.
 
-    Each yielded array is overwritten by a later slice; copy it to keep it.
-    The file's checks are those of ``read_volume``: header errors, and a
+    Each yielded array may be overwritten by a later slice; copy it to keep
+    it. The file's checks are those of ``read_volume``: header errors, and a
     regular file shorter than its payload, raise at the first slice; a
     non-finite payload, or a short one from a stream, after the last one.
     With ``digest`` (a ``hashlib`` object), every byte of the file, header
@@ -147,12 +187,18 @@ def read_volume(path, digest=None) -> np.ndarray:
     """Read a MIPVOL file into a float64 array of shape (nz, ny, nx).
 
     The slices of ``iter_slices`` are copied into the result, so no
-    whole-volume temporary is built beside it; ``digest`` is as there.
+    whole-volume temporary is built beside it; ``digest`` is as there. A
+    stream's result is allocated only after its whole payload has arrived
+    and passed the checks.
     """
     with open(path, "rb") as f:
         shape = _read_header(f, path, digest)
+        slices = _payload(f, path, shape, digest)
+        if not _regular(f):
+            # allocated once the stream has ended and every check passed
+            return np.array(list(slices), dtype=np.float64)
         vol = np.empty(shape)
-        for z, sl in enumerate(_payload(f, path, shape, digest)):
+        for z, sl in enumerate(slices):
             vol[z] = sl
     return vol
 

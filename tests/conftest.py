@@ -1,4 +1,7 @@
+import contextlib
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +20,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@contextlib.contextmanager
+def fed_fifo(path, data: bytes):
+    """A FIFO at ``path`` that a thread fills with ``data`` once it is opened."""
+
+    def feed():
+        with open(path, "wb") as f:
+            f.write(data)
+
+    os.mkfifo(path)
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield path
+    finally:
+        writer.join()
 
 
 def smooth_field(rng, shape, passes=3, scale=1.0, offset=0.0):

@@ -9,6 +9,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
+from conftest import fed_fifo
 from mipdiff import cli
 from mipdiff.cli import main, parse_config
 from mipdiff.diffusion import AdaptiveParams, HysteresisParams, PMParams, run_filter
@@ -478,6 +479,23 @@ class TestStreamedRoutes:
             "expected 4000000000000000 payload bytes, got 4\n"
         )
         assert peak < 2**20
+
+    def test_oversized_header_from_stream_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "huge.fifo"
+        with fed_fifo(src, b"MIPVOL1 100000 100000 100000\n\0\0\0\0"):
+            tracemalloc.start()
+            try:
+                code = run_cli("project", "--input", src, "--output", tmp_path / "o")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"mipdiff project: i/o error: {src}: "
+            "expected 4000000000000000 payload bytes, got 4\n"
+        )
+        assert not (tmp_path / "o").exists()
+        assert peak < 2 * 2**20
 
     def test_project_peak_memory(self, tmp_path):
         vol = np.random.default_rng(5).normal(1.0, 0.05, (64, 256, 256)).astype("<f4")

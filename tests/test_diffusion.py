@@ -78,6 +78,11 @@ def whole_slice_run(u, params):
     return u, changes, update
 
 
+# field shapes of the run-loop tests: the smallest field, a strip one and
+# three rows high, the study's slice size, and a wide, odd-sized one
+RUN_SHAPES = [(3, 3), (3, 40), (64, 64), (37, 300)]
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -233,6 +238,15 @@ class TestOrthogonalStep:
         p = PMParams(delta=1.0, iterations=3)
         step = orthogonal_step(orthogonal_step(orthogonal_step(u, p), p), p)
         np.testing.assert_array_equal(run_orthogonal(u, p), step)
+        # the run's one padded buffer gives the bits of the public steps
+        for shape in RUN_SHAPES:
+            u = rng.normal(1.0, 0.1, shape)
+            for kind in ("rational", "exponential"):
+                p = PMParams(delta=0.05, iterations=4, diffusivity_kind=kind)
+                manual = u
+                for _ in range(p.iterations):
+                    manual = orthogonal_step(manual, p)
+                assert_same_bits(run_orthogonal(u, p), manual)
 
 
 class TestHistogramBounds:
@@ -258,12 +272,21 @@ class TestHistogramBounds:
             histogram_bounds(np.arange(99.0))
 
     def test_matches_rank_oracle(self, rng):
+        maps = []
         for _ in range(20):
-            values = rng.normal(0.0, 1.0, int(rng.integers(100, 400)))
-            tail = float(rng.uniform(0.01, 0.4))
-            b = histogram_bounds(values, tail)
-            lo, hi = oracles.tail_bounds([float(v) for v in values], tail)
-            assert b.ue_min == lo and b.ue_max == hi
+            n = int(rng.integers(100, 400))
+            maps += [
+                rng.normal(0.0, 1.0, n),
+                rng.integers(-3, 4, n).astype(np.float64),  # heavy ties
+                np.full(n, float(rng.normal())),
+            ]
+        maps += [rng.normal(0.0, 1.0, 100), rng.integers(0, 2, 100).astype(np.float64)]
+        for values in maps:
+            # a random tail, and the extremes: at n = 100, ranks 1 and n, 25 and 76
+            for tail in (float(rng.uniform(0.01, 0.4)), 1e-3, 0.499):
+                b = histogram_bounds(values, tail)
+                lo, hi = oracles.tail_bounds([float(v) for v in values], tail)
+                assert b.ue_min == lo and b.ue_max == hi
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.02, 0.45))
     @settings(max_examples=30, deadline=None)
@@ -608,6 +631,18 @@ class TestDirectionalAd:
         for _ in range(3):
             manual = directional_ad_step(manual, p, thr)
         np.testing.assert_array_equal(run_directional_ad(u, p), manual)
+        # default and explicit thresholds, bit for bit, on every run shape
+        for shape in RUN_SHAPES:
+            u = rng.normal(1.0, 0.1, shape)
+            b = derivatives(u)
+            default = float(np.quantile(np.sqrt(b.ux * b.ux + b.uy * b.uy), 0.9))
+            for kind in ("rational", "exponential"):
+                p = PMParams(delta=0.05, iterations=4, diffusivity_kind=kind)
+                for given, thr in ((None, default), (0.02, 0.02)):
+                    manual = u
+                    for _ in range(p.iterations):
+                        manual = directional_ad_step(manual, p, thr)
+                    assert_same_bits(run_directional_ad(u, p, given), manual)
 
 
 class TestStructurenessIntegration:
@@ -641,6 +676,20 @@ class TestEigenvectorFreeHotPath:
         p = PMParams(delta=0.05)
         assert np.all(np.isfinite(directional_ad_step(u, p, grad_threshold=0.01)))
         assert np.all(np.isfinite(orthogonal_step(u, p)))
+
+    def test_run_loops_read_the_padded_stencil(self, monkeypatch, rng):
+        from mipdiff import fields
+
+        def boom(*args, **kwargs):
+            raise AssertionError("derivative maps copied out on the hot path")
+
+        monkeypatch.setattr(fields, "_bundle", boom)
+        monkeypatch.setattr(diffusion, "_bundle", boom)
+        u = smooth_field(rng, (24, 24), offset=1.0, scale=0.1)
+        p = PMParams(delta=0.05, iterations=3)
+        assert np.all(np.isfinite(run_orthogonal(u, p)))
+        assert np.all(np.isfinite(run_directional_ad(u, p)))
+        assert np.all(np.isfinite(run_directional_ad(u, p, 0.01)))
 
     def test_orthogonal_step_keeps_zero_gradient_pixels(self, no_eigenvectors):
         # paraboloid: zero gradient but non-zero Hessian at its centre
@@ -708,9 +757,10 @@ class TestEigenvectorFreeHotPath:
             as_field_calls.clear()
             step(u, p)
             assert len(as_field_calls) == 1
-        as_field_calls.clear()
-        run_directional_ad(u, p)
-        assert len(as_field_calls) == 1 + p.iterations
+        for run in (run_orthogonal, run_directional_ad):
+            as_field_calls.clear()
+            run(u, p)
+            assert len(as_field_calls) == 1
 
     def test_kept_errors(self):
         bad = np.ones((5, 5))
@@ -739,3 +789,8 @@ class TestEigenvectorFreeHotPath:
             assert not np.all(np.isfinite(out))
             with pytest.raises(ValueError, match="NaN or Inf"):
                 run_filter(u, AdaptiveParams(alpha=2.0, max_iterations=2))
+            for run in (run_orthogonal, run_directional_ad):
+                out = run(u, PMParams(delta=1.0, iterations=1))
+                assert not np.all(np.isfinite(out))
+                with pytest.raises(ValueError, match="NaN or Inf"):
+                    run(u, PMParams(delta=1.0, iterations=2))

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import fed_fifo
 from mipdiff.fileio import (
     DimensionError,
     MagicMismatchError,
@@ -260,6 +261,41 @@ class TestSliceReader:
         finally:
             writer.join()
 
+    @pytest.mark.parametrize("tail", [b"", b"trailing junk" * 10000])
+    def test_stream_round_trip(self, tmp_path, small_groups, tail):
+        vol = np.arange(7 * 15, dtype="<f4").reshape(7, 3, 5)
+        raw = vol.tobytes() + tail
+        want = hashlib.sha256(b"MIPVOL1 5 3 7\n" + raw).hexdigest()
+        h = hashlib.sha256()
+        with fed_fifo(tmp_path / "a.fifo", b"MIPVOL1 5 3 7\n" + raw) as path:
+            got = read_volume(path, h)
+        assert got.dtype == np.float64 and got.tobytes() == vol.astype(np.float64).tobytes()
+        assert h.hexdigest() == want
+        h = hashlib.sha256()
+        with fed_fifo(tmp_path / "b.fifo", b"MIPVOL1 5 3 7\n" + raw) as path:
+            slices = [sl.copy() for sl in iter_slices(path, h)]
+        np.testing.assert_array_equal(np.stack(slices), vol)
+        assert h.hexdigest() == want
+
+    def test_short_stream_read_volume(self, tmp_path, small_groups):
+        vol = np.ones((5, 3, 5), dtype="<f4")
+        vol[0, 0, 0] = np.nan
+        payload = vol.tobytes()[:-8]
+        with fed_fifo(tmp_path / "v.fifo", b"MIPVOL1 5 3 5\n" + payload) as path:
+            with pytest.raises(TruncatedPayloadError, match="expected 300 payload bytes, got 292"):
+                read_volume(path)
+        # whole slices came, but the volume the header promises is never
+        # allocated: the stream is counted first
+        with fed_fifo(tmp_path / "w.fifo", b"MIPVOL1 5 3 10000000000000\n" + payload) as path:
+            tracemalloc.start()
+            try:
+                with pytest.raises(TruncatedPayloadError, match="got 292$"):
+                    read_volume(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**16
+
     def test_non_finite_raised_after_last_slice(self, tmp_path, small_groups):
         vol = np.ones((5, 3, 5), dtype="<f4")
         vol[0, 0, 0] = np.nan
@@ -354,6 +390,22 @@ class TestMemoryGuards:
 
         _, added = _traced_peak(refused)
         assert added < 2**16
+
+    @pytest.mark.parametrize("read", [read_volume, lambda path: next(iter_slices(path))],
+                             ids=["read_volume", "iter_slices"])
+    def test_oversized_stream_refused_before_allocating(self, tmp_path, read):
+        # a stream has no size: the 37 GiB its header promises must not be
+        # allocated before the 4 bytes that came are counted
+        def refused(path):
+            with pytest.raises(TruncatedPayloadError,
+                               match="expected 4000000000000000 payload bytes, got 4"):
+                read(path)
+
+        data = b"MIPVOL1 100000 100000 100000\n\0\0\0\0"
+        with fed_fifo(tmp_path / "huge.fifo", data) as path:
+            _, added = _traced_peak(refused, path)
+        # chunks of the stream are read at most _IO_BYTES at a time
+        assert added < 2 * fileio._IO_BYTES
 
     def test_write_adds_no_volume(self, tmp_path, noisy):
         path = tmp_path / "v.vol"
