@@ -134,8 +134,8 @@ class AdaptiveParams:
     step: float = 0.2
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be non-negative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and non-negative")
         if self.mode not in ("mip", "mip_min"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.tail_prob < 0.5:
@@ -144,8 +144,8 @@ class AdaptiveParams:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,9 @@ class HysteresisParams:
     c_threshold: float | None = None
 
     def __post_init__(self):
+        for name in ("alpha_low", "alpha_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0 <= self.alpha_low < self.alpha_high:
             raise ValueError("need 0 <= alpha_low < alpha_high")
         if self.c_threshold is not None and not self.c_threshold >= 0:
@@ -227,6 +230,54 @@ def pm_flux_second_derivative(grad_mag, params: PMParams):
     return out if out.ndim else float(out)
 
 
+def _run(u, step, iterations: int, tolerance: float, update):
+    """The one iteration loop of the ``run_*`` filters: up to ``iterations``
+    steps u <- u + step * update(u) of the validated field ``u``, where
+    ``update`` returns the raw per-pixel update, stopping once the relative
+    L2 change drops below ``tolerance`` (never, when it is 0). It works on a
+    copy in buffers allocated once, so the caller's array is never written,
+    and refuses to step from a NaN or Inf iterate, with the error of such
+    an input. Returns ``(u, FilterTrace)``, the last update as ``basis_sum``."""
+    u = u.copy()
+    u_next = np.empty_like(u)
+    scratch = np.empty_like(u)
+    changes: list[float] = []
+    converged = False
+    diff = 0.0
+    for _ in range(iterations):
+        # a finite norm of the last change means every pixel is finite
+        if not math.isfinite(diff) and not np.isfinite(u).all():
+            raise ValueError("field contains NaN or Inf values")
+        du = update(u)
+        np.multiply(step, du, out=u_next)
+        np.add(u, u_next, out=u_next)
+        diff = float(np.linalg.norm(np.subtract(u_next, u, out=scratch)))
+        base = float(np.linalg.norm(u))
+        rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
+        changes.append(rel)
+        u, u_next = u_next, u
+        if rel < tolerance:
+            converged = True
+            break
+    return u, FilterTrace(len(changes), changes, basis_sum=du, converged=converged)
+
+
+def _pm_update(u, params: PMParams, faces=None):
+    """Raw per-pixel update of ``pm_step``, read from the field ``u`` itself,
+    so fields smaller than 3x3 run too. The face fluxes go into ``faces``
+    (allocated when None): buffers of shapes (ny, nx + 1) and (ny + 1, nx)
+    whose zero border faces are never written. Both differences are taken
+    before they are summed, (fe - shift) + (fs - shift); another order
+    rounds differently in the last bit."""
+    ny, nx = u.shape
+    fe, fs = (np.zeros((ny, nx + 1)), np.zeros((ny + 1, nx))) if faces is None else faces
+    de = u[:, 1:] - u[:, :-1]
+    ds = u[1:, :] - u[:-1, :]
+    np.multiply(pm_diffusivity(np.abs(de), params), de, out=fe[:, 1:-1])
+    np.multiply(pm_diffusivity(np.abs(ds), params), ds, out=fs[1:-1, :])
+    return (fe[:, 1:] - fe[:, :-1]) + (fs[1:, :] - fs[:-1, :])
+
+
 def pm_step(field, params: PMParams) -> np.ndarray:
     """One explicit conservative step of scalar edge-stopping diffusion.
 
@@ -235,25 +286,17 @@ def pm_step(field, params: PMParams) -> np.ndarray:
     is conserved to rounding.
     """
     u = as_field(field)
-    fe = np.zeros_like(u)
-    fs = np.zeros_like(u)
-    de = u[:, 1:] - u[:, :-1]
-    ds = u[1:, :] - u[:-1, :]
-    fe[:, :-1] = pm_diffusivity(np.abs(de), params) * de
-    fs[:-1, :] = pm_diffusivity(np.abs(ds), params) * ds
-    divx = fe.copy()
-    divx[:, 1:] -= fe[:, :-1]
-    divy = fs.copy()
-    divy[1:, :] -= fs[:-1, :]
-    return u + params.dt * (divx + divy)
+    return u + params.dt * _pm_update(u, params)
 
 
 def run_pm(field, params: PMParams) -> np.ndarray:
-    """Apply ``params.iterations`` explicit scalar diffusion steps."""
+    """Apply ``params.iterations`` explicit scalar diffusion steps; the input
+    is validated once, and every step writes the same face buffers."""
     u = as_field(field)
-    for _ in range(params.iterations):
-        u = pm_step(u, params)
-    return u
+    ny, nx = u.shape
+    faces = np.zeros((ny, nx + 1)), np.zeros((ny + 1, nx))
+    return _run(u, params.dt, params.iterations, 0.0,
+                lambda v: _pm_update(v, params, faces))[0]
 
 
 def _orthogonal_update(q, shape, params: PMParams):
@@ -283,27 +326,13 @@ def orthogonal_step(field, params: PMParams) -> np.ndarray:
     return u + params.dt * _orthogonal_update(_padded(u), u.shape, params)
 
 
-def _iterate(u, q, params: PMParams, update, *args) -> np.ndarray:
-    """``params.iterations`` steps u <- u + dt * update(q, shape, params,
-    *args) of the validated field ``u``, held in the padded buffer ``q``,
-    which is refilled in place for each later step. A step that leaves a
-    NaN or Inf behind stops the run before the next one, as an invalid
-    input would."""
-    for i in range(params.iterations):
-        if i:
-            if not np.isfinite(u).all():
-                raise ValueError("field contains NaN or Inf values")
-            _padded(u, q)
-        u = u + params.dt * update(q, u.shape, params, *args)
-    return u
-
-
 def run_orthogonal(field, params: PMParams) -> np.ndarray:
-    """Apply ``params.iterations`` orthogonal-split steps.
-
-    The input is validated once, and every step reads one padded buffer."""
+    """Apply ``params.iterations`` orthogonal-split steps; the input is
+    validated once, and every step refills one padded buffer."""
     u = as_field(field)
-    return _iterate(u, _padded(u), params, _orthogonal_update)
+    q = _padded(u)
+    return _run(u, params.dt, params.iterations, 0.0,
+                lambda v: _orthogonal_update(_padded(v, q), v.shape, params))[0]
 
 
 def _nearest_rank_index(q: float, n: int) -> int:
@@ -432,55 +461,26 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
     ``directional_step``'s sharpening term; in ``mip_min`` mode it is that
     term plus forward diffusion MIP_MIN_NU * (d_eta + d_e2), both taken from
     one derivative evaluation. alpha = 0 leaves the input unchanged.
-    Non-convergence is reported in the trace, not raised.
-
-    The input is validated once; the run then works in buffers allocated
-    once: the padded field, refilled in place each iteration, the update
-    (the trace's basis_sum after the last iteration), the next field, the
-    change and, in ``mip`` mode, the maps of ``_update``. An iteration that leaves a NaN
-    or Inf behind stops the run before the next one, as an invalid input
-    would."""
-    u = as_field(field).copy()
+    Non-convergence is reported in the trace, not raised."""
+    u = as_field(field)
     if params.alpha == 0:
-        return u, FilterTrace(
+        return u.copy(), FilterTrace(
             iterations=1, relative_changes=[0.0], basis_sum=np.zeros_like(u), converged=True
         )
     ny, nx = u.shape
     q = np.empty((ny + 2) * (nx + 2) + 2)
     update = np.empty_like(u)
-    u_next = np.empty_like(u)
-    scratch = np.empty_like(u)
-    maps = np.empty((3, ny, nx)) if params.mode == "mip" else None
     nu = MIP_MIN_NU if params.mode == "mip_min" else 0.0
-    changes: list[float] = []
-    converged = False
-    diff = 0.0
-    for _ in range(params.max_iterations):
-        # a finite norm of the last change means every pixel is finite
-        if not math.isfinite(diff) and not np.isfinite(u).all():
-            raise ValueError("field contains NaN or Inf values")
-        _update(_padded(u, q), params, None, nu, update, maps)
-        np.multiply(params.step, update, out=u_next)
-        np.add(u, u_next, out=u_next)
-        diff = float(np.linalg.norm(np.subtract(u_next, u, out=scratch)))
-        base = float(np.linalg.norm(u))
-        if diff == 0.0:
-            rel = 0.0
-        elif base == 0.0:
-            rel = math.inf
-        else:
-            rel = diff / base
-        changes.append(rel)
-        u, u_next = u_next, u
-        if rel < params.tolerance:
-            converged = True
-            break
-    return u, FilterTrace(
-        iterations=len(changes),
-        relative_changes=changes,
-        basis_sum=update,
-        converged=converged,
-    )
+    maps = []
+
+    def kernel(v):
+        # mip mode's maps come after the loop's buffers, so that freed they
+        # leave no hole below the result (+6 MiB peak RSS on coils_512)
+        if params.mode == "mip" and not maps:
+            maps.append(np.empty((3, ny, nx)))
+        return _update(_padded(v, q), params, None, nu, update, *maps)
+
+    return _run(u, params.step, params.max_iterations, params.tolerance, kernel)
 
 
 def hysteresis_combine(low, high, c_ref, params: HysteresisParams) -> np.ndarray:
@@ -548,12 +548,11 @@ def directional_ad_step(field, params: PMParams, grad_threshold: float) -> np.nd
 
 def run_directional_ad(field, params: PMParams, grad_threshold: float | None = None) -> np.ndarray:
     """Iterate the gradient-switched filter. The threshold defaults to the
-    90th percentile of the input's gradient magnitude and stays fixed.
-
-    Validation and buffers are those of ``run_orthogonal``."""
+    90th percentile of the input's gradient magnitude and stays fixed."""
     u = as_field(field)
     q = _padded(u)
     if grad_threshold is None:
         g2 = _gradient_term(_stencil(q, u.shape[1], 0, u.shape[0]))[1]
         grad_threshold = float(np.quantile(np.sqrt(g2[:, 1:-1]), 0.9))
-    return _iterate(u, q, params, _directional_ad_update, grad_threshold)
+    return _run(u, params.dt, params.iterations, 0.0,
+                lambda v: _directional_ad_update(_padded(v, q), v.shape, params, grad_threshold))[0]

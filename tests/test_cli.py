@@ -90,6 +90,8 @@ class TestConfigParsing:
          lambda: PhantomSpec(width=4)),
         (["filter", "--input", "{src}", "--output", "{d}/o.vol", "--step", "-1"],
          lambda: AdaptiveParams(step=-1.0)),
+        (["filter", "--input", "{src}", "--output", "{d}/o.vol", "--alpha", "inf"],
+         lambda: AdaptiveParams(alpha=math.inf)),
         (["swi", "--magnitude", "{src}", "--phase", "{src}", "--output", "{d}/o.vol",
           "--mask-exponent", "0"],
          lambda: PhaseMaskParams(exponent=0)),
@@ -101,7 +103,7 @@ class TestConfigParsing:
         (["metrics", "--input", "{img}", "--test", "{img}", "--output", "{d}/o.csv",
           "--roi", "0,0,0,4"],
          lambda: Roi(0, 0, 0, 4)),
-    ], ids=["phantom", "filter", "swi", "mip", "compare", "metrics"])
+    ], ids=["phantom", "filter", "filter-inf", "swi", "mip", "compare", "metrics"])
     def test_library_rejection_is_one_config_error_line(
         self, tmp_path, noisy_volume, capsys, argv, library_call
     ):

@@ -111,6 +111,18 @@ class TestParams:
         with pytest.raises(ValueError, match="mode"):
             AdaptiveParams(mode="both")
 
+    def test_gains_and_steps_must_be_finite(self):
+        for field in ("alpha", "step"):
+            with pytest.raises(ValueError, match=field):
+                AdaptiveParams(**{field: math.inf})
+        with pytest.raises(ValueError, match="alpha_high"):
+            HysteresisParams(alpha_high=math.inf)
+        with pytest.raises(ValueError, match="alpha_low"):
+            HysteresisParams(alpha_low=math.inf, alpha_high=math.inf)
+        # infinite tolerances and thresholds give finite output, so they stay
+        AdaptiveParams(tolerance=math.inf)
+        HysteresisParams(c_threshold=math.inf)
+
     def test_bound_pair_ordering(self):
         with pytest.raises(ValueError):
             BoundPair(2.0, 1.0)
@@ -208,6 +220,18 @@ class TestPmStep:
         out = pm_step(u, PMParams(delta=0.5))
         assert out.max() <= u.max() + 1e-12
         assert out.min() >= u.min() - 1e-12
+
+    def test_run_pm_iterates(self, rng):
+        # the run's face buffers give the bits of the public steps, also on
+        # fields too small for the derivative stencils
+        for shape in RUN_SHAPES + [(1, 1), (1, 7), (7, 1), (2, 2)]:
+            u = rng.normal(1.0, 0.1, shape)
+            for kind in ("rational", "exponential"):
+                p = PMParams(delta=0.05, iterations=4, diffusivity_kind=kind)
+                manual = u
+                for _ in range(p.iterations):
+                    manual = pm_step(manual, p)
+                assert_same_bits(run_pm(u, p), manual)
 
 
 class TestOrthogonalStep:
@@ -757,10 +781,23 @@ class TestEigenvectorFreeHotPath:
             as_field_calls.clear()
             step(u, p)
             assert len(as_field_calls) == 1
-        for run in (run_orthogonal, run_directional_ad):
+        for run in (run_pm, run_orthogonal, run_directional_ad):
             as_field_calls.clear()
             run(u, p)
             assert len(as_field_calls) == 1
+
+    def test_runs_leave_their_input_alone(self, rng):
+        u = rng.normal(1.0, 0.1, (24, 24))
+        u.setflags(write=False)  # a write into the input raises
+        before = u.tobytes()
+        p = PMParams(delta=0.05, iterations=3)
+        outs = [run_pm(u, p), run_orthogonal(u, p), run_directional_ad(u, p)]
+        for mode in ("mip", "mip_min"):
+            for alpha in (0.0, 0.5):
+                outs.append(run_filter(u, AdaptiveParams(alpha=alpha, mode=mode))[0])
+        assert u.tobytes() == before
+        for out in outs:
+            assert not np.shares_memory(out, u)
 
     def test_kept_errors(self):
         bad = np.ones((5, 5))
@@ -789,8 +826,11 @@ class TestEigenvectorFreeHotPath:
             assert not np.all(np.isfinite(out))
             with pytest.raises(ValueError, match="NaN or Inf"):
                 run_filter(u, AdaptiveParams(alpha=2.0, max_iterations=2))
-            for run in (run_orthogonal, run_directional_ad):
-                out = run(u, PMParams(delta=1.0, iterations=1))
+            # scalar diffusion lets large differences be, but one that
+            # overflows gives its face a NaN flux
+            checker = 1e308 * (-1.0) ** np.add.outer(np.arange(8), np.arange(8))
+            for run, v in ((run_pm, checker), (run_orthogonal, u), (run_directional_ad, u)):
+                out = run(v, PMParams(delta=1.0, iterations=1))
                 assert not np.all(np.isfinite(out))
                 with pytest.raises(ValueError, match="NaN or Inf"):
-                    run(u, PMParams(delta=1.0, iterations=2))
+                    run(v, PMParams(delta=1.0, iterations=2))
