@@ -39,6 +39,7 @@ from .fileio import (
     NonFiniteValueError,
     TruncatedPayloadError,
     VolumeIOError,
+    VolumeWriter,
     export_pgm,
     export_profile_csv,
     iter_slices,

@@ -24,6 +24,7 @@ from .diffusion import (
     AdaptiveParams,
     HysteresisParams,
     PMParams,
+    _changes_csv,
     default_delta,
     hysteresis_filter,
     run_directional_ad,
@@ -33,14 +34,22 @@ from .diffusion import (
 )
 from .fileio import (
     VolumeIOError,
+    VolumeWriter,
+    _read_slices,
     export_pgm,
     field_from_volume,
-    iter_slices,
     read_volume,
     write_volume,
 )
 from .metrics import Roi, contrast_per_pixel, contrast_ratio, psnr_vs_input, psnr_vs_reference
-from .phantom import ChannelSpec, PhantomSpec, TubeSpec, generate, generate_flow
+from .phantom import (
+    ChannelSpec,
+    PhantomSpec,
+    TubeSpec,
+    _flow,
+    _metadata,
+    _passes,
+)
 from .phased_array import combine_flow, pa_combine, pc_pipeline
 from .projection import PhaseMaskParams, project, project_slices, swi_pipeline
 
@@ -156,11 +165,18 @@ def _read(path, inputs: list) -> np.ndarray:
 
 
 def _slices(path, inputs: list):
-    """``iter_slices(path)``, appending ``(path, sha256)`` to ``inputs`` once
-    the last slice is read."""
+    """The shape (nz, ny, nx) of the MIPVOL file at ``path``, read from its
+    header now, and a generator of its slices (``iter_slices(path)``) that
+    appends ``(path, sha256)`` to ``inputs`` once the last slice is read."""
     h = hashlib.sha256()
-    yield from iter_slices(path, h)
-    inputs.append((path, h.hexdigest()))
+    reader = _read_slices(path, h)
+    shape = next(reader)
+
+    def slices():
+        yield from reader
+        inputs.append((path, h.hexdigest()))
+
+    return shape, slices()
 
 
 def write_manifest(path, command: str, values: dict, inputs: list) -> None:
@@ -243,19 +259,9 @@ def _params(cls, v: dict, **given):
                   for f in fields(cls)})
 
 
-def _filter_volume(vol: np.ndarray, params: AdaptiveParams, trace_stem=None) -> np.ndarray:
-    """Filter each slice; with ``trace_stem``, write slice k's relative
-    changes to ``<trace_stem>_trace_s<k>.csv`` as soon as it is done, so no
-    slice's trace outlives its loop step."""
-    filtered = np.empty_like(vol)
-    for k, sl in enumerate(vol):
-        filtered[k], trace = run_filter(sl, params)
-        if trace_stem is not None:
-            trace.to_csv(f"{trace_stem}_trace_s{k}.csv")
-    return filtered
-
-
 def cmd_phantom(v: dict, inputs: list) -> str:
+    from contextlib import ExitStack
+
     tube_y = v["tube_y"] if v["tube_y"] is not None else (v["height"] - 1) / 2.0
     tube_z = v["tube_z"] if v["tube_z"] is not None else (v["depth"] - 1) / 2.0
     channels = None
@@ -273,37 +279,64 @@ def cmd_phantom(v: dict, inputs: list) -> str:
     out_dir = Path(v["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = out_dir / v["stem"]
-    out = generate(spec, build_channels=not v["flow"])
-    write_volume(out.clean, f"{stem}_clean.vol")
-    write_volume(out.noisy, f"{stem}_noisy.vol")
-    write_volume(out.truth_mask, f"{stem}_mask.vol")
+    shape = (spec.depth, spec.height, spec.width)
+    passes = _passes(spec, build_channels=not v["flow"])
+    tops = None  # max projections of clean and mask, for --flow
+    with ExitStack() as stack:
+        outs = [stack.enter_context(VolumeWriter(f"{stem}_{name}.vol", shape))
+                for name in ("clean", "noisy", "mask")]
+        for clean, noisy, mask in next(passes):
+            for out, sl in zip(outs, (clean, noisy, mask)):
+                out.write(sl)
+            if v["flow"] and tops is None:
+                tops = (clean.copy(), mask.copy())
+            elif v["flow"]:
+                np.maximum(tops[0], clean, out=tops[0])
+                np.maximum(tops[1], mask, out=tops[1])
     if v["flow"]:
-        flow = generate_flow(spec, phantom=out)
+        flow = _flow(spec, *tops)
         for k in range(len(channels.sigmas)):
             for axis in ("x", "y", "z"):
                 write_volume(flow[axis][k], f"{stem}_c{k + 1}_{axis}.vol")
         write_volume(flow["clean"], f"{stem}_flow_clean.vol")
         write_volume(flow["mask"], f"{stem}_flow_mask.vol")
-    elif channels is not None:
-        for k, ch in enumerate(out.channels, start=1):
-            write_volume(ch, f"{stem}_c{k}.vol")
+    # one pass per --channels volume; none is left after --flow
+    for k, slices in enumerate(passes, start=1):
+        with VolumeWriter(f"{stem}_c{k}.vol", shape) as out:
+            for sl in slices:
+                out.write(sl)
     if channels is not None:
         sigma_lines = [repr(float(s)) for s in channels.sigmas]
         Path(f"{stem}_sigma.txt").write_text("\n".join(sigma_lines) + "\n")
-    meta_lines = [f"{k} = {_fmt_value(val)}" for k, val in out.metadata.items()]
+    meta_lines = [f"{k} = {_fmt_value(val)}" for k, val in _metadata(spec).items()]
     Path(f"{stem}_meta.txt").write_text("\n".join(meta_lines) + "\n")
     return f"{stem}_manifest.txt"
 
 
 def cmd_filter(v: dict, inputs: list) -> str:
-    vol = _read(v["input"], inputs)
-    trace_stem = str(Path(v["output"]).with_suffix("")) if v["trace"] else None
-    write_volume(_filter_volume(vol, _params(AdaptiveParams, v), trace_stem), v["output"])
+    params = _params(AdaptiveParams, v)
+    shape, slices = _slices(v["input"], inputs)
+    changes = []  # each slice's relative changes, for --trace
+    with VolumeWriter(v["output"], shape) as out:
+        for sl in slices:
+            if not np.isfinite(sl).all():
+                # read on: the reader then reports the short or non-finite
+                # payload, as read_volume would
+                for _ in slices:
+                    pass
+            filtered, trace = run_filter(sl, params)
+            out.write(filtered)
+            if v["trace"]:
+                changes.append(trace.relative_changes)
+    # written once the volume is, so a failed run leaves no trace either
+    stem = Path(v["output"]).with_suffix("")
+    for k, rel in enumerate(changes):
+        _changes_csv(f"{stem}_trace_s{k}.csv", rel)
     return f"{v['output']}.manifest.txt"
 
 
 def cmd_project(v: dict, inputs: list) -> str:
-    img = project_slices(_slices(v["input"], inputs), v["kind"])
+    img = project_slices(_slices(v["input"], inputs)[1], v["kind"])
     return _write_image(v, "project", img, v["output"])
 
 
@@ -319,7 +352,7 @@ def cmd_swi(v: dict, inputs: list) -> str:
 
 
 def cmd_mip(v: dict, inputs: list) -> str:
-    projected = project_slices(_slices(v["input"], inputs), "max")
+    projected = project_slices(_slices(v["input"], inputs)[1], "max")
     params = _params(AdaptiveParams, v, mode="mip")
     if v["hysteresis"]:
         result, _, _ = hysteresis_filter(projected, params, _params(HysteresisParams, v))

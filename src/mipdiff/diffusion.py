@@ -182,13 +182,18 @@ class FilterTrace:
     converged: bool
 
     def to_csv(self, path) -> None:
-        lines = ["iteration,relative_change"]
-        lines += [
-            f"{i + 1},{np.format_float_positional(r, trim='-')}"
-            for i, r in enumerate(self.relative_changes)
-        ]
-        with open(path, "w", encoding="ascii") as f:
-            f.write("\n".join(lines) + "\n")
+        _changes_csv(path, self.relative_changes)
+
+
+def _changes_csv(path, relative_changes) -> None:
+    """Write ``iteration,relative_change`` lines, one per iteration."""
+    lines = ["iteration,relative_change"]
+    lines += [
+        f"{i + 1},{np.format_float_positional(r, trim='-')}"
+        for i, r in enumerate(relative_changes)
+    ]
+    with open(path, "w", encoding="ascii") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def default_delta(field) -> float:
@@ -241,6 +246,7 @@ def _run(u, step, iterations: int, tolerance: float, update):
     u = u.copy()
     u_next = np.empty_like(u)
     scratch = np.empty_like(u)
+    step_flat = scratch.ravel()
     changes: list[float] = []
     converged = False
     diff = 0.0
@@ -251,8 +257,11 @@ def _run(u, step, iterations: int, tolerance: float, update):
         du = update(u)
         np.multiply(step, du, out=u_next)
         np.add(u, u_next, out=u_next)
-        diff = float(np.linalg.norm(np.subtract(u_next, u, out=scratch)))
-        base = float(np.linalg.norm(u))
+        # the sums np.linalg.norm takes, without its per-call overhead
+        np.subtract(u_next, u, out=scratch)
+        diff = math.sqrt(step_flat.dot(step_flat))
+        u_flat = u.ravel()
+        base = math.sqrt(u_flat.dot(u_flat))
         rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
         changes.append(rel)
         u, u_next = u_next, u

@@ -19,6 +19,7 @@ __all__ = [
     "DimensionError",
     "TruncatedPayloadError",
     "NonFiniteValueError",
+    "VolumeWriter",
     "iter_slices",
     "read_volume",
     "write_volume",
@@ -49,11 +50,11 @@ class NonFiniteValueError(VolumeIOError):
     pass
 
 
-# Payload bytes moved per readinto/write call: groups of whole z-slices,
+# Payload bytes moved per read call: groups of whole z-slices,
 # one slice when a slice alone is this large.
 _IO_BYTES = 1 << 20
-# A group holds at most 1/_IO_SHARE of the volume's slices, so the I/O
-# buffer stays small beside the volume read or written.
+# A group holds at most 1/_IO_SHARE of the volume's slices, so the read
+# buffer stays small beside the volume read.
 _IO_SHARE = 8
 # Smallest float64 magnitude that rounds to infinity as float32
 # (2**128 - 2**103, half an ulp above the largest float32).
@@ -61,7 +62,7 @@ _F32_OVERFLOW = 2.0**128 - 2.0**103
 
 
 def _group(nz: int, ny: int, nx: int) -> int:
-    """Slices per I/O call: up to ``_IO_BYTES`` and ``nz // _IO_SHARE``, at least 1."""
+    """Slices per read call: up to ``_IO_BYTES`` and ``nz // _IO_SHARE``, at least 1."""
     return max(1, min(_IO_BYTES // (4 * ny * nx), nz // _IO_SHARE))
 
 
@@ -168,6 +169,15 @@ def _payload(f, path, shape, digest):
         raise NonFiniteValueError(f"{path}: payload contains NaN or Inf samples")
 
 
+def _read_slices(path, digest):
+    """The shape (nz, ny, nx) of the MIPVOL file at ``path``, read from its
+    header, then the z-slices that ``iter_slices`` yields."""
+    with open(path, "rb") as f:
+        shape = _read_header(f, path, digest)
+        yield shape
+        yield from _payload(f, path, shape, digest)
+
+
 def iter_slices(path, digest=None):
     """Yield the z-slices of a MIPVOL file as float32 (ny, nx) arrays.
 
@@ -179,8 +189,9 @@ def iter_slices(path, digest=None):
     and trailing bytes included, is fed to it, so a complete pass leaves
     the digest of the whole file.
     """
-    with open(path, "rb") as f:
-        yield from _payload(f, path, _read_header(f, path, digest), digest)
+    slices = _read_slices(path, digest)
+    next(slices)
+    yield from slices
 
 
 def read_volume(path, digest=None) -> np.ndarray:
@@ -203,33 +214,132 @@ def read_volume(path, digest=None) -> np.ndarray:
     return vol
 
 
+class VolumeWriter:
+    """Write a MIPVOL file of ``shape`` (nz, ny, nx) slice by slice::
+
+        with VolumeWriter(path, (nz, ny, nx)) as out:
+            for sl in slices:
+                out.write(sl)
+
+    The header is written on entry. Each ``write`` takes one (ny, nx) slice
+    or a (k, ny, nx) group, refuses it if it holds NaN, Inf or a sample that
+    rounds to Inf as float32, and casts it to little-endian float32 one
+    slice at a time, through one reused slice buffer. The file
+    is written under a temporary name beside ``path`` and renamed to
+    ``path`` only when the block ends without an exception and with all
+    ``nz`` slices written; otherwise it is removed, so a failed write
+    leaves no output and an existing ``path`` as it was. An existing
+    ``path`` that is not a regular file (a FIFO, a device) is written in
+    place.
+    """
+
+    def __init__(self, path, shape):
+        shape = tuple(shape)
+        if len(shape) != 3 or min(shape) < 1:
+            raise DimensionError(f"cannot write volume of shape {shape}")
+        self.path = path
+        self.shape = shape
+
+    def __enter__(self):
+        nz, ny, nx = self.shape
+        self._buf = np.empty((ny, nx), dtype="<f4")
+        self._count = 0  # slices written
+        self._open()
+        try:
+            self._file.write(f"{MAGIC} {nx} {ny} {nz}\n".encode("ascii"))
+        except BaseException:
+            self._discard()
+            raise
+        return self
+
+    def _open(self) -> None:
+        """Open the file the payload goes to: a new temporary file beside
+        what ``path`` names (a symlink is kept, and its target replaced), or
+        ``path`` itself when it exists and is not a regular file."""
+        try:
+            in_place = not stat.S_ISREG(os.stat(self.path).st_mode)
+        except FileNotFoundError:
+            in_place = False
+        if in_place:
+            self._tmp, self._file = None, open(self.path, "wb")
+            return
+        self._final = os.path.realpath(self.path)
+        head, tail = os.path.split(self._final)
+        n = 0
+        while True:
+            self._tmp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
+            try:
+                # mode 0o666 under the umask, as open(path, "wb") creates it
+                fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                n += 1
+                continue
+            except OSError as exc:
+                # name the target, as open(path, "wb") would
+                raise OSError(exc.errno, exc.strerror, os.fspath(self.path)) from None
+            self._file = open(fd, "wb")
+            return
+
+    def write(self, slices) -> None:
+        """Append one (ny, nx) slice or a (k, ny, nx) group of slices."""
+        nz, ny, nx = self.shape
+        arr = np.asarray(slices, dtype=np.float64)
+        if arr.ndim == 2:
+            arr = arr[None, :, :]
+        if arr.ndim != 3 or arr.shape[1:] != (ny, nx):
+            raise DimensionError(
+                f"{self.path}: cannot write slices of shape {arr.shape} into {nx}x{ny}x{nz}"
+            )
+        if self._count + len(arr) > nz:
+            raise DimensionError(f"{self.path}: more than {nz} slices written")
+        # min/max propagate NaN, which fails both comparisons
+        if not (-_F32_OVERFLOW < arr.min() and arr.max() < _F32_OVERFLOW):
+            raise NonFiniteValueError(
+                f"{self.path}: refusing to write NaN or Inf samples, "
+                "or samples beyond float32 range"
+            )
+        for sl in arr:
+            self._buf[...] = sl
+            self._file.write(self._buf)
+        self._count += len(arr)
+
+    def _discard(self) -> None:
+        self._file.close()
+        if self._tmp is not None:
+            try:
+                os.unlink(self._tmp)
+            except OSError:
+                pass
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self._discard()
+            return False
+        try:
+            nz = self.shape[0]
+            if self._count < nz:
+                raise DimensionError(f"{self.path}: {self._count} of {nz} slices written")
+            self._file.close()
+            if self._tmp is not None:
+                os.replace(self._tmp, self._final)
+        except BaseException:
+            self._discard()
+            raise
+        return False
+
+
 def write_volume(volume, path) -> None:
-    """Write a volume as MIPVOL. Payload is cast to little-endian float32
-    in groups of whole z-slices.
+    """Write a volume, or a field as one slice, as MIPVOL through
+    ``VolumeWriter``.
 
     Samples that are NaN, infinite, or round to infinity as float32 are
-    refused before the file is opened.
+    refused before any payload is written, and leave ``path`` as it was.
     """
     arr = np.asarray(volume, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[None, :, :]
-    if arr.ndim != 3 or min(arr.shape) < 1:
-        raise DimensionError(f"cannot write volume of shape {arr.shape}")
-    nz, ny, nx = arr.shape
-    step = _group(nz, ny, nx)
-    groups = [arr[z0 : z0 + step] for z0 in range(0, nz, step)]
-    # min/max propagate NaN, which fails both comparisons
-    if not all(-_F32_OVERFLOW < g.min() and g.max() < _F32_OVERFLOW for g in groups):
-        raise NonFiniteValueError(
-            f"{path}: refusing to write NaN or Inf samples, or samples beyond float32 range"
-        )
-    buf = np.empty((step, ny, nx), dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(f"{MAGIC} {nx} {ny} {nz}\n".encode("ascii"))
-        for g in groups:
-            out = buf[: len(g)]
-            out[...] = g
-            f.write(out)
+    with VolumeWriter(path, arr.shape) as out:
+        out.write(arr)
 
 
 def export_pgm(field, path) -> None:

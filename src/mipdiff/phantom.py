@@ -197,49 +197,56 @@ def _sensitivity_maps(spec: PhantomSpec) -> list:
     return maps
 
 
-def generate(spec: PhantomSpec, build_channels: bool = True) -> PhantomOutput:
-    """Build the phantom volumes described by ``spec``.
+def _slices(spec: PhantomSpec, mixture, rng=None):
+    """Yield the clean, noisy and truth-mask values of each z-slice, in
+    depth order.
 
-    Tubes contribute contrast * exp(-d^2 / (2 (radius/2)^2)) with d the
-    distance to the axis; the truth mask marks d <= radius. Zero noise
-    sigma reproduces the clean volume exactly. The volumes are filled one
-    z-slice at a time, so the outputs are the only whole-volume arrays.
-    With ``build_channels=False`` a channelized spec yields no channel
-    volumes (``channels`` is None); everything else is unchanged.
+    The noise is drawn from ``rng`` one slice at a time; numpy draws taken
+    in chunks equal one whole-volume draw, so the stream does not depend on
+    the slicing. Without ``rng``, or at zero noise sigma, noisy is clean.
     """
-    rng = np.random.default_rng(spec.seed)
-    mixture = _baseline_mixture(spec, rng)
     x, y = _slice_grids(spec)
-    shape = (spec.depth, spec.height, spec.width)
-    clean = np.empty(shape)
-    mask = np.zeros(shape)
+    shape = (spec.height, spec.width)
     for k in range(spec.depth):
         z = float(k)
-        clean[k] = _baseline(spec, mixture, x, y, z)
+        clean = np.empty(shape)
+        clean[...] = _baseline(spec, mixture, x, y, z)
+        mask = np.zeros(shape)
         for tube in spec.tubes:
             d = _axis_distance(tube, x, y, z)
             sigma_r = tube.radius / 2.0
-            clean[k] += tube.contrast * np.exp(-(d * d) / (2.0 * sigma_r * sigma_r))
-            mask[k][d <= tube.radius] = 1.0
-    # noise is drawn as one volume so the generator stream does not depend
-    # on the slicing; addition commutes, so adding in place is exact
-    if spec.noise_sigma > 0:
-        noisy = rng.normal(0.0, spec.noise_sigma, size=shape)
-        noisy += clean
-    else:
-        noisy = clean.copy()
-    channels = None
-    if spec.channels is not None and build_channels:
-        channels = []
-        for s_map, sig in zip(_sensitivity_maps(spec), spec.channels.sigmas):
-            if sig > 0:
-                vol = rng.normal(0.0, sig, size=shape)
-                for k in range(spec.depth):
-                    vol[k] += clean[k] * s_map
-            else:
-                vol = clean * s_map
-            channels.append(vol)
-    metadata = {
+            clean += tube.contrast * np.exp(-(d * d) / (2.0 * sigma_r * sigma_r))
+            mask[d <= tube.radius] = 1.0
+        noisy = clean
+        if rng is not None and spec.noise_sigma > 0:
+            # addition commutes, so adding in place is exact
+            noisy = rng.normal(0.0, spec.noise_sigma, size=shape)
+            noisy += clean
+        yield clean, noisy, mask
+
+
+def _passes(spec: PhantomSpec, build_channels: bool = True):
+    """``generate``'s volumes as passes over their slices, in the order the
+    generator draws: first an iterator of each z-slice's (clean, noisy,
+    mask), then, unless ``build_channels`` is False, one iterator per coil
+    channel, which recomputes the clean slices (they are deterministic)
+    and draws the channel's noise slice by slice. Each pass must be run to
+    its end before the next one is taken."""
+    rng = np.random.default_rng(spec.seed)
+    mixture = _baseline_mixture(spec, rng)
+    yield _slices(spec, mixture, rng)
+    if spec.channels is None or not build_channels:
+        return
+    for s_map, sigma in zip(_sensitivity_maps(spec), spec.channels.sigmas):
+        clean = (sl[0] for sl in _slices(spec, mixture))
+        if sigma > 0:
+            yield (rng.normal(0.0, sigma, size=c.shape) + c * s_map for c in clean)
+        else:
+            yield (c * s_map for c in clean)
+
+
+def _metadata(spec: PhantomSpec) -> dict:
+    return {
         "generator": "numpy default_rng (PCG64)",
         "seed": spec.seed,
         "width": spec.width,
@@ -250,12 +257,38 @@ def generate(spec: PhantomSpec, build_channels: bool = True) -> PhantomOutput:
         "tubes": len(spec.tubes),
         "channels": 0 if spec.channels is None else len(spec.channels.sigmas),
     }
+
+
+def generate(spec: PhantomSpec, build_channels: bool = True) -> PhantomOutput:
+    """Build the phantom volumes described by ``spec``.
+
+    Tubes contribute contrast * exp(-d^2 / (2 (radius/2)^2)) with d the
+    distance to the axis; the truth mask marks d <= radius. Zero noise
+    sigma reproduces the clean volume exactly. The volumes are filled one
+    z-slice at a time, from the slices the ``phantom`` command writes as
+    they are made. With ``build_channels=False`` a channelized spec yields
+    no channel volumes (``channels`` is None); everything else is unchanged.
+    """
+    passes = _passes(spec, build_channels)
+    shape = (spec.depth, spec.height, spec.width)
+    clean, noisy, mask = np.empty(shape), np.empty(shape), np.empty(shape)
+    for k, slices in enumerate(next(passes)):
+        clean[k], noisy[k], mask[k] = slices
+    channels = None
+    if spec.channels is not None and build_channels:
+        channels = [np.empty(shape) for _ in spec.channels.sigmas]
+        for vol, slices in zip(channels, passes):
+            for k, sl in enumerate(slices):
+                vol[k] = sl
     return PhantomOutput(
-        clean=clean, noisy=noisy, truth_mask=mask, channels=channels, metadata=metadata
+        clean=clean, noisy=noisy, truth_mask=mask, channels=channels, metadata=_metadata(spec)
     )
 
 
-def generate_flow(spec: PhantomSpec, weights=(0.5, 0.3, 0.2), phantom=None) -> dict:
+_FLOW_WEIGHTS = (0.5, 0.3, 0.2)
+
+
+def generate_flow(spec: PhantomSpec, weights=_FLOW_WEIGHTS, phantom=None) -> dict:
     """Per-channel directional flow projections of a channelized phantom.
 
     The clean maximum projection is split into X/Y/Z components by
@@ -274,8 +307,12 @@ def generate_flow(spec: PhantomSpec, weights=(0.5, 0.3, 0.2), phantom=None) -> d
         raise ValueError("component weights must sum to 1")
     if phantom is None:
         phantom = generate(spec, build_channels=False)
-    clean2d = phantom.clean.max(axis=0)
-    mask2d = phantom.truth_mask.max(axis=0)
+    return _flow(spec, phantom.clean.max(axis=0), phantom.truth_mask.max(axis=0), weights)
+
+
+def _flow(spec: PhantomSpec, clean2d, mask2d, weights=_FLOW_WEIGHTS) -> dict:
+    """``generate_flow`` of the max projections ``clean2d`` and ``mask2d``
+    of the clean volume and the truth mask."""
     rng = np.random.default_rng(spec.seed + 1)
     xs, ys, zs = [], [], []
     comp_sigma_scale = 1.0 / math.sqrt(3.0)

@@ -1,6 +1,7 @@
 """Command-line interface: option precedence, manifests, exit codes, CSVs."""
 import hashlib
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from mipdiff.cli import main, parse_config
 from mipdiff.diffusion import AdaptiveParams, HysteresisParams, PMParams, run_filter
 from mipdiff.fileio import read_volume, write_volume
 from mipdiff.metrics import Roi, psnr_vs_input
-from mipdiff.phantom import PhantomSpec, TubeSpec
+from mipdiff.phantom import ChannelSpec, PhantomSpec, TubeSpec, generate, generate_flow
 from mipdiff.phased_array import pc_pipeline
 from mipdiff.projection import PhaseMaskParams, project
 
@@ -322,6 +323,46 @@ class TestPhantomCommand:
         assert run_cli("phantom", "--out-dir", out_dir, *args) == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flow", [False, True], ids=["channels", "flow"])
+    def test_files_equal_library_volumes(self, tmp_path, flow):
+        args = ["--width", "20", "--height", "18", "--depth", "7", "--seed", "31",
+                "--baseline-amplitude", "0.2", "--channels", "2",
+                "--channel-sigmas", "0.05,0.1"]
+        assert run_cli("phantom", "--out-dir", tmp_path, *args,
+                       *(["--flow"] if flow else [])) == 0
+        tube = TubeSpec(points=((0.0, 8.5, 3.0), (19.0, 8.5, 3.0)))
+        spec = PhantomSpec(width=20, height=18, depth=7, seed=31, baseline_amplitude=0.2,
+                           tubes=(tube,), channels=ChannelSpec(sigmas=(0.05, 0.1)))
+        out = generate(spec)
+        want = {"clean": out.clean, "noisy": out.noisy, "mask": out.truth_mask}
+        if flow:
+            images = generate_flow(spec)
+            for k in range(2):
+                for axis in "xyz":
+                    want[f"c{k + 1}_{axis}"] = images[axis][k]
+            want["flow_clean"] = images["clean"]
+            want["flow_mask"] = images["mask"]
+        else:
+            want.update({f"c{k + 1}": ch for k, ch in enumerate(out.channels)})
+        for name, arr in want.items():
+            ny, nx = arr.shape[-2:]
+            nz = arr.shape[0] if arr.ndim == 3 else 1
+            header = f"MIPVOL1 {nx} {ny} {nz}\n".encode("ascii")
+            assert (tmp_path / f"phantom_{name}.vol").read_bytes() == (
+                header + arr.astype("<f4").tobytes()
+            ), name
+        assert sorted(p.name for p in tmp_path.glob("*.vol")) == sorted(
+            f"phantom_{name}.vol" for name in want
+        )
+
+    def test_unwritable_output_leaves_no_volume(self, tmp_path, capsys):
+        (tmp_path / "phantom_mask.vol").mkdir()
+        code = run_cli("phantom", "--out-dir", tmp_path, "--width", "16",
+                       "--height", "16", "--depth", "3")
+        assert code == 1
+        assert "phantom_mask.vol" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["phantom_mask.vol"]
+
     def test_channel_sigma_count_mismatch(self, tmp_path, capsys):
         code = run_cli("phantom", "--out-dir", tmp_path / "ph",
                        "--channels", "3", "--channel-sigmas", "0.05,0.1")
@@ -498,6 +539,49 @@ class TestStreamedRoutes:
         )
         assert not (tmp_path / "o").exists()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("old", [None, b"keep"], ids=["absent", "existing"])
+    def test_filter_of_non_finite_last_slice_writes_nothing(self, tmp_path, capsys, old):
+        vol = np.ones((4, 8, 8), dtype="<f4")
+        vol[3, 5, 6] = np.nan
+        src = tmp_path / "bad.vol"
+        src.write_bytes(b"MIPVOL1 8 8 4\n" + vol.tobytes())
+        out = tmp_path / "f.vol"
+        if old is not None:
+            out.write_bytes(old)
+        code = run_cli("filter", "--input", src, "--output", out,
+                       "--max-iterations", "2", "--trace")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"mipdiff filter: i/o error: {src}: payload contains NaN or Inf samples\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == sorted(["bad.vol"] + ([] if old is None else ["f.vol"]))
+        if old is not None:
+            assert out.read_bytes() == old
+
+    def test_phantom_and_filter_peak_memory(self, tmp_path):
+        def traced_peak(*args):
+            tracemalloc.start()
+            try:
+                code = run_cli(*args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        # each 256x256x64 float64 volume is 32 MiB
+        peak = traced_peak("phantom", "--out-dir", tmp_path, "--width", "256",
+                           "--height", "256", "--depth", "64")
+        assert peak < 12 * 2**20
+        src = tmp_path / "phantom_noisy.vol"
+        out = tmp_path / "f.vol"
+        peak = traced_peak("filter", "--input", src, "--output", out, "--trace")
+        assert peak < 12 * 2**20
+        assert len(list(tmp_path.glob("f_trace_s*.csv"))) == 64
+        vol = read_volume(src)
+        want = run_filter(vol[40], AdaptiveParams(mode="mip_min"))[0]
+        np.testing.assert_array_equal(read_volume(out)[40], want.astype("<f4"))
 
     def test_project_peak_memory(self, tmp_path):
         vol = np.random.default_rng(5).normal(1.0, 0.05, (64, 256, 256)).astype("<f4")

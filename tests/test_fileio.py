@@ -15,6 +15,7 @@ from mipdiff.fileio import (
     NonFiniteValueError,
     TruncatedPayloadError,
     VolumeIOError,
+    VolumeWriter,
     export_pgm,
     export_profile_csv,
     field_from_volume,
@@ -350,6 +351,105 @@ class TestFloat32Range:
         with pytest.raises(NonFiniteValueError):
             write_volume(vol, path)
         assert path.read_bytes() == b"keep"
+
+
+class TestVolumeWriter:
+    """One writer serves every MIPVOL output: slice by slice, and committed
+    only when whole, so a failed write leaves nothing behind."""
+
+    VOL = np.arange(6 * 3 * 5, dtype=np.float64).reshape(6, 3, 5) / 7.0
+
+    @pytest.mark.parametrize("feed", ["slices", "groups"])
+    def test_bytes_equal_write_volume(self, tmp_path, feed):
+        write_volume(self.VOL, tmp_path / "whole.vol")
+        with VolumeWriter(tmp_path / "fed.vol", self.VOL.shape) as out:
+            if feed == "slices":
+                for sl in self.VOL:
+                    out.write(sl)
+            else:
+                out.write(self.VOL[:1])
+                out.write(self.VOL[1:4])
+                out.write(self.VOL[4:])
+        assert (tmp_path / "fed.vol").read_bytes() == (tmp_path / "whole.vol").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fed.vol", "whole.vol"]
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("old", [None, b"keep"], ids=["absent", "existing"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
+    def test_refused_slice_leaves_nothing(self, tmp_path, k, old, bad):
+        path = tmp_path / "v.vol"
+        if old is not None:
+            path.write_bytes(old)
+        vol = self.VOL.copy()
+        vol[k, 2, 4] = bad
+        with pytest.raises(NonFiniteValueError, match="refusing to write NaN or Inf"):
+            with VolumeWriter(path, vol.shape) as out:
+                for sl in vol:
+                    out.write(sl)
+        if old is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ([] if old is None else ["v.vol"])
+
+    @pytest.mark.parametrize("old", [None, b"keep"], ids=["absent", "existing"])
+    def test_short_count_or_error_commits_nothing(self, tmp_path, old):
+        path = tmp_path / "v.vol"
+        if old is not None:
+            path.write_bytes(old)
+        with pytest.raises(DimensionError, match="5 of 6 slices written"):
+            with VolumeWriter(path, self.VOL.shape) as out:
+                out.write(self.VOL[:5])
+        with pytest.raises(KeyError):
+            with VolumeWriter(path, self.VOL.shape) as out:
+                out.write(self.VOL[:3])
+                raise KeyError("stop")
+        with pytest.raises(DimensionError, match="more than 6 slices"):
+            with VolumeWriter(path, self.VOL.shape) as out:
+                out.write(self.VOL)
+                out.write(self.VOL[0])
+        with pytest.raises(DimensionError, match="shape"):
+            with VolumeWriter(path, self.VOL.shape) as out:
+                out.write(self.VOL[:, :2])
+        assert os.listdir(tmp_path) == ([] if old is None else ["v.vol"])
+        if old is not None:
+            assert path.read_bytes() == old
+
+    def test_fifo_target_written_in_place(self, tmp_path):
+        path = tmp_path / "out.fifo"
+        os.mkfifo(path)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(open(path, "rb").read()))
+        reader.start()
+        try:
+            write_volume(self.VOL, path)
+        finally:
+            reader.join()
+        write_volume(self.VOL, tmp_path / "file.vol")
+        assert got == [(tmp_path / "file.vol").read_bytes()]
+        assert sorted(os.listdir(tmp_path)) == ["file.vol", "out.fifo"]
+
+    def test_symlink_kept_and_its_target_replaced(self, tmp_path):
+        target = tmp_path / "target.vol"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.vol"
+        link.symlink_to(target)
+        write_volume(self.VOL, link)
+        assert link.is_symlink()
+        np.testing.assert_array_equal(read_volume(target), self.VOL.astype("<f4"))
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            write_volume(self.VOL, tmp_path / "v.vol")
+        finally:
+            os.umask(mask)
+        assert (tmp_path / "v.vol").stat().st_mode & 0o777 == 0o640
+
+    def test_missing_directory_named_as_target(self, tmp_path):
+        path = tmp_path / "absent" / "v.vol"
+        with pytest.raises(FileNotFoundError, match="absent/v.vol"):
+            write_volume(self.VOL, path)
 
 
 def _traced_peak(fn, *args):
