@@ -74,7 +74,6 @@ from .projection import (
     apply_mask,
     phase_mask,
     project,
-    project_min_argmin,
     project_slices,
     swi_pipeline,
 )

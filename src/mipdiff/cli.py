@@ -32,15 +32,7 @@ from .diffusion import (
     run_orthogonal,
     run_pm,
 )
-from .fileio import (
-    VolumeIOError,
-    VolumeWriter,
-    _read_slices,
-    export_pgm,
-    field_from_volume,
-    read_volume,
-    write_volume,
-)
+from .fileio import VolumeIOError, VolumeWriter, _read_slices, export_pgm, write_volume
 from .metrics import Roi, contrast_per_pixel, contrast_ratio, psnr_vs_input, psnr_vs_reference
 from .phantom import (
     ChannelSpec,
@@ -51,7 +43,7 @@ from .phantom import (
     _passes,
 )
 from .phased_array import combine_flow, pa_combine, pc_pipeline
-from .projection import PhaseMaskParams, project, project_slices, swi_pipeline
+from .projection import PhaseMaskParams, project_slices, swi_pipeline
 
 __all__ = ["main", "ConfigError"]
 
@@ -155,15 +147,6 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _read(path, inputs: list) -> np.ndarray:
-    """``read_volume(path)``, appending ``(path, sha256)`` to ``inputs`` with
-    the digest taken in the same pass."""
-    h = hashlib.sha256()
-    vol = read_volume(path, h)
-    inputs.append((path, h.hexdigest()))
-    return vol
-
-
 def _slices(path, inputs: list):
     """The shape (nz, ny, nx) of the MIPVOL file at ``path``, read from its
     header now, and a generator of its slices (``iter_slices(path)``) that
@@ -177,6 +160,38 @@ def _slices(path, inputs: list):
         inputs.append((path, h.hexdigest()))
 
     return shape, slices()
+
+
+def _finite(slices):
+    """``slices``, read to the end at the first one holding NaN or Inf, so the
+    reader raises its own short-payload or non-finite error instead."""
+    for sl in slices:
+        if not np.isfinite(sl).all():
+            for _ in slices:
+                pass
+        yield sl
+
+
+def _project_each(slices, shape, fns, kind: str) -> np.ndarray:
+    """Row k is the ``kind`` projection of ``fns[k](sl)`` over the ``slices``
+    of a volume of ``shape``: each slice's results fill one reused stack,
+    and one ``project_slices`` folds the stacks."""
+    rows = np.empty((len(fns), *shape[1:]))
+
+    def stack(sl):
+        for row, fn in zip(rows, fns):
+            row[...] = fn(sl)
+        return rows
+
+    return project_slices(map(stack, slices), kind)
+
+
+def _image(path, inputs: list) -> np.ndarray:
+    """The one slice of the MIPVOL file at ``path`` as a float64 image."""
+    shape, slices = _slices(path, inputs)
+    if shape[0] != 1:
+        raise ConfigError(f"expected a single-slice volume, got depth {shape[0]}")
+    return project_slices(slices)
 
 
 def write_manifest(path, command: str, values: dict, inputs: list) -> None:
@@ -280,31 +295,25 @@ def cmd_phantom(v: dict, inputs: list) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = out_dir / v["stem"]
     shape = (spec.depth, spec.height, spec.width)
-    passes = _passes(spec, build_channels=not v["flow"])
-    tops = None  # max projections of clean and mask, for --flow
+    passes = _passes(spec)
+    tops = (-np.inf, -np.inf)  # max projections of clean and mask, for --flow
     with ExitStack() as stack:
         outs = [stack.enter_context(VolumeWriter(f"{stem}_{name}.vol", shape))
                 for name in ("clean", "noisy", "mask")]
         for clean, noisy, mask in next(passes):
             for out, sl in zip(outs, (clean, noisy, mask)):
                 out.write(sl)
-            if v["flow"] and tops is None:
-                tops = (clean.copy(), mask.copy())
-            elif v["flow"]:
-                np.maximum(tops[0], clean, out=tops[0])
-                np.maximum(tops[1], mask, out=tops[1])
+            if v["flow"]:
+                tops = np.maximum(tops[0], clean), np.maximum(tops[1], mask)
     if v["flow"]:
-        flow = _flow(spec, *tops)
-        for k in range(len(channels.sigmas)):
-            for axis in ("x", "y", "z"):
-                write_volume(flow[axis][k], f"{stem}_c{k + 1}_{axis}.vol")
-        write_volume(flow["clean"], f"{stem}_flow_clean.vol")
-        write_volume(flow["mask"], f"{stem}_flow_mask.vol")
-    # one pass per --channels volume; none is left after --flow
-    for k, slices in enumerate(passes, start=1):
-        with VolumeWriter(f"{stem}_c{k}.vol", shape) as out:
-            for sl in slices:
-                out.write(sl)
+        # each image is written as it is made; the channel passes are not run
+        for name, img in _flow(spec, *tops):
+            write_volume(img, f"{stem}_{name}.vol")
+    else:
+        for k, slices in enumerate(passes, start=1):
+            with VolumeWriter(f"{stem}_c{k}.vol", shape) as out:
+                for sl in slices:
+                    out.write(sl)
     if channels is not None:
         sigma_lines = [repr(float(s)) for s in channels.sigmas]
         Path(f"{stem}_sigma.txt").write_text("\n".join(sigma_lines) + "\n")
@@ -318,12 +327,7 @@ def cmd_filter(v: dict, inputs: list) -> str:
     shape, slices = _slices(v["input"], inputs)
     changes = []  # each slice's relative changes, for --trace
     with VolumeWriter(v["output"], shape) as out:
-        for sl in slices:
-            if not np.isfinite(sl).all():
-                # read on: the reader then reports the short or non-finite
-                # payload, as read_volume would
-                for _ in slices:
-                    pass
+        for sl in _finite(slices):
             filtered, trace = run_filter(sl, params)
             out.write(filtered)
             if v["trace"]:
@@ -341,14 +345,22 @@ def cmd_project(v: dict, inputs: list) -> str:
 
 
 def cmd_swi(v: dict, inputs: list) -> str:
-    mag = _read(v["magnitude"], inputs)
-    phase = _read(v["phase"], inputs)
+    shape, mags = _slices(v["magnitude"], inputs)
+    phase_shape, phases = _slices(v["phase"], inputs)
+    if shape != phase_shape:
+        raise ConfigError(f"magnitude {shape} and phase {phase_shape} differ")
     params = _params(AdaptiveParams, v, mode="mip_min")
     mask_params = PhaseMaskParams(exponent=v["mask_exponent"])
-    result = swi_pipeline(
-        mag, phase, params, mask_params, mask_before_projection=v["mask_before_projection"]
-    )
-    return _write_image(v, "swi", result, v["output"], lambda: project(mag, "min"))
+    plain = np.full(shape[1:], np.inf)  # the unfiltered min projection, for --metrics-csv
+
+    def folded(slices):
+        for sl in slices:
+            np.minimum(plain, sl, out=plain)
+            yield sl
+
+    result = swi_pipeline(folded(_finite(mags)), _finite(phases), params, mask_params,
+                          mask_before_projection=v["mask_before_projection"])
+    return _write_image(v, "swi", result, v["output"], lambda: plain)
 
 
 def cmd_mip(v: dict, inputs: list) -> str:
@@ -382,7 +394,7 @@ def cmd_pc(v: dict, inputs: list) -> str:
     stem = v["input_stem"]
     paths = [f"{stem}_c{k}_{axis}.vol"
              for k in range(1, v["channels"] + 1) for axis in ("x", "y", "z")]
-    images = [field_from_volume(_read(path, inputs)) for path in paths]
+    images = [_image(path, inputs) for path in paths]
     xs, ys, zs = images[0::3], images[1::3], images[2::3]
     sigma = _read_sigma_file(v["sigma_file"], v["channels"], inputs) if v["sigma_file"] else None
     params = _params(AdaptiveParams, v, mode="mip")
@@ -394,26 +406,31 @@ def cmd_pc(v: dict, inputs: list) -> str:
 
 
 def cmd_metrics(v: dict, inputs: list) -> str:
-    base = field_from_volume(_read(v["input"], inputs))
-    test = field_from_volume(_read(v["test"], inputs))
-    ref = base if v["reference"] is None else field_from_volume(_read(v["reference"], inputs))
+    base = _image(v["input"], inputs)
+    test = _image(v["test"], inputs)
+    ref = base if v["reference"] is None else _image(v["reference"], inputs)
     roi = _parse_roi(v["roi"])
     write_metrics_csv(v["output"], [_metrics_row(v["method"], base, ref, test, roi)])
     return f"{v['output']}.manifest.txt"
 
 
 def cmd_compare(v: dict, inputs: list) -> str:
-    noisy = _read(v["input"], inputs)
-    reference = noisy if v["reference"] is None else _read(v["reference"], inputs)
-    if reference.shape != noisy.shape:
-        raise ConfigError(
-            f"reference shape {reference.shape} differs from input {noisy.shape}"
-        )
-    roi = _parse_roi(v["roi"])
+    shape, slices = _slices(v["input"], inputs)
+    if v["reference"] is not None:
+        ref_shape, ref_slices = _slices(v["reference"], inputs)
+        if ref_shape != shape:
+            raise ConfigError(f"reference shape {ref_shape} differs from input {shape}")
+    # the default delta needs the input's whole range before any slice is
+    # filtered, so its slices are kept, as float32 as they were read; the
+    # reader has checked them all by then
+    noisy = [sl.copy() for sl in slices]
     kind = v["kind"]
+    base_proj = project_slices(noisy, kind)
+    ref_proj = base_proj if v["reference"] is None else project_slices(ref_slices, kind)
+    roi = _parse_roi(v["roi"])
     delta = v["delta"]
     if delta is None:
-        delta = default_delta(noisy.reshape(-1, noisy.shape[-1]))
+        delta = default_delta([[min(map(np.min, noisy)), max(map(np.max, noisy))]])
     pm_params = _params(PMParams, v, delta=delta)
     adaptive = _params(AdaptiveParams, v, mode="mip_min" if kind == "min" else "mip")
     methods = {
@@ -422,26 +439,26 @@ def cmd_compare(v: dict, inputs: list) -> str:
         "directional": lambda sl: run_directional_ad(sl, pm_params, v["grad_threshold"]),
         "proposed": lambda sl: run_filter(sl, adaptive)[0],
     }
-    base_proj = project(noisy, kind)
-    ref_proj = project(reference, kind)
-    # each method's slices are projected as they are filtered
-    rows = [_metrics_row(name, base_proj, ref_proj, project_slices(map(fn, noisy), kind), roi)
-            for name, fn in methods.items()]
+    folded = _project_each(noisy, shape, list(methods.values()), kind)
+    rows = [_metrics_row(name, base_proj, ref_proj, img, roi)
+            for name, img in zip(methods, folded)]
     write_metrics_csv(v["output"], rows)
     return f"{v['output']}.manifest.txt"
 
 
 def cmd_alpha_sweep(v: dict, inputs: list) -> str:
-    vol = _read(v["input"], inputs)
+    shape, slices = _slices(v["input"], inputs)
     if not v["alphas"]:
         raise ConfigError("alphas must list at least one value")
     kind = "min" if v["mode"] == "mip_min" else "max"
-    base_proj = project(vol, kind)
+    alphas = sorted(v["alphas"])
+    gains = [_params(AdaptiveParams, v, alpha=alpha) for alpha in alphas]
+    # row 0 folds the input slices, row k their filtered results at the k-th gain
+    filters = [lambda sl, params=params: run_filter(sl, params)[0] for params in gains]
+    folded = _project_each(_finite(slices), shape, [np.asarray, *filters], kind)
     lines = ["alpha,psnr_input"]
-    for alpha in sorted(v["alphas"]):
-        params = _params(AdaptiveParams, v, alpha=alpha)
-        img = project_slices(map(lambda sl: run_filter(sl, params)[0], vol), kind)
-        lines.append(f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(base_proj, img))}")
+    for alpha, img in zip(alphas, folded[1:]):
+        lines.append(f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(folded[0], img))}")
     Path(v["output"]).write_text("\n".join(lines) + "\n", encoding="ascii")
     return f"{v['output']}.manifest.txt"
 

@@ -11,7 +11,7 @@ import stat
 
 import numpy as np
 
-from .fields import as_field, as_volume
+from .fields import as_field
 
 __all__ = [
     "VolumeIOError",
@@ -375,11 +375,3 @@ def export_profile_csv(field, row_index: int, path) -> None:
     lines += [f"{x},{_fmt(v)}" for x, v in enumerate(u[row_index])]
     with open(path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def field_from_volume(volume) -> np.ndarray:
-    """Collapse a 1-slice volume to a field; error on deeper stacks."""
-    vol = as_volume(volume)
-    if vol.shape[0] != 1:
-        raise ValueError(f"expected a single-slice volume, got depth {vol.shape[0]}")
-    return vol[0]

@@ -176,7 +176,8 @@ def _baseline(spec: PhantomSpec, mixture, x, y, z: float):
     return 1.0 + spec.baseline_amplitude * mix
 
 
-def _sensitivity_maps(spec: PhantomSpec) -> list:
+def _sensitivity_maps(spec: PhantomSpec):
+    """Yield each channel's smooth coil sensitivity map, one at a time."""
     ch = spec.channels
     n = len(ch.sigmas)
     if ch.centers is not None:
@@ -190,11 +191,9 @@ def _sensitivity_maps(spec: PhantomSpec) -> list:
         ]
     width = ch.width if ch.width is not None else 0.6 * max(spec.width, spec.height)
     x, y = _slice_grids(spec)
-    maps = []
     for mx, my in centers:
         r2 = (x - mx) ** 2 + (y - my) ** 2
-        maps.append(ch.floor + (1.0 - ch.floor) * np.exp(-r2 / (2.0 * width * width)))
-    return maps
+        yield ch.floor + (1.0 - ch.floor) * np.exp(-r2 / (2.0 * width * width))
 
 
 def _slices(spec: PhantomSpec, mixture, rng=None):
@@ -225,17 +224,17 @@ def _slices(spec: PhantomSpec, mixture, rng=None):
         yield clean, noisy, mask
 
 
-def _passes(spec: PhantomSpec, build_channels: bool = True):
+def _passes(spec: PhantomSpec):
     """``generate``'s volumes as passes over their slices, in the order the
     generator draws: first an iterator of each z-slice's (clean, noisy,
-    mask), then, unless ``build_channels`` is False, one iterator per coil
-    channel, which recomputes the clean slices (they are deterministic)
-    and draws the channel's noise slice by slice. Each pass must be run to
-    its end before the next one is taken."""
+    mask), then one iterator per coil channel, which recomputes the clean
+    slices (they are deterministic) and draws the channel's noise slice by
+    slice. Each pass must be run to its end before the next one is taken;
+    a caller that takes only the first runs no channel pass."""
     rng = np.random.default_rng(spec.seed)
     mixture = _baseline_mixture(spec, rng)
     yield _slices(spec, mixture, rng)
-    if spec.channels is None or not build_channels:
+    if spec.channels is None:
         return
     for s_map, sigma in zip(_sensitivity_maps(spec), spec.channels.sigmas):
         clean = (sl[0] for sl in _slices(spec, mixture))
@@ -259,23 +258,22 @@ def _metadata(spec: PhantomSpec) -> dict:
     }
 
 
-def generate(spec: PhantomSpec, build_channels: bool = True) -> PhantomOutput:
+def generate(spec: PhantomSpec) -> PhantomOutput:
     """Build the phantom volumes described by ``spec``.
 
     Tubes contribute contrast * exp(-d^2 / (2 (radius/2)^2)) with d the
     distance to the axis; the truth mask marks d <= radius. Zero noise
     sigma reproduces the clean volume exactly. The volumes are filled one
     z-slice at a time, from the slices the ``phantom`` command writes as
-    they are made. With ``build_channels=False`` a channelized spec yields
-    no channel volumes (``channels`` is None); everything else is unchanged.
+    they are made.
     """
-    passes = _passes(spec, build_channels)
+    passes = _passes(spec)
     shape = (spec.depth, spec.height, spec.width)
     clean, noisy, mask = np.empty(shape), np.empty(shape), np.empty(shape)
     for k, slices in enumerate(next(passes)):
         clean[k], noisy[k], mask[k] = slices
     channels = None
-    if spec.channels is not None and build_channels:
+    if spec.channels is not None:
         channels = [np.empty(shape) for _ in spec.channels.sigmas]
         for vol, slices in zip(channels, passes):
             for k, sl in enumerate(slices):
@@ -285,48 +283,40 @@ def generate(spec: PhantomSpec, build_channels: bool = True) -> PhantomOutput:
     )
 
 
-_FLOW_WEIGHTS = (0.5, 0.3, 0.2)
-
-
-def generate_flow(spec: PhantomSpec, weights=_FLOW_WEIGHTS, phantom=None) -> dict:
+def generate_flow(spec: PhantomSpec) -> dict:
     """Per-channel directional flow projections of a channelized phantom.
 
-    The clean maximum projection is split into X/Y/Z components by
-    ``weights`` (summing to 1), each scaled by the channel sensitivity,
-    with independent noise of sigma_k/sqrt(3) per component so the additive
+    The clean maximum projection is split into X/Y/Z components by the
+    weights 0.5, 0.3 and 0.2, each scaled by the channel sensitivity, with
+    independent noise of sigma_k/sqrt(3) per component so the additive
     recombination carries noise sigma_k. Returns a dict with component
-    lists, the projected clean image, and the projected tube mask.
-    ``phantom`` is an output of ``generate(spec)`` to project instead of
-    generating the volumes again.
+    lists, the projected clean image, and the projected tube mask, folded
+    slice by slice from the phantom's first pass.
     """
     if spec.channels is None:
         raise ValueError("flow generation needs a channel spec")
-    if len(weights) != 3:
-        raise ValueError("need exactly three component weights")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError("component weights must sum to 1")
-    if phantom is None:
-        phantom = generate(spec, build_channels=False)
-    return _flow(spec, phantom.clean.max(axis=0), phantom.truth_mask.max(axis=0), weights)
+    clean = mask = -np.inf
+    for c, _, m in next(_passes(spec)):
+        clean, mask = np.maximum(clean, c), np.maximum(mask, m)
+    images = [img for _, img in _flow(spec, clean, mask)][:-2]  # c<k>_x, _y, _z per channel
+    return {"x": images[0::3], "y": images[1::3], "z": images[2::3], "clean": clean, "mask": mask}
 
 
-def _flow(spec: PhantomSpec, clean2d, mask2d, weights=_FLOW_WEIGHTS) -> dict:
-    """``generate_flow`` of the max projections ``clean2d`` and ``mask2d``
-    of the clean volume and the truth mask."""
+def _flow(spec: PhantomSpec, clean2d, mask2d):
+    """Yield ``generate_flow``'s images of the max projections ``clean2d``
+    and ``mask2d`` one at a time as (name, image), in draw order:
+    ``c<k>_x``, ``c<k>_y``, ``c<k>_z`` per channel, ``flow_clean``, ``flow_mask``."""
     rng = np.random.default_rng(spec.seed + 1)
-    xs, ys, zs = [], [], []
     comp_sigma_scale = 1.0 / math.sqrt(3.0)
-    for s_map, sig in zip(_sensitivity_maps(spec), spec.channels.sigmas):
-        comps = []
-        for w in weights:
+    channels = zip(_sensitivity_maps(spec), spec.channels.sigmas)
+    for k, (s_map, sig) in enumerate(channels, start=1):
+        for axis, w in zip("xyz", (0.5, 0.3, 0.2)):
             img = w * clean2d * s_map
             if sig > 0:
                 img = img + rng.normal(0.0, sig * comp_sigma_scale, size=img.shape)
-            comps.append(img)
-        xs.append(comps[0])
-        ys.append(comps[1])
-        zs.append(comps[2])
-    return {"x": xs, "y": ys, "z": zs, "clean": clean2d, "mask": mask2d}
+            yield f"c{k}_{axis}", img
+    yield "flow_clean", clean2d
+    yield "flow_mask", mask2d
 
 
 def dip_amplitude(projected, tube_mask) -> float:

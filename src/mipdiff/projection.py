@@ -13,7 +13,6 @@ __all__ = [
     "PhaseMaskParams",
     "project",
     "project_slices",
-    "project_min_argmin",
     "phase_mask",
     "apply_mask",
     "swi_pipeline",
@@ -49,13 +48,6 @@ def project_slices(slices, kind: str = "min") -> np.ndarray:
 def project(volume, kind: str = "min") -> np.ndarray:
     """Pixelwise extreme across slices: ``min`` or ``max``."""
     return project_slices(as_volume(volume), kind)
-
-
-def project_min_argmin(volume):
-    """Minimum projection plus the slice index attaining it (lowest on ties)."""
-    vol = as_volume(volume)
-    idx = vol.argmin(axis=0)
-    return vol.min(axis=0), idx
 
 
 def phase_mask(phase, params: PhaseMaskParams = PhaseMaskParams()) -> np.ndarray:
@@ -95,16 +87,23 @@ def swi_pipeline(
     minimum-projected, and each projected pixel is multiplied by the phase
     mask weight of the slice that produced the minimum (lowest slice index
     on ties). With ``mask_before_projection`` the per-slice product is
-    projected instead.
+    projected instead. ``magnitude`` and ``phase`` are volumes, or
+    iterables of their z-slices (such as ``iter_slices``); they are read in
+    lock step and folded slice by slice, so no volume is built.
     """
-    mag = as_volume(magnitude)
-    phi = as_volume(phase)
-    if mag.shape != phi.shape:
-        raise ValueError(f"magnitude {mag.shape} and phase {phi.shape} differ")
-    filtered = np.stack([run_filter(sl, params)[0] for sl in mag])
-    weights = phase_mask(phi, mask_params)
-    if mask_before_projection:
-        return project(filtered * weights, "min")
-    mip, idx = project_min_argmin(filtered)
-    w_at = np.take_along_axis(weights, idx[None, :, :], axis=0)[0]
-    return mip * w_at
+    arrays = all(isinstance(a, np.ndarray) for a in (magnitude, phase))
+    if arrays and magnitude.shape != phase.shape:
+        raise ValueError(f"magnitude {magnitude.shape} and phase {phase.shape} differ")
+    mip = weight = None
+    for mag, phi in zip(magnitude, phase, strict=True):
+        filtered = run_filter(mag, params)[0]
+        w = phase_mask(phi, mask_params)
+        if mask_before_projection:
+            filtered *= w
+        if mip is None:
+            mip, weight = filtered, w
+            continue
+        lower = filtered < mip  # strict: a tie keeps the lowest slice's weight
+        np.minimum(mip, filtered, out=mip)
+        weight = np.where(lower, w, weight)
+    return mip if mask_before_projection else mip * weight

@@ -1,4 +1,5 @@
 """Command-line interface: option precedence, manifests, exit codes, CSVs."""
+import contextlib
 import hashlib
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import fed_fifo
-from mipdiff import cli
+from mipdiff import cli, fileio
 from mipdiff.cli import main, parse_config
 from mipdiff.diffusion import AdaptiveParams, HysteresisParams, PMParams, run_filter
 from mipdiff.fileio import read_volume, write_volume
@@ -405,6 +406,19 @@ class TestProjectAndMetrics:
         row = csv.read_text().splitlines()[1].split(",")
         assert abs(float(row[1]) - 20.0) < 1e-4  # f32 rounding of the 0.1 offset
 
+    def test_metrics_rejects_stacks(self, tmp_path, noisy_volume, capsys):
+        src, vol = noisy_volume
+        two = tmp_path / "two.vol"
+        write_volume(vol[:2], two)
+        img = tmp_path / "img.vol"
+        write_volume(vol[0], img)
+        assert run_cli("metrics", "--input", img, "--test", two,
+                       "--output", tmp_path / "m.csv") == 2
+        assert capsys.readouterr().err == (
+            "mipdiff metrics: config error: expected a single-slice volume, got depth 2\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["img.vol", "in.vol", "two.vol"]
+
     def test_metrics_bad_roi_exits_2(self, tmp_path, noisy_volume, capsys):
         src, vol = noisy_volume
         img = tmp_path / "img.vol"
@@ -416,24 +430,114 @@ class TestProjectAndMetrics:
 
 def manifest_digests(path) -> list:
     """(sha256, path) of each ``# input sha256`` line of a manifest."""
-    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
     return [tuple(line.split()[3:5]) for line in lines if line.startswith("# input sha256 ")]
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 class TestStreamedRoutes:
-    """Each MIPVOL input is read once: ``project`` and ``mip`` fold its slices,
-    and every manifest digest comes from the pass that read the file."""
+    """Each MIPVOL input is read once, slice by slice: every command folds
+    its slices, and every manifest digest comes from the pass that read
+    the file."""
 
     @pytest.fixture
     def no_read_volume(self, monkeypatch):
+        """Refuse ``read_volume``, and a second open of any file for reading,
+        which on a FIFO would wait for a writer that never comes."""
         def refuse(*args, **kwargs):
             raise AssertionError("read_volume called")
 
-        monkeypatch.setattr(cli, "read_volume", refuse)
+        opened = []
+
+        def open_once(path, mode="r", *args, **kwargs):
+            if "r" in mode:
+                assert path not in opened, f"{path} opened twice"
+                opened.append(path)
+            return open(path, mode, *args, **kwargs)
+
+        assert not hasattr(cli, "read_volume")
+        monkeypatch.setattr(fileio, "read_volume", refuse)
+        monkeypatch.setattr(fileio, "open", open_once, raising=False)
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """Two phantoms, a negative phase and one-slice images, for ``argv``."""
+        for stem, extra in (("ph", ()), ("fl", ("--channels", "2", "--flow"))):
+            assert run_cli("phantom", "--out-dir", tmp_path, "--stem", stem, "--width", "16",
+                           "--height", "14", "--depth", "4", "--seed", "3", *extra) == 0
+        mask = read_volume(tmp_path / "ph_mask.vol")
+        write_volume(-2.0 * mask + 0.5, tmp_path / "phase.vol")
+        write_volume(mask.max(axis=0), tmp_path / "img.vol")
+        return tmp_path
+
+    ONE = ["--max-iterations", "1"]
+    ARGV = {
+        "filter": ["--input", "{d}/ph_noisy.vol", "--output", "{d}/o.vol", *ONE],
+        "project": ["--input", "{d}/ph_noisy.vol", "--output", "{d}/o.vol"],
+        "mip": ["--input", "{d}/ph_noisy.vol", "--output", "{d}/o.vol",
+                "--metrics-csv", "{d}/o.csv", *ONE],
+        "swi": ["--magnitude", "{d}/ph_noisy.vol", "--phase", "{d}/phase.vol",
+                "--output", "{d}/o.vol", "--metrics-csv", "{d}/o.csv", *ONE],
+        "pc": ["--input-stem", "{d}/fl", "--channels", "2", "--out-stem", "{d}/o",
+               "--sigma-file", "{d}/fl_sigma.txt", "--metrics-csv", "{d}/o.csv", *ONE],
+        "metrics": ["--input", "{d}/img.vol", "--test", "{d}/fl_flow_mask.vol",
+                    "--reference", "{d}/fl_flow_clean.vol", "--output", "{d}/o.csv"],
+        "compare": ["--input", "{d}/ph_noisy.vol", "--reference", "{d}/ph_clean.vol",
+                    "--output", "{d}/o.csv", "--iterations", "1", *ONE],
+        "alpha-sweep": ["--input", "{d}/ph_noisy.vol", "--output", "{d}/o.csv", *ONE],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_every_command_reads_each_input_once(self, inputs, no_read_volume, command):
+        argv = [a.format(d=inputs) for a in self.ARGV[command]]
+        assert run_cli(command, *argv) == 0
+        manifest = next(p for p in inputs.glob("o*.manifest.txt"))
+        paths = [a for a in argv if a.endswith((".vol", ".txt"))
+                 and not a.startswith(f"{inputs}/o")]
+        if command == "pc":
+            paths = [f"{inputs}/fl_c{k}_{axis}.vol" for k in (1, 2) for axis in "xyz"] + paths
+        assert manifest_digests(manifest) == [(file_sha256(p), p) for p in paths]
+
+    @pytest.mark.parametrize("command", ["compare", "swi"])
+    def test_fifo_inputs_give_the_same_bytes(self, inputs, no_read_volume, command):
+        argv = [a.format(d=inputs) for a in self.ARGV[command]]
+        assert run_cli(command, *argv) == 0
+        outputs = sorted(p for p in inputs.glob("o.*") if "manifest" not in p.name)
+        want = {p: p.read_bytes() for p in outputs}
+        sources = [a for a in argv if a.endswith(".vol") and not a.startswith(f"{inputs}/o")]
+        fifos = [f"{p}.fifo" for p in sources]
+        for p in outputs:
+            p.unlink()
+        with contextlib.ExitStack() as stack:
+            for src, fifo in zip(sources, fifos):
+                with open(src, "rb") as f:
+                    stack.enter_context(fed_fifo(fifo, f.read()))
+            fed = [fifos[sources.index(a)] if a in sources else a for a in argv]
+            assert run_cli(command, *fed) == 0
+        for p in outputs:
+            assert p.read_bytes() == want[p], p.name
+
+    @pytest.mark.parametrize("command, bad", [
+        ("swi", "ph_noisy.vol"), ("swi", "phase.vol"),
+        ("compare", "ph_noisy.vol"), ("alpha-sweep", "ph_noisy.vol"),
+    ], ids=["swi-magnitude", "swi-phase", "compare", "alpha-sweep"])
+    def test_non_finite_slice_exits_1(self, inputs, capsys, command, bad):
+        vol = read_volume(inputs / bad).astype("<f4")
+        vol[1, 2, 3] = np.inf
+        nz, ny, nx = vol.shape
+        (inputs / bad).write_bytes(f"MIPVOL1 {nx} {ny} {nz}\n".encode() + vol.tobytes())
+        before = sorted(os.listdir(inputs))
+        argv = [a.format(d=inputs) for a in self.ARGV[command]]
+        assert run_cli(command, *argv) == 1
+        assert capsys.readouterr().err == (
+            f"mipdiff {command}: i/o error: {inputs / bad}: payload contains NaN or Inf samples\n"
+        )
+        assert sorted(os.listdir(inputs)) == before
 
     @pytest.mark.parametrize("kind", ["min", "max"])
     def test_project_folds_slices(self, tmp_path, noisy_volume, no_read_volume, kind):
@@ -559,17 +663,19 @@ class TestStreamedRoutes:
         if old is not None:
             assert out.read_bytes() == old
 
-    def test_phantom_and_filter_peak_memory(self, tmp_path):
-        def traced_peak(*args):
-            tracemalloc.start()
-            try:
-                code = run_cli(*args)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-            return peak
+    @staticmethod
+    def traced_peak(*args):
+        tracemalloc.start()
+        try:
+            code = run_cli(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
 
+    def test_phantom_and_filter_peak_memory(self, tmp_path):
+        traced_peak = self.traced_peak
         # each 256x256x64 float64 volume is 32 MiB
         peak = traced_peak("phantom", "--out-dir", tmp_path, "--width", "256",
                            "--height", "256", "--depth", "64")
@@ -582,6 +688,21 @@ class TestStreamedRoutes:
         vol = read_volume(src)
         want = run_filter(vol[40], AdaptiveParams(mode="mip_min"))[0]
         np.testing.assert_array_equal(read_volume(out)[40], want.astype("<f4"))
+
+    def test_swi_compare_and_alpha_sweep_peak_memory(self, tmp_path):
+        """Each 256x256x64 float64 volume is 32 MiB: ``swi`` and ``alpha-sweep``
+        hold a few slices, ``compare`` the input's float32 slices (16 MiB)."""
+        assert run_cli("phantom", "--out-dir", tmp_path, "--width", "256",
+                       "--height", "256", "--depth", "64") == 0
+        src, one = tmp_path / "phantom_noisy.vol", ["--max-iterations", "1"]
+        assert self.traced_peak("swi", "--magnitude", src,
+                                "--phase", tmp_path / "phantom_mask.vol",
+                                "--output", tmp_path / "s.vol",
+                                "--metrics-csv", tmp_path / "s.csv", *one) < 16 * 2**20
+        assert self.traced_peak("alpha-sweep", "--input", src,
+                                "--output", tmp_path / "a.csv", *one) < 16 * 2**20
+        assert self.traced_peak("compare", "--input", src, "--output", tmp_path / "c.csv",
+                                "--iterations", "1", *one) < 40 * 2**20
 
     def test_project_peak_memory(self, tmp_path):
         vol = np.random.default_rng(5).normal(1.0, 0.05, (64, 256, 256)).astype("<f4")

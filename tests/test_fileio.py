@@ -18,7 +18,6 @@ from mipdiff.fileio import (
     VolumeWriter,
     export_pgm,
     export_profile_csv,
-    field_from_volume,
     iter_slices,
     read_volume,
     write_volume,
@@ -64,11 +63,7 @@ class TestVolumeRoundTrip:
         write_volume(np.ones((3, 5)), path)
         back = read_volume(path)
         assert back.shape == (1, 3, 5)
-        np.testing.assert_array_equal(field_from_volume(back), np.ones((3, 5)))
-
-    def test_field_from_volume_rejects_stacks(self):
-        with pytest.raises(ValueError, match="single-slice"):
-            field_from_volume(np.zeros((2, 3, 3)))
+        np.testing.assert_array_equal(back[0], np.ones((3, 5)))
 
     def test_write_rejects_nan(self, tmp_path):
         vol = np.zeros((1, 2, 2))

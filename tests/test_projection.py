@@ -13,7 +13,6 @@ from mipdiff.projection import (
     apply_mask,
     phase_mask,
     project,
-    project_min_argmin,
     project_slices,
     swi_pipeline,
 )
@@ -38,20 +37,6 @@ class TestProject:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             project(np.zeros((2, 2, 2)), "median")
-
-    def test_argmin_ties_take_lowest_slice(self):
-        vol = np.zeros((3, 2, 2))
-        vol[1, 0, 0] = -1.0
-        vol[2, 0, 0] = -1.0  # tied with slice 1
-        mip, idx = project_min_argmin(vol)
-        assert mip[0, 0] == -1.0
-        assert idx[0, 0] == 1
-        assert idx[1, 1] == 0
-
-    def test_argmin_consistent_with_min(self, rng):
-        vol = rng.normal(0.0, 1.0, (7, 6, 5))
-        mip, idx = project_min_argmin(vol)
-        np.testing.assert_array_equal(mip, np.take_along_axis(vol, idx[None], 0)[0])
 
 
 class TestFoldedProjection:
@@ -182,6 +167,32 @@ class TestSwiPipeline:
         out = swi_pipeline(mag, phase, AdaptiveParams(alpha=0.0))
         np.testing.assert_array_equal(out, np.full((4, 4), 0.5))
 
+    def test_tie_takes_lowest_slice_weight(self):
+        # pixel (0, 0) ties between slices 1 and 2, whose phases differ;
+        # every other pixel ties across all three slices
+        mag = np.ones((3, 2, 2))
+        mag[1, 0, 0] = mag[2, 0, 0] = 0.5
+        phase = np.stack([np.full((2, 2), p) for p in (-math.pi / 2, -math.pi / 4, -0.5)])
+        w = phase_mask(phase)[:, 0, 0]
+        assert len(set(w)) == 3
+        out = swi_pipeline(mag, phase, AdaptiveParams(alpha=0.0))
+        np.testing.assert_array_equal(out, [[0.5 * w[1], w[0]], [w[0], w[0]]])
+
+    def test_weight_from_argmin_slice_of_any_stack(self, tmp_path, rng):
+        """Volumes and streamed slices give the whole-volume definition:
+        the minimum times the phase weight at numpy's argmin."""
+        mag = rng.normal(0.0, 1.0, (7, 6, 5)).astype("<f4").astype(np.float64)
+        phase = rng.uniform(-3.0, 3.0, (7, 6, 5)).astype("<f4").astype(np.float64)
+        idx = mag.argmin(axis=0)[None]
+        want = mag.min(axis=0) * np.take_along_axis(phase_mask(phase), idx, 0)[0]
+        mpath, ppath = tmp_path / "m.vol", tmp_path / "p.vol"
+        write_volume(mag, mpath)
+        write_volume(phase, ppath)
+        params = AdaptiveParams(alpha=0.0)
+        for got in (swi_pipeline(mag, phase, params),
+                    swi_pipeline(iter_slices(mpath), iter_slices(ppath), params)):
+            assert got.tobytes() == want.tobytes()
+
     def test_mask_before_projection_variant(self, rng):
         mag = rng.uniform(0.5, 1.5, (4, 6, 6))
         phase = rng.uniform(-math.pi, math.pi, (4, 6, 6))
@@ -194,6 +205,9 @@ class TestSwiPipeline:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             swi_pipeline(np.ones((2, 4, 4)), np.zeros((3, 4, 4)), AdaptiveParams())
+        # slices of unequal depth are caught when the shorter one ends
+        with pytest.raises(ValueError):
+            swi_pipeline(iter(np.ones((2, 4, 4))), iter(np.zeros((3, 4, 4))), AdaptiveParams())
 
     def test_tube_dip_preserved_or_deepened(self):
         # the dip is measured against its local baseline, as in the venous
