@@ -162,16 +162,6 @@ def _slices(path, inputs: list):
     return shape, slices()
 
 
-def _finite(slices):
-    """``slices``, read to the end at the first one holding NaN or Inf, so the
-    reader raises its own short-payload or non-finite error instead."""
-    for sl in slices:
-        if not np.isfinite(sl).all():
-            for _ in slices:
-                pass
-        yield sl
-
-
 def _project_each(slices, shape, fns, kind: str) -> np.ndarray:
     """Row k is the ``kind`` projection of ``fns[k](sl)`` over the ``slices``
     of a volume of ``shape``: each slice's results fill one reused stack,
@@ -279,6 +269,10 @@ def cmd_phantom(v: dict, inputs: list) -> str:
 
     tube_y = v["tube_y"] if v["tube_y"] is not None else (v["height"] - 1) / 2.0
     tube_z = v["tube_z"] if v["tube_z"] is not None else (v["depth"] - 1) / 2.0
+    if v["channels"] < 0:
+        raise ConfigError(f"channels must be >= 0, got {v['channels']}")
+    if v["channel_sigmas"] and not v["channels"]:
+        raise ConfigError("channel_sigmas needs channels >= 1")
     channels = None
     if v["channels"] > 0:
         sigmas = v["channel_sigmas"] or tuple([v["noise_sigma"]] * v["channels"])
@@ -327,7 +321,7 @@ def cmd_filter(v: dict, inputs: list) -> str:
     shape, slices = _slices(v["input"], inputs)
     changes = []  # each slice's relative changes, for --trace
     with VolumeWriter(v["output"], shape) as out:
-        for sl in _finite(slices):
+        for sl in slices:
             filtered, trace = run_filter(sl, params)
             out.write(filtered)
             if v["trace"]:
@@ -358,7 +352,7 @@ def cmd_swi(v: dict, inputs: list) -> str:
             np.minimum(plain, sl, out=plain)
             yield sl
 
-    result = swi_pipeline(folded(_finite(mags)), _finite(phases), params, mask_params,
+    result = swi_pipeline(folded(mags), phases, params, mask_params,
                           mask_before_projection=v["mask_before_projection"])
     return _write_image(v, "swi", result, v["output"], lambda: plain)
 
@@ -455,7 +449,7 @@ def cmd_alpha_sweep(v: dict, inputs: list) -> str:
     gains = [_params(AdaptiveParams, v, alpha=alpha) for alpha in alphas]
     # row 0 folds the input slices, row k their filtered results at the k-th gain
     filters = [lambda sl, params=params: run_filter(sl, params)[0] for params in gains]
-    folded = _project_each(_finite(slices), shape, [np.asarray, *filters], kind)
+    folded = _project_each(slices, shape, [np.asarray, *filters], kind)
     lines = ["alpha,psnr_input"]
     for alpha, img in zip(alphas, folded[1:]):
         lines.append(f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(folded[0], img))}")

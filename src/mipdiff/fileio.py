@@ -94,69 +94,41 @@ def _read_header(f, path, digest) -> tuple[int, int, int]:
     return nz, ny, nx
 
 
-def _regular(f) -> bool:
-    return stat.S_ISREG(os.fstat(f.fileno()).st_mode)
-
-
-def _take(f, size: int) -> bytearray:
-    """Up to ``size`` bytes of the stream ``f``, read in chunks of at most
-    ``_IO_BYTES``, so nothing larger than what has arrived is allocated."""
-    data = bytearray()
-    while len(data) < size and (chunk := f.read(min(_IO_BYTES, size - len(data)))):
-        data += chunk
-    return data
-
-
-def _file_groups(f, shape):
-    """A regular file's payload in groups of whole slices, read into one
-    reused float32 buffer: yield the bytes of each read and the slices it
-    completed, and stop after a short read."""
-    nz, ny, nx = shape
-    buf = np.empty((_group(nz, ny, nx), ny, nx), dtype="<f4")
-    raw = memoryview(buf).cast("B")
-    slice_bytes = 4 * ny * nx
-    for z0 in range(0, nz, len(buf)):
-        want = min(len(buf), nz - z0) * slice_bytes
-        n = f.readinto(raw[:want])
-        yield raw[:n], buf[: n // slice_bytes]
-        if n < want:
-            return
-
-
-def _stream_groups(f, shape):
-    """A stream's payload in the groups of ``_file_groups``. A stream has no
-    size to check against the header, so each group is taken in before it
-    is viewed as slices, and nothing is sized by the header alone; the
-    slices stay valid after later groups."""
-    nz, ny, nx = shape
-    rows = _group(nz, ny, nx)
-    slice_bytes = 4 * ny * nx
-    for z0 in range(0, nz, rows):
-        want = min(rows, nz - z0) * slice_bytes
-        data = _take(f, want)
-        whole = len(data) // slice_bytes
-        yield memoryview(data), np.ndarray((whole, ny, nx), "<f4", buffer=data)
-        if len(data) < want:
-            return
-
-
 def _payload(f, path, shape, digest):
-    """Yield the payload's z-slices, checked for finiteness; then raise for
-    a short payload, and after that for a non-finite sample. ``digest``
-    also gets any bytes after the payload."""
+    """Yield the payload's z-slices as float32 views of one reused buffer.
+
+    The payload is read in groups of whole slices, and each group is
+    checked before any slice of it is yielded, so no slice holding NaN or
+    Inf is ever yielded. The first group is read into a buffer that grows
+    by at most ``_IO_BYTES`` per read, so a stream's header, which no file
+    size checks, sizes nothing by itself; every later group is read into
+    that same buffer. From the first non-finite group on, the rest of the
+    payload is only counted. Then a short payload raises, and else a
+    non-finite one. ``digest`` also gets any bytes after the payload."""
     nz, ny, nx = shape
-    groups = (_file_groups if _regular(f) else _stream_groups)(f, shape)
+    slice_bytes = 4 * ny * nx
+    rows = _group(nz, ny, nx)
+    buf = bytearray(min(_IO_BYTES, rows * slice_bytes))
     flags = None
     got = 0
     finite = True
-    for raw, group in groups:
-        got += raw.nbytes
+    for z0 in range(0, nz, rows):
+        want = min(rows, nz - z0) * slice_bytes
+        n = f.readinto(memoryview(buf)[:want])
+        while n == len(buf) < want:  # only the first group grows the buffer
+            buf += bytes(min(_IO_BYTES, want - n))
+            n += f.readinto(memoryview(buf)[n:])
+        got += n
         if digest is not None:
-            digest.update(raw)
+            digest.update(memoryview(buf)[:n])
+        group = np.ndarray((n // slice_bytes, ny, nx), "<f4", buffer=buf)
         if flags is None:  # the first group is the largest
             flags = np.empty(group.shape, dtype=bool)
         finite = finite and bool(np.isfinite(group, out=flags[: len(group)]).all())
-        yield from group
+        if finite:
+            yield from group
+        if n < want:
+            break
     if digest is not None:
         for block in iter(lambda: f.read(1 << 16), b""):
             digest.update(block)
@@ -183,8 +155,11 @@ def iter_slices(path, digest=None):
 
     Each yielded array may be overwritten by a later slice; copy it to keep
     it. The file's checks are those of ``read_volume``: header errors, and a
-    regular file shorter than its payload, raise at the first slice; a
-    non-finite payload, or a short one from a stream, after the last one.
+    regular file shorter than its payload, raise at the first slice. No
+    slice holding NaN or Inf is yielded: the reader stops yielding at the
+    first group of slices that holds one, counts the rest of the payload,
+    and raises for a short payload, or else for the non-finite sample; a
+    short stream raises after the last whole slice that arrived.
     With ``digest`` (a ``hashlib`` object), every byte of the file, header
     and trailing bytes included, is fed to it, so a complete pass leaves
     the digest of the whole file.
@@ -205,9 +180,10 @@ def read_volume(path, digest=None) -> np.ndarray:
     with open(path, "rb") as f:
         shape = _read_header(f, path, digest)
         slices = _payload(f, path, shape, digest)
-        if not _regular(f):
-            # allocated once the stream has ended and every check passed
-            return np.array(list(slices), dtype=np.float64)
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            # the slices share one buffer, so each is copied as it comes; the
+            # volume is allocated once the stream has ended and passed the checks
+            return np.array([sl.copy() for sl in slices], dtype=np.float64)
         vol = np.empty(shape)
         for z, sl in enumerate(slices):
             vol[z] = sl

@@ -53,14 +53,17 @@ def project(volume, kind: str = "min") -> np.ndarray:
 def phase_mask(phase, params: PhaseMaskParams = PhaseMaskParams()) -> np.ndarray:
     """Negative-phase suppression weights ((pi + phi)/pi)^m for phi < 0, 1 else.
 
-    Phase values must lie in [-pi, pi]. Output lies in [0, 1] and is
-    monotone non-decreasing in phi.
+    Phase values must lie in [-pi, pi], float32(pi) included: that is how a
+    MIPVOL file stores pi, and it is clipped to pi. Output lies in [0, 1]
+    and is monotone non-decreasing in phi.
     """
     phi = np.asarray(phase, dtype=np.float64)
     if not np.isfinite(phi).all():
         raise ValueError("phase contains NaN or Inf values")
-    if phi.min() < -math.pi or phi.max() > math.pi:
+    limit = float(np.float32(math.pi))  # 3.1415927410..., just above pi
+    if phi.min() < -limit or phi.max() > limit:
         raise ValueError("phase values must lie in [-pi, pi]")
+    phi = np.clip(phi, -math.pi, math.pi)
     w = np.where(phi < 0.0, ((math.pi + phi) / math.pi) ** params.exponent, 1.0)
     return w
 
@@ -89,13 +92,18 @@ def swi_pipeline(
     on ties). With ``mask_before_projection`` the per-slice product is
     projected instead. ``magnitude`` and ``phase`` are volumes, or
     iterables of their z-slices (such as ``iter_slices``); they are read in
-    lock step and folded slice by slice, so no volume is built.
+    lock step and folded slice by slice, so no volume is built. Each
+    magnitude slice and its phase slice must have one shape; none is
+    broadcast.
     """
     arrays = all(isinstance(a, np.ndarray) for a in (magnitude, phase))
     if arrays and magnitude.shape != phase.shape:
         raise ValueError(f"magnitude {magnitude.shape} and phase {phase.shape} differ")
     mip = weight = None
     for mag, phi in zip(magnitude, phase, strict=True):
+        if np.shape(mag) != np.shape(phi):
+            raise ValueError(f"magnitude slice {np.shape(mag)} and phase slice "
+                             f"{np.shape(phi)} differ")
         filtered = run_filter(mag, params)[0]
         w = phase_mask(phi, mask_params)
         if mask_before_projection:

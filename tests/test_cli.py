@@ -316,8 +316,11 @@ class TestPhantomCommand:
             ("--width", "4"),
             ("--channels", "2", "--channel-sigmas", "0.1"),
             ("--flow",),
+            ("--channels", "-2"),
+            ("--channel-sigmas", "0.1"),
         ],
-        ids=["width_4", "sigma_count", "flow_no_channels"],
+        ids=["width_4", "sigma_count", "flow_no_channels", "negative_channels",
+             "sigmas_no_channels"],
     )
     def test_config_error_creates_no_out_dir(self, tmp_path, args):
         out_dir = tmp_path / "ph"
@@ -788,6 +791,18 @@ class TestSwiCommand:
         np.testing.assert_array_equal(got, project(read_volume(mpath), "min"))
         first_row = (tmp_path / "m.csv").read_text().splitlines()[1]
         assert first_row.startswith("swi,identical")
+
+    def test_phase_clipped_to_pi_accepted(self, tmp_path):
+        # float32 stores +-pi as +-3.1415927410..., just outside [-pi, pi]
+        phase = np.clip(np.linspace(-4.0, 4.0, 2 * 8 * 8).reshape(2, 8, 8), -math.pi, math.pi)
+        mpath, ppath = tmp_path / "m.vol", tmp_path / "p.vol"
+        write_volume(np.ones((2, 8, 8)), mpath)
+        write_volume(phase, ppath)
+        out = tmp_path / "swi.vol"
+        assert run_cli("swi", "--magnitude", mpath, "--phase", ppath,
+                       "--output", out, "--alpha", "0") == 0
+        got = read_volume(out)[0]
+        assert got.min() == 0.0 and got.max() <= 1.0
 
     def test_phase_magnitude_shape_mismatch_exits_2(self, tmp_path, capsys):
         a, b = tmp_path / "a.vol", tmp_path / "b.vol"

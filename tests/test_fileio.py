@@ -1,4 +1,5 @@
 """Volume container format, PGM export, and profile CSV transcription."""
+import contextlib
 import hashlib
 import os
 import threading
@@ -213,11 +214,44 @@ class TestSliceReader:
         np.testing.assert_array_equal(np.stack(slices), vol)
         np.testing.assert_array_equal(read_volume(path), vol)
 
-    def test_slices_share_one_buffer(self, tmp_path, small_groups):
-        path = tmp_path / "v.vol"
-        write_volume(np.arange(17 * 15.0).reshape(17, 3, 5), path)
-        bases = {sl.base.ctypes.data for sl in iter_slices(path)}
-        assert len(bases) == 1
+    @staticmethod
+    @contextlib.contextmanager
+    def source(tmp_path, data: bytes, fifo: bool):
+        """A regular file or, with ``fifo``, a fed FIFO holding ``data``."""
+        if fifo:
+            with fed_fifo(tmp_path / "v.fifo", data) as path:
+                yield path
+        else:
+            path = tmp_path / "v.vol"
+            path.write_bytes(data)
+            yield path
+
+    @pytest.mark.parametrize("fifo", [False, True], ids=["file", "fifo"])
+    def test_slices_share_one_buffer(self, tmp_path, small_groups, fifo):
+        vol = np.arange(17 * 15, dtype="<f4").reshape(17, 3, 5)
+        with self.source(tmp_path, b"MIPVOL1 5 3 17\n" + vol.tobytes(), fifo) as path:
+            slices = [(sl.base.ctypes.data, sl.copy()) for sl in iter_slices(path)]
+        assert len({base for base, _ in slices}) == 1
+        np.testing.assert_array_equal(np.stack([sl for _, sl in slices]), vol)
+
+    @pytest.mark.parametrize("fifo", [False, True], ids=["file", "fifo"])
+    def test_slice_larger_than_one_read(self, tmp_path, monkeypatch, fifo):
+        # 60-byte slices read 16 bytes at a time: the buffer grows over the
+        # first slice, then every later slice is read into it
+        monkeypatch.setattr(fileio, "_IO_BYTES", 16)
+        vol = np.random.default_rng(5).normal(size=(9, 3, 5)).astype("<f4")
+        data = b"MIPVOL1 5 3 9\n" + vol.tobytes()
+        h = hashlib.sha256()
+        with self.source(tmp_path, data, fifo) as path:
+            slices = [sl.copy() for sl in iter_slices(path, h)]
+        np.testing.assert_array_equal(np.stack(slices), vol)
+        assert h.hexdigest() == hashlib.sha256(data).hexdigest()
+        with fed_fifo(tmp_path / "short.fifo", data[:-8]) as path:
+            with pytest.raises(TruncatedPayloadError, match="expected 540 payload bytes, got 532"):
+                read_volume(path)
+        with fed_fifo(tmp_path / "first.fifo", data[:14 + 40]) as path:
+            with pytest.raises(TruncatedPayloadError, match="got 40$"):
+                read_volume(path)
 
     def test_header_error_raised_at_first_slice(self, tmp_path):
         path = tmp_path / "bad.vol"
@@ -293,15 +327,20 @@ class TestSliceReader:
         assert peak < 2**16
 
     def test_non_finite_raised_after_last_slice(self, tmp_path, small_groups):
-        vol = np.ones((5, 3, 5), dtype="<f4")
-        vol[0, 0, 0] = np.nan
-        path = tmp_path / "nan.vol"
-        write_raw(path, b"MIPVOL1 5 3 5\n", vol.tobytes())
-        slices = iter_slices(path)
-        for _ in range(5):
-            next(slices)
-        with pytest.raises(NonFiniteValueError, match="NaN or Inf"):
-            next(slices)
+        # groups of 2 slices: no slice of the group holding the NaN is
+        # yielded, from a file or a stream, and the error is the reader's
+        for z, finite_slices in ((1, 0), (16, 16)):  # the first group, the last
+            vol = np.ones((17, 3, 5), dtype="<f4")
+            vol[z, 1, 2] = np.nan
+            for fifo in (False, True):
+                with self.source(tmp_path, b"MIPVOL1 5 3 17\n" + vol.tobytes(), fifo) as path:
+                    yielded = []
+                    with pytest.raises(NonFiniteValueError,
+                                       match=f"{path}: payload contains NaN or Inf samples$"):
+                        for sl in iter_slices(path):
+                            yielded.append(bool(np.isfinite(sl).all()))
+                assert yielded == [True] * finite_slices
+                os.remove(path)
 
     @pytest.mark.parametrize("tail", [b"", b"x", b"trailing junk" * 10000])
     def test_digest_is_whole_file_sha256(self, tmp_path, small_groups, tail):

@@ -89,6 +89,15 @@ class TestPhaseMask:
         assert w[0, 0] == 1.0
         assert w[0, 1] == 0.0
 
+    def test_float32_pi_accepted_and_clipped(self):
+        # float32(pi), how a MIPVOL file stores pi, lies just above pi: it
+        # is accepted and clipped, so an odd exponent gives no weight below 0
+        pi32 = float(np.float32(math.pi))
+        phi = np.array([[-pi32, -math.pi, math.pi, pi32]])
+        for m in (1, 3, 4):
+            w = phase_mask(phi, PhaseMaskParams(exponent=m))
+            assert w.tolist() == [[0.0, 0.0, 1.0, 1.0]]
+
     def test_negative_half_pi_fourth_power(self):
         w = phase_mask(np.array([[-math.pi / 2.0]]), PhaseMaskParams(exponent=4))
         assert w[0, 0] == 0.0625
@@ -109,6 +118,10 @@ class TestPhaseMask:
             phase_mask(np.array([[3.5]]))
         with pytest.raises(ValueError, match="pi"):
             phase_mask(np.array([[-3.5]]))
+        pi32 = float(np.float32(math.pi))
+        for beyond in (np.nextafter(pi32, 4.0), -np.nextafter(pi32, 4.0)):
+            with pytest.raises(ValueError, match="pi"):
+                phase_mask(np.array([[beyond]]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -208,6 +221,9 @@ class TestSwiPipeline:
         # slices of unequal depth are caught when the shorter one ends
         with pytest.raises(ValueError):
             swi_pipeline(iter(np.ones((2, 4, 4))), iter(np.zeros((3, 4, 4))), AdaptiveParams())
+        # slices of unequal shape are not broadcast
+        with pytest.raises(ValueError, match=r"\(8, 8\) and phase slice \(1, 8\) differ"):
+            swi_pipeline(iter(np.ones((2, 8, 8))), iter(np.zeros((2, 1, 8))), AdaptiveParams())
 
     def test_tube_dip_preserved_or_deepened(self):
         # the dip is measured against its local baseline, as in the venous
