@@ -41,7 +41,6 @@ from .fileio import (
     VolumeIOError,
     VolumeWriter,
     export_pgm,
-    export_profile_csv,
     iter_slices,
     read_volume,
     write_volume,
@@ -71,7 +70,6 @@ from .phased_array import (
 )
 from .projection import (
     PhaseMaskParams,
-    apply_mask,
     phase_mask,
     project,
     project_slices,

@@ -22,10 +22,11 @@ from .fields import (
     _bundle,
     _eigenvalues,
     _gradient_term,
+    _neighbours,
     _padded,
     _stencil,
+    _structureness,
     as_field,
-    curvature_terms,
     structureness,
 )
 
@@ -56,8 +57,10 @@ __all__ = [
 
 # Filter gain default, tuned on the synthetic phantom suite (see tests).
 # With six iterations it keeps mip-mode channel scaling (criterion 7) in
-# range. In mip_min mode gains of 3 and more still diverge, because the
-# sharpening term then outgrows the smoothing below.
+# range. In mip_min mode gains of 2 and more can still diverge, because the
+# sharpening term then outgrows the smoothing below: on slice 26 of the
+# seed-1234 phantom, 30 iterations at gain 2 reach -9.5e3, while gain 1
+# stays within [0.951, 1.006].
 DEFAULT_ALPHA = 0.5
 
 # Weight nu of the forward diffusion nu * (d_eta + d_e2) that run_filter adds
@@ -68,11 +71,11 @@ DEFAULT_ALPHA = 0.5
 # both on every seed.
 MIP_MIN_NU = 0.3
 
-# Pixels per row strip of the directional kernel (_update): each float64
-# temporary of a strip is then about 64 KiB, so a strip's working set stays
-# in a core's L2 cache and its temporaries, below glibc's default 128 KiB
-# mmap threshold, are reused from the heap instead of being mapped and
-# page-faulted in for every use.
+# Pixels per row strip of the directional kernel (_update): each of the
+# twelve float64 strip buffers that _workspace allocates once per filter run
+# is then about 64 KiB, so a strip's working set stays in a core's L2 cache,
+# and each buffer, below glibc's default 128 KiB mmap threshold, comes from
+# the heap instead of being mapped and page-faulted in.
 _STRIP_PIXELS = 8192
 
 
@@ -313,7 +316,7 @@ def _orthogonal_update(q, shape, params: PMParams):
     for a field of ``shape`` held in the padded buffer ``q`` (``fields._padded``),
     as a view of the stencil's pixel columns."""
     ny, nx = shape
-    b = _stencil(q, nx, 0, ny)
+    b = _stencil(_neighbours(q, nx, 0, ny))
     d_par, g2 = _gradient_term(b)
     d_ortho = np.where(g2 > 0.0, b.uxx + b.uyy - d_par, 0.0)
     gnorm = np.sqrt(g2)
@@ -401,47 +404,95 @@ def adaptive_mu(c, d_e, alpha: float, mode: str = "mip_min", bounds: BoundPair |
     return out if out.ndim else float(out)
 
 
-def _update(q, params: AdaptiveParams, bounds: BoundPair | None, nu: float, out, maps=None):
+def _workspace(q, out):
+    """The strips of ``_update`` for a field shaped like ``out`` and held in
+    the padded buffer ``q``, built once per filter run: per strip of
+    ``_STRIP_PIXELS // width`` rows (at least one), its row slice, its
+    neighbour views of ``q`` (``fields._neighbours``), and its views of
+    twelve float64 buffers and one bool mask, each (rows, width + 2).
+
+    Every buffer is allocated on its own: a full strip's is then about
+    64 KiB, under glibc's 128 KiB mmap threshold, so it comes from the
+    heap instead of being mapped."""
+    ny, nx = out.shape
+    width = nx + 2
+    rows = min(ny, max(1, _STRIP_PIXELS // nx))
+    bufs = [np.empty(rows * width) for _ in range(12)]
+    bufs.append(np.empty(rows * width, dtype=bool))
+    strips = []
+    for r0 in range(0, ny, rows):
+        r1 = min(r0 + rows, ny)
+        n = (r1 - r0) * width
+        views = [b[:n].reshape(r1 - r0, width) for b in bufs]
+        strips.append((slice(r0, r1), _neighbours(q, nx, r0, r1), views))
+    return strips
+
+
+def _curvature_strip(nb, buf):
+    """``curvature_terms`` of one strip, from its neighbour views ``nb``,
+    written into its buffers ``buf``; every buffer but the four returned is
+    free again afterwards."""
+    ux, uy, uxx, uyy, uxy, t0, t1, t2, t3, t4, t5, t6, mask = buf
+    b = _stencil(nb, (ux, uy, uxx, uyy, uxy, t0))
+    lam_max, lam_min, _ = _eigenvalues(uxx, uxy, uyy, (t1, t2, t0))
+    c = _structureness(uxx, uyy, (t3, t0))
+    d_eta, _ = _gradient_term(b, (t4, t0, t5, t6, mask))
+    return d_eta, lam_max, lam_min, c
+
+
+def _update(strips, params: AdaptiveParams, bounds: BoundPair | None, nu: float, out, maps=None):
     """Raw per-pixel update of one directional step, written into ``out``.
 
-    ``q`` holds the field inside its reflective border (``fields._padded``).
-    With t_i = tanh(alpha * c * d_i / 2), the weight of ``adaptive_mu``, and
-    d_e1, d_e2 the Hessian eigenvalues lam_max, lam_min: ``mip_min`` gives
+    ``strips`` is the workspace of ``_workspace`` for the padded field and
+    ``out``. With t_i = tanh(alpha * c * d_i / 2), the weight of
+    ``adaptive_mu``, and d_e1, d_e2 the Hessian eigenvalues lam_max,
+    lam_min: ``mip_min`` gives
     (nu - t_eta) * d_eta + (nu - t_e2) * d_e2 - t_e1 * d_e1, the sharpening
     sum plus forward diffusion nu * (d_eta + d_e2); ``mip`` gives
     t_eta * d_eta + t_e2 * d_e2 with each weight gated to its bounds, which
     are histogram-derived when ``bounds`` is None and the field has at least
     100 pixels.
 
-    The stencil, curvature terms and weights run over strips of
-    ``_STRIP_PIXELS // width`` rows (at least one). ``mip`` mode first fills
-    its d_eta, d_e2 and k = alpha * c / 2 maps into ``maps`` (a (3, ny, nx)
-    buffer, allocated when None), takes the bounds from the whole maps, then
-    gates and sums strip by strip. Every pixel sees the arithmetic of a
-    whole-slice evaluation, so the result is the same bit for bit.
+    The stencil and curvature terms run strip by strip in the workspace's
+    buffers. ``mip_min`` mode sums its weighted terms there too, then copies
+    each strip's pixel columns into ``out`` (a ufunc writing them directly
+    would buffer its strided operands). ``mip`` mode first fills its d_eta,
+    d_e2 and k = alpha * c / 2 maps into ``maps`` (a (3, ny, nx) buffer,
+    allocated when None), takes the bounds from the whole maps, then gates
+    and sums strip by strip. Every pixel sees the operations of a
+    whole-slice evaluation in the same order, so the result is the same bit
+    for bit.
     """
-    ny, nx = out.shape
-    rows = max(1, _STRIP_PIXELS // nx)
-    strips = [slice(r0, min(r0 + rows, ny)) for r0 in range(0, ny, rows)]
     h = 0.5 * params.alpha
     if params.mode == "mip_min":
-        for s in strips:
-            d_eta, d_e1, d_e2, c = curvature_terms(_stencil(q, nx, s.start, s.stop))
-            k = h * c
-            t = (nu - np.tanh(k * d_eta)) * d_eta + (nu - np.tanh(k * d_e2)) * d_e2
-            out[s] = (t - np.tanh(k * d_e1) * d_e1)[:, 1:-1]
+        for s, nb, buf in strips:
+            d_eta, d_e1, d_e2, k = _curvature_strip(nb, buf)
+            t, t2 = buf[0], buf[1]
+            np.multiply(h, k, out=k)
+            for d, w in ((d_eta, t), (d_e2, t2)):  # (nu - tanh(k * d)) * d
+                np.multiply(k, d, out=w)
+                np.tanh(w, out=w)
+                np.subtract(nu, w, out=w)
+                np.multiply(w, d, out=w)
+            np.add(t, t2, out=t)
+            np.multiply(k, d_e1, out=t2)  # tanh(k * d_e1) * d_e1
+            np.tanh(t2, out=t2)
+            np.multiply(t2, d_e1, out=t2)
+            np.subtract(t, t2, out=t)
+            out[s] = t[:, 1:-1]
         return out
-    d_eta, d_e2, k = np.empty((3, ny, nx)) if maps is None else maps
-    for s in strips:
-        d_eta_s, _, d_e2_s, c = curvature_terms(_stencil(q, nx, s.start, s.stop))
+    d_eta, d_e2, k = np.empty((3,) + out.shape) if maps is None else maps
+    for s, nb, buf in strips:
+        d_eta_s, _, d_e2_s, c = _curvature_strip(nb, buf)
         d_eta[s] = d_eta_s[:, 1:-1]
         d_e2[s] = d_e2_s[:, 1:-1]
-        np.multiply(h, c[:, 1:-1], out=k[s])
+        np.multiply(h, c, out=c)
+        k[s] = c[:, 1:-1]
     b_eta = b_e2 = bounds
     if bounds is None and out.size >= 100:
         b_eta = histogram_bounds(d_eta, params.tail_prob)
         b_e2 = histogram_bounds(d_e2, params.tail_prob)
-    for s in strips:
+    for s, _, _ in strips:
         t_eta = _gate(np.tanh(k[s] * d_eta[s]), d_eta[s], b_eta)
         t_e2 = _gate(np.tanh(k[s] * d_e2[s]), d_e2[s], b_e2)
         np.add(t_eta * d_eta[s], t_e2 * d_e2[s], out=out[s])
@@ -459,7 +510,8 @@ def directional_step(field, params: AdaptiveParams, bounds: BoundPair | None = N
     u = as_field(field)
     if params.alpha == 0:
         return u.copy()
-    return u + params.step * _update(_padded(u), params, bounds, 0.0, np.empty_like(u))
+    out = np.empty_like(u)
+    return u + params.step * _update(_workspace(_padded(u), out), params, bounds, 0.0, out)
 
 
 def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
@@ -479,6 +531,7 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
     ny, nx = u.shape
     q = np.empty((ny + 2) * (nx + 2) + 2)
     update = np.empty_like(u)
+    strips = _workspace(q, update)
     nu = MIP_MIN_NU if params.mode == "mip_min" else 0.0
     maps = []
 
@@ -487,7 +540,8 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
         # leave no hole below the result (+6 MiB peak RSS on coils_512)
         if params.mode == "mip" and not maps:
             maps.append(np.empty((3, ny, nx)))
-        return _update(_padded(v, q), params, None, nu, update, *maps)
+        _padded(v, q)
+        return _update(strips, params, None, nu, update, *maps)
 
     return _run(u, params.step, params.max_iterations, params.tolerance, kernel)
 
@@ -535,7 +589,7 @@ def _directional_ad_update(q, shape, params: PMParams, grad_threshold: float):
     ``shape`` held in the padded buffer ``q``, as a view of the stencil's
     pixel columns."""
     ny, nx = shape
-    b = _stencil(q, nx, 0, ny)
+    b = _stencil(_neighbours(q, nx, 0, ny))
     d_eta, g2 = _gradient_term(b)
     d_e1, d_e2, _ = _eigenvalues(b.uxx, b.uxy, b.uyy)
     gnorm = np.sqrt(g2)
@@ -561,7 +615,7 @@ def run_directional_ad(field, params: PMParams, grad_threshold: float | None = N
     u = as_field(field)
     q = _padded(u)
     if grad_threshold is None:
-        g2 = _gradient_term(_stencil(q, u.shape[1], 0, u.shape[0]))[1]
+        g2 = _gradient_term(_stencil(_neighbours(q, u.shape[1], 0, u.shape[0])))[1]
         grad_threshold = float(np.quantile(np.sqrt(g2[:, 1:-1]), 0.9))
     return _run(u, params.dt, params.iterations, 0.0,
                 lambda v: _directional_ad_update(_padded(v, q), v.shape, params, grad_threshold))[0]

@@ -67,7 +67,7 @@ def derivatives(field) -> DerivativeBundle:
 def _padded(u, out=None) -> np.ndarray:
     """The validated field ``u`` inside a one-pixel reflective border, as a
     flat buffer: ``q[1:-1]`` is ``np.pad(u, 1, mode="reflect")`` row by row,
-    and ``q[0]``, ``q[-1]`` are zero spares that let ``_stencil`` shift whole
+    and ``q[0]``, ``q[-1]`` are zero spares that let ``_neighbours`` shift whole
     padded rows by one pixel.
 
     Written into ``out`` (``(ny + 2) * (nx + 2) + 2`` values) when given, so
@@ -87,30 +87,50 @@ def _padded(u, out=None) -> np.ndarray:
     return q
 
 
-def _stencil(q, nx: int, r0: int, r1: int) -> DerivativeBundle:
-    """Derivative bundle of field rows r0:r1, read from the padded buffer
-    ``q`` of ``_padded`` for a field ``nx`` wide. The one stencil of this
-    module.
+# (dy, dx) of the nine stencil points, in the order of _neighbours
+_OFFSETS = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, 1), (1, -1), (-1, -1))
 
-    Each array has shape (r1 - r0, nx + 2): every neighbour is one
-    contiguous range of whole padded rows, shifted, so the arithmetic runs
-    on contiguous memory. Columns 1..nx are the pixels; columns 0 and
-    nx + 1 mix border and wrapped-around values and belong to no pixel.
+
+def _neighbours(q, nx: int, r0: int, r1: int):
+    """Views of field rows r0:r1 and of their eight neighbours, read from the
+    padded buffer ``q`` of ``_padded`` for a field ``nx`` wide: centre, e, w,
+    s, n, se, ne, sw, nw.
+
+    Each view has shape (r1 - r0, nx + 2): every neighbour is one contiguous
+    range of whole padded rows, shifted, so the arithmetic runs on
+    contiguous memory. Columns 1..nx are the pixels; columns 0 and nx + 1
+    mix border and wrapped-around values and belong to no pixel.
     """
     width = nx + 2
     a = (r0 + 1) * width + 1
     b = (r1 + 1) * width + 1
+    return tuple(q[a + o : b + o].reshape(r1 - r0, width)
+                 for o in (dy * width + dx for dy, dx in _OFFSETS))
 
-    def at(dy, dx):
-        o = dy * width + dx
-        return q[a + o : b + o].reshape(r1 - r0, width)
 
-    u, e, w, s, n = at(0, 0), at(0, 1), at(0, -1), at(1, 0), at(-1, 0)
-    ux = 0.5 * (e - w)
-    uy = 0.5 * (s - n)
-    uxx = e - 2.0 * u + w
-    uyy = s - 2.0 * u + n
-    uxy = 0.25 * ((at(1, 1) - at(-1, 1)) - (at(1, -1) - at(-1, -1)))
+def _stencil(nb, out=None) -> DerivativeBundle:
+    """Derivative bundle of the neighbour views ``nb`` of ``_neighbours``.
+    The one stencil of this module.
+
+    Written into ``out`` when given: ux, uy, uxx, uyy, uxy and one scratch
+    array, all of the views' shape, so that a kernel can refill one
+    workspace instead of allocating.
+    """
+    u, e, w, s, n, se, ne, sw, nw = nb
+    ux, uy, uxx, uyy, uxy, tmp = out or (None,) * 6
+    ux = np.subtract(e, w, out=ux)
+    np.multiply(0.5, ux, out=ux)
+    uy = np.subtract(s, n, out=uy)
+    np.multiply(0.5, uy, out=uy)
+    tmp = np.multiply(2.0, u, out=tmp)
+    uxx = np.subtract(e, tmp, out=uxx)
+    np.add(uxx, w, out=uxx)
+    uyy = np.subtract(s, tmp, out=uyy)
+    np.add(uyy, n, out=uyy)
+    uxy = np.subtract(se, ne, out=uxy)
+    np.subtract(sw, nw, out=tmp)
+    np.subtract(uxy, tmp, out=uxy)
+    np.multiply(0.25, uxy, out=uxy)
     return DerivativeBundle(ux=ux, uy=uy, uxx=uxx, uyy=uyy, uxy=uxy)
 
 
@@ -118,7 +138,7 @@ def _bundle(u) -> DerivativeBundle:
     """``derivatives`` of an already validated field, without scanning it
     again. The pixel columns are copied out, so the arrays are contiguous."""
     ny, nx = u.shape
-    b = _stencil(_padded(u), nx, 0, ny)
+    b = _stencil(_neighbours(_padded(u), nx, 0, ny))
     return DerivativeBundle(**{name: v[:, 1:-1].copy() for name, v in vars(b).items()})
 
 
@@ -131,11 +151,21 @@ def _fix_sign(vx, vy):
     return vx * sign + 0.0, vy * sign + 0.0
 
 
-def _eigenvalues(a, b, c):
-    # closed-form eigenvalues half +- disc of [[a, b], [b, c]], and disc
-    half = 0.5 * (a + c)
-    disc = np.sqrt(0.25 * (a - c) ** 2 + b * b)
-    return half + disc, half - disc, disc
+def _eigenvalues(a, b, c, out=None):
+    # closed-form eigenvalues half +- disc of [[a, b], [b, c]], and disc,
+    # written into out = (lam_max, lam_min, disc) when given
+    hi, lo, disc = out or (None,) * 3
+    lo = np.add(a, c, out=lo)
+    np.multiply(0.5, lo, out=lo)  # half
+    disc = np.subtract(a, c, out=disc)
+    np.square(disc, out=disc)
+    np.multiply(0.25, disc, out=disc)
+    hi = np.multiply(b, b, out=hi)
+    np.add(disc, hi, out=disc)
+    np.sqrt(disc, out=disc)
+    np.add(lo, disc, out=hi)
+    np.subtract(lo, disc, out=lo)
+    return hi, lo, disc
 
 
 def hessian_eigen(bundle: DerivativeBundle):
@@ -196,19 +226,41 @@ def directional_second_derivative(bundle: DerivativeBundle, direction):
 
 def structureness(bundle: DerivativeBundle) -> np.ndarray:
     """Pointwise structure strength sqrt(uxx^2 + uyy^2)."""
-    return np.sqrt(bundle.uxx**2 + bundle.uyy**2)
+    return _structureness(bundle.uxx, bundle.uyy)
 
 
-def _gradient_term(bundle: DerivativeBundle):
+def _structureness(uxx, uyy, out=None):
+    # structureness, written into out = (c, scratch) when given
+    c, sq = out or (None, None)
+    c = np.square(uxx, out=c)
+    sq = np.square(uyy, out=sq)
+    np.add(c, sq, out=c)
+    return np.sqrt(c, out=c)
+
+
+def _gradient_term(bundle: DerivativeBundle, out=None):
     """``(d_eta, g2)``: the second derivative along the unit gradient,
     (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / g2 and 0 where the gradient
-    vanishes, and the squared gradient norm g2 = ux^2 + uy^2."""
+    vanishes, and the squared gradient norm g2 = ux^2 + uy^2.
+
+    Written into ``out`` when given: d_eta, g2, two scratch arrays and a
+    bool mask. d_eta is cleared before the masked divide, so a reused
+    buffer gives exactly 0 where the gradient vanishes."""
+    d_eta, g2, num, yy, mask = out or (None,) * 5
     ux, uy = bundle.ux, bundle.uy
-    xx = ux * ux
-    yy = uy * uy
-    g2 = xx + yy
-    num = xx * bundle.uxx + 2.0 * ux * uy * bundle.uxy + yy * bundle.uyy
-    return np.divide(num, g2, out=np.zeros_like(g2), where=g2 > 0.0), g2
+    num = np.multiply(ux, ux, out=num)  # ux^2, then the numerator
+    yy = np.multiply(uy, uy, out=yy)
+    g2 = np.add(num, yy, out=g2)
+    np.multiply(num, bundle.uxx, out=num)
+    d_eta = np.multiply(2.0, ux, out=d_eta)  # the cross term, then d_eta
+    np.multiply(d_eta, uy, out=d_eta)
+    np.multiply(d_eta, bundle.uxy, out=d_eta)
+    np.add(num, d_eta, out=num)
+    np.multiply(yy, bundle.uyy, out=yy)
+    np.add(num, yy, out=num)
+    mask = np.greater(g2, 0.0, out=mask)
+    d_eta.fill(0.0)
+    return np.divide(num, g2, out=d_eta, where=mask), g2
 
 
 def curvature_terms(bundle: DerivativeBundle):

@@ -24,7 +24,6 @@ __all__ = [
     "read_volume",
     "write_volume",
     "export_pgm",
-    "export_profile_csv",
 ]
 
 MAGIC = "MIPVOL1"
@@ -335,19 +334,3 @@ def export_pgm(field, path) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{nx} {ny}\n65535\n".encode("ascii"))
         f.write(scaled.astype(">u2").tobytes())
-
-
-def _fmt(value: float) -> str:
-    # shortest decimal string that round-trips the double
-    return np.format_float_positional(value, trim="-")
-
-
-def export_profile_csv(field, row_index: int, path) -> None:
-    """Write one row of a field as ``x,value`` CSV lines with a header."""
-    u = as_field(field)
-    if not 0 <= row_index < u.shape[0]:
-        raise ValueError(f"row {row_index} outside field of height {u.shape[0]}")
-    lines = ["x,value"]
-    lines += [f"{x},{_fmt(v)}" for x, v in enumerate(u[row_index])]
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")

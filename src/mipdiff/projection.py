@@ -7,14 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import AdaptiveParams, run_filter
-from .fields import as_field, as_volume
+from .fields import as_volume
 
 __all__ = [
     "PhaseMaskParams",
     "project",
     "project_slices",
     "phase_mask",
-    "apply_mask",
     "swi_pipeline",
 ]
 
@@ -66,15 +65,6 @@ def phase_mask(phase, params: PhaseMaskParams = PhaseMaskParams()) -> np.ndarray
     phi = np.clip(phi, -math.pi, math.pi)
     w = np.where(phi < 0.0, ((math.pi + phi) / math.pi) ** params.exponent, 1.0)
     return w
-
-
-def apply_mask(magnitude, weights) -> np.ndarray:
-    """Pixelwise product of a magnitude image and mask weights."""
-    m = as_field(magnitude)
-    w = as_field(weights)
-    if m.shape != w.shape:
-        raise ValueError(f"shape mismatch {m.shape} vs {w.shape}")
-    return m * w
 
 
 def swi_pipeline(

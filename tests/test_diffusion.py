@@ -1,6 +1,7 @@
 """Scalar, orthogonal-split, and adaptive directional diffusion filters."""
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from mipdiff.diffusion import (
     run_pm,
     orthogonal_step,
 )
-from mipdiff.fields import curvature_terms, derivatives, structureness
+from mipdiff.fields import _padded, curvature_terms, derivatives, structureness
 
 
 def adaptive_mu_update(u, params, bounds=None, nu=0.0):
@@ -557,6 +558,51 @@ class TestStripBlocking:
         u = rng.normal(1.0, 0.1, (11, 16))
         for mode in ("mip_min", "mip"):
             self.check(u, AdaptiveParams(alpha=2.0, mode=mode, max_iterations=3))
+
+    @pytest.mark.parametrize("mode", ["mip_min", "mip"])
+    @pytest.mark.parametrize("shape", [STRIP_SHAPES["300x64"], STRIP_SHAPES["250x100"]],
+                             ids=["300x64", "250x100"])
+    def test_zero_gradient_pixels(self, rng, shape, mode):
+        # on an integer-valued field about one pixel in fifteen has
+        # ux = uy = 0 under a non-zero Hessian: the masked divide must give
+        # d_eta = 0 there, not a value its buffer kept from an earlier strip
+        u = rng.integers(0, 4, shape).astype(float)
+        b = derivatives(u)
+        flat = (b.ux == 0.0) & (b.uy == 0.0) & ((b.uxx != 0.0) | (b.uyy != 0.0))
+        assert flat.mean() > 0.05
+        self.check(u, AdaptiveParams(alpha=2.0, mode=mode, max_iterations=3))
+
+    @pytest.mark.parametrize("stale", [np.nan, -7.0])
+    def test_strip_buffers_keep_no_stale_value(self, monkeypatch, rng, stale):
+        # each strip's curvature terms equal curvature_terms' bit for bit,
+        # +0 of zero-gradient pixels included, whatever the buffers held
+        monkeypatch.setattr(diffusion, "_STRIP_PIXELS", 500)  # 10-row strips
+        u = rng.integers(0, 4, (40, 50)).astype(float)
+        b = derivatives(u)
+        want = curvature_terms(b)
+        flat = (b.ux == 0.0) & (b.uy == 0.0)
+        assert (flat & (b.uxy < 0.0)).any()  # where ux * uy * uxy is -0
+        np.testing.assert_array_equal(np.signbit(want[0][flat]), False)
+        strips = diffusion._workspace(_padded(u), np.empty_like(u))
+        for buf in strips[0][2][:12]:
+            buf.fill(stale)
+        for s, nb, buf in strips:
+            got = diffusion._curvature_strip(nb, buf)
+            for g, w in zip(got, want):
+                assert_same_bits(g[:, 1:-1].copy(), w[s])
+
+    def test_kernel_memory(self, rng):
+        # the loop's three slices, the padded field, the update and the
+        # strip buffers trace about 6.6 slices; a kernel allocating every
+        # strip temporary afresh traces 7.5
+        u = rng.normal(1.0, 0.1, (256, 256))
+        tracemalloc.start()
+        try:
+            run_filter(u, AdaptiveParams(mode="mip_min"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * u.nbytes
 
     def test_ungated_mip_below_100_pixels(self, monkeypatch, rng):
         monkeypatch.setattr(diffusion, "_STRIP_PIXELS", 20)  # 2-row strips

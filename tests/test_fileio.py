@@ -18,7 +18,6 @@ from mipdiff.fileio import (
     VolumeIOError,
     VolumeWriter,
     export_pgm,
-    export_profile_csv,
     iter_slices,
     read_volume,
     write_volume,
@@ -570,29 +569,3 @@ class TestPgmExport:
         export_pgm(np.array([[-2.0, 0.0, 2.0]]), path)
         samples = np.frombuffer(path.read_bytes().split(b"65535\n", 1)[1], dtype=">u2")
         np.testing.assert_array_equal(samples, [0, 32768, 65535])
-
-
-class TestProfileCsv:
-    def test_exact_transcription(self, tmp_path):
-        path = tmp_path / "p.csv"
-        export_profile_csv(np.array([[0.0, 0.5, 1.0, 0.25]]), 0, path)
-        assert path.read_text().splitlines() == [
-            "x,value", "0,0", "1,0.5", "2,1", "3,0.25",
-        ]
-
-    def test_row_selection(self, tmp_path):
-        path = tmp_path / "p.csv"
-        export_profile_csv(np.array([[1.0, 2.0], [3.0, 4.0]]), 1, path)
-        assert path.read_text().splitlines() == ["x,value", "0,3", "1,4"]
-
-    def test_round_trip_precision(self, tmp_path):
-        path = tmp_path / "p.csv"
-        values = np.array([[np.pi, 1.0 / 3.0, 1e-9]])
-        export_profile_csv(values, 0, path)
-        lines = path.read_text().splitlines()[1:]
-        back = [float(line.split(",")[1]) for line in lines]
-        np.testing.assert_array_equal(back, values[0])
-
-    def test_row_out_of_range(self, tmp_path):
-        with pytest.raises(ValueError, match="row"):
-            export_profile_csv(np.zeros((2, 2)), 2, tmp_path / "p.csv")

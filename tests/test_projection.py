@@ -10,7 +10,6 @@ from mipdiff.fileio import iter_slices, read_volume, write_volume
 from mipdiff.phantom import default_venous_spec, dip_amplitude, generate
 from mipdiff.projection import (
     PhaseMaskParams,
-    apply_mask,
     phase_mask,
     project,
     project_slices,
@@ -130,28 +129,6 @@ class TestPhaseMask:
     def test_exponent_validation(self):
         with pytest.raises(ValueError, match="exponent"):
             PhaseMaskParams(exponent=0)
-
-
-class TestApplyMask:
-    def test_all_ones_identity(self, rng):
-        m = rng.uniform(0.0, 2.0, (4, 4))
-        np.testing.assert_array_equal(apply_mask(m, np.ones((4, 4))), m)
-
-    def test_all_zeros_annihilates(self, rng):
-        m = rng.uniform(0.0, 2.0, (4, 4))
-        assert np.all(apply_mask(m, np.zeros((4, 4))) == 0.0)
-
-    def test_pixelwise_product(self, rng):
-        m = rng.uniform(0.0, 2.0, (5, 3))
-        w = rng.uniform(0.0, 1.0, (5, 3))
-        got = apply_mask(m, w)
-        for y in range(5):
-            for x in range(3):
-                assert got[y, x] == m[y, x] * w[y, x]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            apply_mask(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 class TestSwiPipeline:
