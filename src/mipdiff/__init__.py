@@ -9,12 +9,9 @@ from .diffusion import (
     PMParams,
     adaptive_mu,
     default_delta,
-    directional_ad_step,
     directional_step,
     histogram_bounds,
-    hysteresis_combine,
     hysteresis_filter,
-    orthogonal_step,
     pm_diffusivity,
     pm_flux_second_derivative,
     pm_step,

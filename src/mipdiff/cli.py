@@ -24,7 +24,6 @@ from .diffusion import (
     AdaptiveParams,
     HysteresisParams,
     PMParams,
-    _changes_csv,
     default_delta,
     hysteresis_filter,
     run_directional_ad,
@@ -329,7 +328,10 @@ def cmd_filter(v: dict, inputs: list) -> str:
     # written once the volume is, so a failed run leaves no trace either
     stem = Path(v["output"]).with_suffix("")
     for k, rel in enumerate(changes):
-        _changes_csv(f"{stem}_trace_s{k}.csv", rel)
+        lines = ["iteration,relative_change"]
+        lines += [f"{i},{np.format_float_positional(r, trim='-')}"
+                  for i, r in enumerate(rel, start=1)]
+        Path(f"{stem}_trace_s{k}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     return f"{v['output']}.manifest.txt"
 
 
@@ -548,7 +550,7 @@ COMMANDS: dict[str, tuple] = {
         Opt("output", "str", required=True, help="metrics CSV path"),
         Opt("roi", "str", None),
         Opt("kind", "str", "min", choices=("min", "max")),
-        Opt("delta", "float", None, help="contrast scale (default: 10%% of slice range)"),
+        Opt("delta", "float", None, help="contrast scale (default: 10%% of the input's range)"),
         Opt("dt", "float", PMParams.dt),
         Opt("iterations", "int", PMParams.iterations,
             help="steps for the scalar-diffusivity filters"),

@@ -42,15 +42,12 @@ __all__ = [
     "pm_flux_second_derivative",
     "pm_step",
     "run_pm",
-    "orthogonal_step",
     "run_orthogonal",
     "histogram_bounds",
     "adaptive_mu",
     "directional_step",
     "run_filter",
-    "hysteresis_combine",
     "hysteresis_filter",
-    "directional_ad_step",
     "run_directional_ad",
     "default_delta",
 ]
@@ -184,20 +181,6 @@ class FilterTrace:
     basis_sum: np.ndarray
     converged: bool
 
-    def to_csv(self, path) -> None:
-        _changes_csv(path, self.relative_changes)
-
-
-def _changes_csv(path, relative_changes) -> None:
-    """Write ``iteration,relative_change`` lines, one per iteration."""
-    lines = ["iteration,relative_change"]
-    lines += [
-        f"{i + 1},{np.format_float_positional(r, trim='-')}"
-        for i, r in enumerate(relative_changes)
-    ]
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-
 
 def default_delta(field) -> float:
     """Contrast scale default: 10% of the field's dynamic range (1.0 if flat)."""
@@ -274,15 +257,14 @@ def _run(u, step, iterations: int, tolerance: float, update):
     return u, FilterTrace(len(changes), changes, basis_sum=du, converged=converged)
 
 
-def _pm_update(u, params: PMParams, faces=None):
-    """Raw per-pixel update of ``pm_step``, read from the field ``u`` itself,
-    so fields smaller than 3x3 run too. The face fluxes go into ``faces``
-    (allocated when None): buffers of shapes (ny, nx + 1) and (ny + 1, nx)
-    whose zero border faces are never written. Both differences are taken
-    before they are summed, (fe - shift) + (fs - shift); another order
-    rounds differently in the last bit."""
-    ny, nx = u.shape
-    fe, fs = (np.zeros((ny, nx + 1)), np.zeros((ny + 1, nx))) if faces is None else faces
+def _pm_update(u, params: PMParams, faces):
+    """Raw per-pixel update of ``run_pm``, read from the field ``u`` itself,
+    so fields smaller than 3x3 run too. The face fluxes go into ``faces``:
+    buffers of shapes (ny, nx + 1) and (ny + 1, nx) whose zero border faces
+    are never written. Both differences are taken before they are summed,
+    (fe - shift) + (fs - shift); another order rounds differently in the
+    last bit."""
+    fe, fs = faces
     de = u[:, 1:] - u[:, :-1]
     ds = u[1:, :] - u[:-1, :]
     np.multiply(pm_diffusivity(np.abs(de), params), de, out=fe[:, 1:-1])
@@ -295,10 +277,9 @@ def pm_step(field, params: PMParams) -> np.ndarray:
 
     Fluxes live on half-pixel faces with the diffusivity evaluated from the
     face-normal difference; border faces carry zero flux, so the pixel sum
-    is conserved to rounding.
+    is conserved to rounding. It is a one-iteration ``run_pm``.
     """
-    u = as_field(field)
-    return u + params.dt * _pm_update(u, params)
+    return run_pm(field, replace(params, iterations=1))
 
 
 def run_pm(field, params: PMParams) -> np.ndarray:
@@ -312,7 +293,7 @@ def run_pm(field, params: PMParams) -> np.ndarray:
 
 
 def _orthogonal_update(q, shape, params: PMParams):
-    """Raw per-pixel update lam1 * D_o + lam2 * D_p of ``orthogonal_step``
+    """Raw per-pixel update lam1 * D_o + lam2 * D_p of ``run_orthogonal``
     for a field of ``shape`` held in the padded buffer ``q`` (``fields._padded``),
     as a view of the stencil's pixel columns."""
     ny, nx = shape
@@ -325,8 +306,10 @@ def _orthogonal_update(q, shape, params: PMParams):
     return (lam1 * d_ortho + lam2 * d_par)[:, 1:-1]
 
 
-def orthogonal_step(field, params: PMParams) -> np.ndarray:
-    """One explicit step of the gradient/orthogonal split of the divergence.
+def run_orthogonal(field, params: PMParams) -> np.ndarray:
+    """Apply ``params.iterations`` explicit steps of the gradient/orthogonal
+    split of the divergence; the input is validated once, and every step
+    refills one padded buffer.
 
     The update is lam1 * D_o + lam2 * D_p where D_o and D_p are the second
     derivatives across and along the gradient, lam1 = g(|grad u|) and
@@ -334,13 +317,6 @@ def orthogonal_step(field, params: PMParams) -> np.ndarray:
     D_o the rest of the Laplacian. Pixels with zero gradient are left
     unchanged.
     """
-    u = as_field(field)
-    return u + params.dt * _orthogonal_update(_padded(u), u.shape, params)
-
-
-def run_orthogonal(field, params: PMParams) -> np.ndarray:
-    """Apply ``params.iterations`` orthogonal-split steps; the input is
-    validated once, and every step refills one padded buffer."""
     u = as_field(field)
     q = _padded(u)
     return _run(u, params.dt, params.iterations, 0.0,
@@ -440,7 +416,7 @@ def _curvature_strip(nb, buf):
     return d_eta, lam_max, lam_min, c
 
 
-def _update(strips, params: AdaptiveParams, bounds: BoundPair | None, nu: float, out, maps=None):
+def _update(strips, params: AdaptiveParams, nu: float, out, maps=None):
     """Raw per-pixel update of one directional step, written into ``out``.
 
     ``strips`` is the workspace of ``_workspace`` for the padded field and
@@ -449,9 +425,9 @@ def _update(strips, params: AdaptiveParams, bounds: BoundPair | None, nu: float,
     lam_min: ``mip_min`` gives
     (nu - t_eta) * d_eta + (nu - t_e2) * d_e2 - t_e1 * d_e1, the sharpening
     sum plus forward diffusion nu * (d_eta + d_e2); ``mip`` gives
-    t_eta * d_eta + t_e2 * d_e2 with each weight gated to its bounds, which
-    are histogram-derived when ``bounds`` is None and the field has at least
-    100 pixels.
+    t_eta * d_eta + t_e2 * d_e2 with each weight gated to its direction's
+    histogram bounds when the field has at least 100 pixels, ungated below
+    that.
 
     The stencil and curvature terms run strip by strip in the workspace's
     buffers. ``mip_min`` mode sums its weighted terms there too, then copies
@@ -488,8 +464,8 @@ def _update(strips, params: AdaptiveParams, bounds: BoundPair | None, nu: float,
         d_e2[s] = d_e2_s[:, 1:-1]
         np.multiply(h, c, out=c)
         k[s] = c[:, 1:-1]
-    b_eta = b_e2 = bounds
-    if bounds is None and out.size >= 100:
+    b_eta = b_e2 = None
+    if out.size >= 100:
         b_eta = histogram_bounds(d_eta, params.tail_prob)
         b_e2 = histogram_bounds(d_e2, params.tail_prob)
     for s, _, _ in strips:
@@ -499,19 +475,18 @@ def _update(strips, params: AdaptiveParams, bounds: BoundPair | None, nu: float,
     return out
 
 
-def directional_step(field, params: AdaptiveParams, bounds: BoundPair | None = None) -> np.ndarray:
+def directional_step(field, params: AdaptiveParams) -> np.ndarray:
     """One explicit sharpening step u <- u + step * sum(mu_i * d_i).
 
-    ``bounds`` may be None (mip mode derives per-direction histogram bounds
-    when the field has at least 100 pixels) or one BoundPair shared by both
-    directions. No forward diffusion is added in either mode. alpha = 0
-    returns the input unchanged, bit for bit.
+    mip mode gates each direction to its histogram bounds when the field
+    has at least 100 pixels. No forward diffusion is added in either mode.
+    alpha = 0 returns the input unchanged, bit for bit.
     """
     u = as_field(field)
     if params.alpha == 0:
         return u.copy()
     out = np.empty_like(u)
-    return u + params.step * _update(_workspace(_padded(u), out), params, bounds, 0.0, out)
+    return u + params.step * _update(_workspace(_padded(u), out), params, 0.0, out)
 
 
 def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
@@ -541,27 +516,15 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
         if params.mode == "mip" and not maps:
             maps.append(np.empty((3, ny, nx)))
         _padded(v, q)
-        return _update(strips, params, None, nu, update, *maps)
+        return _update(strips, params, nu, update, *maps)
 
     return _run(u, params.step, params.max_iterations, params.tolerance, kernel)
 
 
-def hysteresis_combine(low, high, c_ref, params: HysteresisParams) -> np.ndarray:
-    """Select the high-gain result where reference structureness exceeds the
-    threshold, the low-gain result elsewhere."""
-    lo = as_field(low)
-    hi = as_field(high)
-    c = as_field(c_ref)
-    if lo.shape != hi.shape or lo.shape != c.shape:
-        raise ValueError("hysteresis inputs must share one shape")
-    if params.c_threshold is None:
-        raise ValueError("c_threshold must be resolved before combining")
-    return np.where(c > params.c_threshold, hi, lo)
-
-
 def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     """Two-pass filtering: run at alpha_low and alpha_high, pick the high
-    result where the better run shows strong structure.
+    result where the better run's structureness exceeds the threshold, the
+    low result elsewhere.
 
     The structureness reference comes from whichever run changed the input
     less (larger PSNR against the input); the default threshold is its 90th
@@ -580,12 +543,11 @@ def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     threshold = hparams.c_threshold
     if threshold is None:
         threshold = float(np.quantile(c_ref, 0.9))
-    resolved = replace(hparams, c_threshold=threshold)
-    return hysteresis_combine(low_out, high_out, c_ref, resolved), low_out, high_out
+    return np.where(c_ref > threshold, high_out, low_out), low_out, high_out
 
 
 def _directional_ad_update(q, shape, params: PMParams, grad_threshold: float):
-    """Raw per-pixel update of ``directional_ad_step`` for a field of
+    """Raw per-pixel update of ``run_directional_ad`` for a field of
     ``shape`` held in the padded buffer ``q``, as a view of the stencil's
     pixel columns."""
     ny, nx = shape
@@ -598,20 +560,19 @@ def _directional_ad_update(q, shape, params: PMParams, grad_threshold: float):
     return (g * d_eta + g_e1 * d_e1 + g * d_e2)[:, 1:-1]
 
 
-def directional_ad_step(field, params: PMParams, grad_threshold: float) -> np.ndarray:
-    """One step of gradient-switched directional diffusion.
+def run_directional_ad(field, params: PMParams, grad_threshold: float | None = None) -> np.ndarray:
+    """Apply ``params.iterations`` steps of gradient-switched directional
+    diffusion.
 
     All three directional terms diffuse with the scalar edge-stopping
     diffusivity; the maximum-curvature term is switched off across strong
-    edges (|grad u| > grad_threshold) so contours are not smeared.
+    edges (|grad u| > grad_threshold) so contours are not smeared. The
+    threshold defaults to the 90th percentile of the input's gradient
+    magnitude and stays fixed; inf never switches the term off, and NaN is
+    refused.
     """
-    u = as_field(field)
-    return u + params.dt * _directional_ad_update(_padded(u), u.shape, params, grad_threshold)
-
-
-def run_directional_ad(field, params: PMParams, grad_threshold: float | None = None) -> np.ndarray:
-    """Iterate the gradient-switched filter. The threshold defaults to the
-    90th percentile of the input's gradient magnitude and stays fixed."""
+    if grad_threshold is not None and math.isnan(grad_threshold):
+        raise ValueError("grad_threshold must not be NaN")
     u = as_field(field)
     q = _padded(u)
     if grad_threshold is None:

@@ -41,30 +41,24 @@ class TubeSpec:
     def __post_init__(self):
         if len(self.points) < 2:
             raise ValueError("a tube axis needs at least two control points")
-        if not self.radius >= 1.0:
-            raise ValueError("tube radius must be >= 1")
-        if self.contrast == 0:
-            raise ValueError("tube contrast must be non-zero")
+        if not (math.isfinite(self.radius) and self.radius >= 1.0):
+            raise ValueError("tube radius must be finite and >= 1")
+        if not (math.isfinite(self.contrast) and self.contrast != 0):
+            raise ValueError("tube contrast must be finite and non-zero")
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Coil channel layout: per-channel noise sigmas and sensitivity geometry."""
+    """Coil channels: one noise sigma per channel, whose sensitivity maps
+    ``_sensitivity_maps`` lays out."""
 
     sigmas: tuple
-    centers: tuple | None = None
-    width: float | None = None
-    floor: float = 0.25
 
     def __post_init__(self):
         if len(self.sigmas) < 1:
             raise ValueError("need at least one channel")
-        if any(s < 0 for s in self.sigmas):
-            raise ValueError("channel sigmas must be non-negative")
-        if self.centers is not None and len(self.centers) != len(self.sigmas):
-            raise ValueError("one sensitivity center per channel required")
-        if not 0 <= self.floor < 1:
-            raise ValueError("sensitivity floor must lie in [0, 1)")
+        if not all(math.isfinite(s) and s >= 0 for s in self.sigmas):
+            raise ValueError("channel sigmas must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -81,10 +75,10 @@ class PhantomSpec:
     def __post_init__(self):
         if self.width < 8 or self.height < 8 or self.depth < 1:
             raise ValueError("phantom needs width, height >= 8 and depth >= 1")
-        if self.baseline_amplitude < 0 or self.baseline_amplitude >= 1:
-            raise ValueError("baseline amplitude must lie in [0, 1)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
+        if not 0 <= self.baseline_amplitude < 1:
+            raise ValueError("baseline_amplitude must lie in [0, 1)")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and non-negative")
         for tube in self.tubes:
             for px, py, pz in tube.points:
                 inside = (
@@ -177,23 +171,21 @@ def _baseline(spec: PhantomSpec, mixture, x, y, z: float):
 
 
 def _sensitivity_maps(spec: PhantomSpec):
-    """Yield each channel's smooth coil sensitivity map, one at a time."""
-    ch = spec.channels
-    n = len(ch.sigmas)
-    if ch.centers is not None:
-        centers = [tuple(map(float, c)) for c in ch.centers]
-    else:
-        cx, cy = (spec.width - 1) / 2.0, (spec.height - 1) / 2.0
-        r = 0.35 * min(spec.width, spec.height)
-        centers = [
-            (cx + r * math.cos(2.0 * math.pi * k / n), cy + r * math.sin(2.0 * math.pi * k / n))
-            for k in range(n)
-        ]
-    width = ch.width if ch.width is not None else 0.6 * max(spec.width, spec.height)
+    """Yield each channel's smooth coil sensitivity map, one at a time: a
+    Gaussian of width 0.6 * max(width, height) above a floor of 0.25,
+    centred on a ring of radius 0.35 * min(width, height) about the image
+    centre, the channels evenly spaced around it."""
+    n = len(spec.channels.sigmas)
+    cx, cy = (spec.width - 1) / 2.0, (spec.height - 1) / 2.0
+    r = 0.35 * min(spec.width, spec.height)
+    width = 0.6 * max(spec.width, spec.height)
+    floor = 0.25
     x, y = _slice_grids(spec)
-    for mx, my in centers:
+    for k in range(n):
+        mx = cx + r * math.cos(2.0 * math.pi * k / n)
+        my = cy + r * math.sin(2.0 * math.pi * k / n)
         r2 = (x - mx) ** 2 + (y - my) ** 2
-        yield ch.floor + (1.0 - ch.floor) * np.exp(-r2 / (2.0 * width * width))
+        yield floor + (1.0 - floor) * np.exp(-r2 / (2.0 * width * width))
 
 
 def _slices(spec: PhantomSpec, mixture, rng=None):

@@ -351,24 +351,21 @@ def _baseline(spec, rng):
 
 
 def _sensitivity_maps(spec):
-    ch = spec.channels
-    n = len(ch.sigmas)
-    if ch.centers is not None:
-        centers = [tuple(map(float, c)) for c in ch.centers]
-    else:
-        cx, cy = (spec.width - 1) / 2.0, (spec.height - 1) / 2.0
-        r = 0.35 * min(spec.width, spec.height)
-        centers = [
-            (cx + r * math.cos(2.0 * math.pi * k / n), cy + r * math.sin(2.0 * math.pi * k / n))
-            for k in range(n)
-        ]
-    width = ch.width if ch.width is not None else 0.6 * max(spec.width, spec.height)
+    n = len(spec.channels.sigmas)
+    cx, cy = (spec.width - 1) / 2.0, (spec.height - 1) / 2.0
+    r = 0.35 * min(spec.width, spec.height)
+    centers = [
+        (cx + r * math.cos(2.0 * math.pi * k / n), cy + r * math.sin(2.0 * math.pi * k / n))
+        for k in range(n)
+    ]
+    width = 0.6 * max(spec.width, spec.height)
+    floor = 0.25
     y = np.arange(spec.height, dtype=np.float64)[:, None]
     x = np.arange(spec.width, dtype=np.float64)[None, :]
     maps = []
     for mx, my in centers:
         r2 = (x - mx) ** 2 + (y - my) ** 2
-        maps.append(ch.floor + (1.0 - ch.floor) * np.exp(-r2 / (2.0 * width * width)))
+        maps.append(floor + (1.0 - floor) * np.exp(-r2 / (2.0 * width * width)))
     return maps
 
 

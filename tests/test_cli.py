@@ -14,7 +14,13 @@ import pytest
 from conftest import fed_fifo
 from mipdiff import cli, fileio
 from mipdiff.cli import main, parse_config
-from mipdiff.diffusion import AdaptiveParams, HysteresisParams, PMParams, run_filter
+from mipdiff.diffusion import (
+    AdaptiveParams,
+    HysteresisParams,
+    PMParams,
+    run_directional_ad,
+    run_filter,
+)
 from mipdiff.fileio import read_volume, write_volume
 from mipdiff.metrics import Roi, psnr_vs_input
 from mipdiff.phantom import ChannelSpec, PhantomSpec, TubeSpec, generate, generate_flow
@@ -102,10 +108,13 @@ class TestConfigParsing:
          lambda: HysteresisParams(alpha_low=3.0)),
         (["compare", "--input", "{src}", "--output", "{d}/o.csv", "--dt", "0.5"],
          lambda: PMParams(delta=0.1, dt=0.5)),
+        (["compare", "--input", "{src}", "--output", "{d}/o.csv", "--grad-threshold", "nan"],
+         lambda: run_directional_ad(np.ones((3, 3)), PMParams(delta=0.1), math.nan)),
         (["metrics", "--input", "{img}", "--test", "{img}", "--output", "{d}/o.csv",
           "--roi", "0,0,0,4"],
          lambda: Roi(0, 0, 0, 4)),
-    ], ids=["phantom", "filter", "filter-inf", "swi", "mip", "compare", "metrics"])
+    ], ids=["phantom", "filter", "filter-inf", "swi", "mip", "compare", "compare-nan",
+            "metrics"])
     def test_library_rejection_is_one_config_error_line(
         self, tmp_path, noisy_volume, capsys, argv, library_call
     ):
@@ -246,8 +255,11 @@ class TestFilterCommand:
         assert run_cli("filter", "--input", src, "--output", out,
                        "--alpha", "1.0", "--max-iterations", "2", "--trace") == 0
         for k in range(vol.shape[0]):
+            _, trace = run_filter(vol[k], AdaptiveParams(alpha=1.0, max_iterations=2))
             lines = (tmp_path / f"o_trace_s{k}.csv").read_text().splitlines()
             assert lines[0] == "iteration,relative_change"
+            assert lines[1].startswith("1,")
+            assert len(lines) == trace.iterations + 1
 
     def test_manifest_lists_effective_params(self, tmp_path, noisy_volume):
         src, _ = noisy_volume
@@ -318,9 +330,18 @@ class TestPhantomCommand:
             ("--flow",),
             ("--channels", "-2"),
             ("--channel-sigmas", "0.1"),
+            ("--noise-sigma", "nan"),
+            ("--noise-sigma", "inf"),
+            ("--channels", "2", "--channel-sigmas", "0.05,nan"),
+            ("--contrast", "nan"),
+            ("--contrast", "inf"),
+            ("--radius", "inf"),
+            ("--baseline-amplitude", "nan"),
         ],
         ids=["width_4", "sigma_count", "flow_no_channels", "negative_channels",
-             "sigmas_no_channels"],
+             "sigmas_no_channels", "nan_noise_sigma", "inf_noise_sigma",
+             "nan_channel_sigma", "nan_contrast", "inf_contrast", "inf_radius",
+             "nan_baseline_amplitude"],
     )
     def test_config_error_creates_no_out_dir(self, tmp_path, args):
         out_dir = tmp_path / "ph"
@@ -748,6 +769,21 @@ class TestCompareCommand:
         for line in csv.read_text().splitlines()[1:]:
             parts = line.split(",")
             assert parts[1] == parts[2]  # psnr_input == psnr_ref
+
+    def test_default_delta_is_a_tenth_of_the_input_range(self, tmp_path, noisy_volume):
+        src, _ = noisy_volume
+        vol = read_volume(src)  # the float32 samples compare reads
+        whole = 0.1 * (float(vol.max()) - float(vol.min()))
+        first = 0.1 * (float(vol[0].max()) - float(vol[0].min()))
+        assert whole != first
+        csvs = {}
+        for name, delta in (("default", ()), ("whole", ("--delta", repr(whole))),
+                            ("first", ("--delta", repr(first)))):
+            csvs[name] = tmp_path / f"{name}.csv"
+            assert run_cli("compare", "--input", src, "--output", csvs[name],
+                           "--iterations", "2", "--max-iterations", "1", *delta) == 0
+        assert csvs["whole"].read_bytes() == csvs["default"].read_bytes()
+        assert csvs["first"].read_bytes() != csvs["default"].read_bytes()
 
 
 class TestAlphaSweep:

@@ -2,6 +2,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,8 @@ from mipdiff.diffusion import (
     PMParams,
     adaptive_mu,
     default_delta,
-    directional_ad_step,
     directional_step,
     histogram_bounds,
-    hysteresis_combine,
     hysteresis_filter,
     pm_diffusivity,
     pm_flux_second_derivative,
@@ -31,12 +30,12 @@ from mipdiff.diffusion import (
     run_filter,
     run_orthogonal,
     run_pm,
-    orthogonal_step,
 )
 from mipdiff.fields import _padded, curvature_terms, derivatives, structureness
+from mipdiff.metrics import psnr_vs_input
 
 
-def adaptive_mu_update(u, params, bounds=None, nu=0.0):
+def adaptive_mu_update(u, params, nu=0.0):
     """sum((nu_i + mu_i) * d_i) over the whole slice, with d_i from the public
     ``derivatives``/``curvature_terms`` and mu_i from ``adaptive_mu``; nu
     weights eta and e2 only, and mip mode has no e1 term. Summed in the
@@ -44,8 +43,8 @@ def adaptive_mu_update(u, params, bounds=None, nu=0.0):
     matches the kernel bit for bit, signed zeros included."""
     d_eta, d_e1, d_e2, c = curvature_terms(derivatives(u))
     dirs = [d_eta, d_e2] if params.mode == "mip" else [d_eta, d_e2, d_e1]
-    gates = [bounds] * len(dirs)
-    if params.mode == "mip" and bounds is None and u.size >= 100:
+    gates = [None] * len(dirs)
+    if params.mode == "mip" and u.size >= 100:
         gates = [histogram_bounds(d, params.tail_prob) for d in dirs]
     terms = [
         (n + adaptive_mu(c, d, params.alpha, params.mode, b)) * d
@@ -54,9 +53,9 @@ def adaptive_mu_update(u, params, bounds=None, nu=0.0):
     return sum(terms[1:], terms[0])
 
 
-def adaptive_mu_step(u, params, bounds=None, nu=0.0):
-    """u + step * adaptive_mu_update(u, params, bounds, nu)."""
-    return u + params.step * adaptive_mu_update(u, params, bounds, nu)
+def adaptive_mu_step(u, params, nu=0.0):
+    """u + step * adaptive_mu_update(u, params, nu)."""
+    return u + params.step * adaptive_mu_update(u, params, nu)
 
 
 def whole_slice_run(u, params):
@@ -238,11 +237,11 @@ class TestPmStep:
 class TestOrthogonalStep:
     def test_constant_fixed_point(self):
         u = np.full((6, 6), 2.0)
-        np.testing.assert_array_equal(orthogonal_step(u, PMParams(delta=1.0)), u)
+        np.testing.assert_array_equal(run_orthogonal(u, PMParams(delta=1.0, iterations=1)), u)
 
     def test_linear_ramp_interior_unchanged(self):
         u = np.tile(np.arange(8.0), (8, 1))
-        out = orthogonal_step(u, PMParams(delta=5.0))
+        out = run_orthogonal(u, PMParams(delta=5.0, iterations=1))
         np.testing.assert_array_equal(out[1:-1, 1:-1], u[1:-1, 1:-1])
 
     def test_split_matches_divergence_form(self, rng):
@@ -251,26 +250,22 @@ class TestOrthogonalStep:
         worst = 0.0
         for _ in range(10):
             u = smooth_field(rng, (9, 9), passes=4)
-            p = PMParams(delta=default_delta(u), dt=0.2)
-            split = orthogonal_step(u, p) - u
+            p = PMParams(delta=default_delta(u), dt=0.2, iterations=1)
+            split = run_orthogonal(u, p) - u
             divform = pm_step(u, p) - u
             rms = float(np.sqrt(np.mean((split - divform) ** 2)))
             worst = max(worst, rms / (u.max() - u.min()))
         assert worst < 5e-2
 
     def test_run_orthogonal_iterates(self, rng):
-        u = smooth_field(rng, (10, 10))
-        p = PMParams(delta=1.0, iterations=3)
-        step = orthogonal_step(orthogonal_step(orthogonal_step(u, p), p), p)
-        np.testing.assert_array_equal(run_orthogonal(u, p), step)
-        # the run's one padded buffer gives the bits of the public steps
-        for shape in RUN_SHAPES:
+        # the run's one padded buffer gives the bits of fresh one-iteration runs
+        for shape in [(10, 10)] + RUN_SHAPES:
             u = rng.normal(1.0, 0.1, shape)
             for kind in ("rational", "exponential"):
                 p = PMParams(delta=0.05, iterations=4, diffusivity_kind=kind)
                 manual = u
                 for _ in range(p.iterations):
-                    manual = orthogonal_step(manual, p)
+                    manual = run_orthogonal(manual, replace(p, iterations=1))
                 assert_same_bits(run_orthogonal(u, p), manual)
 
 
@@ -391,20 +386,19 @@ class TestDirectionalStep:
         assert np.all(out >= u)
 
     @pytest.mark.parametrize(
-        "mode, shape, bounds",
+        "mode, shape",
         [
-            ("mip_min", (16, 16), None),
-            ("mip", (16, 16), None),  # histogram-derived bounds
-            ("mip", (8, 8), None),  # under 100 pixels: ungated
-            ("mip", (16, 16), BoundPair(-0.1, 0.1)),
+            ("mip_min", (16, 16)),
+            ("mip", (16, 16)),  # histogram-derived bounds
+            ("mip", (8, 8)),  # under 100 pixels: ungated
         ],
-        ids=["mip_min", "mip_auto_bounds", "mip_ungated", "mip_explicit_bounds"],
+        ids=["mip_min", "mip_auto_bounds", "mip_ungated"],
     )
-    def test_is_the_adaptive_mu_sum(self, rng, mode, shape, bounds):
+    def test_is_the_adaptive_mu_sum(self, rng, mode, shape):
         u = rng.normal(1.0, 0.2, shape)
         params = AdaptiveParams(alpha=4.0, step=0.15, mode=mode)
-        got = directional_step(u, params, bounds=bounds)
-        np.testing.assert_array_equal(got, adaptive_mu_step(u, params, bounds))
+        got = directional_step(u, params)
+        np.testing.assert_array_equal(got, adaptive_mu_step(u, params))
 
     def test_matches_scalar_oracle_mip_min(self, rng):
         for _ in range(10):
@@ -424,16 +418,6 @@ class TestDirectionalStep:
                 oracles.grid(u), 4.0, "mip", 0.15, tail_prob=0.08
             )
             np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
-
-    def test_matches_scalar_oracle_mip_explicit_bounds(self, rng):
-        u = rng.normal(1.0, 0.2, (8, 8))
-        b = BoundPair(-0.1, 0.1)
-        params = AdaptiveParams(alpha=4.0, step=0.15, mode="mip")
-        got = directional_step(u, params, bounds=b)
-        want = oracles.directional_step(
-            oracles.grid(u), 4.0, "mip", 0.15, bounds=(-0.1, 0.1)
-        )
-        np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
 
     def test_small_mip_field_runs_ungated(self):
         # below 100 pixels there is no histogram to trust; weights are
@@ -507,16 +491,6 @@ class TestRunFilter:
         params = AdaptiveParams(alpha=4.0, step=0.15, mode="mip", max_iterations=1)
         out, _ = run_filter(u, params)
         np.testing.assert_array_equal(out, directional_step(u, params))
-
-    def test_trace_csv_format(self, rng, tmp_path):
-        u = smooth_field(rng, (10, 10), offset=1.0, scale=0.1)
-        _, trace = run_filter(u, AdaptiveParams(alpha=2.0, max_iterations=3))
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,relative_change"
-        assert lines[1].startswith("1,")
-        assert len(lines) == trace.iterations + 1
 
 
 # Strip heights at _STRIP_PIXELS = 8192: 128 rows at width 64 (300 = 2 * 128
@@ -609,13 +583,6 @@ class TestStripBlocking:
         u = rng.normal(1.0, 0.1, (9, 10))
         self.check(u, AdaptiveParams(alpha=2.0, mode="mip", max_iterations=3))
 
-    @pytest.mark.parametrize("mode", ["mip_min", "mip"])
-    def test_explicit_bounds(self, rng, mode):
-        u = rng.normal(1.0, 0.1, STRIP_SHAPES["300x64"])
-        params = AdaptiveParams(alpha=2.0, mode=mode)
-        b = BoundPair(-0.05, 0.05)
-        assert_same_bits(directional_step(u, params, b), adaptive_mu_step(u, params, b))
-
     def test_oracles_on_field_taller_than_one_strip(self, rng):
         # width 700: strips of 11 and 6 rows
         u = rng.normal(1.0, 0.2, (17, 700))
@@ -630,31 +597,42 @@ class TestStripBlocking:
 
 
 class TestHysteresis:
+    PARAMS = AdaptiveParams(mode="mip", max_iterations=3)
+
+    @classmethod
+    def runs(cls, u, c_threshold):
+        """hysteresis_filter's (combined, low, high), the two runs checked
+        against run_filter, and the structureness of the run that changed
+        the input less."""
+        hparams = HysteresisParams(c_threshold=c_threshold)
+        combined, low, high = hysteresis_filter(u, cls.PARAMS, hparams)
+        for out, alpha in ((low, hparams.alpha_low), (high, hparams.alpha_high)):
+            assert_same_bits(out, run_filter(u, replace(cls.PARAMS, alpha=alpha))[0])
+        ref = low if psnr_vs_input(u, low) >= psnr_vs_input(u, high) else high
+        return combined, low, high, structureness(derivatives(ref))
+
     def test_infinite_threshold_selects_low(self, rng):
-        low = rng.normal(0.0, 1.0, (6, 6))
-        high = rng.normal(0.0, 1.0, (6, 6))
-        c = np.abs(rng.normal(0.0, 1.0, (6, 6)))
-        out = hysteresis_combine(low, high, c, HysteresisParams(c_threshold=math.inf))
-        np.testing.assert_array_equal(out, low)
+        u = rng.normal(1.0, 0.1, (16, 16))
+        combined, low, _, _ = self.runs(u, math.inf)
+        assert_same_bits(combined, low)
 
     def test_zero_threshold_selects_high(self, rng):
-        low = rng.normal(0.0, 1.0, (6, 6))
-        high = rng.normal(0.0, 1.0, (6, 6))
-        c = np.full((6, 6), 0.5)
-        out = hysteresis_combine(low, high, c, HysteresisParams(c_threshold=0.0))
-        np.testing.assert_array_equal(out, high)
+        u = rng.normal(1.0, 0.1, (16, 16))
+        combined, _, high, c_ref = self.runs(u, 0.0)
+        assert np.all(c_ref > 0.0)
+        assert_same_bits(combined, high)
 
-    def test_checkerboard_selection_matches_mask(self):
-        low = np.zeros((4, 4))
-        high = np.ones((4, 4))
-        c = np.indices((4, 4)).sum(axis=0) % 2 * 2.0  # 0 / 2 checkerboard
-        out = hysteresis_combine(low, high, c, HysteresisParams(c_threshold=1.0))
-        np.testing.assert_array_equal(out, (c > 1.0).astype(np.float64))
-
-    def test_unresolved_threshold_rejected(self):
-        with pytest.raises(ValueError, match="threshold"):
-            hysteresis_combine(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)),
-                               HysteresisParams())
+    def test_checkerboard_selection_matches_mask(self, rng):
+        # the high run where c_ref > threshold, pixel by pixel; the
+        # comparison is strict, so a pixel at the threshold takes the low run
+        u = rng.normal(1.0, 0.1, (16, 16))
+        c_ref = self.runs(u, math.inf)[3]
+        at = np.unravel_index(np.argsort(c_ref, axis=None)[128], c_ref.shape)
+        combined, low, high, _ = self.runs(u, float(c_ref[at]))
+        mask = c_ref > c_ref[at]
+        assert 0 < mask.sum() < mask.size and not mask[at]
+        assert_same_bits(combined, np.where(mask, high, low))
+        assert combined[at] == low[at] != high[at]
 
     def test_filter_returns_pixelwise_choice(self, rng):
         u = smooth_field(rng, (24, 24), offset=1.0, scale=0.08)
@@ -669,7 +647,7 @@ class TestHysteresis:
 class TestDirectionalAd:
     def test_constant_fixed_point(self):
         u = np.full((7, 7), 1.5)
-        out = directional_ad_step(u, PMParams(delta=1.0), grad_threshold=0.5)
+        out = run_directional_ad(u, PMParams(delta=1.0, iterations=1), grad_threshold=0.5)
         np.testing.assert_array_equal(out, u)
 
     def test_e1_term_suppressed_across_edges(self):
@@ -677,10 +655,14 @@ class TestDirectionalAd:
         # the eta and e2 terms
         u = np.zeros((9, 9))
         u[:, 5:] = 1.0
-        p = PMParams(delta=0.2)
-        full = directional_ad_step(u, p, grad_threshold=math.inf)
-        cut = directional_ad_step(u, p, grad_threshold=0.25)
+        p = PMParams(delta=0.2, iterations=1)
+        full = run_directional_ad(u, p, grad_threshold=math.inf)
+        cut = run_directional_ad(u, p, grad_threshold=0.25)
         assert not np.array_equal(full, cut)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="grad_threshold"):
+            run_directional_ad(np.ones((5, 5)), PMParams(delta=1.0), math.nan)
 
     def test_default_threshold_is_90th_percentile(self, rng):
         u = smooth_field(rng, (14, 14))
@@ -693,13 +675,15 @@ class TestDirectionalAd:
         )
 
     def test_threshold_fixed_across_iterations(self, rng):
+        # the default threshold is the input's, kept for every iteration:
+        # the run gives the bits of fresh one-iteration runs at that threshold
         u = smooth_field(rng, (14, 14))
         p = PMParams(delta=1.0, iterations=3)
         b = derivatives(u)
         thr = float(np.quantile(np.sqrt(b.ux**2 + b.uy**2), 0.9))
         manual = u
         for _ in range(3):
-            manual = directional_ad_step(manual, p, thr)
+            manual = run_directional_ad(manual, replace(p, iterations=1), thr)
         np.testing.assert_array_equal(run_directional_ad(u, p), manual)
         # default and explicit thresholds, bit for bit, on every run shape
         for shape in RUN_SHAPES:
@@ -711,7 +695,7 @@ class TestDirectionalAd:
                 for given, thr in ((None, default), (0.02, 0.02)):
                     manual = u
                     for _ in range(p.iterations):
-                        manual = directional_ad_step(manual, p, thr)
+                        manual = run_directional_ad(manual, replace(p, iterations=1), thr)
                     assert_same_bits(run_directional_ad(u, p, given), manual)
 
 
@@ -743,9 +727,9 @@ class TestEigenvectorFreeHotPath:
             out, _ = run_filter(u, AdaptiveParams(mode=mode, max_iterations=2))
             assert np.all(np.isfinite(out))
             assert np.all(np.isfinite(directional_step(u, AdaptiveParams(mode=mode))))
-        p = PMParams(delta=0.05)
-        assert np.all(np.isfinite(directional_ad_step(u, p, grad_threshold=0.01)))
-        assert np.all(np.isfinite(orthogonal_step(u, p)))
+        p = PMParams(delta=0.05, iterations=1)
+        assert np.all(np.isfinite(run_directional_ad(u, p, grad_threshold=0.01)))
+        assert np.all(np.isfinite(run_orthogonal(u, p)))
 
     def test_run_loops_read_the_padded_stencil(self, monkeypatch, rng):
         from mipdiff import fields
@@ -768,7 +752,7 @@ class TestEigenvectorFreeHotPath:
         b = derivatives(u)
         still = (b.ux == 0.0) & (b.uy == 0.0)
         assert still[5, 5] and b.uxx[5, 5] != 0.0
-        out = orthogonal_step(u, PMParams(delta=0.05))
+        out = run_orthogonal(u, PMParams(delta=0.05, iterations=1))
         np.testing.assert_array_equal(out[still], u[still])
         assert np.any(out[~still] != u[~still])
 
@@ -792,7 +776,7 @@ class TestEigenvectorFreeHotPath:
             combined, _, _ = hysteresis_filter(u, AdaptiveParams(mode=mode), HysteresisParams())
             assert np.all(np.isfinite(combined))
         p = PMParams(delta=0.05, iterations=2)
-        assert np.all(np.isfinite(orthogonal_step(u, p)))
+        assert np.all(np.isfinite(run_orthogonal(u, p)))
         assert np.all(np.isfinite(run_directional_ad(u, p)))
 
     @pytest.fixture
@@ -823,11 +807,8 @@ class TestEigenvectorFreeHotPath:
             directional_step(u, AdaptiveParams(mode=mode))
             assert len(as_field_calls) == 1
         p = PMParams(delta=0.05, iterations=3)
-        for step in (orthogonal_step, lambda v, q: directional_ad_step(v, q, 0.01)):
-            as_field_calls.clear()
-            step(u, p)
-            assert len(as_field_calls) == 1
-        for run in (run_pm, run_orthogonal, run_directional_ad):
+        for run in (pm_step, run_pm, run_orthogonal, run_directional_ad,
+                    lambda v, q: run_directional_ad(v, q, 0.01)):
             as_field_calls.clear()
             run(u, p)
             assert len(as_field_calls) == 1

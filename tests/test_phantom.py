@@ -31,10 +31,6 @@ class TestSpecs:
         with pytest.raises(ValueError, match="outside"):
             PhantomSpec(width=32, height=32, depth=8, tubes=(tube,))
 
-    def test_channel_sigma_count(self):
-        with pytest.raises(ValueError, match="center"):
-            ChannelSpec(sigmas=(0.05, 0.1), centers=((1.0, 1.0),))
-
     def test_amplitude_range(self):
         with pytest.raises(ValueError, match="amplitude"):
             PhantomSpec(baseline_amplitude=1.5)
