@@ -31,7 +31,9 @@ from mipdiff.diffusion import (
     run_orthogonal,
     run_pm,
 )
+from mipdiff.cli import main
 from mipdiff.fields import _padded, curvature_terms, derivatives, structureness
+from mipdiff.fileio import read_volume, write_volume
 from mipdiff.metrics import psnr_vs_input
 
 
@@ -454,6 +456,24 @@ class TestRunFilter:
             assert trace.relative_changes[-1] < params.tolerance
         else:
             assert trace.iterations == 40
+
+    def test_trace_csv_format(self, rng, tmp_path):
+        # filter --trace writes the trace's relative changes, each one
+        # printed in the fewest digits that read back to the same float
+        src, out = tmp_path / "in.vol", tmp_path / "o.vol"
+        write_volume(smooth_field(rng, (10, 10), offset=1.0, scale=0.1), src)
+        assert main([
+            "filter", "--input", str(src), "--output", str(out),
+            "--alpha", "2.0", "--max-iterations", "3", "--trace",
+        ]) == 0
+        _, trace = run_filter(read_volume(src)[0], AdaptiveParams(alpha=2.0, max_iterations=3))
+        lines = (tmp_path / "o_trace_s0.csv").read_text().splitlines()
+        assert lines[0] == "iteration,relative_change"
+        assert len(lines) == trace.iterations + 1
+        for i, (line, r) in enumerate(zip(lines[1:], trace.relative_changes), start=1):
+            k, value = line.split(",")
+            assert int(k) == i
+            assert float(value) == r
 
     def test_single_iteration_reconstruction(self, rng):
         # out = in + step * basis_sum holds exactly for a one-iteration run
