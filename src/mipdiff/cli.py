@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,8 @@ from .diffusion import (
     run_orthogonal,
     run_pm,
 )
-from .fileio import VolumeIOError, VolumeWriter, _read_slices, export_pgm, write_volume
+from .fileio import (VolumeIOError, VolumeWriter, _commit, _read_slices, _write_text,
+                     export_pgm, write_volume)
 from .metrics import Roi, contrast_per_pixel, contrast_ratio, psnr_vs_input, psnr_vs_reference
 from .phantom import (
     ChannelSpec,
@@ -187,17 +188,12 @@ def write_manifest(path, command: str, values: dict, inputs: list) -> None:
     """Record every effective option plus the ``(path, sha256)`` pairs of
     ``inputs``, config-file style. Each digest was taken when the command
     read its file, so no input is read again here."""
-    lines = [
+    _write_text(path, [
         f"# mipdiff {__version__} manifest",
         f"# subcommand: {command}",
-    ]
-    for p, digest in inputs:
-        lines.append(f"# input sha256 {digest} {p}")
-    for key, value in values.items():
-        if value is None:
-            continue
-        lines.append(f"{key} = {_fmt_value(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        *(f"# input sha256 {digest} {p}" for p, digest in inputs),
+        *(f"{key} = {_fmt_value(value)}" for key, value in values.items() if value is not None),
+    ])
 
 
 def _fmt_metric(v: float) -> str:
@@ -208,13 +204,8 @@ def _fmt_metric(v: float) -> str:
 
 def write_metrics_csv(path, rows) -> None:
     """Rows of (method, psnr_input, psnr_ref, cr, cpp)."""
-    lines = ["method,psnr_input,psnr_ref,cr,cpp"]
-    for method, p_in, p_ref, cr, cpp in rows:
-        lines.append(
-            f"{method},{_fmt_metric(p_in)},{_fmt_metric(p_ref)},"
-            f"{_fmt_metric(cr)},{_fmt_metric(cpp)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    lines = [",".join([method, *map(_fmt_metric, figures)]) for method, *figures in rows]
+    _write_text(path, ["method,psnr_input,psnr_ref,cr,cpp", *lines], "ascii")
 
 
 def _metrics_row(method: str, base, ref, test, roi: Roi | None = None) -> tuple:
@@ -230,9 +221,9 @@ def _metrics_row(method: str, base, ref, test, roi: Roi | None = None) -> tuple:
 
 
 def _write_image(v: dict, command: str, img, path, baseline=None) -> str:
-    """Write ``img`` to ``path``, then the optional ``--pgm`` preview, then the
+    """Write ``img`` to ``path``, the optional ``--pgm`` preview and the
     optional one-row ``--metrics-csv`` scoring ``img`` against
-    ``baseline()``, called only then, as both input and reference; return
+    ``baseline()``, called only for it, as both input and reference; return
     the manifest path ``<path>.manifest.txt``."""
     write_volume(img, path)
     if v["pgm"]:
@@ -264,25 +255,21 @@ def _params(cls, v: dict, **given):
 
 
 def cmd_phantom(v: dict, inputs: list) -> str:
-    from contextlib import ExitStack
-
     tube_y = v["tube_y"] if v["tube_y"] is not None else (v["height"] - 1) / 2.0
     tube_z = v["tube_z"] if v["tube_z"] is not None else (v["depth"] - 1) / 2.0
     if v["channels"] < 0:
         raise ConfigError(f"channels must be >= 0, got {v['channels']}")
     if v["channel_sigmas"] and not v["channels"]:
         raise ConfigError("channel_sigmas needs channels >= 1")
-    channels = None
-    if v["channels"] > 0:
-        sigmas = v["channel_sigmas"] or tuple([v["noise_sigma"]] * v["channels"])
-        if len(sigmas) != v["channels"]:
-            raise ConfigError(
-                f"got {len(sigmas)} channel_sigmas for {v['channels']} channels"
-            )
-        channels = ChannelSpec(sigmas=tuple(sigmas))
+    sigmas = v["channel_sigmas"] or (v["noise_sigma"],) * v["channels"]
+    if len(sigmas) != v["channels"]:
+        raise ConfigError(f"got {len(sigmas)} channel_sigmas for {v['channels']} channels")
     tube = _params(TubeSpec, v, points=((0.0, tube_y, tube_z), (v["width"] - 1.0, tube_y, tube_z)))
-    spec = _params(PhantomSpec, v, tubes=(tube,), channels=channels)
-    if v["flow"] and channels is None:
+    # the spec checks --noise-sigma before the channel sigmas it defaults
+    spec = _params(PhantomSpec, v, tubes=(tube,), channels=None)
+    if sigmas:
+        spec = replace(spec, channels=ChannelSpec(sigmas=sigmas))
+    if v["flow"] and not sigmas:
         raise ConfigError("flow output needs channels >= 1")
     out_dir = Path(v["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,9 +277,8 @@ def cmd_phantom(v: dict, inputs: list) -> str:
     shape = (spec.depth, spec.height, spec.width)
     passes = _passes(spec)
     tops = (-np.inf, -np.inf)  # max projections of clean and mask, for --flow
-    with ExitStack() as stack:
-        outs = [stack.enter_context(VolumeWriter(f"{stem}_{name}.vol", shape))
-                for name in ("clean", "noisy", "mask")]
+    outs = [VolumeWriter(f"{stem}_{name}.vol", shape) for name in ("clean", "noisy", "mask")]
+    with outs[0], outs[1], outs[2]:
         for clean, noisy, mask in next(passes):
             for out, sl in zip(outs, (clean, noisy, mask)):
                 out.write(sl)
@@ -307,31 +293,24 @@ def cmd_phantom(v: dict, inputs: list) -> str:
             with VolumeWriter(f"{stem}_c{k}.vol", shape) as out:
                 for sl in slices:
                     out.write(sl)
-    if channels is not None:
-        sigma_lines = [repr(float(s)) for s in channels.sigmas]
-        Path(f"{stem}_sigma.txt").write_text("\n".join(sigma_lines) + "\n")
-    meta_lines = [f"{k} = {_fmt_value(val)}" for k, val in _metadata(spec).items()]
-    Path(f"{stem}_meta.txt").write_text("\n".join(meta_lines) + "\n")
+    if sigmas:
+        _write_text(f"{stem}_sigma.txt", [repr(float(s)) for s in sigmas])
+    _write_text(f"{stem}_meta.txt", [f"{k} = {_fmt_value(x)}" for k, x in _metadata(spec).items()])
     return f"{stem}_manifest.txt"
 
 
 def cmd_filter(v: dict, inputs: list) -> str:
     params = _params(AdaptiveParams, v)
     shape, slices = _slices(v["input"], inputs)
-    changes = []  # each slice's relative changes, for --trace
+    stem = Path(v["output"]).with_suffix("")
     with VolumeWriter(v["output"], shape) as out:
-        for sl in slices:
+        for k, sl in enumerate(slices):
             filtered, trace = run_filter(sl, params)
             out.write(filtered)
             if v["trace"]:
-                changes.append(trace.relative_changes)
-    # written once the volume is, so a failed run leaves no trace either
-    stem = Path(v["output"]).with_suffix("")
-    for k, rel in enumerate(changes):
-        lines = ["iteration,relative_change"]
-        lines += [f"{i},{np.format_float_positional(r, trim='-')}"
-                  for i, r in enumerate(rel, start=1)]
-        Path(f"{stem}_trace_s{k}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+                rows = [f"{i},{np.format_float_positional(r, trim='-')}"
+                        for i, r in enumerate(trace.relative_changes, start=1)]
+                _write_text(f"{stem}_trace_s{k}.csv", ["iteration,relative_change", *rows], "ascii")
     return f"{v['output']}.manifest.txt"
 
 
@@ -452,10 +431,9 @@ def cmd_alpha_sweep(v: dict, inputs: list) -> str:
     # row 0 folds the input slices, row k their filtered results at the k-th gain
     filters = [lambda sl, params=params: run_filter(sl, params)[0] for params in gains]
     folded = _project_each(slices, shape, [np.asarray, *filters], kind)
-    lines = ["alpha,psnr_input"]
-    for alpha, img in zip(alphas, folded[1:]):
-        lines.append(f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(folded[0], img))}")
-    Path(v["output"]).write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = [f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(folded[0], img))}"
+            for alpha, img in zip(alphas, folded[1:])]
+    _write_text(v["output"], ["alpha,psnr_input", *rows], "ascii")
     return f"{v['output']}.manifest.txt"
 
 
@@ -470,7 +448,7 @@ _FILTER_OPTS = [
 _MODE_OPT = Opt("mode", "str", AdaptiveParams.mode, choices=("mip", "mip_min"))
 
 # name -> (handler, options); each handler fills the inputs list it is given
-# and returns its manifest path, and main writes the manifest.
+# and returns its manifest path; main writes the manifest and commits it last.
 COMMANDS: dict[str, tuple] = {
     "phantom": (cmd_phantom, [
         Opt("out_dir", "str", required=True, help="directory for outputs"),
@@ -597,7 +575,8 @@ def main(argv=None) -> int:
     try:
         values = _resolve(opts, cli_values, args.config)
         inputs = []
-        write_manifest(handler(values, inputs), command, values, inputs)
+        with _commit():
+            write_manifest(handler(values, inputs), command, values, inputs)
     except ConfigError as exc:
         print(f"mipdiff {command}: config error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import os
 import stat
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -189,6 +191,76 @@ def read_volume(path, digest=None) -> np.ndarray:
     return vol
 
 
+_held = ContextVar("_held", default=None)  # (temporary, target) pairs for _commit
+
+
+@contextmanager
+def _replacing(path):
+    """Yield a binary file that replaces ``path`` once the block ends cleanly:
+    a new temporary file beside what ``path`` names (mode 0o666 under the
+    umask; a symlink is kept and its target replaced), closed when the block
+    ends, then renamed onto its target, inside ``_commit`` when that block
+    ends, or removed on an exception. A ``path`` that exists and is not a
+    regular file (a FIFO, a device, a directory) is opened in place."""
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "wb") as f:
+            yield f
+        return
+    final = os.path.realpath(path)
+    head, tail = os.path.split(final)
+    n = 0
+    while True:
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            n += 1
+        except OSError as exc:  # name the target, as open(path, "wb") would
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "wb") as f:
+            yield f
+        held = _held.get()
+        if held is None:
+            os.replace(tmp, final)
+        else:
+            held.append((tmp, final))
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+@contextmanager
+def _commit():
+    """Hold back the renames of the files ``_replacing`` closes in the block
+    and make them, in the order the files were closed, when the block ends
+    cleanly. On an exception every file held back is removed instead."""
+    held = []
+    token = _held.set(held)
+    try:
+        yield
+        while held:
+            os.replace(*held[0])
+            del held[0]
+    finally:
+        _held.reset(token)
+        for tmp, _ in held:
+            with suppress(OSError):
+                os.unlink(tmp)
+
+
+def _write_text(path, lines, encoding="utf-8") -> None:
+    """Write ``lines``, each ended by a newline, through ``_replacing``."""
+    with _replacing(path) as f:
+        f.write("".join(f"{line}\n" for line in lines).encode(encoding))
+
+
 class VolumeWriter:
     """Write a MIPVOL file of ``shape`` (nz, ny, nx) slice by slice::
 
@@ -196,16 +268,12 @@ class VolumeWriter:
             for sl in slices:
                 out.write(sl)
 
-    The header is written on entry. Each ``write`` takes one (ny, nx) slice
-    or a (k, ny, nx) group, refuses it if it holds NaN, Inf or a sample that
-    rounds to Inf as float32, and casts it to little-endian float32 one
-    slice at a time, through one reused slice buffer. The file
-    is written under a temporary name beside ``path`` and renamed to
-    ``path`` only when the block ends without an exception and with all
-    ``nz`` slices written; otherwise it is removed, so a failed write
-    leaves no output and an existing ``path`` as it was. An existing
-    ``path`` that is not a regular file (a FIFO, a device) is written in
-    place.
+    Each ``write`` takes one (ny, nx) slice or a (k, ny, nx) group, refuses
+    it if it holds NaN, Inf or a sample that rounds to Inf as float32, and
+    casts it to little-endian float32 one slice at a time, through one
+    reused slice buffer; the first also writes the header. The file is
+    opened on entry through ``_replacing``, and a block that raises or
+    writes fewer than ``nz`` slices leaves no output and ``path`` as it was.
     """
 
     def __init__(self, path, shape):
@@ -216,44 +284,11 @@ class VolumeWriter:
         self.shape = shape
 
     def __enter__(self):
-        nz, ny, nx = self.shape
-        self._buf = np.empty((ny, nx), dtype="<f4")
+        self._buf = np.empty(self.shape[1:], dtype="<f4")
         self._count = 0  # slices written
-        self._open()
-        try:
-            self._file.write(f"{MAGIC} {nx} {ny} {nz}\n".encode("ascii"))
-        except BaseException:
-            self._discard()
-            raise
+        self._target = _replacing(self.path)
+        self._file = self._target.__enter__()
         return self
-
-    def _open(self) -> None:
-        """Open the file the payload goes to: a new temporary file beside
-        what ``path`` names (a symlink is kept, and its target replaced), or
-        ``path`` itself when it exists and is not a regular file."""
-        try:
-            in_place = not stat.S_ISREG(os.stat(self.path).st_mode)
-        except FileNotFoundError:
-            in_place = False
-        if in_place:
-            self._tmp, self._file = None, open(self.path, "wb")
-            return
-        self._final = os.path.realpath(self.path)
-        head, tail = os.path.split(self._final)
-        n = 0
-        while True:
-            self._tmp = os.path.join(head, f".{tail}.{os.getpid()}.{n}.tmp")
-            try:
-                # mode 0o666 under the umask, as open(path, "wb") creates it
-                fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            except FileExistsError:
-                n += 1
-                continue
-            except OSError as exc:
-                # name the target, as open(path, "wb") would
-                raise OSError(exc.errno, exc.strerror, os.fspath(self.path)) from None
-            self._file = open(fd, "wb")
-            return
 
     def write(self, slices) -> None:
         """Append one (ny, nx) slice or a (k, ny, nx) group of slices."""
@@ -273,34 +308,20 @@ class VolumeWriter:
                 f"{self.path}: refusing to write NaN or Inf samples, "
                 "or samples beyond float32 range"
             )
+        if self._count == 0:
+            self._file.write(f"{MAGIC} {nx} {ny} {nz}\n".encode("ascii"))
         for sl in arr:
             self._buf[...] = sl
             self._file.write(self._buf)
         self._count += len(arr)
 
-    def _discard(self) -> None:
-        self._file.close()
-        if self._tmp is not None:
-            try:
-                os.unlink(self._tmp)
-            except OSError:
-                pass
-
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            self._discard()
-            return False
-        try:
-            nz = self.shape[0]
-            if self._count < nz:
-                raise DimensionError(f"{self.path}: {self._count} of {nz} slices written")
-            self._file.close()
-            if self._tmp is not None:
-                os.replace(self._tmp, self._final)
-        except BaseException:
-            self._discard()
-            raise
-        return False
+        nz = self.shape[0]
+        if exc_type is None and self._count < nz:
+            exc = DimensionError(f"{self.path}: {self._count} of {nz} slices written")
+            self._target.__exit__(DimensionError, exc, None)
+            raise exc
+        return self._target.__exit__(exc_type, exc, tb)
 
 
 def write_volume(volume, path) -> None:
@@ -331,6 +352,6 @@ def export_pgm(field, path) -> None:
     else:
         scaled = np.zeros_like(u)
     ny, nx = u.shape
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(f"P5\n{nx} {ny}\n65535\n".encode("ascii"))
         f.write(scaled.astype(">u2").tobytes())

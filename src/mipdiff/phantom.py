@@ -79,6 +79,8 @@ class PhantomSpec:
             raise ValueError("baseline_amplitude must lie in [0, 1)")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError("noise_sigma must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for tube in self.tubes:
             for px, py, pz in tube.points:
                 inside = (

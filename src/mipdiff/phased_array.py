@@ -8,6 +8,8 @@ sigma_k calibration.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .diffusion import AdaptiveParams, FilterTrace, run_filter
@@ -51,8 +53,8 @@ def pa_combine(channels, sigma=None) -> np.ndarray:
     """Noise-weighted root-sum-of-squares combination sqrt(sum (M_k/s_k)^2).
 
     With ``sigma`` absent every channel weight is 1 (uncalibrated
-    combination). Sigma entries must be positive and match the channel
-    count.
+    combination). Sigma entries must be finite and positive and match the
+    channel count.
     """
     fields = [as_field(ch) for ch in channels]
     if not fields:
@@ -68,8 +70,8 @@ def pa_combine(channels, sigma=None) -> np.ndarray:
             raise ValueError(
                 f"got {len(weights)} sigma values for {len(fields)} channels"
             )
-        if any(not s > 0 for s in weights):
-            raise ValueError("sigma values must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in weights):
+            raise ValueError("sigma values must be finite and positive")
     acc = np.zeros(shape, dtype=np.float64)
     for f, s in zip(fields, weights):
         scaled = f / s

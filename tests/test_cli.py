@@ -203,26 +203,70 @@ class TestExitCodes:
         assert code == 1
         assert "bad.vol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("failure", ["bad_roi", "sigma_count", "truncated"])
-    def test_failed_command_leaves_no_manifest(self, tmp_path, noisy_volume, failure):
+    @pytest.mark.parametrize("failure", [
+        "bad_roi", "sigma_count", "truncated", "inf_sigma", "phantom", "filter_trace",
+        "project_pgm", "swi_csv", "mip_csv", "pc_pgm", "metrics", "compare", "alpha_sweep",
+    ])
+    def test_failed_command_leaves_no_manifest(self, tmp_path, noisy_volume, capsys, failure):
+        """A failed command leaves none of its outputs and no temporary file,
+        and a target that existed keeps its bytes. Each i/o case fails at
+        one output: its directory is missing, or its path is a directory."""
         src, vol = noisy_volume
         img = tmp_path / "img.vol"
         write_volume(vol[0], img)
         for axis in "xyz":
             write_volume(vol[0], tmp_path / f"fl_c1_{axis}.vol")
         (tmp_path / "sigma.txt").write_text("0.05\n0.1\n")
+        (tmp_path / "inf.txt").write_text("inf\n")
         short = tmp_path / "short.vol"
         short.write_bytes(src.read_bytes()[:-4])
-        code, argv = {
+        keep = tmp_path / "keep.vol"
+        keep.write_bytes(b"keep")
+        ph = tmp_path / "ph"
+        ph.mkdir()
+        (ph / "phantom_clean.vol").write_bytes(b"keep")
+        nodir = tmp_path / "nodir"
+        one = ["--max-iterations", "1"]
+        # (exit code, argv, the output path the command fails at, if any)
+        code, argv, bad = {
             "bad_roi": (2, ["metrics", "--input", img, "--test", img, "--roi", "1,2,3",
-                            "--output", tmp_path / "m.csv"]),
+                            "--output", tmp_path / "m.csv"], None),
             "sigma_count": (2, ["pc", "--input-stem", tmp_path / "fl", "--channels", "1",
                                 "--out-stem", tmp_path / "pc",
-                                "--sigma-file", tmp_path / "sigma.txt"]),
-            "truncated": (1, ["filter", "--input", short, "--output", tmp_path / "f.vol"]),
+                                "--sigma-file", tmp_path / "sigma.txt"], None),
+            "truncated": (1, ["filter", "--input", short, "--output", tmp_path / "f.vol"], None),
+            "inf_sigma": (2, ["pc", "--input-stem", tmp_path / "fl", "--channels", "1",
+                              "--out-stem", tmp_path / "pc",
+                              "--sigma-file", tmp_path / "inf.txt", *one], None),
+            "phantom": (1, ["phantom", "--out-dir", ph, "--width", "16", "--height", "16",
+                            "--depth", "3"], ph / "phantom_meta.txt"),
+            "filter_trace": (1, ["filter", "--input", src, "--output", keep, "--trace", *one],
+                             tmp_path / "keep_trace_s1.csv"),
+            "project_pgm": (1, ["project", "--input", src, "--output", keep,
+                                "--pgm", nodir / "p.pgm"], nodir / "p.pgm"),
+            "swi_csv": (1, ["swi", "--magnitude", src, "--phase", src, "--output", keep,
+                            "--metrics-csv", nodir / "s.csv", *one], nodir / "s.csv"),
+            "mip_csv": (1, ["mip", "--input", src, "--output", keep,
+                            "--metrics-csv", nodir / "m.csv", *one], nodir / "m.csv"),
+            "pc_pgm": (1, ["pc", "--input-stem", tmp_path / "fl", "--channels", "1",
+                           "--out-stem", tmp_path / "pc", "--pgm", nodir / "p.pgm", *one],
+                       nodir / "p.pgm"),
+            "metrics": (1, ["metrics", "--input", img, "--test", img,
+                            "--output", tmp_path / "m.csv"], tmp_path / "m.csv.manifest.txt"),
+            "compare": (1, ["compare", "--input", src, "--output", tmp_path / "c.csv",
+                            "--iterations", "1", *one], tmp_path / "c.csv.manifest.txt"),
+            "alpha_sweep": (1, ["alpha-sweep", "--input", src, "--output", tmp_path / "a.csv",
+                                "--alphas", "1", *one], tmp_path / "a.csv.manifest.txt"),
         }[failure]
+        if bad is not None and bad.parent != nodir:
+            bad.mkdir()
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
         assert run_cli(*argv) == code
-        assert list(tmp_path.rglob("*manifest*")) == []
+        assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ".tmp" not in err
+        if bad is not None:
+            assert err.endswith(f"'{bad}'\n")
 
     def test_success_is_zero(self, tmp_path, noisy_volume):
         src, _ = noisy_volume
@@ -337,16 +381,24 @@ class TestPhantomCommand:
             ("--contrast", "inf"),
             ("--radius", "inf"),
             ("--baseline-amplitude", "nan"),
+            ("--seed", "-1"),
         ],
         ids=["width_4", "sigma_count", "flow_no_channels", "negative_channels",
              "sigmas_no_channels", "nan_noise_sigma", "inf_noise_sigma",
              "nan_channel_sigma", "nan_contrast", "inf_contrast", "inf_radius",
-             "nan_baseline_amplitude"],
+             "nan_baseline_amplitude", "negative_seed"],
     )
     def test_config_error_creates_no_out_dir(self, tmp_path, args):
         out_dir = tmp_path / "ph"
         assert run_cli("phantom", "--out-dir", out_dir, *args) == 2
         assert not out_dir.exists()
+
+    def test_noise_sigma_checked_before_the_channel_sigmas_it_sets(self, tmp_path, capsys):
+        assert run_cli("phantom", "--out-dir", tmp_path / "ph", "--channels", "2",
+                       "--noise-sigma", "nan") == 2
+        assert capsys.readouterr().err == (
+            "mipdiff phantom: config error: noise_sigma must be finite and non-negative\n"
+        )
 
     @pytest.mark.parametrize("flow", [False, True], ids=["channels", "flow"])
     def test_files_equal_library_volumes(self, tmp_path, flow):

@@ -485,6 +485,47 @@ class TestVolumeWriter:
             write_volume(self.VOL, path)
 
 
+class TestCommit:
+    """Inside ``_commit`` every writer's file is closed as soon as it is
+    written, and renamed onto its target only when the block ends cleanly,
+    in the order the files were written; on an exception all are removed."""
+
+    VOL = TestVolumeWriter.VOL
+
+    def test_renames_wait_for_the_end_in_write_order(self, tmp_path):
+        path = tmp_path / "v.vol"
+        path.write_bytes(b"keep")
+        with fileio._commit():
+            write_volume(self.VOL, path)
+            export_pgm(self.VOL[0], path)
+            fileio._write_text(tmp_path / "t.txt", ["a", "b"])
+            assert path.read_bytes() == b"keep"
+            assert len(os.listdir(tmp_path)) == 4  # v.vol and three temporary files
+        export_pgm(self.VOL[0], tmp_path / "p.pgm")
+        assert path.read_bytes() == (tmp_path / "p.pgm").read_bytes()
+        assert (tmp_path / "t.txt").read_bytes() == b"a\nb\n"
+        assert sorted(os.listdir(tmp_path)) == ["p.pgm", "t.txt", "v.vol"]
+
+    def test_exception_removes_every_file(self, tmp_path):
+        path = tmp_path / "v.vol"
+        path.write_bytes(b"keep")
+        with pytest.raises(KeyError):
+            with fileio._commit():
+                write_volume(self.VOL, path)
+                write_volume(self.VOL, tmp_path / "w.vol")
+                raise KeyError("stop")
+        assert os.listdir(tmp_path) == ["v.vol"]
+        assert path.read_bytes() == b"keep"
+
+    def test_no_file_held_open(self, tmp_path):
+        fds = len(os.listdir("/proc/self/fd"))
+        with fileio._commit():
+            for k in range(50):
+                write_volume(self.VOL, tmp_path / f"v{k}.vol")
+            assert len(os.listdir("/proc/self/fd")) == fds
+        assert len(os.listdir(tmp_path)) == 50
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:

@@ -102,6 +102,8 @@ class TestPaCombine:
             pa_combine(chans, sigma=(0.0,))
         with pytest.raises(ValueError, match="sigma"):
             pa_combine(chans, sigma=(1.0, 1.0))
+        with pytest.raises(ValueError, match="sigma values must be finite"):
+            pa_combine(chans, sigma=(np.inf,))
 
     def test_empty_channel_list(self):
         with pytest.raises(ValueError, match="channel"):
