@@ -50,9 +50,9 @@ def main(argv=None):
         flow = generate_flow(build_spec(seed))
         mask = flow["mask"].astype(bool)
         # plain arm gets the true sigmas; the pipeline runs uncalibrated
-        plain = pa_combine(combine_flow(flow["x"], flow["y"], flow["z"]),
-                           sigma=list(SIGMAS))
-        _, synthesized = pc_pipeline(flow["x"], flow["y"], flow["z"], params)
+        merged = combine_flow(flow["x"], flow["y"], flow["z"])
+        plain = pa_combine(merged, sigma=list(SIGMAS))
+        _, synthesized = pc_pipeline(merged, params)
         nc_plain = normalized_contrast(plain, mask)
         nc_synth = normalized_contrast(synthesized, mask)
         rows.append({

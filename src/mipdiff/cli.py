@@ -134,6 +134,11 @@ def _resolve(opts: list[Opt], cli_values: dict, config_path) -> dict:
             if opt.required:
                 raise ConfigError(f"option '{opt.name}' is required")
             merged[opt.name] = opt.default
+        value = merged[opt.name]  # must read back from the manifest as it is
+        if isinstance(value, str) and ("#" in value or value != value.strip()
+                                       or len(value.splitlines()) > 1):
+            raise ConfigError(f"option '{opt.name}': {value!r} holds '#' or a line break,"
+                              " or starts or ends with whitespace")
     return merged
 
 
@@ -205,7 +210,7 @@ def _fmt_metric(v: float) -> str:
 def write_metrics_csv(path, rows) -> None:
     """Rows of (method, psnr_input, psnr_ref, cr, cpp)."""
     lines = [",".join([method, *map(_fmt_metric, figures)]) for method, *figures in rows]
-    _write_text(path, ["method,psnr_input,psnr_ref,cr,cpp", *lines], "ascii")
+    _write_text(path, ["method,psnr_input,psnr_ref,cr,cpp", *lines])
 
 
 def _metrics_row(method: str, base, ref, test, roi: Roi | None = None) -> tuple:
@@ -310,7 +315,7 @@ def cmd_filter(v: dict, inputs: list) -> str:
             if v["trace"]:
                 rows = [f"{i},{np.format_float_positional(r, trim='-')}"
                         for i, r in enumerate(trace.relative_changes, start=1)]
-                _write_text(f"{stem}_trace_s{k}.csv", ["iteration,relative_change", *rows], "ascii")
+                _write_text(f"{stem}_trace_s{k}.csv", ["iteration,relative_change", *rows])
     return f"{v['output']}.manifest.txt"
 
 
@@ -366,21 +371,23 @@ def _read_sigma_file(path, channels: int, inputs: list):
 
 
 def cmd_pc(v: dict, inputs: list) -> str:
+    # each coil's x, y and z images are merged as they are read; only the merge is kept
     stem = v["input_stem"]
-    paths = [f"{stem}_c{k}_{axis}.vol"
-             for k in range(1, v["channels"] + 1) for axis in ("x", "y", "z")]
-    images = [_image(path, inputs) for path in paths]
-    xs, ys, zs = images[0::3], images[1::3], images[2::3]
+    merged = [combine_flow(*([_image(f"{stem}_c{k}_{axis}.vol", inputs)] for axis in "xyz"),
+                           v["flow_mode"])[0]
+              for k in range(1, v["channels"] + 1)]
     sigma = _read_sigma_file(v["sigma_file"], v["channels"], inputs) if v["sigma_file"] else None
     params = _params(AdaptiveParams, v, mode="mip")
-    scaled, combined = pc_pipeline(xs, ys, zs, params, flow_mode=v["flow_mode"], sigma=sigma)
+    scaled, combined = pc_pipeline(merged, params, sigma)
     for k, ch in enumerate(scaled, start=1):
         write_volume(ch, f"{v['out_stem']}_c{k}.vol")
     return _write_image(v, "pc", combined, f"{v['out_stem']}_combined.vol",
-                        lambda: pa_combine(combine_flow(xs, ys, zs, v["flow_mode"]), sigma))
+                        lambda: pa_combine(merged, sigma))
 
 
 def cmd_metrics(v: dict, inputs: list) -> str:
+    if "," in v["method"] or '"' in v["method"]:
+        raise ConfigError(f"option 'method': {v['method']!r} holds a comma or a double quote")
     base = _image(v["input"], inputs)
     test = _image(v["test"], inputs)
     ref = base if v["reference"] is None else _image(v["reference"], inputs)
@@ -433,7 +440,7 @@ def cmd_alpha_sweep(v: dict, inputs: list) -> str:
     folded = _project_each(slices, shape, [np.asarray, *filters], kind)
     rows = [f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(folded[0], img))}"
             for alpha, img in zip(alphas, folded[1:])]
-    _write_text(v["output"], ["alpha,psnr_input", *rows], "ascii")
+    _write_text(v["output"], ["alpha,psnr_input", *rows])
     return f"{v['output']}.manifest.txt"
 
 

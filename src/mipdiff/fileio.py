@@ -255,10 +255,10 @@ def _commit():
                 os.unlink(tmp)
 
 
-def _write_text(path, lines, encoding="utf-8") -> None:
-    """Write ``lines``, each ended by a newline, through ``_replacing``."""
+def _write_text(path, lines) -> None:
+    """Write ``lines``, each ended by a newline, as UTF-8 through ``_replacing``."""
     with _replacing(path) as f:
-        f.write("".join(f"{line}\n" for line in lines).encode(encoding))
+        f.write("".join(f"{line}\n" for line in lines).encode())
 
 
 class VolumeWriter:

@@ -103,24 +103,16 @@ def filter_synthesized_scale(filtered_channels, combined_trace: FilterTrace):
     return out
 
 
-def pc_pipeline(
-    x_components,
-    y_components,
-    z_components,
-    params: AdaptiveParams,
-    flow_mode: str = "sum",
-    sigma=None,
-):
-    """Flow combination, per-channel filtering, synthesized scaling, final merge.
+def pc_pipeline(channels, params: AdaptiveParams, sigma=None):
+    """Filtering, synthesized scaling and final merge of the list of merged
+    flow ``channels`` that ``combine_flow`` returns.
 
-    Steps: per-channel flow merge; directional filtering of each merged
-    channel (keeping traces); filtering of the plain combination for the
-    denominator trace; filter-synthesized rescaling; final combination of
-    the rescaled channels. Returns (scaled_channels, combined_field).
+    Steps: filtering of the plain combination for the denominator trace,
+    which checks ``sigma`` before any filter runs; directional filtering of
+    each channel (keeping traces); filter-synthesized rescaling; final
+    combination of the rescaled channels. Returns (scaled, combined).
     """
-    merged = combine_flow(x_components, y_components, z_components, flow_mode)
-    filtered = [run_filter(m, params) for m in merged]
-    reference = pa_combine(merged, sigma)
-    _, combined_trace = run_filter(reference, params)
+    _, combined_trace = run_filter(pa_combine(channels, sigma), params)
+    filtered = [run_filter(ch, params) for ch in channels]
     scaled = filter_synthesized_scale(filtered, combined_trace)
     return scaled, pa_combine(scaled, sigma)

@@ -344,7 +344,7 @@ def test_criterion_7_background_suppression():
     mask = flow["mask"].astype(bool)
     plain = pa_combine(combine_flow(flow["x"], flow["y"], flow["z"]),
                        sigma=[0.05, 0.10])
-    _, synthesized = pc_pipeline(flow["x"], flow["y"], flow["z"],
+    _, synthesized = pc_pipeline(combine_flow(flow["x"], flow["y"], flow["z"]),
                                  AdaptiveParams(mode="mip"))
 
     def norm_contrast(img):

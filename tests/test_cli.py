@@ -24,7 +24,7 @@ from mipdiff.diffusion import (
 from mipdiff.fileio import read_volume, write_volume
 from mipdiff.metrics import Roi, psnr_vs_input
 from mipdiff.phantom import ChannelSpec, PhantomSpec, TubeSpec, generate, generate_flow
-from mipdiff.phased_array import pc_pipeline
+from mipdiff.phased_array import combine_flow, pc_pipeline
 from mipdiff.projection import PhaseMaskParams, project
 
 
@@ -144,6 +144,25 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (
             "mipdiff project: config error: option 'config' cannot be set from a config file\n"
         )
+
+    @pytest.mark.parametrize("option, value", [
+        ("output", "{d}/m#1.csv"), ("method", "x\ny"), ("method", " x"),
+    ], ids=["hash", "newline", "leading-space"])
+    def test_value_a_manifest_cannot_hold_refused(
+        self, tmp_path, noisy_volume, capsys, option, value
+    ):
+        """A manifest line is cut at '#' and stripped, one value per line, so
+        a value that would read back differently is refused before any write."""
+        src, vol = noisy_volume
+        img = tmp_path / "img.vol"
+        write_volume(vol[0], img)
+        args = {"output": tmp_path / "m.csv", "method": "x", option: value.format(d=tmp_path)}
+        assert run_cli("metrics", "--input", img, "--test", img,
+                       *(a for key, val in args.items() for a in (f"--{key}", val))) == 2
+        assert capsys.readouterr().err.startswith(
+            f"mipdiff metrics: config error: option '{option}': "
+        )
+        assert sorted(os.listdir(tmp_path)) == ["img.vol", "in.vol"]
 
     def test_params_fields_come_from_options(self, tmp_path, monkeypatch):
         """Each field of a parameter object the CLI builds is passed explicitly
@@ -470,6 +489,27 @@ class TestProjectAndMetrics:
         assert fields[1] == "identical"
         assert fields[2] == "identical"
 
+    @pytest.mark.parametrize("method", ["a,b", 'a"b'])
+    def test_metrics_method_breaking_the_csv_refused(self, tmp_path, noisy_volume,
+                                                     capsys, method):
+        src, vol = noisy_volume
+        img = tmp_path / "img.vol"
+        write_volume(vol[0], img)
+        assert run_cli("metrics", "--input", img, "--test", img,
+                       "--output", tmp_path / "m.csv", "--method", method) == 2
+        assert capsys.readouterr().err.startswith("mipdiff metrics: config error: option 'method': ")
+        assert sorted(os.listdir(tmp_path)) == ["img.vol", "in.vol"]
+
+    def test_metrics_method_written_as_utf8(self, tmp_path, noisy_volume):
+        src, vol = noisy_volume
+        img = tmp_path / "img.vol"
+        write_volume(vol[0], img)
+        csv = tmp_path / "m.csv"
+        assert run_cli("metrics", "--input", img, "--test", img,
+                       "--output", csv, "--method", "\u00e9") == 0
+        assert csv.read_text(encoding="utf-8").splitlines()[1].split(",")[0] == "\u00e9"
+        assert parse_config(f"{csv}.manifest.txt")["method"] == "\u00e9"
+
     def test_metrics_roi_and_reference(self, tmp_path):
         base = np.ones((8, 8))
         test = base + 0.1
@@ -780,6 +820,22 @@ class TestStreamedRoutes:
         assert self.traced_peak("compare", "--input", src, "--output", tmp_path / "c.csv",
                                 "--iterations", "1", *one) < 40 * 2**20
 
+    def test_pc_peak_memory(self, tmp_path):
+        """``pc`` merges each coil's x, y and z images as it reads them and
+        keeps the merged channels only: four 256x256 float64 channels are
+        2 MiB, their twelve components 6 MiB."""
+        assert run_cli("phantom", "--out-dir", tmp_path, "--stem", "fl", "--width", "256",
+                       "--height", "256", "--depth", "16", "--channels", "4", "--flow") == 0
+        out_stem = tmp_path / "pc"
+        assert self.traced_peak("pc", "--input-stem", tmp_path / "fl", "--channels", "4",
+                                "--out-stem", out_stem,
+                                "--metrics-csv", tmp_path / "pc.csv") < 14 * 2**20
+        components = [[read_volume(tmp_path / f"fl_c{k}_{axis}.vol")[0] for k in range(1, 5)]
+                      for axis in "xyz"]
+        _, want = pc_pipeline(combine_flow(*components), AdaptiveParams(mode="mip"))
+        np.testing.assert_array_equal(read_volume(f"{out_stem}_combined.vol")[0],
+                                      want.astype("<f4"))
+
     def test_project_peak_memory(self, tmp_path):
         vol = np.random.default_rng(5).normal(1.0, 0.05, (64, 256, 256)).astype("<f4")
         src = tmp_path / "big.vol"
@@ -940,7 +996,7 @@ class TestPcCommand:
             ys.append(read_volume(tmp_path / f"fl_c{k}_y.vol")[0])
             zs.append(read_volume(tmp_path / f"fl_c{k}_z.vol")[0])
         params = AdaptiveParams(alpha=1.5, max_iterations=2, mode="mip")
-        _, want = pc_pipeline(xs, ys, zs, params, sigma=[0.05, 0.1])
+        _, want = pc_pipeline(combine_flow(xs, ys, zs), params, sigma=[0.05, 0.1])
         np.testing.assert_allclose(combined, want, rtol=1e-6, atol=1e-6)
 
     def test_missing_component_file_exits_1(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import smooth_field
+from mipdiff import phased_array
 from mipdiff.diffusion import AdaptiveParams, FilterTrace, run_filter
 from mipdiff.phased_array import (
     combine_flow,
@@ -159,25 +160,23 @@ class TestFilterSynthesizedScale:
 
 
 class TestPcPipeline:
-    def make_flow(self, rng, n_channels=2, shape=(12, 12)):
+    def make_channels(self, rng, n_channels=2, shape=(12, 12)):
         xs = [rng.uniform(0.4, 0.6, shape) for _ in range(n_channels)]
         ys = [rng.uniform(0.2, 0.4, shape) for _ in range(n_channels)]
         zs = [rng.uniform(0.1, 0.2, shape) for _ in range(n_channels)]
-        return xs, ys, zs
+        return combine_flow(xs, ys, zs)
 
     def test_alpha_zero_degenerates_to_plain_combination(self, rng):
-        xs, ys, zs = self.make_flow(rng)
-        scaled, combined = pc_pipeline(xs, ys, zs, AdaptiveParams(alpha=0.0))
-        merged = combine_flow(xs, ys, zs)
+        merged = self.make_channels(rng)
+        scaled, combined = pc_pipeline(merged, AdaptiveParams(alpha=0.0))
         np.testing.assert_array_equal(combined, pa_combine(merged))
         for s, m in zip(scaled, merged):
             np.testing.assert_array_equal(s, m)
 
     def test_matches_composed_module_calls(self, rng):
-        xs, ys, zs = self.make_flow(rng)
+        merged = self.make_channels(rng)
         params = AdaptiveParams(alpha=2.0, mode="mip", max_iterations=3)
-        scaled, combined = pc_pipeline(xs, ys, zs, params)
-        merged = combine_flow(xs, ys, zs, "sum")
+        scaled, combined = pc_pipeline(merged, params)
         filtered = [run_filter(m, params) for m in merged]
         _, ctrace = run_filter(pa_combine(merged), params)
         want_scaled = filter_synthesized_scale(filtered, ctrace)
@@ -188,11 +187,9 @@ class TestPcPipeline:
     def test_identical_channels_scale_as_sqrt_n(self, rng):
         base = rng.uniform(0.5, 1.0, (12, 12))
         n = 3
-        xs = [0.5 * base] * n
-        ys = [0.3 * base] * n
-        zs = [0.2 * base] * n
+        merged = combine_flow([0.5 * base] * n, [0.3 * base] * n, [0.2 * base] * n)
         params = AdaptiveParams(alpha=1.5, mode="mip", max_iterations=2)
-        scaled, combined = pc_pipeline(xs, ys, zs, params)
+        scaled, combined = pc_pipeline(merged, params)
         for s in scaled[1:]:
             np.testing.assert_array_equal(s, scaled[0])
         np.testing.assert_allclose(
@@ -200,8 +197,16 @@ class TestPcPipeline:
         )
 
     def test_sigma_forwarded_to_combinations(self, rng):
-        xs, ys, zs = self.make_flow(rng)
+        merged = self.make_channels(rng)
         params = AdaptiveParams(alpha=0.0)
-        _, combined = pc_pipeline(xs, ys, zs, params, sigma=(0.5, 2.0))
-        merged = combine_flow(xs, ys, zs)
+        _, combined = pc_pipeline(merged, params, sigma=(0.5, 2.0))
         np.testing.assert_array_equal(combined, pa_combine(merged, (0.5, 2.0)))
+
+    def test_sigma_checked_before_any_filter_runs(self, rng, monkeypatch):
+        def no_filter(*args, **kwargs):
+            raise AssertionError("run_filter called before the sigmas were checked")
+
+        monkeypatch.setattr(phased_array, "run_filter", no_filter)
+        with pytest.raises(ValueError, match="sigma values must be finite and positive"):
+            pc_pipeline(self.make_channels(rng), AdaptiveParams(mode="mip"),
+                        sigma=[math.inf, 1.0])
