@@ -358,7 +358,11 @@ def _read_sigma_file(path, channels: int, inputs: list):
     parsed bytes to ``inputs``."""
     data = Path(path).read_bytes()
     inputs.append((path, hashlib.sha256(data).hexdigest()))
-    text = data.decode()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--sigma-file {path}: not UTF-8 text "
+                          f"(byte {exc.start}: {exc.reason})") from exc
     try:
         sigmas = [float(t) for t in text.split()]
     except ValueError as exc:

@@ -193,14 +193,33 @@ def _as_arr(x):
     return np.asarray(x, dtype=np.float64)
 
 
+def _pm_weights(s, params: PMParams, out=None, slope=True):
+    """``(g, f2)``: the diffusivity g(s) of ``pm_diffusivity`` and, when
+    ``slope``, the flux slope f''(s) of ``pm_flux_second_derivative`` (else
+    None), both from one r = s^2/d^2.
+
+    Written into out = (g, f2, scratch) when given, so a kernel can refill
+    one workspace instead of allocating."""
+    g_out, f2_out, r_out = out or (None,) * 3
+    r = np.multiply(s, s, out=r_out)
+    r = np.divide(r, params.delta * params.delta, out=r_out)
+    if params.diffusivity_kind == "exponential":
+        g = np.exp(np.negative(r, out=g_out), out=g_out)
+        if not slope:
+            return g, None
+        f2 = np.subtract(1.0, np.multiply(2.0, r, out=f2_out), out=f2_out)
+        return g, np.multiply(f2, g, out=f2_out)
+    f2 = np.subtract(1.0, r, out=f2_out) if slope else None
+    r = np.add(1.0, r, out=r_out)
+    g = np.divide(1.0, r, out=g_out)
+    if not slope:
+        return g, None
+    return g, np.divide(f2, np.square(r, out=r_out), out=f2_out)
+
+
 def pm_diffusivity(grad_mag, params: PMParams):
     """Edge-stopping diffusivity g(s): rational 1/(1+s^2/d^2) or exp(-s^2/d^2)."""
-    s = _as_arr(grad_mag)
-    r = (s * s) / (params.delta * params.delta)
-    if params.diffusivity_kind == "rational":
-        out = 1.0 / (1.0 + r)
-    else:
-        out = np.exp(-r)
+    out = _pm_weights(_as_arr(grad_mag), params, slope=False)[0]
     return out if out.ndim else float(out)
 
 
@@ -212,12 +231,7 @@ def pm_flux_second_derivative(grad_mag, params: PMParams):
     Negative beyond s = delta (or delta/sqrt(2)), which is what halts
     smoothing across strong edges in the orthogonal split.
     """
-    s = _as_arr(grad_mag)
-    r = (s * s) / (params.delta * params.delta)
-    if params.diffusivity_kind == "rational":
-        out = (1.0 - r) / (1.0 + r) ** 2
-    else:
-        out = (1.0 - 2.0 * r) * np.exp(-r)
+    out = _pm_weights(_as_arr(grad_mag), params)[1]
     return out if out.ndim else float(out)
 
 
@@ -267,8 +281,8 @@ def _pm_update(u, params: PMParams, faces):
     fe, fs = faces
     de = u[:, 1:] - u[:, :-1]
     ds = u[1:, :] - u[:-1, :]
-    np.multiply(pm_diffusivity(np.abs(de), params), de, out=fe[:, 1:-1])
-    np.multiply(pm_diffusivity(np.abs(ds), params), ds, out=fs[1:-1, :])
+    np.multiply(pm_diffusivity(de, params), de, out=fe[:, 1:-1])
+    np.multiply(pm_diffusivity(ds, params), ds, out=fs[1:-1, :])
     return (fe[:, 1:] - fe[:, :-1]) + (fs[1:, :] - fs[:-1, :])
 
 
@@ -292,35 +306,73 @@ def run_pm(field, params: PMParams) -> np.ndarray:
                 lambda v: _pm_update(v, params, faces))[0]
 
 
-def _orthogonal_update(q, shape, params: PMParams):
+def _slice_workspace(u):
+    """The workspace of ``run_orthogonal`` and ``run_directional_ad`` for
+    the validated field ``u``, built once per run: ``(q, nb, buf, update)``,
+    the padded buffer ``q`` of ``fields._padded`` holding ``u``, its
+    neighbour views of the whole field (``fields._neighbours``), eight
+    float64 buffers and one bool mask of the stencil's (ny, nx + 2) shape,
+    and the contiguous (ny, nx) update. Whole-field, not strips:
+    strip-blocking does not pay for these kernels."""
+    ny, nx = u.shape
+    q = _padded(u)
+    buf = [np.empty((ny, nx + 2)) for _ in range(8)]
+    buf.append(np.empty((ny, nx + 2), dtype=bool))
+    return q, _neighbours(q, nx, 0, ny), buf, np.empty_like(u)
+
+
+def _slice_gradient(v, ws):
+    """The stencil and ``(d_eta, g2)`` of ``_gradient_term`` of the field
+    ``v``, written into the workspace ``ws`` of ``_slice_workspace``.
+    d_eta takes ux's buffer: ``_gradient_term`` last reads ux in the
+    elementwise product that starts d_eta. The bundle's other four maps
+    stay valid."""
+    q, nb, buf, _ = ws
+    ux, uy, uxx, uyy, uxy, t0, t1, g2, mask = buf
+    _padded(v, q)
+    b = _stencil(nb, (ux, uy, uxx, uyy, uxy, t0))
+    d_eta, g2 = _gradient_term(b, (ux, g2, t0, t1, mask))
+    return b, d_eta, g2
+
+
+def _orthogonal_update(v, ws, params: PMParams):
     """Raw per-pixel update lam1 * D_o + lam2 * D_p of ``run_orthogonal``
-    for a field of ``shape`` held in the padded buffer ``q`` (``fields._padded``),
-    as a view of the stencil's pixel columns."""
-    ny, nx = shape
-    b = _stencil(_neighbours(q, nx, 0, ny))
-    d_par, g2 = _gradient_term(b)
-    d_ortho = np.where(g2 > 0.0, b.uxx + b.uyy - d_par, 0.0)
-    gnorm = np.sqrt(g2)
-    lam1 = pm_diffusivity(gnorm, params)
-    lam2 = pm_flux_second_derivative(gnorm, params)
-    return (lam1 * d_ortho + lam2 * d_par)[:, 1:-1]
+    for the field ``v``, computed in the workspace ``ws`` of
+    ``_slice_workspace`` and returned in its contiguous update buffer."""
+    b, d_par, g2 = _slice_gradient(v, ws)
+    _, d_ortho, _, _, _, t0, _, _, mask = ws[2]  # D_o takes uy's buffer, now dead
+    update = ws[3]
+    np.add(b.uxx, b.uyy, out=d_ortho)
+    np.subtract(d_ortho, d_par, out=d_ortho)
+    # mask holds g2 > 0 from _gradient_term; D_o is 0 where it is false
+    np.copyto(d_ortho, 0.0, where=np.logical_not(mask, out=mask))
+    gnorm = np.sqrt(g2, out=g2)
+    lam1, lam2 = _pm_weights(gnorm, params, (b.uxx, b.uyy, t0))
+    np.multiply(lam1, d_ortho, out=d_ortho)
+    np.multiply(lam2, d_par, out=d_par)
+    np.add(d_ortho, d_par, out=d_ortho)
+    np.copyto(update, d_ortho[:, 1:-1])
+    return update
 
 
 def run_orthogonal(field, params: PMParams) -> np.ndarray:
     """Apply ``params.iterations`` explicit steps of the gradient/orthogonal
-    split of the divergence; the input is validated once, and every step
-    refills one padded buffer.
+    split of the divergence; the input is validated once.
 
     The update is lam1 * D_o + lam2 * D_p where D_o and D_p are the second
     derivatives across and along the gradient, lam1 = g(|grad u|) and
     lam2 = f''(|grad u|). D_p is the gradient term of ``curvature_terms`` and
     D_o the rest of the Laplacian. Pixels with zero gradient are left
     unchanged.
+
+    Every step refills one workspace built for the call and freed when it
+    returns: the padded field, eight whole-field float64 buffers and a bool
+    mask, and the contiguous update that ``_run`` steps with.
     """
     u = as_field(field)
-    q = _padded(u)
+    ws = _slice_workspace(u)
     return _run(u, params.dt, params.iterations, 0.0,
-                lambda v: _orthogonal_update(_padded(v, q), v.shape, params))[0]
+                lambda v: _orthogonal_update(v, ws, params))[0]
 
 
 def _nearest_rank_index(q: float, n: int) -> int:
@@ -546,18 +598,27 @@ def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     return np.where(c_ref > threshold, high_out, low_out), low_out, high_out
 
 
-def _directional_ad_update(q, shape, params: PMParams, grad_threshold: float):
-    """Raw per-pixel update of ``run_directional_ad`` for a field of
-    ``shape`` held in the padded buffer ``q``, as a view of the stencil's
-    pixel columns."""
-    ny, nx = shape
-    b = _stencil(_neighbours(q, nx, 0, ny))
-    d_eta, g2 = _gradient_term(b)
-    d_e1, d_e2, _ = _eigenvalues(b.uxx, b.uxy, b.uyy)
-    gnorm = np.sqrt(g2)
-    g = pm_diffusivity(gnorm, params)
-    g_e1 = np.where(gnorm > grad_threshold, 0.0, g)
-    return (g * d_eta + g_e1 * d_e1 + g * d_e2)[:, 1:-1]
+def _directional_ad_update(v, ws, params: PMParams, grad_threshold: float):
+    """Raw per-pixel update g * d_eta + g_e1 * d_e1 + g * d_e2 of
+    ``run_directional_ad`` for the field ``v``, g_e1 being g where
+    |grad u| <= grad_threshold and 0 elsewhere; computed in the workspace
+    ``ws`` of ``_slice_workspace`` and returned in its contiguous update
+    buffer."""
+    _, d_eta, g2 = _slice_gradient(v, ws)
+    _, uy, uxx, uyy, uxy, t0, t1, _, mask = ws[2]
+    update = ws[3]
+    d_e1, d_e2, _ = _eigenvalues(uxx, uxy, uyy, (uy, t0, t1))
+    gnorm = np.sqrt(g2, out=g2)
+    g, _ = _pm_weights(gnorm, params, (uxx, None, uyy), slope=False)
+    # g >= 0, so g * False is the +0 that a select would give
+    g_e1 = np.multiply(g, np.less_equal(gnorm, grad_threshold, out=mask), out=uxy)
+    np.multiply(g, d_eta, out=d_eta)
+    np.multiply(g_e1, d_e1, out=d_e1)
+    np.add(d_eta, d_e1, out=d_eta)
+    np.multiply(g, d_e2, out=d_e2)
+    np.add(d_eta, d_e2, out=d_eta)
+    np.copyto(update, d_eta[:, 1:-1])
+    return update
 
 
 def run_directional_ad(field, params: PMParams, grad_threshold: float | None = None) -> np.ndarray:
@@ -570,13 +631,17 @@ def run_directional_ad(field, params: PMParams, grad_threshold: float | None = N
     threshold defaults to the 90th percentile of the input's gradient
     magnitude and stays fixed; inf never switches the term off, and NaN is
     refused.
+
+    Every step refills one workspace built for the call and freed when it
+    returns, as ``run_orthogonal``'s: the padded field, eight whole-field
+    float64 buffers and a bool mask, and the contiguous update.
     """
     if grad_threshold is not None and math.isnan(grad_threshold):
         raise ValueError("grad_threshold must not be NaN")
     u = as_field(field)
-    q = _padded(u)
+    ws = _slice_workspace(u)
     if grad_threshold is None:
-        g2 = _gradient_term(_stencil(_neighbours(q, u.shape[1], 0, u.shape[0])))[1]
+        g2 = _slice_gradient(u, ws)[2]
         grad_threshold = float(np.quantile(np.sqrt(g2[:, 1:-1]), 0.9))
     return _run(u, params.dt, params.iterations, 0.0,
-                lambda v: _directional_ad_update(_padded(v, q), v.shape, params, grad_threshold))[0]
+                lambda v: _directional_ad_update(v, ws, params, grad_threshold))[0]

@@ -1015,6 +1015,21 @@ class TestPcCommand:
                        "--out-stem", tmp_path / "o", "--sigma-file", sigma)
         assert code == 2
 
+    def test_undecodable_sigma_file_names_option_and_path(self, tmp_path, capsys):
+        assert run_cli("phantom", "--out-dir", tmp_path, "--stem", "fl",
+                       "--width", "16", "--height", "16", "--depth", "3",
+                       "--channels", "1", "--flow") == 0
+        capsys.readouterr()
+        sigma = tmp_path / "bad.txt"
+        sigma.write_bytes(b"\xff0.05\n")
+        code = run_cli("pc", "--input-stem", tmp_path / "fl", "--channels", "1",
+                       "--out-stem", tmp_path / "o", "--sigma-file", sigma)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"mipdiff pc: config error: --sigma-file {sigma}: not UTF-8 text")
+        assert not list(tmp_path.glob("o*"))
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -80,6 +80,42 @@ def whole_slice_run(u, params):
     return u, changes, update
 
 
+def squared_gradient(b):
+    return b.ux * b.ux + b.uy * b.uy
+
+
+def whole_slice_orthogonal(u, params):
+    """run_orthogonal's steps on whole slices, from the public derivatives,
+    curvature_terms and PM weights: u + dt * (g * D_o + f'' * D_p)."""
+    for _ in range(params.iterations):
+        b = derivatives(u)
+        d_par = curvature_terms(b)[0]
+        g2 = squared_gradient(b)
+        s = np.sqrt(g2)
+        d_ortho = np.where(g2 > 0.0, b.uxx + b.uyy - d_par, 0.0)
+        update = (pm_diffusivity(s, params) * d_ortho
+                  + pm_flux_second_derivative(s, params) * d_par)
+        u = u + params.dt * update
+    return u
+
+
+def whole_slice_directional_ad(u, params, grad_threshold=None):
+    """run_directional_ad's steps on whole slices, from the public
+    derivatives, curvature_terms and pm_diffusivity, the e1 term switched
+    off where |grad u| exceeds the threshold (the input's 90th percentile
+    when None)."""
+    if grad_threshold is None:
+        grad_threshold = float(np.quantile(np.sqrt(squared_gradient(derivatives(u))), 0.9))
+    for _ in range(params.iterations):
+        b = derivatives(u)
+        d_eta, d_e1, d_e2, _ = curvature_terms(b)
+        s = np.sqrt(squared_gradient(b))
+        g = pm_diffusivity(s, params)
+        g_e1 = np.where(s > grad_threshold, 0.0, g)
+        u = u + params.dt * (g * d_eta + g_e1 * d_e1 + g * d_e2)
+    return u
+
+
 # field shapes of the run-loop tests: the smallest field, a strip one and
 # three rows high, the study's slice size, and a wide, odd-sized one
 RUN_SHAPES = [(3, 3), (3, 40), (64, 64), (37, 300)]
@@ -717,6 +753,58 @@ class TestDirectionalAd:
                     for _ in range(p.iterations):
                         manual = run_directional_ad(manual, replace(p, iterations=1), thr)
                     assert_same_bits(run_directional_ad(u, p, given), manual)
+
+
+class TestBaselinesMatchWholeSlice:
+    """run_orthogonal and run_directional_ad equal whole-slice evaluations
+    from the public derivatives, curvature_terms and PM weights, bit for
+    bit. Integer-valued fields have zero-gradient pixels under a non-zero
+    Hessian (about one in fifteen), where D_o is 0."""
+
+    @staticmethod
+    def field(rng, shape, values):
+        if values == "integer":
+            return rng.integers(0, 4, shape).astype(float)
+        return rng.normal(1.0, 0.1, shape)
+
+    @pytest.mark.parametrize("values", ["normal", "integer"])
+    @pytest.mark.parametrize("kind", ["rational", "exponential"])
+    @pytest.mark.parametrize("shape", RUN_SHAPES)
+    def test_run_orthogonal(self, rng, shape, kind, values):
+        u = self.field(rng, shape, values)
+        p = PMParams(delta=default_delta(u), iterations=4, diffusivity_kind=kind)
+        assert_same_bits(run_orthogonal(u, p), whole_slice_orthogonal(u, p))
+
+    @pytest.mark.parametrize("threshold", ["default", "zero", "median", "inf"])
+    @pytest.mark.parametrize("values", ["normal", "integer"])
+    @pytest.mark.parametrize("kind", ["rational", "exponential"])
+    @pytest.mark.parametrize("shape", RUN_SHAPES)
+    def test_run_directional_ad(self, rng, shape, kind, values, threshold):
+        u = self.field(rng, shape, values)
+        p = PMParams(delta=default_delta(u), iterations=4, diffusivity_kind=kind)
+        thr = {
+            "default": None,
+            "zero": 0.0,
+            "median": float(np.median(np.sqrt(squared_gradient(derivatives(u))))),
+            "inf": math.inf,
+        }[threshold]
+        assert_same_bits(run_directional_ad(u, p, thr), whole_slice_directional_ad(u, p, thr))
+
+    def test_workspace_memory(self, rng):
+        # the loop's three slices, the padded field, the eight workspace
+        # buffers, the mask and the update trace about 13.3 slices; kernels
+        # allocating every temporary afresh traced 17 to 22
+        u = rng.normal(1.0, 0.1, (256, 256))
+        p = PMParams(delta=0.05, iterations=2)
+        for run in (run_orthogonal, run_directional_ad):
+            run(u, p)  # leaves numpy's lazy set-up out of the traced call
+            tracemalloc.start()
+            try:
+                run(u, p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 14 * u.nbytes
 
 
 class TestStructurenessIntegration:
