@@ -182,11 +182,13 @@ def _project_each(slices, shape, fns, kind: str) -> np.ndarray:
 
 
 def _image(path, inputs: list) -> np.ndarray:
-    """The one slice of the MIPVOL file at ``path`` as a float64 image."""
+    """The one slice of the MIPVOL file at ``path`` as a float64 image,
+    converted once."""
     shape, slices = _slices(path, inputs)
     if shape[0] != 1:
         raise ConfigError(f"expected a single-slice volume, got depth {shape[0]}")
-    return project_slices(slices)
+    (img,) = slices  # reads to the end, so the digest covers the whole file
+    return np.array(img, dtype=np.float64)
 
 
 def write_manifest(path, command: str, values: dict, inputs: list) -> None:
@@ -331,7 +333,9 @@ def cmd_swi(v: dict, inputs: list) -> str:
         raise ConfigError(f"magnitude {shape} and phase {phase_shape} differ")
     params = _params(AdaptiveParams, v, mode="mip_min")
     mask_params = PhaseMaskParams(exponent=v["mask_exponent"])
-    plain = np.full(shape[1:], np.inf)  # the unfiltered min projection, for --metrics-csv
+    # the unfiltered min projection, for --metrics-csv: the reader's float32
+    # slices are folded in float32, which is exact, and widened once
+    plain = np.full(shape[1:], np.inf, dtype=np.float32)
 
     def folded(slices):
         for sl in slices:
@@ -340,7 +344,7 @@ def cmd_swi(v: dict, inputs: list) -> str:
 
     result = swi_pipeline(folded(mags), phases, params, mask_params,
                           mask_before_projection=v["mask_before_projection"])
-    return _write_image(v, "swi", result, v["output"], lambda: plain)
+    return _write_image(v, "swi", result, v["output"], lambda: plain.astype(np.float64))
 
 
 def cmd_mip(v: dict, inputs: list) -> str:

@@ -81,7 +81,10 @@ class PMParams:
     """Settings for the scalar diffusivity filters.
 
     delta is the edge-stopping contrast scale; dt the explicit step size,
-    capped at 0.25 for 2-D stability.
+    capped at 0.25. That cap is the stability bound of the 4-neighbour
+    Perona-Malik scheme only: ``run_directional_ad``, whose three
+    directional terms add up, grows noise at dt = 0.25 while its gradient
+    term is on.
     """
 
     delta: float

@@ -90,17 +90,21 @@ def contrast_per_pixel(field) -> float:
     ny, nx = u.shape
     if ny < 2 or nx < 2:
         raise ValueError(f"contrast per pixel needs at least 2x2, got {ny}x{nx}")
+    # shift (-dy, -dx) gives the differences of (dy, dx) negated, in the same
+    # order, so its sum is the same bits: each of the four sums is taken once
+    # and added twice, in the order of the eight shifts (the first four, then
+    # their opposites from the last back)
+    sums = []
+    buf = np.empty(ny * nx)  # one contiguous difference buffer for all shifts
+    for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
+        ys = slice(max(0, dy), ny + min(0, dy))
+        xs = slice(max(0, dx), nx + min(0, dx))
+        ys2 = slice(max(0, -dy), ny + min(0, -dy))
+        xs2 = slice(max(0, -dx), nx + min(0, -dx))
+        h, w = ys.stop - ys.start, xs.stop - xs.start
+        diff = np.subtract(u[ys, xs], u[ys2, xs2], out=buf[: h * w].reshape(h, w))
+        sums.append(float(np.abs(diff, out=diff).sum()))
     total = 0.0
-    buf = np.empty(ny * nx)  # one contiguous difference buffer for all 8 shifts
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            ys = slice(max(0, dy), ny + min(0, dy))
-            xs = slice(max(0, dx), nx + min(0, dx))
-            ys2 = slice(max(0, -dy), ny + min(0, -dy))
-            xs2 = slice(max(0, -dx), nx + min(0, -dx))
-            h, w = ys.stop - ys.start, xs.stop - xs.start
-            diff = np.subtract(u[ys, xs], u[ys2, xs2], out=buf[: h * w].reshape(h, w))
-            total += float(np.abs(diff, out=diff).sum())
+    for s in sums + sums[::-1]:
+        total += s
     return total / (nx * ny)

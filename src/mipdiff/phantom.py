@@ -116,19 +116,43 @@ def _slice_grids(spec: PhantomSpec):
     return x, y
 
 
-def _axis_distance(tube: TubeSpec, x, y, z: float) -> np.ndarray:
-    """Distance from every voxel of the slice at depth ``z`` to the tube's
-    polyline axis."""
-    dist = np.full((y.shape[0], x.shape[1]), np.inf)
+def _segments(tube: TubeSpec, x, y) -> list:
+    """The tube axis's segments as (a, ab, denom, dxa, dya, xy2), with
+    ``xy2`` the part of the squared distance that no slice's depth changes,
+    or None for a sloped segment.
+
+    For a segment in one z-plane (``ab[2] == 0``) the depth term of the
+    projection parameter t is a signed zero, which can only flip the sign
+    of a zero t, and a zero t gives the same squared in-plane offsets. So
+    there, and for a zero-length segment, the squared distance is ``xy2``
+    plus the squared depth offset, bit for bit."""
     pts = [np.asarray(p, dtype=np.float64) for p in tube.points]
+    segments = []
     for a, b in zip(pts[:-1], pts[1:]):
         ab = b - a
         denom = float(ab @ ab)
         dxa = x - a[0]
         dya = y - a[1]
-        dza = z - a[2]
+        xy2 = None
         if denom == 0.0:
-            d2 = dxa * dxa + dya * dya + dza * dza
+            xy2 = dxa * dxa + dya * dya
+        elif ab[2] == 0.0:
+            t = np.clip((dxa * ab[0] + dya * ab[1]) / denom, 0.0, 1.0)
+            ex = dxa - t * ab[0]
+            ey = dya - t * ab[1]
+            xy2 = ex * ex + ey * ey
+        segments.append((a, ab, denom, dxa, dya, xy2))
+    return segments
+
+
+def _axis_distance(segments, shape, z: float) -> np.ndarray:
+    """Distance from every voxel of the slice of ``shape`` at depth ``z`` to
+    the polyline axis of ``_segments``."""
+    dist = np.full(shape, np.inf)
+    for a, ab, denom, dxa, dya, xy2 in segments:
+        dza = z - a[2]
+        if xy2 is not None:
+            d2 = xy2 + dza * dza
         else:
             t = (dxa * ab[0] + dya * ab[1] + dza * ab[2]) / denom
             t = np.clip(t, 0.0, 1.0)
@@ -200,13 +224,14 @@ def _slices(spec: PhantomSpec, mixture, rng=None):
     """
     x, y = _slice_grids(spec)
     shape = (spec.height, spec.width)
+    axes = [_segments(tube, x, y) for tube in spec.tubes]
     for k in range(spec.depth):
         z = float(k)
         clean = np.empty(shape)
         clean[...] = _baseline(spec, mixture, x, y, z)
         mask = np.zeros(shape)
-        for tube in spec.tubes:
-            d = _axis_distance(tube, x, y, z)
+        for tube, segments in zip(spec.tubes, axes):
+            d = _axis_distance(segments, shape, z)
             sigma_r = tube.radius / 2.0
             clean += tube.contrast * np.exp(-(d * d) / (2.0 * sigma_r * sigma_r))
             mask[d <= tube.radius] = 1.0

@@ -30,18 +30,28 @@ class PhaseMaskParams:
 
 
 def project_slices(slices, kind: str = "min") -> np.ndarray:
-    """Pixelwise ``min`` or ``max`` of an iterable of 2-D slices, folded one
-    slice at a time into a float64 image, so no volume is built; the first
-    slice is copied, the later ones may be reused buffers."""
+    """Pixelwise ``min`` or ``max`` of an iterable of 2-D slices as a
+    float64 image, folded one slice at a time, so no volume is built.
+
+    The first slice is copied before the next is read, so the later ones
+    may be reused buffers. A run of float32 slices is folded in float32 and
+    widened once at the end: the min or max of float32 values is one of
+    them, so the result is the same bits as a float64 fold. The
+    accumulator is widened before the first slice of any other dtype.
+    """
     ops = {"min": np.minimum, "max": np.maximum}
     if kind not in ops:
         raise ValueError(f"unknown projection kind {kind!r}")
     op = ops[kind]
     it = iter(slices)
-    acc = np.array(next(it), dtype=np.float64)
+    acc = np.array(next(it))
+    if acc.dtype != np.float32:
+        acc = acc.astype(np.float64, copy=False)
     for sl in it:
+        if acc.dtype == np.float32 and getattr(sl, "dtype", None) != np.float32:
+            acc = acc.astype(np.float64)
         op(acc, sl, out=acc)
-    return acc
+    return acc.astype(np.float64, copy=False)
 
 
 def project(volume, kind: str = "min") -> np.ndarray:

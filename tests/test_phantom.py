@@ -137,6 +137,17 @@ ORACLE_SPECS = {
         width=16, height=13, depth=1, baseline_amplitude=0.2, seed=45,
         tubes=(TubeSpec(points=((0.0, 6.0, 0.0), (15.0, 6.0, 0.0))),),
     ),
+    # in one z-plane and running towards -x: at the start point's column, t's
+    # in-plane terms sum to -0.0, and the depth term turns it to +0.0 on the
+    # slices above the plane
+    "reversed_planar_segment": PhantomSpec(
+        width=23, height=13, depth=7, seed=46,
+        tubes=(TubeSpec(points=((20.0, 6.0, 3.0), (2.0, 6.0, 3.0)), radius=1.5),),
+    ),
+    "vertical_segment": PhantomSpec(
+        width=15, height=14, depth=8, seed=47,
+        tubes=(TubeSpec(points=((7.0, 8.0, 1.0), (7.0, 8.0, 6.0)), contrast=0.3),),
+    ),
 }
 
 

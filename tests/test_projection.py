@@ -77,6 +77,18 @@ class TestFoldedProjection:
         np.testing.assert_array_equal(project_slices(slices(), "min"), np.ones((2, 3)))
         np.testing.assert_array_equal(project_slices(slices(), "max"), np.full((2, 3), 3.0))
 
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_float64_slice_after_float32_stream_is_not_rounded(self, kind):
+        # float32 slices are folded in float32; a later float64 slice widens
+        # the accumulator first, so a value float32 cannot hold comes out exact
+        fine = 1.0 + 2.0**-40
+        extreme = 2.0 if kind == "min" else 0.0
+        slices = [np.full((2, 3), extreme, dtype=np.float32)] * 3 + [np.full((2, 3), fine)]
+        got = project_slices(iter(slices), kind)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.full((2, 3), fine))
+        assert np.float32(fine) == 1.0  # the float32 fold would have rounded it
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             project_slices([np.zeros((2, 2))], "median")
