@@ -4,6 +4,9 @@ by benchmark run.
 Route mode runs every command and mode of the CLI at 64x64x32 in each
 tree: the phantom variants, filter, project, metrics, compare,
 alpha-sweep, swi, mip and pc, FIFO inputs, and the known error cases.
+filter and compare also run at 300x40x4, where the directional kernels
+split each slice into strips of 27 and 13 rows; at 64 pixels wide every
+slice is one strip.
 Each command runs as a fresh ``python -m mipdiff`` process with the
 tree's ``src/`` first on the path, in a work directory of its own per
 tree, with the same relative paths in both, so manifests compare byte for
@@ -60,7 +63,15 @@ ROUTES = [
     # under 16 slices the reader reads one slice per call into one reused
     # buffer, so a fold that keeps a slice without copying it shows here
     ("phantom, 8 slices", ["phantom", "--out-dir", "ph", "--stem", "th", "--depth", "8"], {}),
+    ("phantom 300x40x4", [
+        "phantom", "--out-dir", "ph", "--stem", "wide", "--width", "300", "--height", "40",
+        "--depth", "4", "--seed", "11"], {}),
     ("filter mip_min", ["filter", "--input", "ph/ph_noisy.vol", "--output", "filt.vol"], {}),
+    ("filter mip_min, two strips", [
+        "filter", "--input", "ph/wide_noisy.vol", "--output", "wide_min.vol"], {}),
+    ("filter mip, two strips, traced", [
+        "filter", "--input", "ph/wide_noisy.vol", "--output", "wide_mip.vol", "--mode", "mip",
+        "--trace"], {}),
     ("filter mip, traced", [
         "filter", "--input", "ph/bl_noisy.vol", "--output", "filt_mip.vol", "--mode", "mip",
         "--trace"], {}),
@@ -90,6 +101,12 @@ ROUTES = [
     ("compare max, exponential, no switch", [
         "compare", "--input", "ph/bl_noisy.vol", "--kind", "max", "--diffusivity-kind",
         "exponential", "--grad-threshold", "inf", "--output", "cmpx.csv"], {}),
+    ("compare min, two strips", [
+        "compare", "--input", "ph/wide_noisy.vol", "--reference", "ph/wide_clean.vol",
+        "--output", "wide_cmp.csv"], {}),
+    ("compare max, exponential, two strips", [
+        "compare", "--input", "ph/wide_noisy.vol", "--kind", "max", "--diffusivity-kind",
+        "exponential", "--output", "wide_cmpx.csv"], {}),
     ("compare from a FIFO", [
         "compare", "--input", "cmp.fifo", "--delta", "0.05", "--iterations", "3",
         "--output", "cmp_f.csv"], {"cmp.fifo": "ph/ph_noisy.vol"}),
@@ -145,6 +162,9 @@ ROUTES = [
     ("error: phantom --flow without channels", [
         "phantom", "--out-dir", "noflow", "--flow"], {}),
     ("error: phantom --seed -1", ["phantom", "--out-dir", "negseed", "--seed", "-1"], {}),
+    ("error: compare roi outside the volume", [
+        "compare", "--input", "ph/ph_noisy.vol", "--roi", "0,0,500,500", "--output",
+        "cmp_r.csv"], {}),
     ("error: compare reference shape", [
         "compare", "--input", "ph/ph_noisy.vol", "--reference", "pmin.vol",
         "--output", "cmp_x.csv"], {}),

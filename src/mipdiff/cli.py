@@ -418,6 +418,8 @@ def cmd_compare(v: dict, inputs: list) -> str:
     base_proj = project_slices(noisy, kind)
     ref_proj = base_proj if v["reference"] is None else project_slices(ref_slices, kind)
     roi = _parse_roi(v["roi"])
+    if roi is not None:
+        roi.crop(base_proj)  # refuse a window that does not fit before filtering
     delta = v["delta"]
     if delta is None:
         delta = default_delta([[min(map(np.min, noisy)), max(map(np.max, noisy))]])

@@ -68,8 +68,8 @@ DEFAULT_ALPHA = 0.5
 # both on every seed.
 MIP_MIN_NU = 0.3
 
-# Pixels per row strip of the directional kernel (_update): each of the
-# twelve float64 strip buffers that _workspace allocates once per filter run
+# Pixels per row strip of the directional kernels (_sweep): each of the
+# eight float64 strip buffers that _workspace allocates once per filter run
 # is then about 64 KiB, so a strip's working set stays in a core's L2 cache,
 # and each buffer, below glibc's default 128 KiB mmap threshold, comes from
 # the heap instead of being mapped and page-faulted in.
@@ -309,42 +309,70 @@ def run_pm(field, params: PMParams) -> np.ndarray:
                 lambda v: _pm_update(v, params, faces))[0]
 
 
-def _slice_workspace(u):
-    """The workspace of ``run_orthogonal`` and ``run_directional_ad`` for
-    the validated field ``u``, built once per run: ``(q, nb, buf, update)``,
-    the padded buffer ``q`` of ``fields._padded`` holding ``u``, its
-    neighbour views of the whole field (``fields._neighbours``), eight
-    float64 buffers and one bool mask of the stencil's (ny, nx + 2) shape,
-    and the contiguous (ny, nx) update. Whole-field, not strips:
-    strip-blocking does not pay for these kernels."""
+def _workspace(q, out):
+    """The strips of the directional kernels for a field shaped like
+    ``out`` and held in the padded buffer ``q``, built once per filter run:
+    per strip of ``_STRIP_PIXELS // width`` rows (at least one), its row
+    slice, its neighbour views of ``q`` (``fields._neighbours``), and its
+    rows of eight float64 buffers and one bool mask, each (rows, width + 2).
+
+    Every buffer is allocated on its own: a full strip's is then about
+    64 KiB, under glibc's 128 KiB mmap threshold, so it comes from the
+    heap instead of being mapped."""
+    ny, nx = out.shape
+    rows = min(ny, max(1, _STRIP_PIXELS // nx))
+    bufs = [np.empty((rows, nx + 2)) for _ in range(8)]
+    bufs.append(np.empty((rows, nx + 2), dtype=bool))
+    strips = []
+    for r0 in range(0, ny, rows):
+        r1 = min(r0 + rows, ny)
+        views = bufs if r1 - r0 == rows else [b[: r1 - r0] for b in bufs]
+        strips.append((slice(r0, r1), _neighbours(q, nx, r0, r1), views))
+    return strips
+
+
+def _buffers(u):
+    """``(q, update, strips)`` of one filter run on the validated field
+    ``u``, allocated in this order once per call and freed when it returns:
+    the padded buffer of ``fields._padded``, the contiguous update that
+    ``_run`` steps with, and the ``_workspace`` strips over both."""
     ny, nx = u.shape
-    q = _padded(u)
-    buf = [np.empty((ny, nx + 2)) for _ in range(8)]
-    buf.append(np.empty((ny, nx + 2), dtype=bool))
-    return q, _neighbours(q, nx, 0, ny), buf, np.empty_like(u)
+    q = np.empty((ny + 2) * (nx + 2) + 2)
+    update = np.empty_like(u)
+    return q, update, _workspace(q, update)
 
 
-def _slice_gradient(v, ws):
-    """The stencil and ``(d_eta, g2)`` of ``_gradient_term`` of the field
-    ``v``, written into the workspace ``ws`` of ``_slice_workspace``.
-    d_eta takes ux's buffer: ``_gradient_term`` last reads ux in the
-    elementwise product that starts d_eta. The bundle's other four maps
-    stay valid."""
-    q, nb, buf, _ = ws
-    ux, uy, uxx, uyy, uxy, t0, t1, g2, mask = buf
+def _sweep(ws, v, body, *args):
+    """The one strip loop of the directional kernels: refill the padded
+    buffer of the workspace ``ws`` of ``_buffers`` with the field ``v``,
+    run ``body(nb, buf, *args)`` on each strip's neighbour views and
+    buffers, and copy the pixel columns of the strip map it returns into
+    the strip's rows of the update (a ufunc writing them directly would
+    buffer its strided operands). Returns the update."""
+    q, update, strips = ws
     _padded(v, q)
+    for s, nb, buf in strips:
+        update[s] = body(nb, buf, *args)[:, 1:-1]
+    return update
+
+
+def _gradient_strip(nb, buf):
+    """The stencil and ``(d_eta, g2)`` of ``_gradient_term`` of one strip,
+    from its neighbour views ``nb``, written into its buffers ``buf``:
+    ``(bundle, d_eta, g2)``. d_eta takes ux's buffer, as ``_gradient_term``
+    last reads ux in the product that starts d_eta; the bundle's other
+    four maps stay valid, and buffers 5 and 6 are free again."""
+    ux, uy, uxx, uyy, uxy, t0, t1, g2, mask = buf
     b = _stencil(nb, (ux, uy, uxx, uyy, uxy, t0))
     d_eta, g2 = _gradient_term(b, (ux, g2, t0, t1, mask))
     return b, d_eta, g2
 
 
-def _orthogonal_update(v, ws, params: PMParams):
+def _orthogonal_strip(nb, buf, params: PMParams):
     """Raw per-pixel update lam1 * D_o + lam2 * D_p of ``run_orthogonal``
-    for the field ``v``, computed in the workspace ``ws`` of
-    ``_slice_workspace`` and returned in its contiguous update buffer."""
-    b, d_par, g2 = _slice_gradient(v, ws)
-    _, d_ortho, _, _, _, t0, _, _, mask = ws[2]  # D_o takes uy's buffer, now dead
-    update = ws[3]
+    on one strip, in its buffers."""
+    b, d_par, g2 = _gradient_strip(nb, buf)
+    _, d_ortho, _, _, _, t0, _, _, mask = buf  # D_o takes uy's buffer, now dead
     np.add(b.uxx, b.uyy, out=d_ortho)
     np.subtract(d_ortho, d_par, out=d_ortho)
     # mask holds g2 > 0 from _gradient_term; D_o is 0 where it is false
@@ -353,9 +381,7 @@ def _orthogonal_update(v, ws, params: PMParams):
     lam1, lam2 = _pm_weights(gnorm, params, (b.uxx, b.uyy, t0))
     np.multiply(lam1, d_ortho, out=d_ortho)
     np.multiply(lam2, d_par, out=d_par)
-    np.add(d_ortho, d_par, out=d_ortho)
-    np.copyto(update, d_ortho[:, 1:-1])
-    return update
+    return np.add(d_ortho, d_par, out=d_ortho)
 
 
 def run_orthogonal(field, params: PMParams) -> np.ndarray:
@@ -366,16 +392,12 @@ def run_orthogonal(field, params: PMParams) -> np.ndarray:
     derivatives across and along the gradient, lam1 = g(|grad u|) and
     lam2 = f''(|grad u|). D_p is the gradient term of ``curvature_terms`` and
     D_o the rest of the Laplacian. Pixels with zero gradient are left
-    unchanged.
-
-    Every step refills one workspace built for the call and freed when it
-    returns: the padded field, eight whole-field float64 buffers and a bool
-    mask, and the contiguous update that ``_run`` steps with.
+    unchanged. Every step runs in the strip workspace of ``_buffers``.
     """
     u = as_field(field)
-    ws = _slice_workspace(u)
+    ws = _buffers(u)
     return _run(u, params.dt, params.iterations, 0.0,
-                lambda v: _orthogonal_update(v, ws, params))[0]
+                lambda v: _sweep(ws, v, _orthogonal_strip, params))[0]
 
 
 def _nearest_rank_index(q: float, n: int) -> int:
@@ -435,59 +457,48 @@ def adaptive_mu(c, d_e, alpha: float, mode: str = "mip_min", bounds: BoundPair |
     return out if out.ndim else float(out)
 
 
-def _workspace(q, out):
-    """The strips of ``_update`` for a field shaped like ``out`` and held in
-    the padded buffer ``q``, built once per filter run: per strip of
-    ``_STRIP_PIXELS // width`` rows (at least one), its row slice, its
-    neighbour views of ``q`` (``fields._neighbours``), and its views of
-    twelve float64 buffers and one bool mask, each (rows, width + 2).
-
-    Every buffer is allocated on its own: a full strip's is then about
-    64 KiB, under glibc's 128 KiB mmap threshold, so it comes from the
-    heap instead of being mapped."""
-    ny, nx = out.shape
-    width = nx + 2
-    rows = min(ny, max(1, _STRIP_PIXELS // nx))
-    bufs = [np.empty(rows * width) for _ in range(12)]
-    bufs.append(np.empty(rows * width, dtype=bool))
-    strips = []
-    for r0 in range(0, ny, rows):
-        r1 = min(r0 + rows, ny)
-        n = (r1 - r0) * width
-        views = [b[:n].reshape(r1 - r0, width) for b in bufs]
-        strips.append((slice(r0, r1), _neighbours(q, nx, r0, r1), views))
-    return strips
-
-
 def _curvature_strip(nb, buf):
     """``curvature_terms`` of one strip, from its neighbour views ``nb``,
-    written into its buffers ``buf``; every buffer but the four returned is
-    free again afterwards."""
-    ux, uy, uxx, uyy, uxy, t0, t1, t2, t3, t4, t5, t6, mask = buf
-    b = _stencil(nb, (ux, uy, uxx, uyy, uxy, t0))
-    lam_max, lam_min, _ = _eigenvalues(uxx, uxy, uyy, (t1, t2, t0))
-    c = _structureness(uxx, uyy, (t3, t0))
-    d_eta, _ = _gradient_term(b, (t4, t0, t5, t6, mask))
+    written into its buffers ``buf``; buffers 2, 3, 4 and 6 are free again
+    afterwards."""
+    _, d_eta, _ = _gradient_strip(nb, buf)
+    _, uy, uxx, uyy, uxy, t0, t1, g2, _ = buf
+    lam_max, lam_min, _ = _eigenvalues(uxx, uxy, uyy, (uy, t0, t1))
+    c = _structureness(uxx, uyy, (g2, t1))
     return d_eta, lam_max, lam_min, c
 
 
-def _update(strips, params: AdaptiveParams, nu: float, out, maps=None):
-    """Raw per-pixel update of one directional step, written into ``out``.
+def _mip_min_strip(nb, buf, h: float, nu: float):
+    """``_update``'s ``mip_min`` sum on one strip, in its buffers."""
+    d_eta, d_e1, d_e2, k = _curvature_strip(nb, buf)
+    t, t2 = buf[2], buf[3]
+    np.multiply(h, k, out=k)
+    for d, w in ((d_eta, t), (d_e2, t2)):  # (nu - tanh(k * d)) * d
+        np.multiply(k, d, out=w)
+        np.tanh(w, out=w)
+        np.subtract(nu, w, out=w)
+        np.multiply(w, d, out=w)
+    np.add(t, t2, out=t)
+    np.multiply(k, d_e1, out=t2)  # tanh(k * d_e1) * d_e1
+    np.tanh(t2, out=t2)
+    np.multiply(t2, d_e1, out=t2)
+    return np.subtract(t, t2, out=t)
 
-    ``strips`` is the workspace of ``_workspace`` for the padded field and
-    ``out``. With t_i = tanh(alpha * c * d_i / 2), the weight of
-    ``adaptive_mu``, and d_e1, d_e2 the Hessian eigenvalues lam_max,
-    lam_min: ``mip_min`` gives
-    (nu - t_eta) * d_eta + (nu - t_e2) * d_e2 - t_e1 * d_e1, the sharpening
-    sum plus forward diffusion nu * (d_eta + d_e2); ``mip`` gives
-    t_eta * d_eta + t_e2 * d_e2 with each weight gated to its direction's
-    histogram bounds when the field has at least 100 pixels, ungated below
-    that.
 
-    The stencil and curvature terms run strip by strip in the workspace's
-    buffers. ``mip_min`` mode sums its weighted terms there too, then copies
-    each strip's pixel columns into ``out`` (a ufunc writing them directly
-    would buffer its strided operands). ``mip`` mode first fills its d_eta,
+def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
+    """Raw per-pixel update of one directional step of the field ``v``,
+    computed in the workspace ``ws`` of ``_buffers`` and returned in its
+    update buffer.
+
+    With t_i = tanh(alpha * c * d_i / 2), the weight of ``adaptive_mu``,
+    and d_e1, d_e2 the Hessian eigenvalues lam_max, lam_min: ``mip_min``
+    gives (nu - t_eta) * d_eta + (nu - t_e2) * d_e2 - t_e1 * d_e1, the
+    sharpening sum plus forward diffusion nu * (d_eta + d_e2); ``mip``
+    gives t_eta * d_eta + t_e2 * d_e2 with each weight gated to its
+    direction's histogram bounds when the field has at least 100 pixels,
+    ungated below that.
+
+    ``mip_min`` mode is one ``_sweep``. ``mip`` mode first fills its d_eta,
     d_e2 and k = alpha * c / 2 maps into ``maps`` (a (3, ny, nx) buffer,
     allocated when None), takes the bounds from the whole maps, then gates
     and sums strip by strip. Every pixel sees the operations of a
@@ -496,22 +507,9 @@ def _update(strips, params: AdaptiveParams, nu: float, out, maps=None):
     """
     h = 0.5 * params.alpha
     if params.mode == "mip_min":
-        for s, nb, buf in strips:
-            d_eta, d_e1, d_e2, k = _curvature_strip(nb, buf)
-            t, t2 = buf[0], buf[1]
-            np.multiply(h, k, out=k)
-            for d, w in ((d_eta, t), (d_e2, t2)):  # (nu - tanh(k * d)) * d
-                np.multiply(k, d, out=w)
-                np.tanh(w, out=w)
-                np.subtract(nu, w, out=w)
-                np.multiply(w, d, out=w)
-            np.add(t, t2, out=t)
-            np.multiply(k, d_e1, out=t2)  # tanh(k * d_e1) * d_e1
-            np.tanh(t2, out=t2)
-            np.multiply(t2, d_e1, out=t2)
-            np.subtract(t, t2, out=t)
-            out[s] = t[:, 1:-1]
-        return out
+        return _sweep(ws, v, _mip_min_strip, h, nu)
+    q, out, strips = ws
+    _padded(v, q)
     d_eta, d_e2, k = np.empty((3,) + out.shape) if maps is None else maps
     for s, nb, buf in strips:
         d_eta_s, _, d_e2_s, c = _curvature_strip(nb, buf)
@@ -540,8 +538,7 @@ def directional_step(field, params: AdaptiveParams) -> np.ndarray:
     u = as_field(field)
     if params.alpha == 0:
         return u.copy()
-    out = np.empty_like(u)
-    return u + params.step * _update(_workspace(_padded(u), out), params, 0.0, out)
+    return u + params.step * _update(_buffers(u), u, params, 0.0)
 
 
 def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
@@ -558,10 +555,7 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
         return u.copy(), FilterTrace(
             iterations=1, relative_changes=[0.0], basis_sum=np.zeros_like(u), converged=True
         )
-    ny, nx = u.shape
-    q = np.empty((ny + 2) * (nx + 2) + 2)
-    update = np.empty_like(u)
-    strips = _workspace(q, update)
+    ws = _buffers(u)
     nu = MIP_MIN_NU if params.mode == "mip_min" else 0.0
     maps = []
 
@@ -569,9 +563,8 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
         # mip mode's maps come after the loop's buffers, so that freed they
         # leave no hole below the result (+6 MiB peak RSS on coils_512)
         if params.mode == "mip" and not maps:
-            maps.append(np.empty((3, ny, nx)))
-        _padded(v, q)
-        return _update(strips, params, nu, update, *maps)
+            maps.append(np.empty((3,) + u.shape))
+        return _update(ws, v, params, nu, *maps)
 
     return _run(u, params.step, params.max_iterations, params.tolerance, kernel)
 
@@ -601,15 +594,12 @@ def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     return np.where(c_ref > threshold, high_out, low_out), low_out, high_out
 
 
-def _directional_ad_update(v, ws, params: PMParams, grad_threshold: float):
+def _directional_ad_strip(nb, buf, params: PMParams, grad_threshold: float):
     """Raw per-pixel update g * d_eta + g_e1 * d_e1 + g * d_e2 of
-    ``run_directional_ad`` for the field ``v``, g_e1 being g where
-    |grad u| <= grad_threshold and 0 elsewhere; computed in the workspace
-    ``ws`` of ``_slice_workspace`` and returned in its contiguous update
-    buffer."""
-    _, d_eta, g2 = _slice_gradient(v, ws)
-    _, uy, uxx, uyy, uxy, t0, t1, _, mask = ws[2]
-    update = ws[3]
+    ``run_directional_ad`` on one strip, in its buffers, g_e1 being g where
+    |grad u| <= grad_threshold and 0 elsewhere."""
+    _, d_eta, g2 = _gradient_strip(nb, buf)
+    _, uy, uxx, uyy, uxy, t0, t1, _, mask = buf
     d_e1, d_e2, _ = _eigenvalues(uxx, uxy, uyy, (uy, t0, t1))
     gnorm = np.sqrt(g2, out=g2)
     g, _ = _pm_weights(gnorm, params, (uxx, None, uyy), slope=False)
@@ -619,9 +609,7 @@ def _directional_ad_update(v, ws, params: PMParams, grad_threshold: float):
     np.multiply(g_e1, d_e1, out=d_e1)
     np.add(d_eta, d_e1, out=d_eta)
     np.multiply(g, d_e2, out=d_e2)
-    np.add(d_eta, d_e2, out=d_eta)
-    np.copyto(update, d_eta[:, 1:-1])
-    return update
+    return np.add(d_eta, d_e2, out=d_eta)
 
 
 def run_directional_ad(field, params: PMParams, grad_threshold: float | None = None) -> np.ndarray:
@@ -633,18 +621,15 @@ def run_directional_ad(field, params: PMParams, grad_threshold: float | None = N
     edges (|grad u| > grad_threshold) so contours are not smeared. The
     threshold defaults to the 90th percentile of the input's gradient
     magnitude and stays fixed; inf never switches the term off, and NaN is
-    refused.
-
-    Every step refills one workspace built for the call and freed when it
-    returns, as ``run_orthogonal``'s: the padded field, eight whole-field
-    float64 buffers and a bool mask, and the contiguous update.
+    refused. Every step runs in the strip workspace of ``_buffers``, which
+    also gives the default threshold.
     """
     if grad_threshold is not None and math.isnan(grad_threshold):
         raise ValueError("grad_threshold must not be NaN")
     u = as_field(field)
-    ws = _slice_workspace(u)
+    ws = _buffers(u)
     if grad_threshold is None:
-        g2 = _slice_gradient(u, ws)[2]
-        grad_threshold = float(np.quantile(np.sqrt(g2[:, 1:-1]), 0.9))
+        gnorm = _sweep(ws, u, lambda nb, buf: np.sqrt(_gradient_strip(nb, buf)[2]))
+        grad_threshold = float(np.quantile(gnorm, 0.9))
     return _run(u, params.dt, params.iterations, 0.0,
-                lambda v: _directional_ad_update(v, ws, params, grad_threshold))[0]
+                lambda v: _sweep(ws, v, _directional_ad_strip, params, grad_threshold))[0]

@@ -893,6 +893,18 @@ class TestCompareCommand:
         assert csvs["whole"].read_bytes() == csvs["default"].read_bytes()
         assert csvs["first"].read_bytes() != csvs["default"].read_bytes()
 
+    def test_roi_outside_the_volume_refused_before_filtering(
+            self, tmp_path, noisy_volume, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise AssertionError("a filter ran before the roi was checked")
+
+        monkeypatch.setattr(cli, "run_pm", boom)
+        src, _ = noisy_volume
+        csv = tmp_path / "cmp.csv"
+        assert run_cli("compare", "--input", src, "--output", csv, "--roi", "0,0,500,500") == 2
+        assert "does not fit inside a 16x16 field" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["in.vol"]
+
 
 class TestAlphaSweep:
     def test_single_alpha_single_row(self, tmp_path, noisy_volume):
