@@ -4,9 +4,9 @@ by benchmark run.
 Route mode runs every command and mode of the CLI at 64x64x32 in each
 tree: the phantom variants, filter, project, metrics, compare,
 alpha-sweep, swi, mip and pc, FIFO inputs, and the known error cases.
-filter and compare also run at 300x40x4, where the directional kernels
-split each slice into strips of 27 and 13 rows; at 64 pixels wide every
-slice is one strip.
+filter, compare and mip --hysteresis also run at 300x40x4, where the
+directional kernels split each slice into strips of 27 and 13 rows; at 64
+pixels wide every slice is one strip.
 Each command runs as a fresh ``python -m mipdiff`` process with the
 tree's ``src/`` first on the path, in a work directory of its own per
 tree, with the same relative paths in both, so manifests compare byte for
@@ -129,6 +129,8 @@ ROUTES = [
     ("mip hysteresis", [
         "mip", "--input", "ph/bl_noisy.vol", "--output", "miph.vol", "--hysteresis",
         "--pgm", "miph.pgm", "--metrics-csv", "miph.csv"], {}),
+    ("mip hysteresis, two strips", [
+        "mip", "--input", "ph/wide_noisy.vol", "--output", "wide_miph.vol", "--hysteresis"], {}),
     ("pc sum, sigma file", [
         "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pc",
         "--sigma-file", "ph/fl_sigma.txt", "--pgm", "pc.pgm", "--metrics-csv", "pc.csv"], {}),

@@ -26,8 +26,6 @@ from .fields import (
     as_volume,
     curvature_terms,
     derivatives,
-    directional_second_derivative,
-    hessian_eigen,
     structureness,
 )
 from .fileio import (

@@ -463,6 +463,8 @@ _FILTER_OPTS = [
         help="total tail mass excluded by mip-mode bounds"),
 ]
 _MODE_OPT = Opt("mode", "str", AdaptiveParams.mode, choices=("mip", "mip_min"))
+# the optional outputs of swi, mip and pc, last in each, as manifests list them
+_OUTPUT_OPTS = [Opt("pgm", "str", None), Opt("metrics_csv", "str", None)]
 
 # name -> (handler, options); each handler fills the inputs list it is given
 # and returns its manifest path; main writes the manifest and commits it last.
@@ -506,8 +508,7 @@ COMMANDS: dict[str, tuple] = {
         Opt("mask_exponent", "int", PhaseMaskParams.exponent,
             help="negative-phase mask exponent"),
         Opt("mask_before_projection", "bool", False, help="weight slices before projecting"),
-        Opt("pgm", "str", None),
-        Opt("metrics_csv", "str", None),
+        *_OUTPUT_OPTS,
     ]),
     "mip": (cmd_mip, [
         Opt("input", "str", required=True),
@@ -518,8 +519,7 @@ COMMANDS: dict[str, tuple] = {
         Opt("alpha_high", "float", HysteresisParams.alpha_high),
         Opt("c_threshold", "float", HysteresisParams.c_threshold,
             help="structureness cut (default: 90th percentile)"),
-        Opt("pgm", "str", None),
-        Opt("metrics_csv", "str", None),
+        *_OUTPUT_OPTS,
     ]),
     "pc": (cmd_pc, [
         Opt("input_stem", "str", required=True, help="stem of <stem>_c<k>_{x,y,z}.vol files"),
@@ -528,8 +528,7 @@ COMMANDS: dict[str, tuple] = {
         Opt("sigma_file", "str", None, help="per-channel sigma list, one value per line"),
         Opt("flow_mode", "str", "sum", choices=("sum", "magnitude")),
         *_FILTER_OPTS,
-        Opt("pgm", "str", None),
-        Opt("metrics_csv", "str", None),
+        *_OUTPUT_OPTS,
     ]),
     "metrics": (cmd_metrics, [
         Opt("input", "str", required=True, help="baseline image (1-slice MIPVOL)"),

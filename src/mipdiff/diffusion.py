@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (
-    _bundle,
     _eigenvalues,
     _gradient_term,
     _neighbours,
@@ -27,7 +26,6 @@ from .fields import (
     _stencil,
     _structureness,
     as_field,
-    structureness,
 )
 
 __all__ = [
@@ -569,13 +567,22 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
     return _run(u, params.step, params.max_iterations, params.tolerance, kernel)
 
 
+def _structureness_strip(nb, buf):
+    """The stencil and structureness of one strip, from its neighbour views
+    ``nb``, written into its buffers ``buf``."""
+    ux, uy, uxx, uyy, uxy, t0, t1, _, _ = buf
+    b = _stencil(nb, (ux, uy, uxx, uyy, uxy, t0))
+    return _structureness(b.uxx, b.uyy, (t0, t1))
+
+
 def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     """Two-pass filtering: run at alpha_low and alpha_high, pick the high
     result where the better run's structureness exceeds the threshold, the
     low result elsewhere.
 
     The structureness reference comes from whichever run changed the input
-    less (larger PSNR against the input); the default threshold is its 90th
+    less (larger PSNR against the input), in one strip pass of the
+    workspace of ``_buffers``; the default threshold is its 90th
     percentile. Returns (combined, low_result, high_result).
     """
     from .metrics import psnr_vs_input
@@ -587,7 +594,7 @@ def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     p_high = psnr_vs_input(u, high_out)
     ref = low_out if p_low >= p_high else high_out
     # psnr_vs_input has validated both results
-    c_ref = structureness(_bundle(ref))
+    c_ref = _sweep(_buffers(ref), ref, _structureness_strip)
     threshold = hparams.c_threshold
     if threshold is None:
         threshold = float(np.quantile(c_ref, 0.9))

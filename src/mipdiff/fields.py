@@ -16,8 +16,6 @@ __all__ = [
     "as_volume",
     "DerivativeBundle",
     "derivatives",
-    "hessian_eigen",
-    "directional_second_derivative",
     "structureness",
     "curvature_terms",
 ]
@@ -61,7 +59,11 @@ def derivatives(field) -> DerivativeBundle:
     derivatives vanish at the border and second derivatives stay consistent
     with the interior stencil. Requires at least a 3x3 field.
     """
-    return _bundle(as_field(field))
+    u = as_field(field)
+    ny, nx = u.shape
+    b = _stencil(_neighbours(_padded(u), nx, 0, ny))
+    # the pixel columns, copied out so that the arrays are contiguous
+    return DerivativeBundle(**{name: v[:, 1:-1].copy() for name, v in vars(b).items()})
 
 
 def _padded(u, out=None) -> np.ndarray:
@@ -134,23 +136,6 @@ def _stencil(nb, out=None) -> DerivativeBundle:
     return DerivativeBundle(ux=ux, uy=uy, uxx=uxx, uyy=uyy, uxy=uxy)
 
 
-def _bundle(u) -> DerivativeBundle:
-    """``derivatives`` of an already validated field, without scanning it
-    again. The pixel columns are copied out, so the arrays are contiguous."""
-    ny, nx = u.shape
-    b = _stencil(_neighbours(_padded(u), nx, 0, ny))
-    return DerivativeBundle(**{name: v[:, 1:-1].copy() for name, v in vars(b).items()})
-
-
-def _fix_sign(vx, vy):
-    # orient so the larger-magnitude component is non-negative; ties toward
-    # non-negative x. Adding 0.0 clears negative zeros.
-    dominant = np.where(np.abs(vx) >= np.abs(vy), vx, vy)
-    flip = dominant < 0.0
-    sign = np.where(flip, -1.0, 1.0)
-    return vx * sign + 0.0, vy * sign + 0.0
-
-
 def _eigenvalues(a, b, c, out=None):
     # closed-form eigenvalues half +- disc of [[a, b], [b, c]], and disc,
     # written into out = (lam_max, lam_min, disc) when given
@@ -166,62 +151,6 @@ def _eigenvalues(a, b, c, out=None):
     np.add(lo, disc, out=hi)
     np.subtract(lo, disc, out=lo)
     return hi, lo, disc
-
-
-def hessian_eigen(bundle: DerivativeBundle):
-    """Closed-form eigen decomposition of the per-pixel 2x2 Hessian.
-
-    Returns ``(lam_max, lam_min, e1x, e1y, e2x, e2y)``. Eigenvectors are unit
-    length with the larger-magnitude component non-negative. A zero Hessian
-    yields (0, 0) directions; an isotropic (tied) Hessian yields the axis
-    pair e1 = (1, 0), e2 = (0, 1).
-    """
-    a, b, c = bundle.uxx, bundle.uxy, bundle.uyy
-    lam_max, lam_min, disc = _eigenvalues(a, b, c)
-
-    # candidate eigenvectors for lam_max: the columns of (H - lam_min I).
-    # Both have non-negative leading entries; pick the better conditioned one.
-    ca_x, ca_y = a - lam_min, b
-    cb_x, cb_y = b, c - lam_min
-    use_a = ca_x * ca_x + ca_y * ca_y >= cb_x * cb_x + cb_y * cb_y
-    vx = np.where(use_a, ca_x, cb_x)
-    vy = np.where(use_a, ca_y, cb_y)
-    norm = np.sqrt(vx * vx + vy * vy)
-    safe = np.where(norm > 0.0, norm, 1.0)
-    e1x = vx / safe
-    e1y = vy / safe
-    # rotate by 90 degrees for the orthogonal eigenvector of lam_min
-    e2x = -e1y
-    e2y = e1x
-
-    zero = (a == 0.0) & (b == 0.0) & (c == 0.0)
-    tie = (disc == 0.0) & ~zero
-    e1x = np.where(tie, 1.0, e1x)
-    e1y = np.where(tie, 0.0, e1y)
-    e2x = np.where(tie, 0.0, e2x)
-    e2y = np.where(tie, 1.0, e2y)
-    for arr in (e1x, e1y, e2x, e2y):
-        arr[zero] = 0.0
-
-    e1x, e1y = _fix_sign(e1x, e1y)
-    e2x, e2y = _fix_sign(e2x, e2y)
-    return lam_max, lam_min, e1x, e1y, e2x, e2y
-
-
-def directional_second_derivative(bundle: DerivativeBundle, direction):
-    """Second derivative v^T H v along per-pixel (or constant) direction v.
-
-    ``direction`` is a pair (vx, vy) of scalars or arrays broadcastable to the
-    field shape. Zero directions give zero by construction.
-    """
-    vx, vy = direction
-    vx = np.asarray(vx, dtype=np.float64)
-    vy = np.asarray(vy, dtype=np.float64)
-    return (
-        vx * vx * bundle.uxx
-        + 2.0 * vx * vy * bundle.uxy
-        + vy * vy * bundle.uyy
-    )
 
 
 def structureness(bundle: DerivativeBundle) -> np.ndarray:
@@ -273,8 +202,11 @@ def curvature_terms(bundle: DerivativeBundle):
     eigenvalues: v^T H v of a unit eigenvector is its eigenvalue, so they are
     the second derivatives along the principal curvature directions, and
     both are 0 for a zero Hessian. c is the structureness sqrt(uxx^2 + uyy^2).
-    Every directional filter step takes its curvatures from here, or from
-    the same ``_gradient_term`` and ``_eigenvalues`` when it needs fewer.
+    No filter calls it: the filters' strip kernels run the same
+    ``_gradient_term``, ``_eigenvalues`` and ``_structureness`` on row
+    strips, and this whole-slice evaluation is the reference they are
+    tested against, bit for bit.
     """
     lam_max, lam_min, _ = _eigenvalues(bundle.uxx, bundle.uxy, bundle.uyy)
-    return _gradient_term(bundle)[0], lam_max, lam_min, structureness(bundle)
+    c = _structureness(bundle.uxx, bundle.uyy)
+    return _gradient_term(bundle)[0], lam_max, lam_min, c

@@ -653,19 +653,43 @@ class TestStripBlocking:
 
 
 class TestHysteresis:
+    """hysteresis_filter against its two run_filter passes and the
+    whole-slice structureness of the reference run, at any strip height."""
+
     PARAMS = AdaptiveParams(mode="mip", max_iterations=3)
+
+    # widths 16 and 24: one strip; strips of 7, 7, 2 and of 5, 5, 5, 5, 4
+    # rows; strips of 15, 1 and of 10, 10, 4 rows
+    @pytest.fixture(autouse=True, params=[8192, 120, 250])
+    def strip_pixels(self, request, monkeypatch):
+        monkeypatch.setattr(diffusion, "_STRIP_PIXELS", request.param)
 
     @classmethod
     def runs(cls, u, c_threshold):
         """hysteresis_filter's (combined, low, high), the two runs checked
         against run_filter, and the structureness of the run that changed
-        the input less."""
+        the input less; combined is checked against the selection by that
+        structureness, bit for bit."""
         hparams = HysteresisParams(c_threshold=c_threshold)
         combined, low, high = hysteresis_filter(u, cls.PARAMS, hparams)
         for out, alpha in ((low, hparams.alpha_low), (high, hparams.alpha_high)):
             assert_same_bits(out, run_filter(u, replace(cls.PARAMS, alpha=alpha))[0])
         ref = low if psnr_vs_input(u, low) >= psnr_vs_input(u, high) else high
-        return combined, low, high, structureness(derivatives(ref))
+        c_ref = structureness(derivatives(ref))
+        threshold = float(np.quantile(c_ref, 0.9)) if c_threshold is None else c_threshold
+        assert_same_bits(combined, np.where(c_ref > threshold, high, low))
+        return combined, low, high, c_ref
+
+    def test_default_threshold_is_90th_percentile(self, rng):
+        u = rng.normal(1.0, 0.1, (16, 16))
+        combined, low, high, _ = self.runs(u, None)
+        assert np.any(combined != low) and np.any(combined != high)
+
+    @pytest.mark.parametrize("shape", STRIP_SHAPES.values(), ids=STRIP_SHAPES.keys())
+    def test_strip_structureness_matches_whole_slice(self, rng, shape):
+        u = rng.normal(1.0, 0.1, shape)
+        got = diffusion._sweep(diffusion._buffers(u), u, diffusion._structureness_strip)
+        assert_same_bits(got, structureness(derivatives(u)))
 
     def test_infinite_threshold_selects_low(self, rng):
         u = rng.normal(1.0, 0.1, (16, 16))
@@ -830,21 +854,24 @@ class TestStructurenessIntegration:
 
 
 class TestEigenvectorFreeHotPath:
-    """The filters take their curvatures from curvature_terms alone."""
+    """The filters run from the padded buffer and the strip kernels alone:
+    no whole-slice derivatives, structureness or curvature terms, and no
+    np.pad."""
 
     @pytest.fixture
-    def no_eigenvectors(self, monkeypatch):
+    def no_whole_slice_stencil(self, monkeypatch):
         def boom(*args, **kwargs):
-            raise AssertionError("eigenvector routine called on the hot path")
+            raise AssertionError("whole-slice derivatives or np.pad called on the hot path")
 
-        names = ("hessian_eigen", "diffusion_basis", "directional_second_derivative")
+        names = ("derivatives", "structureness", "curvature_terms")
         for mod_name, mod in list(sys.modules.items()):
             if mod_name == "mipdiff" or mod_name.startswith("mipdiff."):
                 for name in names:
                     if hasattr(mod, name):
                         monkeypatch.setattr(mod, name, boom)
+        monkeypatch.setattr(np, "pad", boom)
 
-    def test_filters_run_without_eigenvectors(self, no_eigenvectors, rng):
+    def test_filters_run_without_eigenvectors(self, rng):
         u = smooth_field(rng, (24, 24), offset=1.0, scale=0.1)
         for mode in ("mip", "mip_min"):
             out, _ = run_filter(u, AdaptiveParams(mode=mode, max_iterations=2))
@@ -854,21 +881,14 @@ class TestEigenvectorFreeHotPath:
         assert np.all(np.isfinite(run_directional_ad(u, p, grad_threshold=0.01)))
         assert np.all(np.isfinite(run_orthogonal(u, p)))
 
-    def test_run_loops_read_the_padded_stencil(self, monkeypatch, rng):
-        from mipdiff import fields
-
-        def boom(*args, **kwargs):
-            raise AssertionError("derivative maps copied out on the hot path")
-
-        monkeypatch.setattr(fields, "_bundle", boom)
-        monkeypatch.setattr(diffusion, "_bundle", boom)
-        u = smooth_field(rng, (24, 24), offset=1.0, scale=0.1)
+    def test_run_loops_read_the_padded_stencil(self, no_whole_slice_stencil, rng):
+        u = rng.normal(1.0, 0.1, (24, 24))  # smooth_field would call np.pad
         p = PMParams(delta=0.05, iterations=3)
         assert np.all(np.isfinite(run_orthogonal(u, p)))
         assert np.all(np.isfinite(run_directional_ad(u, p)))
         assert np.all(np.isfinite(run_directional_ad(u, p, 0.01)))
 
-    def test_orthogonal_step_keeps_zero_gradient_pixels(self, no_eigenvectors):
+    def test_orthogonal_step_keeps_zero_gradient_pixels(self):
         # paraboloid: zero gradient but non-zero Hessian at its centre
         y, x = np.mgrid[0:11, 0:11].astype(np.float64)
         u = 1.0 + 0.01 * ((x - 5.0) ** 2 + (y - 5.0) ** 2)
@@ -878,17 +898,6 @@ class TestEigenvectorFreeHotPath:
         out = run_orthogonal(u, PMParams(delta=0.05, iterations=1))
         np.testing.assert_array_equal(out[still], u[still])
         assert np.any(out[~still] != u[~still])
-
-    @pytest.fixture
-    def no_whole_slice_stencil(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("whole-slice derivatives or np.pad called on the hot path")
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name == "mipdiff" or mod_name.startswith("mipdiff."):
-                if hasattr(mod, "derivatives"):
-                    monkeypatch.setattr(mod, "derivatives", boom)
-        monkeypatch.setattr(np, "pad", boom)
 
     def test_filters_run_without_derivatives_or_pad(self, no_whole_slice_stencil, rng):
         u = rng.normal(1.0, 0.1, (40, 300))  # 27-row strips

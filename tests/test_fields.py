@@ -1,8 +1,6 @@
-"""Derivative stencils, Hessian eigenframes, and the directional basis."""
+"""Derivative stencils, structureness, and the whole-slice curvature terms."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from conftest import smooth_field
@@ -12,8 +10,6 @@ from mipdiff.fields import (
     as_volume,
     curvature_terms,
     derivatives,
-    directional_second_derivative,
-    hessian_eigen,
     structureness,
 )
 
@@ -88,114 +84,39 @@ class TestDerivatives:
                 )
 
 
-class TestHessianEigen:
+def bundle_from_entries(entries):
+    """Wrap rows (a, b, c) of Hessian entries into a one-row bundle with no
+    gradient."""
+    shape = (1, len(entries))
+    z = np.zeros(shape)
+    a, b, c = (np.asarray(col, dtype=np.float64).reshape(shape) for col in entries.T)
+    return DerivativeBundle(ux=z, uy=z, uxx=a, uyy=c, uxy=b)
+
+
+class TestEigenvalues:
+    """The Hessian eigenvalues of curvature_terms, the second derivatives
+    along the principal curvature directions."""
+
     def test_diagonal_example(self):
-        lam_max, lam_min, e1x, e1y, e2x, e2y = hessian_eigen(bundle_from_hessian(2, 0, 0))
+        _, lam_max, lam_min, _ = curvature_terms(bundle_from_hessian(2, 0, 0))
         assert np.all(lam_max == 2.0) and np.all(lam_min == 0.0)
-        assert np.all(e1x == 1.0) and np.all(e1y == 0.0)
-        assert np.all(e2x == 0.0) and np.all(e2y == 1.0)
 
     def test_swap_example(self):
-        lam_max, lam_min, e1x, e1y, e2x, e2y = hessian_eigen(bundle_from_hessian(0, 1, 0))
-        r = 1.0 / np.sqrt(2.0)
+        _, lam_max, lam_min, _ = curvature_terms(bundle_from_hessian(0, 1, 0))
         assert np.all(lam_max == 1.0) and np.all(lam_min == -1.0)
-        np.testing.assert_allclose(e1x, r, atol=1e-15)
-        np.testing.assert_allclose(e1y, r, atol=1e-15)
-        np.testing.assert_allclose(e2x, r, atol=1e-15)
-        np.testing.assert_allclose(e2y, -r, atol=1e-15)
 
-    def test_zero_hessian_gives_zero_directions(self):
-        _, _, e1x, e1y, e2x, e2y = hessian_eigen(bundle_from_hessian(0, 0, 0))
-        for arr in (e1x, e1y, e2x, e2y):
-            assert np.all(arr == 0.0)
-
-    def test_isotropic_tie_gives_axes(self):
-        _, _, e1x, e1y, e2x, e2y = hessian_eigen(bundle_from_hessian(3, 0, 3))
-        assert np.all(e1x == 1.0) and np.all(e1y == 0.0)
-        assert np.all(e2x == 0.0) and np.all(e2y == 1.0)
-
-    def test_reconstruction_on_random_matrices(self, rng):
+    def test_ordering_on_random_matrices(self, rng):
         entries = rng.normal(0.0, 3.0, (1000, 3))
-        shape = (1, 1000)
-        bundle = DerivativeBundle(
-            ux=np.zeros(shape), uy=np.zeros(shape),
-            uxx=entries[:, 0].reshape(shape),
-            uxy=entries[:, 1].reshape(shape),
-            uyy=entries[:, 2].reshape(shape),
-        )
-        lam_max, lam_min, e1x, e1y, e2x, e2y = hessian_eigen(bundle)
-        # reassemble H = lam1 e1 e1^T + lam2 e2 e2^T entrywise
-        h_xx = lam_max * e1x * e1x + lam_min * e2x * e2x
-        h_xy = lam_max * e1x * e1y + lam_min * e2x * e2y
-        h_yy = lam_max * e1y * e1y + lam_min * e2y * e2y
-        np.testing.assert_allclose(h_xx, bundle.uxx, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(h_xy, bundle.uxy, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(h_yy, bundle.uyy, rtol=0, atol=1e-10)
+        _, lam_max, lam_min, _ = curvature_terms(bundle_from_entries(entries))
         assert np.all(lam_max >= lam_min)
-
-    def test_eigenvectors_orthonormal(self, rng):
-        u = smooth_field(rng, (16, 16))
-        _, _, e1x, e1y, e2x, e2y = hessian_eigen(derivatives(u))
-        n1 = e1x * e1x + e1y * e1y
-        n2 = e2x * e2x + e2y * e2y
-        dot = e1x * e2x + e1y * e2y
-        nonzero = n1 > 0
-        np.testing.assert_allclose(n1[nonzero], 1.0, atol=1e-14)
-        np.testing.assert_allclose(n2[nonzero], 1.0, atol=1e-14)
-        np.testing.assert_allclose(dot, 0.0, atol=1e-14)
-
-    def test_sign_convention_dominant_component_nonnegative(self, rng):
-        u = smooth_field(rng, (20, 20))
-        _, _, e1x, e1y, e2x, e2y = hessian_eigen(derivatives(u))
-        for vx, vy in ((e1x, e1y), (e2x, e2y)):
-            dominant = np.where(np.abs(vx) >= np.abs(vy), vx, vy)
-            assert np.all(dominant >= 0.0)
 
     def test_scalar_oracle_agreement(self, rng):
         entries = rng.normal(0.0, 2.0, (200, 3))
-        shape = (1, 200)
-        bundle = DerivativeBundle(
-            ux=np.zeros(shape), uy=np.zeros(shape),
-            uxx=entries[:, 0].reshape(shape),
-            uxy=entries[:, 1].reshape(shape),
-            uyy=entries[:, 2].reshape(shape),
-        )
-        lam_max, lam_min, *_ = hessian_eigen(bundle)
+        _, lam_max, lam_min, _ = curvature_terms(bundle_from_entries(entries))
         for i, (a, b, c) in enumerate(entries):
             w_max, w_min, _, _ = oracles.eigen_pixel(a, b, c)
             assert abs(lam_max[0, i] - w_max) < 1e-12
             assert abs(lam_min[0, i] - w_min) < 1e-12
-
-
-class TestDirectionalSecondDerivative:
-    def test_axis_direction_returns_uxx(self, rng):
-        u = smooth_field(rng, (9, 9))
-        b = derivatives(u)
-        np.testing.assert_array_equal(
-            directional_second_derivative(b, (1.0, 0.0)), b.uxx
-        )
-
-    def test_zero_direction_returns_zero(self, rng):
-        u = smooth_field(rng, (9, 9))
-        b = derivatives(u)
-        assert np.all(directional_second_derivative(b, (0.0, 0.0)) == 0.0)
-
-    def test_diagonal_on_quadratic(self):
-        x = np.arange(9.0)
-        u = np.tile(x * x, (9, 1))
-        b = derivatives(u)
-        r = 1.0 / np.sqrt(2.0)
-        d = directional_second_derivative(b, (r, r))
-        np.testing.assert_allclose(d[:, 1:-1], 1.0, atol=1e-14)
-
-    @given(st.floats(-3, 3), st.floats(-3, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_sign_invariance(self, vx, vy):
-        u = np.arange(25.0).reshape(5, 5) ** 1.5
-        b = derivatives(u)
-        d_pos = directional_second_derivative(b, (vx, vy))
-        d_neg = directional_second_derivative(b, (-vx, -vy))
-        np.testing.assert_array_equal(d_pos, d_neg)
 
 
 class TestStructureness:
@@ -246,12 +167,13 @@ class TestCurvatureTerms:
         assert d_eta[7, 10] == 0.0 and lam_max[7, 10] == lam_min[7, 10] > 0.0
         assert np.all(lam_max[:, :3] == 0.0) and np.all(c[:, :3] == 0.0)
 
-    def test_eigenvalues_are_hessian_eigen(self, rng):
+    def test_eigenvalues_match_eigvalsh_and_c_is_structureness(self, rng):
         b = derivatives(smooth_field(rng, (20, 24), scale=3.0))
         _, lam_max, lam_min, c = curvature_terms(b)
-        want_max, want_min, *_ = hessian_eigen(b)
-        np.testing.assert_array_equal(lam_max, want_max)
-        np.testing.assert_array_equal(lam_min, want_min)
+        hessians = np.stack([b.uxx, b.uxy, b.uxy, b.uyy], axis=-1).reshape(20, 24, 2, 2)
+        want = np.linalg.eigvalsh(hessians)
+        np.testing.assert_allclose(lam_max, want[..., 1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lam_min, want[..., 0], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(c, structureness(b))
 
     def test_zero_hessian_is_all_zero(self):
