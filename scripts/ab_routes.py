@@ -6,7 +6,11 @@ tree: the phantom variants, filter, project, metrics, compare,
 alpha-sweep, swi, mip and pc, FIFO inputs, and the known error cases.
 filter, compare and mip --hysteresis also run at 300x40x4, where the
 directional kernels split each slice into strips of 27 and 13 rows; at 64
-pixels wide every slice is one strip.
+pixels wide every slice is one strip. project, from a file and from a
+FIFO, and swi, whose two inputs are read in lock step, also run at
+256x256x8: a 2 MiB payload is more than one 1 MiB read, so each input is
+hashed on a worker thread while the next slice is read, where every
+smaller input is hashed inline.
 Each command runs as a fresh ``python -m mipdiff`` process with the
 tree's ``src/`` first on the path, in a work directory of its own per
 tree, with the same relative paths in both, so manifests compare byte for
@@ -20,8 +24,11 @@ bit-identical.
 Bench mode alternates ``perfbench/run.py`` between the trees, A first in
 odd pairs and B first in even ones, both runs of a pair at one seed and
 of the length that ``run_seconds`` in each tree's ``BENCHMARK.json`` sets,
-and prints a per-pair table of every end-to-end metric and of the median
-unpaced set-up time, and how often B beat A.
+and prints a per-pair table of every end-to-end metric, of the median
+unpaced set-up time, of the unpaced throughput and of the mean pace-kernel
+sample, and how often B beat A. The pace kernel samples in the jobs'
+process, so a change that keeps a second core busy can slow the samples
+and lift its own paced figures; the unpaced columns show how much.
 
     python3 scripts/ab_routes.py --a <tree> --b <tree> --bench project_512 --pairs 6
 
@@ -66,6 +73,11 @@ ROUTES = [
     ("phantom 300x40x4", [
         "phantom", "--out-dir", "ph", "--stem", "wide", "--width", "300", "--height", "40",
         "--depth", "4", "--seed", "11"], {}),
+    # a 2 MiB payload, over one 1 MiB read: a worker thread hashes each
+    # slice while the reader reads the next into a second buffer
+    ("phantom 256x256x8", [
+        "phantom", "--out-dir", "ph", "--stem", "big", "--width", "256", "--height", "256",
+        "--depth", "8"], {}),
     ("filter mip_min", ["filter", "--input", "ph/ph_noisy.vol", "--output", "filt.vol"], {}),
     ("filter mip_min, two strips", [
         "filter", "--input", "ph/wide_noisy.vol", "--output", "wide_min.vol"], {}),
@@ -87,6 +99,11 @@ ROUTES = [
     ("project noisy", ["project", "--input", "ph/ph_noisy.vol", "--output", "pnoisy.vol"], {}),
     ("project from a FIFO", ["project", "--input", "filt.fifo", "--output", "pmin_f.vol"],
      {"filt.fifo": "filt.vol"}),
+    ("project 256x256x8", ["project", "--input", "ph/big_noisy.vol", "--output", "big_min.vol"],
+     {}),
+    ("project 256x256x8 from a FIFO", [
+        "project", "--input", "big.fifo", "--output", "big_min_f.vol"],
+     {"big.fifo": "ph/big_noisy.vol"}),
     ("project from its manifest", [
         "project", "--config", "pmin.vol.manifest.txt", "--output", "pmin_c.vol",
         "--pgm", "pmin_c.pgm"], {}),
@@ -124,6 +141,9 @@ ROUTES = [
     ("swi from FIFOs", [
         "swi", "--magnitude", "mag.fifo", "--phase", "phase.fifo", "--output", "swi_f.vol",
         "--metrics-csv", "swi_f.csv"], {"mag.fifo": "ph/ph_noisy.vol", "phase.fifo": "phase.vol"}),
+    ("swi 256x256x8", [
+        "swi", "--magnitude", "ph/big_noisy.vol", "--phase", "ph/big_mask.vol", "--output",
+        "big_swi.vol", "--metrics-csv", "big_swi.csv"], {}),
     ("mip", ["mip", "--input", "ph/bl_noisy.vol", "--output", "mip.vol"], {}),
     ("mip, 8 slices", ["mip", "--input", "ph/th_noisy.vol", "--output", "thmip.vol"], {}),
     ("mip hysteresis", [
@@ -302,6 +322,8 @@ BENCH_FIGURES = [
     ("job_s_p50", "job_s_p50 (s)", "lower"),
     ("setup_s", "setup_s (s, paced)", "lower"),
     ("setup_wall_p50", "median of wall setup runs (s, unpaced)", "lower"),
+    ("unpaced_mvox_s", "unpaced throughput (Mvox/s, wall less kernel time)", "higher"),
+    ("pace_mean_ms", "mean pace-kernel sample (ms, higher on a busier host)", "lower"),
     ("peak_rss_mib", "peak_rss_mib (MiB)", "lower"),
     ("psnr_ref_db", "psnr_ref_db (dB)", "higher"),
 ]
@@ -329,6 +351,13 @@ def bench_run(tree: Path, workload: str, seed: int) -> dict | None:
     if not wall:
         raise SystemExit(f"ab_routes: perfbench in {tree} printed no 'wall setup runs s:' line")
     figures["setup_wall_p50"] = statistics.median(map(float, wall[0].split(":")[1].split()))
+    for key, prefix, before in (("unpaced_mvox_s", "unpaced (wall less kernel time):", "Mvox/s,"),
+                                ("pace_mean_ms", "pace:", "ms,")):
+        line = next((line for line in lines if line.startswith(prefix)), None)
+        if line is None:
+            raise SystemExit(f"ab_routes: perfbench in {tree} printed no '{prefix}' line")
+        words = line.split()
+        figures[key] = float(words[words.index(before) - 1])
     return figures
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import os
 import stat
+import threading
+from collections import deque
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 
@@ -95,41 +97,113 @@ def _read_header(f, path, digest) -> tuple[int, int, int]:
     return nz, ny, nx
 
 
+class _Hasher:
+    """A daemon thread that feeds ``digest`` the byte views ``put`` hands
+    it, in the order they were put.
+
+    ``wait`` blocks until the oldest update not yet waited for has
+    finished; ``join`` stops the thread once every update has finished and
+    re-raises what the digest raised, if anything. Only the first ``join``
+    does anything."""
+
+    def __init__(self, digest):
+        self._digest = digest
+        self._todo = deque()
+        self._ready = threading.Semaphore(0)  # views put, not yet taken
+        self._done = threading.Semaphore(0)  # updates finished, not yet waited for
+        self._error = None
+        self._thread = threading.Thread(target=self._run, name="mipdiff-hash", daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        while True:
+            self._ready.acquire()
+            view = self._todo.popleft()
+            if view is None:
+                return
+            if self._error is None:  # after an error, views are only acknowledged
+                try:
+                    self._digest.update(view)
+                except BaseException as exc:
+                    self._error = exc
+            self._done.release()
+
+    def put(self, view):
+        self._todo.append(view)
+        self._ready.release()
+
+    def wait(self):
+        self._done.acquire()
+
+    def join(self):
+        if self._thread is None:
+            return
+        self.put(None)
+        self._thread.join()
+        self._thread = None
+        if self._error is not None:
+            raise self._error
+
+
 def _payload(f, path, shape, digest):
-    """Yield the payload's z-slices as float32 views of one reused buffer.
+    """Yield the payload's z-slices as read-only float32 views of the read
+    buffers.
 
     The payload is read in groups of whole slices, and each group is
     checked before any slice of it is yielded, so no slice holding NaN or
     Inf is ever yielded. The first group is read into a buffer that grows
     by at most ``_IO_BYTES`` per read, so a stream's header, which no file
-    size checks, sizes nothing by itself; every later group is read into
-    that same buffer. From the first non-finite group on, the rest of the
-    payload is only counted. Then a short payload raises, and else a
-    non-finite one. ``digest`` also gets any bytes after the payload."""
+    size checks, sizes nothing by itself. Without ``digest``, or when the
+    whole payload fits in one read of ``_IO_BYTES``, every later group is
+    read into that same buffer and ``digest`` is fed inline. Otherwise a
+    ``_Hasher`` thread feeds ``digest`` each group in file order while the
+    next group is checked, yielded and read into a second buffer of the
+    first one's size; the groups alternate between the two, and a buffer is
+    refilled only once its group is hashed. From the first non-finite group
+    on, the rest of the payload is only counted. Then a short payload
+    raises, and else a non-finite one. ``digest`` also gets any bytes after
+    the payload, after the last group; the thread has been joined by then,
+    and on every other way out of the generator."""
     nz, ny, nx = shape
     slice_bytes = 4 * ny * nx
     rows = _group(nz, ny, nx)
     buf = bytearray(min(_IO_BYTES, rows * slice_bytes))
+    spare = None  # with a hasher, the buffer of the group before
+    # a thread pays for itself only over more than one read
+    hasher = _Hasher(digest) if digest is not None and nz * slice_bytes > _IO_BYTES else None
     flags = None
     got = 0
     finite = True
-    for z0 in range(0, nz, rows):
-        want = min(rows, nz - z0) * slice_bytes
-        n = f.readinto(memoryview(buf)[:want])
-        while n == len(buf) < want:  # only the first group grows the buffer
-            buf += bytes(min(_IO_BYTES, want - n))
-            n += f.readinto(memoryview(buf)[n:])
-        got += n
-        if digest is not None:
-            digest.update(memoryview(buf)[:n])
-        group = np.ndarray((n // slice_bytes, ny, nx), "<f4", buffer=buf)
-        if flags is None:  # the first group is the largest
-            flags = np.empty(group.shape, dtype=bool)
-        finite = finite and bool(np.isfinite(group, out=flags[: len(group)]).all())
-        if finite:
-            yield from group
-        if n < want:
-            break
+    try:
+        for z0 in range(0, nz, rows):
+            want = min(rows, nz - z0) * slice_bytes
+            if hasher is not None and z0:
+                if spare is None:  # the first group has arrived whole, so a stream sized it
+                    spare = bytearray(len(buf))
+                else:
+                    hasher.wait()  # for the group two before, which spare holds
+                buf, spare = spare, buf
+            n = f.readinto(memoryview(buf)[:want])
+            while n == len(buf) < want:  # only the first group grows the buffer
+                buf += bytes(min(_IO_BYTES, want - n))
+                n += f.readinto(memoryview(buf)[n:])
+            got += n
+            if hasher is not None:
+                hasher.put(memoryview(buf)[:n])
+            elif digest is not None:
+                digest.update(memoryview(buf)[:n])
+            group = np.ndarray((n // slice_bytes, ny, nx), "<f4", buffer=buf)
+            group.flags.writeable = False  # what is yielded is what is hashed
+            if flags is None:  # the first group is the largest
+                flags = np.empty(group.shape, dtype=bool)
+            finite = finite and bool(np.isfinite(group, out=flags[: len(group)]).all())
+            if finite:
+                yield from group
+            if n < want:
+                break
+    finally:
+        if hasher is not None:
+            hasher.join()
     if digest is not None:
         for block in iter(lambda: f.read(1 << 16), b""):
             digest.update(block)
@@ -154,9 +228,13 @@ def _read_slices(path, digest):
 def iter_slices(path, digest=None):
     """Yield the z-slices of a MIPVOL file as float32 (ny, nx) arrays.
 
-    Each yielded array may be overwritten by a later slice; copy it to keep
-    it. The file's checks are those of ``read_volume``: header errors, and a
-    regular file shorter than its payload, raise at the first slice. No
+    Each yielded array is a read-only view of a read buffer that a later
+    group of slices overwrites; copy it to keep it. There is one buffer,
+    or two when ``digest`` is given and the payload is more than one read
+    of ``_IO_BYTES``: then a worker thread hashes each group while the
+    next is read into the other buffer (see ``_payload``). The file's
+    checks are those of ``read_volume``: header errors, and a regular file
+    shorter than its payload, raise at the first slice. No
     slice holding NaN or Inf is yielded: the reader stops yielding at the
     first group of slices that holds one, counts the rest of the payload,
     and raises for a short payload, or else for the non-finite sample; a
@@ -182,8 +260,9 @@ def read_volume(path, digest=None) -> np.ndarray:
         shape = _read_header(f, path, digest)
         slices = _payload(f, path, shape, digest)
         if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            # the slices share one buffer, so each is copied as it comes; the
-            # volume is allocated once the stream has ended and passed the checks
+            # the slices are views of reused buffers, so each is copied as it
+            # comes; the volume is allocated once the stream has ended and
+            # passed the checks
             return np.array([sl.copy() for sl in slices], dtype=np.float64)
         vol = np.empty(shape)
         for z, sl in enumerate(slices):

@@ -258,6 +258,50 @@ def test_venous_checks_hold_across_seeds(seed):
     assert gap >= 0.1
 
 
+# A Y in the default 64x64x32 volume: a trunk along x at y = 32 meets two
+# branches at (32, 32, 16), which run out to y = 10 and y = 54.
+JUNCTION = (32.0, 32.0, 16.0)
+Y_TUBES = (
+    TubeSpec(points=((0.0, 32.0, 16.0), JUNCTION)),
+    TubeSpec(points=(JUNCTION, (63.0, 10.0, 16.0))),
+    TubeSpec(points=(JUNCTION, (63.0, 54.0, 16.0))),
+)
+
+
+def _pixel_dips(img, mask):
+    """Each tube pixel's depth below its local baseline, as ``dip_amplitude``
+    takes it before averaging: the median of the non-tube pixels in its 9x9
+    window, clipped at the borders (the global non-tube median if the
+    window has none). Returns (dips, ys, xs) over the pixels of ``mask``."""
+    ys, xs = np.nonzero(mask)
+    global_baseline = float(np.median(img[~mask]))
+    ny, nx = img.shape
+    dips = np.empty(ys.size)
+    for i, (y, x) in enumerate(zip(ys, xs)):
+        win = (slice(max(0, y - 4), min(ny, y + 5)), slice(max(0, x - 4), min(nx, x + 5)))
+        vals = img[win][~mask[win]]
+        dips[i] = (float(np.median(vals)) if vals.size else global_baseline) - img[y, x]
+    return dips, ys, xs
+
+
+@pytest.mark.parametrize("seed", [1234, 1, 2, 3, 4])
+def test_junction_not_suppressed(seed):
+    """The paper claims that, unlike vesselness-steered diffusion, the
+    filter does not suppress vessel junctions in the mIP: the dip of the
+    min projection at the Y's junction (tube pixels within 6 px of it) is
+    at least as deep after filtering as before."""
+    out = generate(PhantomSpec(tubes=Y_TUBES, seed=seed))
+    mask = out.truth_mask.any(axis=0)
+    mip_noisy = project(out.noisy, "min")
+    proposed = _venous_slice_route(out.noisy, AdaptiveParams())
+    before, ys, xs = _pixel_dips(mip_noisy, mask)
+    after, _, _ = _pixel_dips(proposed, mask)
+    assert before.mean() == pytest.approx(dip_amplitude(mip_noisy, mask), rel=1e-12)
+    near = np.hypot(xs - JUNCTION[0], ys - JUNCTION[1]) <= 6.0
+    ratio = after[near].mean() / before[near].mean()
+    assert ratio >= 1.0, f"junction dip ratio {ratio:.3f} at seed {seed}"
+
+
 def test_criterion_5_alpha_sweep_trend():
     budget = 120.0
     t0 = time.perf_counter()

@@ -2,7 +2,9 @@
 import contextlib
 import hashlib
 import os
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -354,6 +356,142 @@ class TestSliceReader:
         for _ in iter_slices(path, h):
             pass
         assert h.hexdigest() == want
+
+    class SlowDigest:
+        """A sha256 that sleeps before each update, so a buffer refilled
+        before its update has run would change the digest."""
+
+        def __init__(self):
+            self._h = hashlib.sha256()
+
+        def update(self, data):
+            time.sleep(0.002)
+            self._h.update(data)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    @pytest.mark.parametrize("tail", [b"", b"trailing junk" * 10000], ids=["no tail", "tail"])
+    @pytest.mark.parametrize("fifo", [False, True], ids=["file", "fifo"])
+    def test_hashed_groups_alternate_two_buffers(self, tmp_path, small_groups, fifo, tail):
+        # 17 slices of 60 bytes in groups of 2: a thread hashes each group
+        # while the next one is read into the other buffer
+        vol = np.random.default_rng(17).normal(size=(17, 3, 5)).astype("<f4")
+        data = b"MIPVOL1 5 3 17\n" + vol.tobytes() + tail
+        h = self.SlowDigest()
+        with self.source(tmp_path, data, fifo) as path:
+            slices = [(sl.base.ctypes.data, sl.copy()) for sl in iter_slices(path, h)]
+        assert h.hexdigest() == hashlib.sha256(data).hexdigest()
+        assert len({base for base, _ in slices}) == 2
+        np.testing.assert_array_equal(np.stack([sl for _, sl in slices]), vol)
+
+    def test_concurrent_hashed_readers(self, tmp_path, small_groups):
+        # more readers than cores, each with its own hash thread, switching
+        # threads often: a lost or early buffer handoff changes a digest
+        vols = [np.random.default_rng(k).normal(size=(17, 3, 5)).astype("<f4") for k in range(6)]
+        datas = [b"MIPVOL1 5 3 17\n" + v.tobytes() for v in vols]
+        for k, data in enumerate(datas):
+            (tmp_path / f"v{k}.vol").write_bytes(data)
+        results = [None] * len(vols)
+
+        def read(k):
+            h = hashlib.sha256()
+            for _ in range(20):
+                slices = [sl.copy() for sl in iter_slices(tmp_path / f"v{k}.vol", h)]
+            results[k] = (h.hexdigest(), np.stack(slices))
+
+        start = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read, args=(k,)) for k in range(len(vols))]
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers)
+        assert threading.active_count() == start
+        for (digest, got), vol, data in zip(results, vols, datas):
+            assert digest == hashlib.sha256(data * 20).hexdigest()
+            np.testing.assert_array_equal(got, vol)
+
+    def test_hashed_slices_are_read_only(self, tmp_path, small_groups):
+        # a consumer cannot change a group before the thread hashes it
+        path = tmp_path / "v.vol"
+        write_volume(np.ones((17, 3, 5)), path)
+        for sl in iter_slices(path, hashlib.sha256()):
+            with pytest.raises(ValueError, match="read-only"):
+                sl[0, 0] = 2.0
+
+    @pytest.mark.parametrize("case", [
+        "complete", "closed after one slice", "truncated file", "nan group", "short fifo",
+        "nan group, short fifo",
+    ])
+    def test_hash_thread_joined_on_every_exit(self, tmp_path, small_groups, case):
+        vol = np.ones((17, 3, 5), dtype="<f4")
+        if "nan" in case:
+            vol[4, 1, 2] = np.nan
+        data = b"MIPVOL1 5 3 17\n" + vol.tobytes()
+        if "short" in case or "truncated" in case:
+            data = data[:-8]
+        start = threading.active_count()
+        h = hashlib.sha256()
+        with self.source(tmp_path, data, "fifo" in case) as path:
+            slices = iter_slices(path, h)
+            if case == "complete":
+                assert sum(1 for _ in slices) == 17
+                assert h.hexdigest() == hashlib.sha256(data).hexdigest()
+            elif case == "closed after one slice":
+                next(slices)
+                assert threading.active_count() == start + 1
+                slices.close()
+            elif case == "nan group":
+                yielded = []
+                with pytest.raises(NonFiniteValueError, match="contains NaN or Inf samples$"):
+                    for sl in slices:
+                        yielded.append(sl)
+                assert len(yielded) == 4  # the groups before the NaN's
+            else:  # today's order: a short payload before a non-finite sample
+                with pytest.raises(TruncatedPayloadError,
+                                   match="expected 1020 payload bytes, got 1012$"):
+                    for _ in slices:
+                        pass
+        assert threading.active_count() == start
+
+    def test_digest_error_raised_by_the_reader(self, tmp_path, small_groups):
+        class Failing:
+            calls = 0
+
+            def update(self, data):
+                self.calls += 1
+                if self.calls == 3:  # the header, then the second group
+                    raise RuntimeError("digest failed")
+
+        path = tmp_path / "v.vol"
+        write_volume(np.ones((17, 3, 5)), path)
+        start = threading.active_count()
+        with pytest.raises(RuntimeError, match="digest failed"):
+            for _ in iter_slices(path, Failing()):
+                pass
+        assert threading.active_count() == start
+
+    def test_one_read_starts_no_thread(self, tmp_path, small_groups, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        for nz in (1, 2):  # payloads of 60 and 120 bytes, at most one read
+            vol = np.arange(nz * 15, dtype="<f4").reshape(nz, 3, 5)
+            path = tmp_path / f"v{nz}.vol"
+            write_raw(path, b"MIPVOL1 5 3 %d\n" % nz, vol.tobytes() + b"tail")
+            h = hashlib.sha256()
+            np.testing.assert_array_equal(read_volume(path, h), vol)
+            assert h.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        # and no digest, no thread, however many reads
+        write_volume(np.ones((17, 3, 5)), path)
+        assert sum(1 for _ in iter_slices(path)) == 17
 
 
 class TestFloat32Range:
