@@ -6,7 +6,11 @@ tree: the phantom variants, filter, project, metrics, compare,
 alpha-sweep, swi, mip and pc, FIFO inputs, and the known error cases.
 filter, compare and mip --hysteresis also run at 300x40x4, where the
 directional kernels split each slice into strips of 27 and 13 rows; at 64
-pixels wide every slice is one strip. project, from a file and from a
+pixels wide every slice is one strip. Slices this small are filtered in
+stacks of as many whole slices as fill a strip: filter (also traced),
+compare --kind min and max, swi and alpha-sweep in both modes also run at
+64x64x7, stacks of two and a last one of one, and at 40x24x9, a stack of
+eight and one of one. project, from a file and from a
 FIFO, and swi, whose two inputs are read in lock step, also run at
 256x256x8: a 2 MiB payload is more than one 1 MiB read, so each input is
 hashed on a worker thread while the next slice is read, where every
@@ -54,6 +58,34 @@ import numpy as np
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 COMMAND_TIMEOUT_S = 300
 ROI = "8,26,48,12"  # a band across the default tube (row 32 of 64)
+
+
+def _stack_routes(size: str, stem: str) -> list:
+    """The routes that filter stacks of slices, on the phantom ``ph/<stem>``
+    of ``size`` and the phase volume ``<stem>_phase.vol``."""
+    noisy, clean = f"ph/{stem}_noisy.vol", f"ph/{stem}_clean.vol"
+    return [
+        (f"filter mip_min {size}", ["filter", "--input", noisy, "--output", f"{stem}_min.vol"],
+         {}),
+        (f"filter mip {size}, traced", [
+            "filter", "--input", noisy, "--output", f"{stem}_mip.vol", "--mode", "mip",
+            "--trace"], {}),
+        (f"compare min {size}", [
+            "compare", "--input", noisy, "--reference", clean, "--output", f"{stem}_cmp.csv"], {}),
+        (f"compare max {size}", [
+            "compare", "--input", noisy, "--kind", "max", "--reference", clean,
+            "--output", f"{stem}_cmpx.csv"], {}),
+        (f"swi {size}", [
+            "swi", "--magnitude", noisy, "--phase", f"{stem}_phase.vol", "--output",
+            f"{stem}_swi.vol", "--metrics-csv", f"{stem}_swi.csv"], {}),
+        (f"alpha-sweep mip_min {size}", [
+            "alpha-sweep", "--input", noisy, "--alphas", "0.5,1,2", "--output",
+            f"{stem}_sweep.csv"], {}),
+        (f"alpha-sweep mip {size}", [
+            "alpha-sweep", "--input", noisy, "--mode", "mip", "--alphas", "0.5,1,2",
+            "--output", f"{stem}_sweep_mip.csv"], {}),
+    ]
+
 
 # (label, argv, {fifo: file whose bytes are fed to it}); paths are relative
 # to the work directory, and every route may use the outputs of those above
@@ -157,6 +189,14 @@ ROUTES = [
     ("pc magnitude", [
         "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pcm",
         "--flow-mode", "magnitude", "--metrics-csv", "pcm.csv"], {}),
+    # the filters run on stacks of whole slices, as many as fill one strip:
+    # 2 at 64x64, so 7 slices end in a stack of one; 8 at 40x24, so 9 do too
+    ("phantom 64x64x7", ["phantom", "--out-dir", "ph", "--stem", "odd", "--depth", "7"], {}),
+    ("phantom 40x24x9", [
+        "phantom", "--out-dir", "ph", "--stem", "small", "--width", "40", "--height", "24",
+        "--depth", "9", "--seed", "5"], {}),
+    *_stack_routes("64x64x7", "odd"),
+    *_stack_routes("40x24x9", "small"),
     # the known error cases: each must fail the same way in both trees
     ("error: oversized header", ["project", "--input", "huge.vol", "--output", "huge_p.vol"], {}),
     ("error: oversized stream", ["project", "--input", "huge.fifo", "--output", "huge_f.vol"],
@@ -202,8 +242,10 @@ def _inputs(work: Path) -> None:
     """Write the inputs that no mipdiff command makes, the same bytes in
     each tree's work directory."""
     rng = np.random.default_rng(1234)
-    phase = np.clip(rng.normal(-0.4, 0.8, (32, 64, 64)), -np.pi, np.pi)
-    (work / "phase.vol").write_bytes(_mipvol(phase))
+    for name, shape in (("phase", (32, 64, 64)), ("odd_phase", (7, 64, 64)),
+                        ("small_phase", (9, 24, 40))):
+        phase = np.clip(rng.normal(-0.4, 0.8, shape), -np.pi, np.pi)
+        (work / f"{name}.vol").write_bytes(_mipvol(phase))
     (work / "huge.vol").write_bytes(b"MIPVOL1 100000 100000 100000\n\0\0\0\0")
     nan = np.ones((4, 8, 8))
     nan[0, 3, 3] = np.nan

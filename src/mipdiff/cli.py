@@ -24,12 +24,14 @@ from .diffusion import (
     AdaptiveParams,
     HysteresisParams,
     PMParams,
+    _directional_ad_stack,
+    _filter_stack,
+    _orthogonal_stack,
+    _pm_stack,
+    _stacks,
     default_delta,
     hysteresis_filter,
-    run_directional_ad,
     run_filter,
-    run_orthogonal,
-    run_pm,
 )
 from .fileio import (VolumeIOError, VolumeWriter, _commit, _read_slices, _write_text,
                      export_pgm, write_volume)
@@ -168,17 +170,24 @@ def _slices(path, inputs: list):
 
 
 def _project_each(slices, shape, fns, kind: str) -> np.ndarray:
-    """Row k is the ``kind`` projection of ``fns[k](sl)`` over the ``slices``
-    of a volume of ``shape``: each slice's results fill one reused stack,
-    and one ``project_slices`` folds the stacks."""
-    rows = np.empty((len(fns), *shape[1:]))
+    """Row j is the ``kind`` projection of ``fns[j](stack)`` over the
+    ``slices`` of a volume of ``shape``, which ``diffusion._stacks`` copies
+    into float64 stacks: each stack's results fill one reused block of
+    (len(fns), ny, nx) rows per slice, and one ``project_slices`` folds
+    them slice by slice, in order."""
+    block = None
 
-    def stack(sl):
-        for row, fn in zip(rows, fns):
-            row[...] = fn(sl)
-        return rows
+    def rows():
+        nonlocal block
+        for stack in _stacks(slices):
+            if block is None:  # the first stack is the largest
+                block = np.empty((len(stack), len(fns), *shape[1:]))
+            res = block[: len(stack)]
+            for j, fn in enumerate(fns):
+                res[:, j] = fn(stack)
+            yield from res
 
-    return project_slices(map(stack, slices), kind)
+    return project_slices(rows(), kind)
 
 
 def _image(path, inputs: list) -> np.ndarray:
@@ -311,13 +320,16 @@ def cmd_filter(v: dict, inputs: list) -> str:
     shape, slices = _slices(v["input"], inputs)
     stem = Path(v["output"]).with_suffix("")
     with VolumeWriter(v["output"], shape) as out:
-        for k, sl in enumerate(slices):
-            filtered, trace = run_filter(sl, params)
-            out.write(filtered)
-            if v["trace"]:
-                rows = [f"{i},{np.format_float_positional(r, trim='-')}"
-                        for i, r in enumerate(trace.relative_changes, start=1)]
-                _write_text(f"{stem}_trace_s{k}.csv", ["iteration,relative_change", *rows])
+        k = 0
+        for stack in _stacks(slices):
+            filtered, traces = _filter_stack(stack, params)
+            for sl, trace in zip(filtered, traces):
+                out.write(sl)
+                if v["trace"]:
+                    rows = [f"{i},{np.format_float_positional(r, trim='-')}"
+                            for i, r in enumerate(trace.relative_changes, start=1)]
+                    _write_text(f"{stem}_trace_s{k}.csv", ["iteration,relative_change", *rows])
+                k += 1
     return f"{v['output']}.manifest.txt"
 
 
@@ -426,10 +438,10 @@ def cmd_compare(v: dict, inputs: list) -> str:
     pm_params = _params(PMParams, v, delta=delta)
     adaptive = _params(AdaptiveParams, v, mode="mip_min" if kind == "min" else "mip")
     methods = {
-        "pm": lambda sl: run_pm(sl, pm_params),
-        "orthogonal": lambda sl: run_orthogonal(sl, pm_params),
-        "directional": lambda sl: run_directional_ad(sl, pm_params, v["grad_threshold"]),
-        "proposed": lambda sl: run_filter(sl, adaptive)[0],
+        "pm": lambda st: _pm_stack(st, pm_params),
+        "orthogonal": lambda st: _orthogonal_stack(st, pm_params),
+        "directional": lambda st: _directional_ad_stack(st, pm_params, v["grad_threshold"]),
+        "proposed": lambda st: _filter_stack(st, adaptive)[0],
     }
     folded = _project_each(noisy, shape, list(methods.values()), kind)
     rows = [_metrics_row(name, base_proj, ref_proj, img, roi)
@@ -446,7 +458,7 @@ def cmd_alpha_sweep(v: dict, inputs: list) -> str:
     alphas = sorted(v["alphas"])
     gains = [_params(AdaptiveParams, v, alpha=alpha) for alpha in alphas]
     # row 0 folds the input slices, row k their filtered results at the k-th gain
-    filters = [lambda sl, params=params: run_filter(sl, params)[0] for params in gains]
+    filters = [lambda st, params=params: _filter_stack(st, params)[0] for params in gains]
     folded = _project_each(slices, shape, [np.asarray, *filters], kind)
     rows = [f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(folded[0], img))}"
             for alpha, img in zip(alphas, folded[1:])]

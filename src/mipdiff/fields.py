@@ -72,20 +72,29 @@ def _padded(u, out=None) -> np.ndarray:
     and ``q[0]``, ``q[-1]`` are zero spares that let ``_neighbours`` shift whole
     padded rows by one pixel.
 
-    Written into ``out`` (``(ny + 2) * (nx + 2) + 2`` values) when given, so
-    an iteration can refill one workspace instead of allocating a copy.
+    A (k, ny, nx) stack of fields is padded slice by slice, the padded
+    slices back to back: ``q`` then reads as the padded buffer of one tall
+    field of ``k * (ny + 2) - 2`` rows, in which slice i is rows
+    ``i * (ny + 2)`` to ``i * (ny + 2) + ny - 1`` and the two rows between
+    slices are their pad rows. A pixel's stencil reads only its own
+    slice's padded rows.
+
+    Written into ``out`` (``k * (ny + 2) * (nx + 2) + 2`` values) when
+    given, so an iteration can refill one workspace instead of allocating a
+    copy.
     """
-    ny, nx = u.shape
+    ny, nx = u.shape[-2:]
     if ny < 3 or nx < 3:
         raise ValueError(f"derivative stencils need at least 3x3, got {ny}x{nx}")
-    q = np.empty((ny + 2) * (nx + 2) + 2) if out is None else out
+    k = u.size // (ny * nx)
+    q = np.empty(k * (ny + 2) * (nx + 2) + 2) if out is None else out
     q[0] = q[-1] = 0.0
-    p = q[1:-1].reshape(ny + 2, nx + 2)
-    p[1:-1, 1:-1] = u
-    p[0] = p[2]
-    p[-1] = p[-3]
+    p = q[1:-1].reshape(k, ny + 2, nx + 2)
+    p[:, 1:-1, 1:-1] = u
     p[:, 0] = p[:, 2]
     p[:, -1] = p[:, -3]
+    p[..., 0] = p[..., 2]
+    p[..., -1] = p[..., -3]
     return q
 
 

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import AdaptiveParams, run_filter
+from .diffusion import AdaptiveParams, _filter_stack, _stacks
 from .fields import as_volume
 
 __all__ = [
@@ -92,26 +93,34 @@ def swi_pipeline(
     on ties). With ``mask_before_projection`` the per-slice product is
     projected instead. ``magnitude`` and ``phase`` are volumes, or
     iterables of their z-slices (such as ``iter_slices``); they are read in
-    lock step and folded slice by slice, so no volume is built. Each
-    magnitude slice and its phase slice must have one shape; none is
-    broadcast.
+    lock step, copied as they come, filtered in the strip-sized stacks of
+    ``run_filter``'s kernel and folded slice by slice, so no volume is
+    built. Each magnitude slice and its phase slice must have one shape;
+    none is broadcast.
     """
     arrays = all(isinstance(a, np.ndarray) for a in (magnitude, phase))
     if arrays and magnitude.shape != phase.shape:
         raise ValueError(f"magnitude {magnitude.shape} and phase {phase.shape} differ")
+    phases = deque()  # copies of the phase slices read with the stack being filtered
+
+    def magnitudes():
+        for mag, phi in zip(magnitude, phase, strict=True):
+            if np.shape(mag) != np.shape(phi):
+                raise ValueError(f"magnitude slice {np.shape(mag)} and phase slice "
+                                 f"{np.shape(phi)} differ")
+            phases.append(np.array(phi, dtype=np.float64))
+            yield mag
+
     mip = weight = None
-    for mag, phi in zip(magnitude, phase, strict=True):
-        if np.shape(mag) != np.shape(phi):
-            raise ValueError(f"magnitude slice {np.shape(mag)} and phase slice "
-                             f"{np.shape(phi)} differ")
-        filtered = run_filter(mag, params)[0]
-        w = phase_mask(phi, mask_params)
-        if mask_before_projection:
-            filtered *= w
-        if mip is None:
-            mip, weight = filtered, w
-            continue
-        lower = filtered < mip  # strict: a tie keeps the lowest slice's weight
-        np.minimum(mip, filtered, out=mip)
-        weight = np.where(lower, w, weight)
+    for stack in _stacks(magnitudes()):
+        for filtered in _filter_stack(stack, params)[0]:
+            w = phase_mask(phases.popleft(), mask_params)
+            if mask_before_projection:
+                filtered *= w
+            if mip is None:
+                mip, weight = filtered, w
+                continue
+            lower = filtered < mip  # strict: a tie keeps the lowest slice's weight
+            np.minimum(mip, filtered, out=mip)
+            weight = np.where(lower, w, weight)
     return mip if mask_before_projection else mip * weight

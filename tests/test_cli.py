@@ -20,6 +20,8 @@ from mipdiff.diffusion import (
     PMParams,
     run_directional_ad,
     run_filter,
+    run_orthogonal,
+    run_pm,
 )
 from mipdiff.fileio import read_volume, write_volume
 from mipdiff.metrics import Roi, psnr_vs_input
@@ -898,7 +900,7 @@ class TestCompareCommand:
         def boom(*args, **kwargs):
             raise AssertionError("a filter ran before the roi was checked")
 
-        monkeypatch.setattr(cli, "run_pm", boom)
+        monkeypatch.setattr(cli, "_pm_stack", boom)
         src, _ = noisy_volume
         csv = tmp_path / "cmp.csv"
         assert run_cli("compare", "--input", src, "--output", csv, "--roi", "0,0,500,500") == 2
@@ -1051,3 +1053,82 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "mipdiff" in proc.stdout
+
+
+class TestFoldsOverReusedBuffers:
+    """Each fold of a command equals the library's composition on the
+    volume ``read_volume`` returns. At 64x64x9 every read group holds one
+    slice, so the reader refills one buffer, and the filters run on stacks
+    of two slices, the last one alone: a fold or a stack that kept a view
+    of that buffer instead of a copy would see later slices in place of
+    earlier ones."""
+
+    @pytest.fixture(scope="class")
+    def phantom(self, tmp_path_factory):
+        """The noisy volume, and as its reference another seed's noisy one,
+        whose every slice counts in its projections (the clean volume's
+        first slices are flat)."""
+        d = tmp_path_factory.mktemp("folds")
+        for stem, seed in (("in", 1234), ("ref", 7)):
+            assert run_cli("phantom", "--out-dir", d, "--stem", stem, "--depth", "9",
+                           "--seed", seed) == 0
+        assert fileio._group(9, 64, 64) == 1
+        noisy, ref = d / "in_noisy.vol", d / "ref_noisy.vol"
+        return noisy, ref, read_volume(noisy), read_volume(ref)
+
+    @staticmethod
+    def fold(images, kind):
+        return getattr(np, kind)(np.stack(list(images)), axis=0)
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_compare(self, tmp_path, phantom, kind):
+        noisy, reference, vol, ref = phantom
+        csv = tmp_path / "c.csv"
+        assert run_cli("compare", "--input", noisy, "--reference", reference, "--kind", kind,
+                       "--output", csv) == 0
+        pm = PMParams(delta=0.1 * float(vol.max() - vol.min()))
+        adaptive = AdaptiveParams(mode="mip_min" if kind == "min" else "mip")
+        methods = {
+            "pm": lambda sl: run_pm(sl, pm),
+            "orthogonal": lambda sl: run_orthogonal(sl, pm),
+            "directional": lambda sl: run_directional_ad(sl, pm),
+            "proposed": lambda sl: run_filter(sl, adaptive)[0],
+        }
+        base, ref_proj = self.fold(vol, kind), self.fold(ref, kind)
+        rows = [cli._metrics_row(name, base, ref_proj, self.fold(map(fn, vol), kind))
+                for name, fn in methods.items()]
+        want = ["method,psnr_input,psnr_ref,cr,cpp",
+                *(",".join([m, *map(cli._fmt_metric, figures)]) for m, *figures in rows)]
+        assert csv.read_text().splitlines() == want
+
+    def test_mip_at_alpha_zero_is_the_max_projection(self, tmp_path, phantom):
+        noisy, _, vol, _ = phantom
+        out = tmp_path / "m.vol"
+        assert run_cli("mip", "--input", noisy, "--output", out, "--alpha", "0") == 0
+        np.testing.assert_array_equal(read_volume(out)[0], vol.max(axis=0))
+
+    @pytest.mark.parametrize("mode", ["mip_min", "mip"])
+    def test_alpha_sweep(self, tmp_path, phantom, mode):
+        noisy, _, vol, _ = phantom
+        csv = tmp_path / "a.csv"
+        assert run_cli("alpha-sweep", "--input", noisy, "--mode", mode, "--alphas", "0.5,2",
+                       "--output", csv) == 0
+        kind = "min" if mode == "mip_min" else "max"
+        base = self.fold(vol, kind)
+        want = ["alpha,psnr_input"]
+        for alpha in (0.5, 2.0):
+            params = AdaptiveParams(alpha=alpha, mode=mode)
+            img = self.fold((run_filter(sl, params)[0] for sl in vol), kind)
+            want.append(f"{alpha!r},{cli._fmt_metric(psnr_vs_input(base, img))}")
+        assert csv.read_text().splitlines() == want
+
+    def test_filter(self, tmp_path, phantom):
+        noisy, _, vol, _ = phantom
+        out = tmp_path / "f.vol"
+        assert run_cli("filter", "--input", noisy, "--output", out, "--trace") == 0
+        want = [run_filter(sl, AdaptiveParams()) for sl in vol]
+        np.testing.assert_array_equal(read_volume(out),
+                                      np.stack([w for w, _ in want]).astype("<f4"))
+        for k, (_, trace) in enumerate(want):
+            lines = (tmp_path / f"f_trace_s{k}.csv").read_text().splitlines()
+            assert len(lines) == 1 + trace.iterations

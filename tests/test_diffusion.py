@@ -614,9 +614,9 @@ class TestStripBlocking:
         assert (flat & (b.uxy < 0.0)).any()  # where ux * uy * uxy is -0
         np.testing.assert_array_equal(np.signbit(want[0][flat]), False)
         strips = diffusion._workspace(_padded(u), np.empty_like(u))
-        for buf in strips[0][2][:8]:
+        for buf in strips[0][1][:8]:
             buf.fill(stale)
-        for s, nb, buf in strips:
+        for nb, buf, ((s, _),) in strips:
             got = diffusion._curvature_strip(nb, buf)
             for g, w in zip(got, want):
                 assert_same_bits(g[:, 1:-1].copy(), w[s])
@@ -993,3 +993,200 @@ class TestEigenvectorFreeHotPath:
                 assert not np.all(np.isfinite(out))
                 with pytest.raises(ValueError, match="NaN or Inf"):
                     run(v, PMParams(delta=1.0, iterations=2))
+
+
+class TestStacks:
+    """Each filter's stack code, which the CLI runs on stacks of
+    ``_batch(ny, nx)`` slices, equals runs of its public 2-D function on
+    each slice alone, bit for bit, traces included. At 64x64 two slices
+    fill a strip, so three are a full strip and a short one; at 24x40
+    eight do, so nine are eight and one."""
+
+    PM = PMParams(delta=0.05, iterations=4)
+
+    @staticmethod
+    def stack(rng, shape, k):
+        # every slice at its own noise scale: bounds, thresholds or norms
+        # taken over the stack instead of the slice would show
+        return np.stack([rng.normal(1.0, 0.02 * (i + 1), shape) for i in range(k)])
+
+    @staticmethod
+    def check_filter(stack, params):
+        out, traces = diffusion._filter_stack(stack, params)
+        assert out.shape == stack.shape and len(traces) == len(stack)
+        for sl, got, trace in zip(stack, out, traces):
+            want, want_trace = run_filter(sl, params)
+            assert_same_bits(got, want)
+            assert trace.iterations == want_trace.iterations
+            np.testing.assert_array_equal(trace.relative_changes, want_trace.relative_changes)
+            assert trace.converged == want_trace.converged
+            assert_same_bits(trace.basis_sum, want_trace.basis_sum)
+        return traces
+
+    @staticmethod
+    def check_baselines(stack, params, threshold=None):
+        runs = [
+            (diffusion._pm_stack, run_pm),
+            (diffusion._orthogonal_stack, run_orthogonal),
+            (lambda s, p: diffusion._directional_ad_stack(s, p, threshold),
+             lambda s, p: run_directional_ad(s, p, threshold)),
+        ]
+        for stack_run, run in runs:
+            out = stack_run(stack, params)
+            assert out.shape == stack.shape
+            for sl, got in zip(stack, out):
+                assert_same_bits(got, run(sl, params))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    @pytest.mark.parametrize("shape", [(64, 64), (24, 40)], ids=["64x64", "24x40"])
+    def test_stack_equals_its_slices(self, rng, shape, k):
+        stack = self.stack(rng, shape, k)
+        for mode in ("mip_min", "mip"):
+            self.check_filter(stack, AdaptiveParams(alpha=2.0, mode=mode, max_iterations=3))
+        self.check_filter(stack, AdaptiveParams(alpha=0.0))
+        for kind in ("rational", "exponential"):
+            params = replace(self.PM, diffusivity_kind=kind)
+            self.check_baselines(stack, params)
+            self.check_baselines(stack, params, 0.03)
+
+    @pytest.mark.parametrize("mode", ["mip_min", "mip"])
+    @pytest.mark.parametrize("flat_first", [True, False])
+    def test_flat_slice_stops_while_its_neighbour_runs(self, rng, mode, flat_first):
+        flat, noisy = np.full((64, 64), 0.7), rng.normal(1.0, 0.1, (64, 64))
+        stack = np.stack([flat, noisy] if flat_first else [noisy, flat])
+        traces = self.check_filter(stack, AdaptiveParams(mode=mode))
+        t_flat, t_noisy = traces if flat_first else traces[::-1]
+        assert t_flat.iterations == 1 and t_flat.converged
+        assert t_noisy.iterations == 6 and not t_noisy.converged
+
+    def test_stopped_slice_keeps_its_last_update(self, rng):
+        # a tolerance between the two slices' first changes: the quiet one
+        # stops with a non-zero update, which the next step overwrites in
+        # the stack's update buffer
+        quiet, loud = rng.normal(1.0, 0.002, (24, 40)), rng.normal(1.0, 0.1, (24, 40))
+        first = [run_filter(u, AdaptiveParams(max_iterations=1))[1].relative_changes[0]
+                 for u in (quiet, loud)]
+        params = AdaptiveParams(tolerance=math.sqrt(first[0] * first[1]))
+        traces = self.check_filter(np.stack([quiet, loud, quiet]), params)
+        assert [t.iterations for t in traces] == [1, 6, 1]
+        assert np.any(traces[0].basis_sum != 0.0)
+
+    def test_slice_going_non_finite_raises(self, rng):
+        good = rng.normal(1.0, 0.1, (8, 8))
+        bad = 1e308 * rng.uniform(-1.0, 1.0, (8, 8))
+        checker = 1e308 * (-1.0) ** np.add.outer(np.arange(8), np.arange(8))
+        once = AdaptiveParams(alpha=2.0, max_iterations=1)
+        with np.errstate(all="ignore"):
+            for g, pair in ((0, [good, bad]), (1, [bad, good])):
+                stack = np.stack(pair)
+                # the bad slice's first step overflows; the NaN it leaves
+                # may carry another sign bit, as ufuncs can take another
+                # code path at another array length
+                out, traces = diffusion._filter_stack(stack, once)
+                for sl, got, trace in zip(stack, out, traces):
+                    want, want_trace = run_filter(sl, once)
+                    np.testing.assert_array_equal(got, want)
+                    np.testing.assert_array_equal(trace.relative_changes,
+                                                  want_trace.relative_changes)
+                assert_same_bits(out[g], run_filter(good, once)[0])
+                with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
+                    diffusion._filter_stack(stack, replace(once, max_iterations=2))
+                for stack_run, v in ((diffusion._pm_stack, checker),
+                                     (diffusion._orthogonal_stack, bad),
+                                     (lambda s, p: diffusion._directional_ad_stack(s, p, None),
+                                      bad)):
+                    s = np.stack([good, v] if g == 0 else [v, good])
+                    assert not np.isfinite(stack_run(s, PMParams(delta=1.0, iterations=1))).all()
+                    with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
+                        stack_run(s, PMParams(delta=1.0, iterations=2))
+
+    def test_mip_bounds_are_per_slice(self, rng):
+        stack = self.stack(rng, (24, 40), 3)
+        maps = [curvature_terms(derivatives(sl))[0] for sl in stack]
+        assert histogram_bounds(maps[0]) != histogram_bounds(np.stack(maps))
+        self.check_filter(stack, AdaptiveParams(alpha=2.0, mode="mip", max_iterations=2))
+
+    def test_mip_gate_counts_each_slice_alone(self, rng):
+        # 8x8 slices stay ungated however many pixels their stack holds
+        stack = self.stack(rng, (8, 8), 3)
+        assert stack[0].size < 100 <= stack.size
+        params = AdaptiveParams(alpha=2.0, mode="mip", max_iterations=1)
+        for sl, got in zip(stack, diffusion._filter_stack(stack, params)[0]):
+            assert_same_bits(got, adaptive_mu_step(sl, params))
+
+    def test_default_threshold_is_per_slice(self, rng):
+        stack = self.stack(rng, (64, 64), 2)
+        gnorm = [np.sqrt(squared_gradient(derivatives(sl))) for sl in stack]
+        assert np.quantile(gnorm[0], 0.9) < np.quantile(np.stack(gnorm), 0.9)
+        self.check_baselines(stack, self.PM)
+
+    def test_stacks_of_a_reused_buffer(self, rng):
+        vol = rng.normal(1.0, 0.1, (7, 64, 64)).astype(np.float32)
+        buf = np.empty((64, 64), np.float32)
+
+        def reused():
+            for sl in vol:
+                buf[...] = sl
+                yield buf
+
+        stacks = list(diffusion._stacks(reused()))
+        assert [len(s) for s in stacks] == [2, 2, 2, 1]
+        assert all(s.dtype == np.float64 and not np.shares_memory(s, buf) for s in stacks)
+        np.testing.assert_array_equal(np.concatenate(stacks), vol.astype(np.float64))
+
+    def test_stacks_check_each_slice(self):
+        assert [len(s) for s in diffusion._stacks([np.ones((32, 32))] * 9)] == [8, 1]
+        with pytest.raises(ValueError, match=r"shape \(32, 32\), got \(1, 32\)"):
+            list(diffusion._stacks([np.ones((32, 32)), np.ones((1, 32))]))
+        bad = np.ones((8, 8))
+        bad[2, 3] = np.inf
+        with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
+            list(diffusion._stacks([np.ones((8, 8)), bad]))
+        with pytest.raises(ValueError, match="expected a 2-D field"):
+            list(diffusion._stacks([np.ones((2, 8, 8))]))
+
+
+class TestBatchRule:
+    """A stack of small slices is one strip, and no strip buffer reaches
+    glibc's 128 KiB mmap threshold; slices over _STRIP_PIXELS keep their
+    row strips."""
+
+    @staticmethod
+    def first_row(q, nb, width):
+        """The row of the tall padded field at which a strip's centre view
+        starts."""
+        offset = (nb[0].__array_interface__["data"][0]
+                  - q.__array_interface__["data"][0]) // q.itemsize
+        return (offset - 1) // width - 1
+
+    def test_slices_per_strip(self):
+        assert [diffusion._batch(n, n) for n in (32, 64, 65, 90, 91, 256)] == [8, 2, 1, 1, 1, 1]
+        assert diffusion._batch(24, 40) == 8
+
+    def test_two_64x64_slices_are_one_strip(self):
+        q, update, strips = diffusion._buffers(np.zeros((2, 64, 64)))
+        assert update.shape == (2, 64, 64) and q.size == 2 * 66 * 66 + 2
+        ((nb, buf, pieces),) = strips
+        assert nb[0].shape == (130, 66) and self.first_row(q, nb, 66) == 0
+        assert [b.shape for b in buf] == [(130, 66)] * 9
+        assert all(b.nbytes < 128 * 1024 for b in buf)
+        # the copy-out skips the two pad rows between the slices
+        assert pieces == [(slice(0, 64), slice(0, 64)), (slice(64, 128), slice(66, 130))]
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 32, 64, 90])
+    def test_full_stack_strips_stay_under_the_mmap_threshold(self, n):
+        _, _, strips = diffusion._buffers(np.zeros((diffusion._batch(n, n), n, n)))
+        assert len(strips) == 1
+        assert all(b.nbytes < 128 * 1024 for b in strips[0][1])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_256x256_slices_keep_32_row_strips(self, k):
+        u = np.zeros((k, 256, 256))
+        q, _, strips = diffusion._buffers(u if k > 1 else u[0])
+        assert len(strips) == 8 * k
+        for j, (nb, buf, pieces) in enumerate(strips):
+            i, r0 = divmod(j, 8)
+            r0 *= 32
+            assert pieces == [(slice(i * 256 + r0, i * 256 + r0 + 32), slice(0, 32))]
+            assert nb[0].shape == buf[0].shape == (32, 258)
+            assert self.first_row(q, nb, 258) == i * 258 + r0
