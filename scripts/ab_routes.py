@@ -5,7 +5,7 @@ Route mode runs every command and mode of the CLI at 64x64x32 in each
 tree: the phantom variants, filter, project, metrics, compare,
 alpha-sweep, swi, mip and pc, FIFO inputs, and the known error cases.
 filter, compare and mip --hysteresis also run at 300x40x4, where the
-directional kernels split each slice into strips of 27 and 13 rows; at 64
+strip kernels split each slice into strips of 27 and 13 rows; at 64
 pixels wide every slice is one strip. Slices this small are filtered in
 stacks of as many whole slices as fill a strip: filter (also traced),
 compare --kind min and max, swi and alpha-sweep in both modes also run at
@@ -227,6 +227,8 @@ ROUTES = [
     ("error: compare roi outside the volume", [
         "compare", "--input", "ph/ph_noisy.vol", "--roi", "0,0,500,500", "--output",
         "cmp_r.csv"], {}),
+    ("error: compare of 2-row slices", [
+        "compare", "--input", "thin.vol", "--output", "thin_cmp.csv"], {}),
     ("error: compare reference shape", [
         "compare", "--input", "ph/ph_noisy.vol", "--reference", "pmin.vol",
         "--output", "cmp_x.csv"], {}),
@@ -250,6 +252,7 @@ def _inputs(work: Path) -> None:
     nan = np.ones((4, 8, 8))
     nan[0, 3, 3] = np.nan
     (work / "nan.vol").write_bytes(_mipvol(nan))
+    (work / "thin.vol").write_bytes(_mipvol(rng.normal(1.0, 0.1, (4, 2, 40))))
     (work / "short.vol").write_bytes(_mipvol(np.ones((4, 8, 8)))[:-100])
     (work / "bad_sigma.txt").write_text("0.05\ninf\n0.1\n")
     (work / "bad.cfg").write_text("kind = min\nno_such_key = 1\n")

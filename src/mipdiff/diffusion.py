@@ -66,7 +66,7 @@ DEFAULT_ALPHA = 0.5
 # both on every seed.
 MIP_MIN_NU = 0.3
 
-# Pixels per strip of the directional kernels (_sweep): each of the
+# Pixels per strip of the filter kernels (_sweep): each of the
 # eight float64 strip buffers that _workspace allocates once per filter run
 # is then about 64 KiB, so a strip's working set stays in a core's L2 cache,
 # and each buffer, below glibc's default 128 KiB mmap threshold, comes from
@@ -331,22 +331,6 @@ def _run(u, step, iterations: int, tolerance: float, update):
                for i, (t, c) in enumerate(zip(traces, changes))]
 
 
-def _pm_update(u, params: PMParams, faces):
-    """Raw per-pixel update of ``run_pm`` on a (k, ny, nx) stack, read from
-    the fields ``u`` themselves, so fields smaller than 3x3 run too. The
-    face fluxes go into ``faces``: buffers of shapes (k, ny, nx + 1) and
-    (k, ny + 1, nx) whose zero border faces are never written. Both
-    differences are taken along the last two axes, and before they are
-    summed, (fe - shift) + (fs - shift); another order rounds differently
-    in the last bit."""
-    fe, fs = faces
-    de = u[..., 1:] - u[..., :-1]
-    ds = u[..., 1:, :] - u[..., :-1, :]
-    np.multiply(pm_diffusivity(de, params), de, out=fe[..., 1:-1])
-    np.multiply(pm_diffusivity(ds, params), ds, out=fs[..., 1:-1, :])
-    return (fe[..., 1:] - fe[..., :-1]) + (fs[..., 1:, :] - fs[..., :-1, :])
-
-
 def pm_step(field, params: PMParams) -> np.ndarray:
     """One explicit conservative step of scalar edge-stopping diffusion.
 
@@ -358,21 +342,31 @@ def pm_step(field, params: PMParams) -> np.ndarray:
 
 
 def _pm_stack(u, params: PMParams) -> np.ndarray:
-    """``run_pm`` of each slice of the validated (k, ny, nx) stack ``u``."""
-    k, ny, nx = u.shape
-    faces = np.zeros((k, ny, nx + 1)), np.zeros((k, ny + 1, nx))
+    """``run_pm`` of each slice of the validated (k, ny, nx) stack ``u``:
+    ``_pm_strip`` on each strip of a ``_buffers`` workspace with one spare
+    row, whose padded buffer has a zero border."""
+    ny, nx = u.shape[1:]
+    ws = _buffers(u, spare=1)
+    # per strip, its faces on the slices' borders: the first and last face
+    # columns, and the face rows north of the slices' first rows and south
+    # of their last, where the strip holds those rows
+    border = []
+    for _, buf, ((d, r), *_) in ws[2]:
+        rows = [j for i, j in ((d.start, r.start), (d.stop, r.stop)) if i % ny == 0]
+        border.append([buf[0][:-1, ::nx], *(buf[2][j :: ny + 2] for j in rows)])
     return _run(u, params.dt, params.iterations, 0.0,
-                lambda v: _pm_update(v, params, faces))[0]
+                lambda v: _sweep(ws, v, _pm_strip, params, each=border, zero=True))[0]
 
 
 def run_pm(field, params: PMParams) -> np.ndarray:
     """Apply ``params.iterations`` explicit scalar diffusion steps; the input
-    is validated once, and every step writes the same face buffers."""
+    is validated once, and every step runs in the strip workspace of
+    ``_buffers``."""
     return _pm_stack(as_field(field)[None], params)[0]
 
 
-def _workspace(q, out):
-    """The strips of the directional kernels for the fields of ``out``, one
+def _workspace(q, out, spare=0):
+    """The strips of the filter kernels for the fields of ``out``, one
     (ny, nx) field or a (k, ny, nx) stack, held in the padded buffer ``q``
     of ``fields._padded`` (one tall field, pad rows between slices), built
     once per filter run. A slice of at most ``_STRIP_PIXELS`` pixels lies
@@ -380,9 +374,10 @@ def _workspace(q, out):
     larger one is split into strips of ``_STRIP_PIXELS // nx`` rows. Per
     strip: its neighbour views of ``q`` (``fields._neighbours``) over its
     rows of the tall field, pad rows between its slices included; its rows
-    of eight float64 buffers and one bool mask, each (rows, nx + 2); and
-    the pairs of rows of ``out``, read as (k * ny, nx), and of the strip
-    that the copy-out takes, one per slice, skipping the pad rows.
+    and ``spare`` more of eight float64 buffers and one bool mask, each
+    nx + 2 wide; and the pairs of rows of ``out``, read as (k * ny, nx),
+    and of the strip that the copy-out takes, one per slice, skipping the
+    pad rows.
 
     Every buffer is allocated on its own: a full strip's is then about
     64 KiB, and always under glibc's 128 KiB mmap threshold, so it comes
@@ -397,12 +392,12 @@ def _workspace(q, out):
         rows = max(1, _STRIP_PIXELS // nx)
         spans = [(i, i + 1, r0, min(r0 + rows, ny))
                  for i in range(k) for r0 in range(0, ny, rows)]
-    bufs = [np.empty((rows, nx + 2)) for _ in range(8)]
-    bufs.append(np.empty((rows, nx + 2), dtype=bool))
+    bufs = [np.empty((rows + spare, nx + 2)) for _ in range(8)]
+    bufs.append(np.empty((rows + spare, nx + 2), dtype=bool))
     strips = []
     for i0, i1, r0, r1 in spans:  # slices i0:i1, rows r0:r1 of each
         t0, t1 = i0 * (ny + 2) + r0, (i1 - 1) * (ny + 2) + r1  # rows of the tall field
-        views = bufs if t1 - t0 == rows else [b[: t1 - t0] for b in bufs]
+        views = bufs if t1 - t0 == rows else [b[: t1 - t0 + spare] for b in bufs]
         pieces = []
         for i in range(i0, i1):  # each slice's rows, not the pad rows after it
             o = (i - i0) * (ny + 2)
@@ -411,35 +406,61 @@ def _workspace(q, out):
     return strips
 
 
-def _buffers(u):
+def _buffers(u, spare=0):
     """``(q, update, strips)`` of one filter run on the validated field or
     (k, ny, nx) stack ``u``, allocated in this order once per call and freed
     when it returns: the padded buffer of ``fields._padded``, the contiguous
     update that ``_run`` steps with, and the ``_workspace`` strips over
-    both."""
+    both, with ``spare`` rows more in each strip's buffers."""
     ny, nx = u.shape[-2:]
     q = np.empty(u.size // (ny * nx) * (ny + 2) * (nx + 2) + 2)
     update = np.empty_like(u)
-    return q, update, _workspace(q, update)
+    return q, update, _workspace(q, update, spare)
 
 
-def _sweep(ws, v, body, *args, each=None):
-    """The one strip loop of the directional kernels: refill the padded
-    buffer of the workspace ``ws`` of ``_buffers`` with the fields ``v``,
-    run ``body(nb, buf, *args)`` on each strip's neighbour views and
-    buffers, and copy the pixel columns of the strip map it returns, slice
-    by slice, into the strip's rows of the update (a ufunc writing them
-    directly would buffer its strided operands). With ``each``, a list of
-    one value per strip, each body also gets its strip's value, last.
-    Returns the update."""
+def _sweep(ws, v, body, *args, each=None, zero=False):
+    """The one strip loop of the filter kernels: refill the padded buffer
+    of the workspace ``ws`` of ``_buffers`` with the fields ``v`` (with a
+    zero border for ``zero``, else reflected), run ``body(nb, buf, *args)``
+    on each strip's neighbour views and buffers, and copy the pixel
+    columns of the strip map it returns, slice by slice, into the strip's
+    rows of the update (a ufunc writing them directly would buffer its
+    strided operands). With ``each``, a list of one value per strip, each
+    body also gets its strip's value, last. Returns the update."""
     q, update, strips = ws
-    _padded(v, q)
+    _padded(v, q, zero)
     rows = update.reshape(-1, update.shape[-1])
     for j, (nb, buf, pieces) in enumerate(strips):
         m = body(nb, buf, *args) if each is None else body(nb, buf, *args, each[j])
         for d, r in pieces:
             rows[d] = m[r, 1:-1]
     return update
+
+
+def _pm_strip(nb, buf, params: PMParams, border):
+    """Raw per-pixel update (fe - fw) + (fs - fn) of ``run_pm`` on one strip
+    of a zero-bordered padded buffer, in its buffers read flat. Each face
+    d = u[j + 1] - u[j] is taken once: east faces e - u over whole padded
+    rows, so a pixel's west face is its neighbour's east face, north faces
+    u - n, and in the spare row the last row's south faces. No face mixes
+    two slices; the views ``border`` zero the faces that hold a pixel
+    value before any flux is taken, as g(0) * 0 = +0 is a border flux."""
+    u, e, _, s, n = (v.reshape(-1) for v in nb[:5])
+    fe, ge, fs, gs = (b.reshape(-1) for b in buf[:4])
+    w, m = nb[0].shape[1], u.size
+    np.subtract(e, u, out=fe[:m])
+    np.subtract(u, n, out=fs[:m])
+    np.subtract(s[-w:], u[-w:], out=fs[m:])
+    for f in border:
+        f[...] = 0.0
+    for f, g in ((fe[:m], ge[:m]), (fs, gs)):
+        _pm_weights(f, params, (g, None, g), slope=False)
+        np.multiply(g, f, out=f)
+    # fe - fw into ge, fs - fn into gs, and their sum into ge
+    np.subtract(fe[1:m], fe[: m - 1], out=ge[1:m])
+    np.subtract(fs[w:], fs[:m], out=gs[:m])
+    np.add(ge[1:m], gs[1:m], out=ge[1:m])
+    return buf[1][:-1]
 
 
 def _gradient_strip(nb, buf):

@@ -66,11 +66,12 @@ def derivatives(field) -> DerivativeBundle:
     return DerivativeBundle(**{name: v[:, 1:-1].copy() for name, v in vars(b).items()})
 
 
-def _padded(u, out=None) -> np.ndarray:
-    """The validated field ``u`` inside a one-pixel reflective border, as a
-    flat buffer: ``q[1:-1]`` is ``np.pad(u, 1, mode="reflect")`` row by row,
-    and ``q[0]``, ``q[-1]`` are zero spares that let ``_neighbours`` shift whole
-    padded rows by one pixel.
+def _padded(u, out=None, zero=False) -> np.ndarray:
+    """The validated field ``u`` inside a one-pixel border, as a flat buffer:
+    ``q[1:-1]`` is ``np.pad(u, 1, mode="reflect")`` row by row, or with
+    ``zero`` ``np.pad(u, 1)``, a zero border that ``run_pm``'s kernel sets
+    and that takes fields smaller than 3x3; ``q[0]``, ``q[-1]`` are zero
+    spares that let ``_neighbours`` shift whole padded rows by one pixel.
 
     A (k, ny, nx) stack of fields is padded slice by slice, the padded
     slices back to back: ``q`` then reads as the padded buffer of one tall
@@ -84,13 +85,16 @@ def _padded(u, out=None) -> np.ndarray:
     copy.
     """
     ny, nx = u.shape[-2:]
-    if ny < 3 or nx < 3:
+    if not zero and (ny < 3 or nx < 3):
         raise ValueError(f"derivative stencils need at least 3x3, got {ny}x{nx}")
     k = u.size // (ny * nx)
     q = np.empty(k * (ny + 2) * (nx + 2) + 2) if out is None else out
     q[0] = q[-1] = 0.0
     p = q[1:-1].reshape(k, ny + 2, nx + 2)
     p[:, 1:-1, 1:-1] = u
+    if zero:
+        p[:, 0] = p[:, -1] = p[..., 0] = p[..., -1] = 0.0
+        return q
     p[:, 0] = p[:, 2]
     p[:, -1] = p[:, -3]
     p[..., 0] = p[..., 2]

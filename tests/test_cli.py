@@ -895,6 +895,16 @@ class TestCompareCommand:
         assert csvs["whole"].read_bytes() == csvs["default"].read_bytes()
         assert csvs["first"].read_bytes() != csvs["default"].read_bytes()
 
+    def test_two_row_slices_refused_once_pm_has_run(self, tmp_path, capsys):
+        # PM runs first and takes 2x40 slices; the orthogonal baseline's
+        # stencils then refuse them, and nothing is written
+        src = tmp_path / "thin.vol"
+        write_volume(np.random.default_rng(3).normal(1.0, 0.1, (4, 2, 40)), src)
+        assert run_cli("compare", "--input", src, "--output", tmp_path / "cmp.csv") == 2
+        assert capsys.readouterr().err == (
+            "mipdiff compare: config error: derivative stencils need at least 3x3, got 2x40\n")
+        assert sorted(os.listdir(tmp_path)) == ["thin.vol"]
+
     def test_roi_outside_the_volume_refused_before_filtering(
             self, tmp_path, noisy_volume, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import references
 from conftest import smooth_field
 from mipdiff import diffusion
 from mipdiff.diffusion import (
@@ -259,9 +260,31 @@ class TestPmStep:
         assert out.max() <= u.max() + 1e-12
         assert out.min() >= u.min() - 1e-12
 
+    @pytest.mark.parametrize("kind", ["rational", "exponential"])
+    @pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer"])
+    def test_matches_whole_stack_reference(self, rng, kind, integer):
+        # the strip kernel against the whole-stack reference kernel, bit for
+        # bit; integer-valued fields hold exact-zero differences, on which
+        # g(0) * 0 must give the +0 of a border face
+        def field(shape):
+            if integer:
+                return rng.integers(0, 4, shape).astype(np.float64)
+            return rng.normal(1.0, 0.1, shape)
+
+        p = PMParams(delta=1.0 if integer else 0.05, iterations=4, diffusivity_kind=kind)
+        once = replace(p, iterations=1)
+        for shape in RUN_SHAPES + [(1, 1), (1, 7), (7, 1), (2, 2)]:
+            u = field(shape)
+            assert_same_bits(run_pm(u, p), references.pm_stack(u[None], p)[0])
+            assert_same_bits(pm_step(u, p), references.pm_stack(u[None], once)[0])
+        for shape in [(64, 64), (24, 40)]:
+            for k in (1, 2, 3, 9):
+                stack = np.stack([field(shape) for _ in range(k)])
+                assert_same_bits(diffusion._pm_stack(stack, p), references.pm_stack(stack, p))
+
     def test_run_pm_iterates(self, rng):
-        # the run's face buffers give the bits of the public steps, also on
-        # fields too small for the derivative stencils
+        # the run's strip workspace gives the bits of the public steps, also
+        # on fields too small for the derivative stencils
         for shape in RUN_SHAPES + [(1, 1), (1, 7), (7, 1), (2, 2)]:
             u = rng.normal(1.0, 0.1, shape)
             for kind in ("rational", "exponential"):
@@ -1100,6 +1123,14 @@ class TestStacks:
                     with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
                         stack_run(s, PMParams(delta=1.0, iterations=2))
 
+    def test_pm_takes_no_face_across_slices(self):
+        # a face between the two slices' pad rows would be 2e150, and its
+        # d^2 / delta^2 would overflow, which the suite turns into an error
+        stack = np.stack([np.full((8, 8), 1e150), np.full((8, 8), -1e150)])
+        p = PMParams(delta=1e-5)
+        assert_same_bits(diffusion._pm_stack(stack, p), references.pm_stack(stack, p))
+        assert_same_bits(diffusion._pm_stack(stack, p), stack)
+
     def test_mip_bounds_are_per_slice(self, rng):
         stack = self.stack(rng, (24, 40), 3)
         maps = [curvature_terms(derivatives(sl))[0] for sl in stack]
@@ -1173,9 +1204,11 @@ class TestBatchRule:
         # the copy-out skips the two pad rows between the slices
         assert pieces == [(slice(0, 64), slice(0, 64)), (slice(64, 128), slice(66, 130))]
 
+    @pytest.mark.parametrize("spare", [0, 1], ids=["curvature", "pm"])
     @pytest.mark.parametrize("n", [3, 4, 8, 16, 32, 64, 90])
-    def test_full_stack_strips_stay_under_the_mmap_threshold(self, n):
-        _, _, strips = diffusion._buffers(np.zeros((diffusion._batch(n, n), n, n)))
+    def test_full_stack_strips_stay_under_the_mmap_threshold(self, n, spare):
+        # run_pm's strip buffers have one spare row
+        _, _, strips = diffusion._buffers(np.zeros((diffusion._batch(n, n), n, n)), spare)
         assert len(strips) == 1
         assert all(b.nbytes < 128 * 1024 for b in strips[0][1])
 
