@@ -2,32 +2,23 @@
 
 from .diffusion import (
     DEFAULT_ALPHA,
+    MIP_MIN_NU,
     AdaptiveParams,
     BoundPair,
     FilterTrace,
     HysteresisParams,
     PMParams,
-    adaptive_mu,
     default_delta,
     directional_step,
     histogram_bounds,
     hysteresis_filter,
-    pm_diffusivity,
-    pm_flux_second_derivative,
     pm_step,
     run_directional_ad,
     run_filter,
     run_orthogonal,
     run_pm,
 )
-from .fields import (
-    DerivativeBundle,
-    as_field,
-    as_volume,
-    curvature_terms,
-    derivatives,
-    structureness,
-)
+from .fields import as_field, as_volume
 from .fileio import (
     DimensionError,
     MagicMismatchError,

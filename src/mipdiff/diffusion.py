@@ -36,13 +36,10 @@ __all__ = [
     "FilterTrace",
     "DEFAULT_ALPHA",
     "MIP_MIN_NU",
-    "pm_diffusivity",
-    "pm_flux_second_derivative",
     "pm_step",
     "run_pm",
     "run_orthogonal",
     "histogram_bounds",
-    "adaptive_mu",
     "directional_step",
     "run_filter",
     "hysteresis_filter",
@@ -135,6 +132,8 @@ class PMParams:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if not self.delta * self.delta > 0:  # the weights divide by delta^2
+            raise ValueError(f"delta {self.delta!r} is too small: its square underflows to 0")
         if not 0 < self.dt <= 0.25:
             raise ValueError("dt must lie in (0, 0.25] for explicit stability")
         if self.iterations < 1:
@@ -232,14 +231,15 @@ def default_delta(field) -> float:
     return 0.1 * span if span > 0 else 1.0
 
 
-def _as_arr(x):
-    return np.asarray(x, dtype=np.float64)
-
-
 def _pm_weights(s, params: PMParams, out=None, slope=True):
-    """``(g, f2)``: the diffusivity g(s) of ``pm_diffusivity`` and, when
-    ``slope``, the flux slope f''(s) of ``pm_flux_second_derivative`` (else
-    None), both from one r = s^2/d^2.
+    """``(g, f2)``: the edge-stopping diffusivity g(s) and, when ``slope``,
+    the flux slope f''(s) (else None), both from one r = s^2/d^2.
+
+    g is rational 1/(1 + r) or exponential exp(-r). f'' is the slope of the
+    flux s*g(s), the second derivative of the smoothing energy: rational
+    (1 - r) / (1 + r)^2, exponential (1 - 2r) * exp(-r). It is negative
+    beyond s = delta (or delta/sqrt(2)), which is what halts smoothing
+    across strong edges in the orthogonal split.
 
     Written into out = (g, f2, scratch) when given, so a kernel can refill
     one workspace instead of allocating."""
@@ -258,24 +258,6 @@ def _pm_weights(s, params: PMParams, out=None, slope=True):
     if not slope:
         return g, None
     return g, np.divide(f2, np.square(r, out=r_out), out=f2_out)
-
-
-def pm_diffusivity(grad_mag, params: PMParams):
-    """Edge-stopping diffusivity g(s): rational 1/(1+s^2/d^2) or exp(-s^2/d^2)."""
-    out = _pm_weights(_as_arr(grad_mag), params, slope=False)[0]
-    return out if out.ndim else float(out)
-
-
-def pm_flux_second_derivative(grad_mag, params: PMParams):
-    """Slope of the flux s*g(s): the second derivative of the smoothing energy.
-
-    Rational kind: (1 - s^2/d^2) / (1 + s^2/d^2)^2.
-    Exponential kind: (1 - 2 s^2/d^2) * exp(-s^2/d^2).
-    Negative beyond s = delta (or delta/sqrt(2)), which is what halts
-    smoothing across strong edges in the orthogonal split.
-    """
-    out = _pm_weights(_as_arr(grad_mag), params)[1]
-    return out if out.ndim else float(out)
 
 
 def _run(u, step, iterations: int, tolerance: float, update):
@@ -497,8 +479,9 @@ def run_orthogonal(field, params: PMParams) -> np.ndarray:
 
     The update is lam1 * D_o + lam2 * D_p where D_o and D_p are the second
     derivatives across and along the gradient, lam1 = g(|grad u|) and
-    lam2 = f''(|grad u|). D_p is the gradient term of ``curvature_terms`` and
-    D_o the rest of the Laplacian. Pixels with zero gradient are left
+    lam2 = f''(|grad u|), the weights of ``_pm_weights``. D_p is the second
+    derivative along the unit gradient, ``fields._gradient_term``, and D_o
+    the rest of the Laplacian. Pixels with zero gradient are left
     unchanged. Every step runs in the strip workspace of ``_buffers``.
     """
     return _orthogonal_stack(as_field(field)[None], params)[0]
@@ -551,27 +534,14 @@ def _gate(t, d_e, bounds: BoundPair | None):
     return np.where((d_e > bounds.ue_min) & (d_e < bounds.ue_max), t, 0.0)
 
 
-def adaptive_mu(c, d_e, alpha: float, mode: str = "mip_min", bounds: BoundPair | None = None):
-    """Adaptive directional weight mu = -+ tanh(alpha * c * d_e / 2).
-
-    ``mip_min`` returns the negative branch (curved structure is pushed
-    down); ``mip`` returns the positive branch, zeroed outside the open
-    interval ``bounds`` when bounds are given. Odd in d_e and confined to
-    [-1, 1] by construction.
-    """
-    if mode not in ("mip", "mip_min"):
-        raise ValueError(f"unknown mode {mode!r}")
-    c_arr = _as_arr(c)
-    d_arr = _as_arr(d_e)
-    s = np.tanh(0.5 * alpha * c_arr * d_arr)
-    out = -s if mode == "mip_min" else _gate(s, d_arr, bounds)
-    return out if out.ndim else float(out)
-
-
 def _curvature_strip(nb, buf):
-    """``curvature_terms`` of one strip, from its neighbour views ``nb``,
-    written into its buffers ``buf``; buffers 2, 3, 4 and 6 are free again
-    afterwards."""
+    """``(d_eta, lam_max, lam_min, c)`` of one strip, from its neighbour
+    views ``nb``, written into its buffers ``buf``: the second derivative
+    along the unit gradient (0 where the gradient vanishes), the Hessian
+    eigenvalues, which are the second derivatives along the maximum- and
+    minimum-curvature directions, and the structureness
+    sqrt(uxx^2 + uyy^2). No eigenvector is built. The mask, buffer 8,
+    holds g2 > 0; buffers 2, 3, 4 and 6 are free again afterwards."""
     _, d_eta, _ = _gradient_strip(nb, buf)
     _, uy, uxx, uyy, uxy, t0, t1, g2, _ = buf
     lam_max, lam_min, _ = _eigenvalues(uxx, uxy, uyy, (uy, t0, t1))
@@ -601,8 +571,9 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     (a (k, ny, nx) stack), computed in the workspace ``ws`` of ``_buffers``
     and returned in its update buffer.
 
-    With t_i = tanh(alpha * c * d_i / 2), the weight of ``adaptive_mu``,
-    and d_e1, d_e2 the Hessian eigenvalues lam_max, lam_min: ``mip_min``
+    With t_i = tanh(alpha * c * d_i / 2), whose negative (``mip_min``) or
+    gated value (``mip``) is the adaptive weight mu_i of direction i, and
+    d_e1, d_e2 the Hessian eigenvalues lam_max, lam_min: ``mip_min``
     gives (nu - t_eta) * d_eta + (nu - t_e2) * d_e2 - t_e1 * d_e1, the
     sharpening sum plus forward diffusion nu * (d_eta + d_e2); ``mip``
     gives t_eta * d_eta + t_e2 * d_e2 with each weight gated to its
@@ -612,8 +583,9 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     ``mip_min`` mode is one ``_sweep``. ``mip`` mode first fills its d_eta,
     d_e2 and k = alpha * c / 2 maps into ``maps`` (a (3, k, ny, nx) buffer,
     allocated when None), takes each slice's bounds from its whole maps,
-    then gates and sums each slice's rows of each strip. Every pixel sees the operations of a whole-slice evaluation in
-    the same order, so the result is the same bit for bit.
+    then gates and sums each slice's rows of each strip. Every pixel sees
+    the operations of a whole-slice evaluation in the same order, so the
+    result is the same bit for bit.
     """
     h = 0.5 * params.alpha
     if params.mode == "mip_min":

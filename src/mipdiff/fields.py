@@ -1,9 +1,12 @@
-"""Grid containers and finite-difference machinery for 2-D intensity fields.
+"""Field validation and the finite-difference primitives of the filters.
 
 A field is a plain ``float64`` array of shape ``(height, width)`` with x the
 fast (column) axis; a volume is a stack of fields with shape
-``(depth, height, width)``. All stencils are central differences on a unit
-grid with reflective borders, u(-1, y) = u(1, y).
+``(depth, height, width)``. The stencil is central differences on a unit
+grid with reflective borders, u(-1, y) = u(1, y). The private helpers here
+(padding, neighbour views, the stencil, the gradient term, the Hessian
+eigenvalues and the structureness) are what the strip kernels of
+``diffusion`` run on one row strip at a time.
 """
 from __future__ import annotations
 
@@ -11,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "as_field",
-    "as_volume",
-    "DerivativeBundle",
-    "derivatives",
-    "structureness",
-    "curvature_terms",
-]
+__all__ = ["as_field", "as_volume"]
 
 
 def as_field(data) -> np.ndarray:
@@ -43,27 +39,14 @@ def as_volume(data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """First and second central-difference derivatives of a field."""
+    """First and second central-difference derivatives, as ``_stencil``
+    returns them."""
 
     ux: np.ndarray
     uy: np.ndarray
     uxx: np.ndarray
     uyy: np.ndarray
     uxy: np.ndarray
-
-
-def derivatives(field) -> DerivativeBundle:
-    """Central-difference derivative bundle with reflective borders.
-
-    The reflective extension mirrors about the border pixel, so first
-    derivatives vanish at the border and second derivatives stay consistent
-    with the interior stencil. Requires at least a 3x3 field.
-    """
-    u = as_field(field)
-    ny, nx = u.shape
-    b = _stencil(_neighbours(_padded(u), nx, 0, ny))
-    # the pixel columns, copied out so that the arrays are contiguous
-    return DerivativeBundle(**{name: v[:, 1:-1].copy() for name, v in vars(b).items()})
 
 
 def _padded(u, out=None, zero=False) -> np.ndarray:
@@ -166,11 +149,6 @@ def _eigenvalues(a, b, c, out=None):
     return hi, lo, disc
 
 
-def structureness(bundle: DerivativeBundle) -> np.ndarray:
-    """Pointwise structure strength sqrt(uxx^2 + uyy^2)."""
-    return _structureness(bundle.uxx, bundle.uyy)
-
-
 def _structureness(uxx, uyy, out=None):
     # structureness, written into out = (c, scratch) when given
     c, sq = out or (None, None)
@@ -203,23 +181,3 @@ def _gradient_term(bundle: DerivativeBundle, out=None):
     mask = np.greater(g2, 0.0, out=mask)
     d_eta.fill(0.0)
     return np.divide(num, g2, out=d_eta, where=mask), g2
-
-
-def curvature_terms(bundle: DerivativeBundle):
-    """Second derivatives along the gradient and the principal curvature
-    directions, without building any direction.
-
-    Returns ``(d_eta, lam_max, lam_min, c)``. d_eta is the second derivative
-    along the unit gradient, (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / |grad u|^2,
-    and 0 where the gradient vanishes. lam_max and lam_min are the Hessian
-    eigenvalues: v^T H v of a unit eigenvector is its eigenvalue, so they are
-    the second derivatives along the principal curvature directions, and
-    both are 0 for a zero Hessian. c is the structureness sqrt(uxx^2 + uyy^2).
-    No filter calls it: the filters' strip kernels run the same
-    ``_gradient_term``, ``_eigenvalues`` and ``_structureness`` on row
-    strips, and this whole-slice evaluation is the reference they are
-    tested against, bit for bit.
-    """
-    lam_max, lam_min, _ = _eigenvalues(bundle.uxx, bundle.uxy, bundle.uyy)
-    c = _structureness(bundle.uxx, bundle.uyy)
-    return _gradient_term(bundle)[0], lam_max, lam_min, c

