@@ -1,22 +1,107 @@
 """Whole-slice reference kernels that the library's strip kernels are
 tested against bit for bit.
 
-They call the same private primitives as the strip kernels (the stencil,
-the eigenvalues, the PM weights, the gate), on whole slices and
-allocating every temporary."""
+The stencil, the gradient term, the eigenvalues and the structureness are
+kept here as the library wrote them before its strip kernels carried the
+stencil's factors of two: every derivative at its own scale, ux = (e - w)/2
+and uxy = ((se - ne) - (sw - nw))/4, read from all eight neighbours. The
+references run them on whole slices, allocating every temporary, with the
+library's padding, PM weights and gate."""
+from dataclasses import dataclass
+
 import numpy as np
 
 from mipdiff.diffusion import BoundPair, PMParams, _gate, _pm_weights, _run
-from mipdiff.fields import (
-    DerivativeBundle,
-    _eigenvalues,
-    _gradient_term,
-    _neighbours,
-    _padded,
-    _stencil,
-    _structureness,
-    as_field,
-)
+from mipdiff.fields import _neighbours, _padded, as_field
+
+
+@dataclass(frozen=True)
+class DerivativeBundle:
+    """First and second central-difference derivatives, as ``_stencil``
+    returns them."""
+
+    ux: np.ndarray
+    uy: np.ndarray
+    uxx: np.ndarray
+    uyy: np.ndarray
+    uxy: np.ndarray
+
+
+def _stencil(nb, out=None) -> DerivativeBundle:
+    """Derivative bundle of the neighbour views ``nb`` of ``_neighbours``.
+    The one stencil of this module.
+
+    Written into ``out`` when given: ux, uy, uxx, uyy, uxy and one scratch
+    array, all of the views' shape, so that a kernel can refill one
+    workspace instead of allocating.
+    """
+    u, e, w, s, n, se, ne, sw, nw = nb
+    ux, uy, uxx, uyy, uxy, tmp = out or (None,) * 6
+    ux = np.subtract(e, w, out=ux)
+    np.multiply(0.5, ux, out=ux)
+    uy = np.subtract(s, n, out=uy)
+    np.multiply(0.5, uy, out=uy)
+    tmp = np.multiply(2.0, u, out=tmp)
+    uxx = np.subtract(e, tmp, out=uxx)
+    np.add(uxx, w, out=uxx)
+    uyy = np.subtract(s, tmp, out=uyy)
+    np.add(uyy, n, out=uyy)
+    uxy = np.subtract(se, ne, out=uxy)
+    np.subtract(sw, nw, out=tmp)
+    np.subtract(uxy, tmp, out=uxy)
+    np.multiply(0.25, uxy, out=uxy)
+    return DerivativeBundle(ux=ux, uy=uy, uxx=uxx, uyy=uyy, uxy=uxy)
+
+
+def _eigenvalues(a, b, c, out=None):
+    # closed-form eigenvalues half +- disc of [[a, b], [b, c]], and disc,
+    # written into out = (lam_max, lam_min, disc) when given
+    hi, lo, disc = out or (None,) * 3
+    lo = np.add(a, c, out=lo)
+    np.multiply(0.5, lo, out=lo)  # half
+    disc = np.subtract(a, c, out=disc)
+    np.square(disc, out=disc)
+    np.multiply(0.25, disc, out=disc)
+    hi = np.multiply(b, b, out=hi)
+    np.add(disc, hi, out=disc)
+    np.sqrt(disc, out=disc)
+    np.add(lo, disc, out=hi)
+    np.subtract(lo, disc, out=lo)
+    return hi, lo, disc
+
+
+def _structureness(uxx, uyy, out=None):
+    # structureness, written into out = (c, scratch) when given
+    c, sq = out or (None, None)
+    c = np.square(uxx, out=c)
+    sq = np.square(uyy, out=sq)
+    np.add(c, sq, out=c)
+    return np.sqrt(c, out=c)
+
+
+def _gradient_term(bundle: DerivativeBundle, out=None):
+    """``(d_eta, g2)``: the second derivative along the unit gradient,
+    (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / g2 and 0 where the gradient
+    vanishes, and the squared gradient norm g2 = ux^2 + uy^2.
+
+    Written into ``out`` when given: d_eta, g2, two scratch arrays and a
+    bool mask. d_eta is cleared before the masked divide, so a reused
+    buffer gives exactly 0 where the gradient vanishes."""
+    d_eta, g2, num, yy, mask = out or (None,) * 5
+    ux, uy = bundle.ux, bundle.uy
+    num = np.multiply(ux, ux, out=num)  # ux^2, then the numerator
+    yy = np.multiply(uy, uy, out=yy)
+    g2 = np.add(num, yy, out=g2)
+    np.multiply(num, bundle.uxx, out=num)
+    d_eta = np.multiply(2.0, ux, out=d_eta)  # the cross term, then d_eta
+    np.multiply(d_eta, uy, out=d_eta)
+    np.multiply(d_eta, bundle.uxy, out=d_eta)
+    np.add(num, d_eta, out=num)
+    np.multiply(yy, bundle.uyy, out=yy)
+    np.add(num, yy, out=num)
+    mask = np.greater(g2, 0.0, out=mask)
+    d_eta.fill(0.0)
+    return np.divide(num, g2, out=d_eta, where=mask), g2
 
 
 def derivatives(field) -> DerivativeBundle:
@@ -48,10 +133,9 @@ def curvature_terms(bundle: DerivativeBundle):
     eigenvalues: v^T H v of a unit eigenvector is its eigenvalue, so they are
     the second derivatives along the principal curvature directions, and
     both are 0 for a zero Hessian. c is the structureness sqrt(uxx^2 + uyy^2).
-    The filters' strip kernels run the same ``_gradient_term``,
-    ``_eigenvalues`` and ``_structureness`` on row strips, and this
-    whole-slice evaluation is the reference they are tested against, bit
-    for bit.
+    The filters' strip kernels compute the same terms on row strips, and
+    this whole-slice evaluation is the reference they are tested against,
+    bit for bit.
     """
     lam_max, lam_min, _ = _eigenvalues(bundle.uxx, bundle.uxy, bundle.uyy)
     c = _structureness(bundle.uxx, bundle.uyy)

@@ -9,8 +9,8 @@ import pytest
 import mipdiff
 import oracles
 from conftest import smooth_field
-from mipdiff.fields import DerivativeBundle, as_field, as_volume
-from references import curvature_terms, derivatives, structureness
+from mipdiff.fields import as_field, as_volume
+from references import DerivativeBundle, curvature_terms, derivatives, structureness
 
 
 def bundle_from_hessian(a, b, c):
