@@ -21,6 +21,7 @@ import numpy as np
 from .fields import (
     _eigenvalues,
     _gradient_term,
+    _hessian_diagonal,
     _neighbours,
     _padded,
     _stencil,
@@ -244,20 +245,20 @@ def _pm_weights(s, params: PMParams, out=None, slope=True):
     Written into out = (g, f2, scratch) when given, so a kernel can refill
     one workspace instead of allocating."""
     g_out, f2_out, r_out = out or (None,) * 3
-    r = np.multiply(s, s, out=r_out)
-    r = np.divide(r, params.delta * params.delta, out=r_out)
+    r = np.multiply(s, s, r_out)
+    r = np.divide(r, params.delta * params.delta, r_out)
     if params.diffusivity_kind == "exponential":
-        g = np.exp(np.negative(r, out=g_out), out=g_out)
+        g = np.exp(np.negative(r, g_out), g_out)
         if not slope:
             return g, None
-        f2 = np.subtract(1.0, np.multiply(2.0, r, out=f2_out), out=f2_out)
-        return g, np.multiply(f2, g, out=f2_out)
-    f2 = np.subtract(1.0, r, out=f2_out) if slope else None
-    r = np.add(1.0, r, out=r_out)
-    g = np.divide(1.0, r, out=g_out)
+        f2 = np.subtract(1.0, np.multiply(2.0, r, f2_out), f2_out)
+        return g, np.multiply(f2, g, f2_out)
+    f2 = np.subtract(1.0, r, f2_out) if slope else None
+    r = np.add(1.0, r, r_out)
+    g = np.divide(1.0, r, g_out)
     if not slope:
         return g, None
-    return g, np.divide(f2, np.square(r, out=r_out), out=f2_out)
+    return g, np.divide(f2, np.square(r, r_out), f2_out)
 
 
 def _run(u, step, iterations: int, tolerance: float, update):
@@ -287,12 +288,12 @@ def _run(u, step, iterations: int, tolerance: float, update):
             if not math.isfinite(diffs[i]) and not np.isfinite(u[i]).all():
                 raise ValueError("field contains NaN or Inf values")
         du = update(u)
-        np.multiply(step, du, out=u_next)
-        np.add(u, u_next, out=u_next)
+        np.multiply(step, du, u_next)
+        np.add(u, u_next, u_next)
         for i in done:
             u_next[i] = u[i]
         # the sums np.linalg.norm takes, without its per-call overhead
-        np.subtract(u_next, u, out=scratch)
+        np.subtract(u_next, u, scratch)
         stop = []
         for i in live:
             d, b = scratch[i].ravel(), u[i].ravel()
@@ -430,47 +431,51 @@ def _pm_strip(nb, buf, params: PMParams, border):
     u, e, _, s, n = (v.reshape(-1) for v in nb[:5])
     fe, ge, fs, gs = (b.reshape(-1) for b in buf[:4])
     w, m = nb[0].shape[1], u.size
-    np.subtract(e, u, out=fe[:m])
-    np.subtract(u, n, out=fs[:m])
-    np.subtract(s[-w:], u[-w:], out=fs[m:])
+    np.subtract(e, u, fe[:m])
+    np.subtract(u, n, fs[:m])
+    np.subtract(s[-w:], u[-w:], fs[m:])
     for f in border:
         f[...] = 0.0
     for f, g in ((fe[:m], ge[:m]), (fs, gs)):
         _pm_weights(f, params, (g, None, g), slope=False)
-        np.multiply(g, f, out=f)
+        np.multiply(g, f, f)
     # fe - fw into ge, fs - fn into gs, and their sum into ge
-    np.subtract(fe[1:m], fe[: m - 1], out=ge[1:m])
-    np.subtract(fs[w:], fs[:m], out=gs[:m])
-    np.add(ge[1:m], gs[1:m], out=ge[1:m])
+    np.subtract(fe[1:m], fe[: m - 1], ge[1:m])
+    np.subtract(fs[w:], fs[:m], gs[:m])
+    np.add(ge[1:m], gs[1:m], ge[1:m])
     return buf[1][:-1]
 
 
 def _gradient_strip(nb, buf):
-    """The stencil and ``(d_eta, g2)`` of ``_gradient_term`` of one strip,
-    from its neighbour views ``nb``, written into its buffers ``buf``:
-    ``(bundle, d_eta, g2)``. d_eta takes ux's buffer, as ``_gradient_term``
-    last reads ux in the product that starts d_eta; the bundle's other
-    four maps stay valid, and buffers 5 and 6 are free again."""
-    ux, uy, uxx, uyy, uxy, t0, t1, g2, mask = buf
-    b = _stencil(nb, (ux, uy, uxx, uyy, uxy, t0))
-    d_eta, g2 = _gradient_term(b, (ux, g2, t0, t1, mask))
-    return b, d_eta, g2
+    """``(d_eta, g4)`` of ``fields._gradient_term`` of one strip, from its
+    neighbour views ``nb``, written into its buffers ``buf``: d_eta into
+    buffer 0, g4 into buffer 7 and the mask g4 > 0 into buffer 8. uxx, uyy
+    and b2 of ``fields._stencil`` stay in buffers 2, 3 and 4; buffers 1, 5
+    and 6 are free again."""
+    a, d, uxx, uyy, b2, t0, t1, g4, mask = buf
+    _stencil(nb, (a, d, uxx, uyy, b2, t0))
+    return _gradient_term(a, d, uxx, uyy, b2, (a, g4, t0, t1, mask))
+
+
+def _gradient_norm(g4):
+    """|grad u| = sqrt(g4 / 4), in g4's array."""
+    np.multiply(0.25, g4, g4)
+    return np.sqrt(g4, g4)
 
 
 def _orthogonal_strip(nb, buf, params: PMParams):
     """Raw per-pixel update lam1 * D_o + lam2 * D_p of ``run_orthogonal``
     on one strip, in its buffers."""
-    b, d_par, g2 = _gradient_strip(nb, buf)
-    _, d_ortho, _, _, _, t0, _, _, mask = buf  # D_o takes uy's buffer, now dead
-    np.add(b.uxx, b.uyy, out=d_ortho)
-    np.subtract(d_ortho, d_par, out=d_ortho)
-    # mask holds g2 > 0 from _gradient_term; D_o is 0 where it is false
-    np.copyto(d_ortho, 0.0, where=np.logical_not(mask, out=mask))
-    gnorm = np.sqrt(g2, out=g2)
-    lam1, lam2 = _pm_weights(gnorm, params, (b.uxx, b.uyy, t0))
-    np.multiply(lam1, d_ortho, out=d_ortho)
-    np.multiply(lam2, d_par, out=d_par)
-    return np.add(d_ortho, d_par, out=d_ortho)
+    d_par, g4 = _gradient_strip(nb, buf)
+    _, d_ortho, uxx, uyy, _, t0, _, _, mask = buf  # D_o takes d's buffer
+    np.add(uxx, uyy, d_ortho)
+    np.subtract(d_ortho, d_par, d_ortho)
+    # mask holds g4 > 0 from _gradient_term; D_o is 0 where it is false
+    np.copyto(d_ortho, 0.0, where=np.logical_not(mask, mask))
+    lam1, lam2 = _pm_weights(_gradient_norm(g4), params, (uxx, uyy, t0))
+    np.multiply(lam1, d_ortho, d_ortho)
+    np.multiply(lam2, d_par, d_par)
+    return np.add(d_ortho, d_par, d_ortho)
 
 
 def run_orthogonal(field, params: PMParams) -> np.ndarray:
@@ -541,11 +546,27 @@ def _curvature_strip(nb, buf):
     eigenvalues, which are the second derivatives along the maximum- and
     minimum-curvature directions, and the structureness
     sqrt(uxx^2 + uyy^2). No eigenvector is built. The mask, buffer 8,
-    holds g2 > 0; buffers 2, 3, 4 and 6 are free again afterwards."""
-    _, d_eta, _ = _gradient_strip(nb, buf)
-    _, uy, uxx, uyy, uxy, t0, t1, g2, _ = buf
-    lam_max, lam_min, _ = _eigenvalues(uxx, uxy, uyy, (uy, t0, t1))
-    c = _structureness(uxx, uyy, (g2, t1))
+    holds g2 > 0; buffers 2, 3, 4 and 6 are free again afterwards.
+
+    The stencil carries ux, uy and uxy at twice their size (``fields``),
+    and the gradient term and the eigenvalues take the factors of two out
+    where they meet: each term of d_eta's quotient is four times its own,
+    and the discriminant is ((uxx - uyy)^2 + (2 uxy)^2) / 4. Scaling by a
+    power of two is exact while every value stays normal and finite, so
+    the results are those of the derivatives at their own size, bit for
+    bit, on the float32 MIPVOL input of every CLI run: a difference of
+    float32 values held in float64 is 0 or at least 2^-149 (about 1.4e-45)
+    at the input, and at least 2^-201 (about 3e-61) once iterates carry
+    float64 bits; at most 2^129 (about 6.8e38) at the input. Products of
+    three such differences, the largest terms formed, then lie within
+    about [1e-182, 1e117] and sums of them in a like range, far inside
+    float64's normal range [2.2e-308, 1.8e308]. Values outside it, as
+    arbitrary float64 input can give, may round differently in the last
+    bit."""
+    d_eta, _ = _gradient_strip(nb, buf)
+    _, lam_max, uxx, uyy, b2, lam_min, t1, g4, _ = buf
+    _eigenvalues(uxx, b2, uyy, (lam_max, lam_min, t1))
+    c = _structureness(uxx, uyy, (g4, t1))
     return d_eta, lam_max, lam_min, c
 
 
@@ -553,17 +574,17 @@ def _mip_min_strip(nb, buf, h: float, nu: float):
     """``_update``'s ``mip_min`` sum on one strip, in its buffers."""
     d_eta, d_e1, d_e2, k = _curvature_strip(nb, buf)
     t, t2 = buf[2], buf[3]
-    np.multiply(h, k, out=k)
+    np.multiply(h, k, k)
     for d, w in ((d_eta, t), (d_e2, t2)):  # (nu - tanh(k * d)) * d
-        np.multiply(k, d, out=w)
-        np.tanh(w, out=w)
-        np.subtract(nu, w, out=w)
-        np.multiply(w, d, out=w)
-    np.add(t, t2, out=t)
-    np.multiply(k, d_e1, out=t2)  # tanh(k * d_e1) * d_e1
-    np.tanh(t2, out=t2)
-    np.multiply(t2, d_e1, out=t2)
-    return np.subtract(t, t2, out=t)
+        np.multiply(k, d, w)
+        np.tanh(w, w)
+        np.subtract(nu, w, w)
+        np.multiply(w, d, w)
+    np.add(t, t2, t)
+    np.multiply(k, d_e1, t2)  # tanh(k * d_e1) * d_e1
+    np.tanh(t2, t2)
+    np.multiply(t2, d_e1, t2)
+    return np.subtract(t, t2, t)
 
 
 def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
@@ -597,7 +618,7 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     d_eta, d_e2, k = (m.reshape(-1, nx) for m in maps)
     for nb, buf, pieces in strips:
         d_eta_s, _, d_e2_s, c = _curvature_strip(nb, buf)
-        np.multiply(h, c, out=c)
+        np.multiply(h, c, c)
         for d, r in pieces:
             d_eta[d] = d_eta_s[r, 1:-1]
             d_e2[d] = d_e2_s[r, 1:-1]
@@ -664,11 +685,11 @@ def _filter_stack(u, params: AdaptiveParams):
 
 
 def _structureness_strip(nb, buf):
-    """The stencil and structureness of one strip, from its neighbour views
-    ``nb``, written into its buffers ``buf``."""
-    ux, uy, uxx, uyy, uxy, t0, t1, _, _ = buf
-    b = _stencil(nb, (ux, uy, uxx, uyy, uxy, t0))
-    return _structureness(b.uxx, b.uyy, (t0, t1))
+    """The structureness of one strip, from its neighbour views ``nb``,
+    written into its buffers ``buf``: only uxx and uyy of the stencil."""
+    uxx, uyy, t0, t1 = buf[:4]
+    _hessian_diagonal(nb, (uxx, uyy, t0))
+    return _structureness(uxx, uyy, (t0, t1))
 
 
 def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
@@ -702,18 +723,18 @@ def _directional_ad_strip(nb, buf, params: PMParams, grad_threshold):
     ``run_directional_ad`` on one strip, in its buffers, g_e1 being g where
     |grad u| <= grad_threshold and 0 elsewhere; the threshold is a number,
     or an array of the strip's shape that holds each row's own."""
-    _, d_eta, g2 = _gradient_strip(nb, buf)
-    _, uy, uxx, uyy, uxy, t0, t1, _, mask = buf
-    d_e1, d_e2, _ = _eigenvalues(uxx, uxy, uyy, (uy, t0, t1))
-    gnorm = np.sqrt(g2, out=g2)
+    d_eta, g4 = _gradient_strip(nb, buf)
+    _, d_e1, uxx, uyy, b2, d_e2, t1, _, mask = buf
+    _eigenvalues(uxx, b2, uyy, (d_e1, d_e2, t1))
+    gnorm = _gradient_norm(g4)
     g, _ = _pm_weights(gnorm, params, (uxx, None, uyy), slope=False)
     # g >= 0, so g * False is the +0 that a select would give
-    g_e1 = np.multiply(g, np.less_equal(gnorm, grad_threshold, out=mask), out=uxy)
-    np.multiply(g, d_eta, out=d_eta)
-    np.multiply(g_e1, d_e1, out=d_e1)
-    np.add(d_eta, d_e1, out=d_eta)
-    np.multiply(g, d_e2, out=d_e2)
-    return np.add(d_eta, d_e2, out=d_eta)
+    g_e1 = np.multiply(g, np.less_equal(gnorm, grad_threshold, mask), b2)
+    np.multiply(g, d_eta, d_eta)
+    np.multiply(g_e1, d_e1, d_e1)
+    np.add(d_eta, d_e1, d_eta)
+    np.multiply(g, d_e2, d_e2)
+    return np.add(d_eta, d_e2, d_eta)
 
 
 def run_directional_ad(field, params: PMParams, grad_threshold: float | None = None) -> np.ndarray:
@@ -731,6 +752,19 @@ def run_directional_ad(field, params: PMParams, grad_threshold: float | None = N
     return _directional_ad_stack(as_field(field)[None], params, grad_threshold)[0]
 
 
+def _gradient_norm_strip(nb, buf):
+    """|grad u| of one strip, from its neighbour views ``nb``, written into
+    its buffers ``buf``: only the first differences a = e - w and d = s - n
+    of the stencil, sqrt((a^2 + d^2) / 4)."""
+    _, e, w, s, n = nb[:5]
+    a, d = buf[:2]
+    np.subtract(e, w, a)
+    np.multiply(a, a, a)
+    np.subtract(s, n, d)
+    np.multiply(d, d, d)
+    return _gradient_norm(np.add(a, d, a))
+
+
 def _directional_ad_stack(u, params: PMParams, grad_threshold: float | None) -> np.ndarray:
     """``run_directional_ad`` of each slice of the validated (k, ny, nx)
     stack ``u``, each with its own default threshold when none is given:
@@ -742,7 +776,7 @@ def _directional_ad_stack(u, params: PMParams, grad_threshold: float | None) -> 
         raise ValueError("grad_threshold must not be NaN")
     ws = _buffers(u)
     if grad_threshold is None:
-        gnorm = _sweep(ws, u, lambda nb, buf: np.sqrt(_gradient_strip(nb, buf)[2]))
+        gnorm = _sweep(ws, u, _gradient_norm_strip)
         thresholds = [float(np.quantile(g, 0.9)) for g in gnorm]
     else:
         thresholds = [grad_threshold] * len(u)

@@ -10,8 +10,6 @@ eigenvalues and the structureness) are what the strip kernels of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = ["as_field", "as_volume"]
@@ -35,18 +33,6 @@ def as_volume(data) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("volume contains NaN or Inf values")
     return arr
-
-
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """First and second central-difference derivatives, as ``_stencil``
-    returns them."""
-
-    ux: np.ndarray
-    uy: np.ndarray
-    uxx: np.ndarray
-    uyy: np.ndarray
-    uxy: np.ndarray
 
 
 def _padded(u, out=None, zero=False) -> np.ndarray:
@@ -106,78 +92,93 @@ def _neighbours(q, nx: int, r0: int, r1: int):
                  for o in (dy * width + dx for dy, dx in _OFFSETS))
 
 
-def _stencil(nb, out=None) -> DerivativeBundle:
-    """Derivative bundle of the neighbour views ``nb`` of ``_neighbours``.
-    The one stencil of this module.
+def _hessian_diagonal(nb, out):
+    """``(uxx, uyy)`` of the neighbour views ``nb``, written into
+    ``out = (uxx, uyy, scratch)``: (e - 2u) + w and (s - 2u) + n."""
+    u, e, w, s, n = nb[:5]
+    uxx, uyy, tmp = out
+    np.multiply(2.0, u, tmp)
+    np.subtract(e, tmp, uxx)
+    np.add(uxx, w, uxx)
+    np.subtract(s, tmp, uyy)
+    np.add(uyy, n, uyy)
+    return uxx, uyy
 
-    Written into ``out`` when given: ux, uy, uxx, uyy, uxy and one scratch
-    array, all of the views' shape, so that a kernel can refill one
-    workspace instead of allocating.
+
+def _stencil(nb, out):
+    """``(a, d, uxx, uyy, b2)`` of the neighbour views ``nb``, with the
+    first derivatives and the mixed one carried at twice their size:
+    a = e - w = 2 ux, d = s - n = 2 uy and b2 = 2 uxy, written into
+    ``out = (a, d, uxx, uyy, b2, scratch)``, contiguous arrays of the
+    views' shape.
+
+    Read flat, the south-east minus north-east difference of a point is
+    d one element on, and south-west minus north-west d one element back,
+    so b2 = (d[+1] - d[-1]) / 2 needs neither diagonal view. Its first and
+    last elements have no such neighbours and belong to no pixel (the
+    views' columns 0 and nx + 1); they are set to 0.
     """
-    u, e, w, s, n, se, ne, sw, nw = nb
-    ux, uy, uxx, uyy, uxy, tmp = out or (None,) * 6
-    ux = np.subtract(e, w, out=ux)
-    np.multiply(0.5, ux, out=ux)
-    uy = np.subtract(s, n, out=uy)
-    np.multiply(0.5, uy, out=uy)
-    tmp = np.multiply(2.0, u, out=tmp)
-    uxx = np.subtract(e, tmp, out=uxx)
-    np.add(uxx, w, out=uxx)
-    uyy = np.subtract(s, tmp, out=uyy)
-    np.add(uyy, n, out=uyy)
-    uxy = np.subtract(se, ne, out=uxy)
-    np.subtract(sw, nw, out=tmp)
-    np.subtract(uxy, tmp, out=uxy)
-    np.multiply(0.25, uxy, out=uxy)
-    return DerivativeBundle(ux=ux, uy=uy, uxx=uxx, uyy=uyy, uxy=uxy)
+    _, e, w, s, n = nb[:5]
+    a, d, uxx, uyy, b2, tmp = out
+    np.subtract(e, w, a)
+    np.subtract(s, n, d)
+    _hessian_diagonal(nb, (uxx, uyy, tmp))
+    flat, b = d.reshape(-1), b2.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], b[1:-1])
+    np.multiply(0.5, b, b)
+    b[0] = b[-1] = 0.0
+    return a, d, uxx, uyy, b2
 
 
-def _eigenvalues(a, b, c, out=None):
-    # closed-form eigenvalues half +- disc of [[a, b], [b, c]], and disc,
-    # written into out = (lam_max, lam_min, disc) when given
-    hi, lo, disc = out or (None,) * 3
-    lo = np.add(a, c, out=lo)
-    np.multiply(0.5, lo, out=lo)  # half
-    disc = np.subtract(a, c, out=disc)
-    np.square(disc, out=disc)
-    np.multiply(0.25, disc, out=disc)
-    hi = np.multiply(b, b, out=hi)
-    np.add(disc, hi, out=disc)
-    np.sqrt(disc, out=disc)
-    np.add(lo, disc, out=hi)
-    np.subtract(lo, disc, out=lo)
+def _eigenvalues(a, b2, c, out):
+    """Closed-form eigenvalues half +- disc of [[a, b], [b, c]], and disc,
+    from b2 = 2 b, written into ``out = (lam_max, lam_min, disc)``:
+    disc^2 = ((a - c)^2 + b2^2) / 4."""
+    hi, lo, disc = out
+    np.add(a, c, lo)
+    np.multiply(0.5, lo, lo)  # half
+    np.subtract(a, c, disc)
+    np.square(disc, disc)
+    np.square(b2, hi)
+    np.add(disc, hi, disc)
+    np.multiply(0.25, disc, disc)
+    np.sqrt(disc, disc)
+    np.add(lo, disc, hi)
+    np.subtract(lo, disc, lo)
     return hi, lo, disc
 
 
-def _structureness(uxx, uyy, out=None):
-    # structureness, written into out = (c, scratch) when given
-    c, sq = out or (None, None)
-    c = np.square(uxx, out=c)
-    sq = np.square(uyy, out=sq)
-    np.add(c, sq, out=c)
-    return np.sqrt(c, out=c)
+def _structureness(uxx, uyy, out):
+    """sqrt(uxx^2 + uyy^2), written into ``out = (c, scratch)``."""
+    c, sq = out
+    np.square(uxx, c)
+    np.square(uyy, sq)
+    np.add(c, sq, c)
+    return np.sqrt(c, c)
 
 
-def _gradient_term(bundle: DerivativeBundle, out=None):
-    """``(d_eta, g2)``: the second derivative along the unit gradient,
-    (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / g2 and 0 where the gradient
-    vanishes, and the squared gradient norm g2 = ux^2 + uy^2.
+def _gradient_term(a, d, uxx, uyy, b2, out):
+    """``(d_eta, g4)`` from the stencil of ``_stencil``: the second
+    derivative along the unit gradient,
+    d_eta = (a^2 uxx + (a d) b2 + d^2 uyy) / g4, 0 where the gradient
+    vanishes, and g4 = a^2 + d^2, four times the squared gradient norm.
+    Each term of the quotient is four times that of
+    (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / (ux^2 + uy^2).
 
-    Written into ``out`` when given: d_eta, g2, two scratch arrays and a
-    bool mask. d_eta is cleared before the masked divide, so a reused
-    buffer gives exactly 0 where the gradient vanishes."""
-    d_eta, g2, num, yy, mask = out or (None,) * 5
-    ux, uy = bundle.ux, bundle.uy
-    num = np.multiply(ux, ux, out=num)  # ux^2, then the numerator
-    yy = np.multiply(uy, uy, out=yy)
-    g2 = np.add(num, yy, out=g2)
-    np.multiply(num, bundle.uxx, out=num)
-    d_eta = np.multiply(2.0, ux, out=d_eta)  # the cross term, then d_eta
-    np.multiply(d_eta, uy, out=d_eta)
-    np.multiply(d_eta, bundle.uxy, out=d_eta)
-    np.add(num, d_eta, out=num)
-    np.multiply(yy, bundle.uyy, out=yy)
-    np.add(num, yy, out=num)
-    mask = np.greater(g2, 0.0, out=mask)
+    Written into ``out = (d_eta, g4, scratch, scratch, mask)``, the bool
+    mask holding g4 > 0; d_eta may be ``a``'s array, which the product
+    that starts it reads last. d_eta is cleared before the masked divide,
+    so a reused buffer gives exactly 0 where the gradient vanishes."""
+    d_eta, g4, num, yy, mask = out
+    np.multiply(a, a, num)  # a^2, then the numerator
+    np.multiply(d, d, yy)
+    np.add(num, yy, g4)
+    np.multiply(num, uxx, num)
+    np.multiply(a, d, d_eta)  # the cross term, then d_eta
+    np.multiply(d_eta, b2, d_eta)
+    np.add(num, d_eta, num)
+    np.multiply(yy, uyy, yy)
+    np.add(num, yy, num)
+    np.greater(g4, 0.0, mask)
     d_eta.fill(0.0)
-    return np.divide(num, g2, out=d_eta, where=mask), g2
+    return np.divide(num, g4, d_eta, where=mask), g4

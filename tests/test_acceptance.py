@@ -156,11 +156,19 @@ def test_criterion_2_eigen_suite():
     rng = np.random.default_rng(202)
     a, b, c = rng.normal(0.0, 2.0, (3, 100, 100))
     # the filters' strip kernel, on neighbour views whose stencil gives
-    # uxx = a, uyy = c and uxy = b exactly: u = 0, e = a, s = c, se = 4b
-    zero = np.zeros_like(a)
-    nb = (zero, a, zero, c, zero, 4.0 * b, zero, zero, zero)
-    buf = [np.empty_like(a) for _ in range(8)] + [np.empty(a.shape, dtype=bool)]
-    _, lam1, lam2, _ = diffusion._curvature_strip(nb, buf)
+    # uxx = a, uyy = c and uxy = b exactly at every third flat position:
+    # there e = a and s = c, at the positions either side s = -2b and +2b,
+    # every other view 0, so that (s - n) one on less one back is 4b
+    shape = (100, 300)
+    zero, e, s = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    e.flat[1::3] = a.ravel()
+    s.flat[1::3] = c.ravel()
+    s.flat[0::3] = -2.0 * b.ravel()
+    s.flat[2::3] = 2.0 * b.ravel()
+    nb = (zero, e, zero, s, zero, zero, zero, zero, zero)
+    buf = [np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]
+    lam1, lam2 = (x.ravel()[1::3].reshape(a.shape)
+                  for x in diffusion._curvature_strip(nb, buf)[1:3])
     want = np.linalg.eigvalsh(np.stack([a, b, b, c], axis=-1).reshape(100, 100, 2, 2))
     eig_err = max(float(np.max(np.abs(lam1 - want[..., 1]))),
                   float(np.max(np.abs(lam2 - want[..., 0]))))

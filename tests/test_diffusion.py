@@ -1023,6 +1023,55 @@ class TestEigenvectorFreeHotPath:
                     run(v, PMParams(delta=1.0, iterations=2))
 
 
+class TestExactnessRange:
+    """The strip kernels carry the stencil's factors of two, which is exact
+    while every value stays normal: every filter equals its whole-slice
+    reference, which takes each derivative at its own size, bit for bit, on
+    float32 values, as a MIPVOL input holds them, at the ends of that input
+    domain, on one slice split into strips and on stacks of 24x40 slices
+    whose pad rows lie inside a strip (eight and one)."""
+
+    @staticmethod
+    def field(rng, shape, values):
+        if values == "integer":  # zero-gradient pixels under a non-zero Hessian
+            v = rng.integers(0, 4, shape)
+        elif values == "subnormal":  # float32 subnormals lie below 1.18e-38
+            v = rng.uniform(0.0, 1e-39, shape)
+        else:
+            v = rng.normal(1.0, 0.1, shape) * {"1e-38": 1e-38, "1e38": 1e38}[values]
+        return np.asarray(v, dtype=np.float32).astype(np.float64)
+
+    @pytest.mark.parametrize("values", ["1e-38", "subnormal", "1e38", "integer"])
+    @pytest.mark.parametrize("shape", [(9, 24, 40), (1, 37, 300)], ids=["40x24x9", "300x37"])
+    def test_filters_match_whole_slice(self, rng, shape, values):
+        stack = self.field(rng, shape, values)
+        if values == "subnormal":
+            assert np.all(np.abs(stack) < np.finfo(np.float32).tiny)
+        for mode in ("mip_min", "mip"):
+            params = AdaptiveParams(alpha=2.0, mode=mode, max_iterations=3)
+            out, traces = diffusion._filter_stack(stack, params)
+            for sl, got, trace in zip(stack, out, traces):
+                want, changes, basis = whole_slice_run(sl, params)
+                assert_same_bits(got, want)
+                assert trace.relative_changes == changes
+                assert_same_bits(trace.basis_sum, basis)
+        # the contrast scale compare takes from the input's range
+        p = PMParams(delta=default_delta([[stack.min(), stack.max()]]), iterations=3)
+        for sl, got in zip(stack, diffusion._orthogonal_stack(stack, p)):
+            assert_same_bits(got, whole_slice_orthogonal(sl, p))
+        # each slice's default threshold, from the strips' |grad u|
+        for sl, got in zip(stack, diffusion._directional_ad_stack(stack, p, None)):
+            assert_same_bits(got, whole_slice_directional_ad(sl, p))
+
+    @pytest.mark.parametrize("values", ["1e-38", "subnormal", "1e38", "integer"])
+    def test_structureness_matches_whole_slice(self, rng, values):
+        stack = self.field(rng, (9, 24, 40), values)
+        got = diffusion._sweep(diffusion._buffers(stack), stack, diffusion._structureness_strip)
+        for sl, c in zip(stack, got):
+            assert_same_bits(c, structureness(derivatives(sl)))
+        TestHysteresis.runs(stack[0], None)
+
+
 class TestStacks:
     """Each filter's stack code, which the CLI runs on stacks of
     ``_batch(ny, nx)`` slices, equals runs of its public 2-D function on
