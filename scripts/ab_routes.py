@@ -14,7 +14,11 @@ eight and one of one. project, from a file and from a
 FIFO, and swi, whose two inputs are read in lock step, also run at
 256x256x8: a 2 MiB payload is more than one 1 MiB read, so each input is
 hashed on a worker thread while the next slice is read, where every
-smaller input is hashed inline.
+smaller input is hashed inline. filter in both modes, compare --kind min
+and max and mip --hysteresis also run on the 64x64x32 phantom scaled by
+1e-30, by 1e30 and by 1e-39, where every sample is a float32 subnormal:
+the ends of the float32 input domain, over which the strip kernels' exact
+scaling by powers of two is argued.
 Each command runs as a fresh ``python -m mipdiff`` process with the
 tree's ``src/`` first on the path, in a work directory of its own per
 tree, with the same relative paths in both, so manifests compare byte for
@@ -58,6 +62,29 @@ import numpy as np
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 COMMAND_TIMEOUT_S = 300
 ROI = "8,26,48,12"  # a band across the default tube (row 32 of 64)
+
+
+# float32 copies of the phantom ph/ph_noisy.vol, each scaled in float64 by
+# its factor, written into a work directory before the first route reads one
+SCALED = {"x1e-30.vol": 1e-30, "x1e30.vol": 1e30, "x1e-39.vol": 1e-39}
+
+
+def _scaled_routes(name: str) -> list:
+    """The filter, compare and mip routes on the scaled phantom ``name``."""
+    stem = name.removesuffix(".vol")
+    return [
+        (f"filter mip_min, {name}", ["filter", "--input", name, "--output", f"{stem}_min.vol"],
+         {}),
+        (f"filter mip, {name}", [
+            "filter", "--input", name, "--output", f"{stem}_mip.vol", "--mode", "mip"], {}),
+        (f"compare min, {name}", ["compare", "--input", name, "--output", f"{stem}_cmp.csv"],
+         {}),
+        (f"compare max, {name}", [
+            "compare", "--input", name, "--kind", "max", "--output", f"{stem}_cmpx.csv"], {}),
+        (f"mip hysteresis, {name}", [
+            "mip", "--input", name, "--output", f"{stem}_miph.vol", "--hysteresis",
+            "--metrics-csv", f"{stem}_miph.csv"], {}),
+    ]
 
 
 def _stack_routes(size: str, stem: str) -> list:
@@ -197,6 +224,7 @@ ROUTES = [
         "--depth", "9", "--seed", "5"], {}),
     *_stack_routes("64x64x7", "odd"),
     *_stack_routes("40x24x9", "small"),
+    *(route for name in SCALED for route in _scaled_routes(name)),
     # the known error cases: each must fail the same way in both trees
     ("error: oversized header", ["project", "--input", "huge.vol", "--output", "huge_p.vol"], {}),
     ("error: oversized stream", ["project", "--input", "huge.fifo", "--output", "huge_f.vol"],
@@ -258,6 +286,16 @@ def _inputs(work: Path) -> None:
     (work / "bad.cfg").write_text("kind = min\nno_such_key = 1\n")
 
 
+def _scale(work: Path, argv) -> None:
+    """Write each scaled phantom of ``SCALED`` that ``argv`` reads and
+    ``work`` does not hold yet."""
+    for name, factor in SCALED.items():
+        if name in argv and not (work / name).exists():
+            header, payload = (work / "ph" / "ph_noisy.vol").read_bytes().split(b"\n", 1)
+            scaled = np.frombuffer(payload, "<f4").astype(np.float64) * factor
+            (work / name).write_bytes(header + b"\n" + scaled.astype("<f4").tobytes())
+
+
 def _feed(fifo: Path, source: Path) -> threading.Thread:
     """Write ``source``'s bytes into ``fifo`` from a thread, as a stream."""
     os.mkfifo(fifo)
@@ -309,6 +347,7 @@ def _check_tree(tree: Path) -> None:
 def run_route(tree: Path, work: Path, argv, feeds: dict) -> tuple:
     """Run one command in ``work``; return (exit code, stderr, {path: sha256}
     of the files it wrote)."""
+    _scale(work, argv)
     before = _files(work)
     writers = {work / fifo: _feed(work / fifo, work / source) for fifo, source in feeds.items()}
     try:

@@ -29,6 +29,7 @@ from .diffusion import (
     _orthogonal_stack,
     _pm_stack,
     _stacks,
+    _weights_finite,
     default_delta,
     hysteresis_filter,
     run_filter,
@@ -432,10 +433,15 @@ def cmd_compare(v: dict, inputs: list) -> str:
     roi = _parse_roi(v["roi"])
     if roi is not None:
         roi.crop(base_proj)  # refuse a window that does not fit before filtering
+    lo, hi = float(min(map(np.min, noisy))), float(max(map(np.max, noisy)))
     delta = v["delta"]
     if delta is None:
-        delta = default_delta([[min(map(np.min, noisy)), max(map(np.max, noisy))]])
+        delta = default_delta([[lo, hi]])
     pm_params = _params(PMParams, v, delta=delta)
+    # every difference and gradient norm of the input lies within its span
+    if not _weights_finite(pm_params, hi - lo):
+        raise ConfigError(f"--delta {delta!r} is too small for the input's range "
+                          f"{hi - lo!r}: the PM weights overflow")
     adaptive = _params(AdaptiveParams, v, mode="mip_min" if kind == "min" else "mip")
     methods = {
         "pm": lambda st: _pm_stack(st, pm_params),

@@ -261,6 +261,20 @@ def _pm_weights(s, params: PMParams, out=None, slope=True):
     return g, np.divide(f2, np.square(r, r_out), f2_out)
 
 
+def _weights_finite(params: PMParams, span: float) -> bool:
+    """Whether ``_pm_weights`` stays finite, overflowing nowhere, for every
+    s <= ``span``. Its one r = s^2/d^2 grows with s, rounding included, and
+    so do its largest intermediates, (1 + r)^2 of the rational f'' and 2r
+    of the exponential one; r, 1 + r and exp(-r) stay below them. So every
+    s <= span is safe exactly when that intermediate is finite at s = span:
+    r below about 1.3e154, delta above span / 1.2e77, for the rational
+    kind, and r below about 9e307, delta above span / 9.5e153, for the
+    exponential one."""
+    r = span * span / (params.delta * params.delta)
+    top = 2.0 * r if params.diffusivity_kind == "exponential" else (1.0 + r) * (1.0 + r)
+    return math.isfinite(top)
+
+
 def _run(u, step, iterations: int, tolerance: float, update):
     """The one iteration loop of the ``run_*`` filters: up to ``iterations``
     steps u <- u + step * update(u) of the validated (k, ny, nx) stack
@@ -546,7 +560,8 @@ def _curvature_strip(nb, buf):
     eigenvalues, which are the second derivatives along the maximum- and
     minimum-curvature directions, and the structureness
     sqrt(uxx^2 + uyy^2). No eigenvector is built. The mask, buffer 8,
-    holds g2 > 0; buffers 2, 3, 4 and 6 are free again afterwards.
+    holds g2 > 0 (as g4 > 0); buffers 2, 3, 4 and 6 are free again
+    afterwards.
 
     The stencil carries ux, uy and uxy at twice their size (``fields``),
     and the gradient term and the eigenvalues take the factors of two out

@@ -7,6 +7,16 @@ grid with reflective borders, u(-1, y) = u(1, y). The private helpers here
 (padding, neighbour views, the stencil, the gradient term, the Hessian
 eigenvalues and the structureness) are what the strip kernels of
 ``diffusion`` run on one row strip at a time.
+
+The stencil carries the factors of two of its central differences instead
+of applying them: it gives a = e - w = 2 ux, d = s - n = 2 uy and
+b2 = 2 uxy, the last from d alone, read flat. The gradient term and the
+eigenvalues take the factors out where they meet (d_eta's quotient has four
+times each term above and below, the discriminant a quarter of
+(uxx - uyy)^2 + b2^2), and the filters that need |grad u| scale a^2 + d^2
+by a quarter. Scaling by a power of two is exact in float64's normal range,
+so every result is that of the derivatives at their own size, bit for bit,
+on float32 input (``diffusion._curvature_strip`` gives the range).
 """
 from __future__ import annotations
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -904,6 +905,34 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("mipdiff compare: config error: delta ")
         assert sorted(os.listdir(tmp_path)) == ["in.vol"]
+
+    @pytest.mark.parametrize("kind, delta", [("rational", "1e-160"), ("rational", "1e-150"),
+                                             ("exponential", "1e-160")])
+    def test_delta_whose_weights_overflow_refused(self, tmp_path, noisy_volume, capsys,
+                                                  kind, delta):
+        # on the input's range of about 0.3, s^2/delta^2 overflows at
+        # 1e-160, and at 1e-150 (1 + s^2/delta^2)^2 of the rational f''
+        # does: refused before any filter runs, with no numpy warning
+        src, _ = noisy_volume
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("compare", "--input", src, "--output", tmp_path / "cmp.csv",
+                           "--diffusivity-kind", kind, "--delta", delta) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"mipdiff compare: config error: --delta {float(delta)!r} ")
+        assert sorted(os.listdir(tmp_path)) == ["in.vol"]
+
+    def test_smallest_deltas_without_overflow_run(self, tmp_path, noisy_volume):
+        # the exponential weights take no (1 + r)^2, so they run at 1e-150
+        src, vol = noisy_volume
+        span = float(vol.astype(np.float32).max()) - float(vol.astype(np.float32).min())
+        for kind, delta in (("exponential", 1e-150), ("rational", span / 1.15e77)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli("compare", "--input", src, "--output", tmp_path / f"{kind}.csv",
+                               "--diffusivity-kind", kind, "--delta", repr(delta),
+                               "--iterations", "1", "--max-iterations", "1") == 0
 
     def test_two_row_slices_refused_once_pm_has_run(self, tmp_path, capsys):
         # PM runs first and takes 2x40 slices; the orthogonal baseline's

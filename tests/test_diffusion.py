@@ -225,6 +225,25 @@ class TestPmDiffusivity:
         assert pm_flux_second_derivative(crossover - 0.05, pe) > 0
         assert pm_flux_second_derivative(crossover + 0.05, pe) < 0
 
+    @pytest.mark.parametrize("kind", ["rational", "exponential"])
+    def test_weights_finite_is_the_overflow_bound(self, kind):
+        # across both bounds (delta about 2.6e-78 and 3.2e-155 for a span
+        # of 0.3): the weights of every s <= span overflow nowhere exactly
+        # when _weights_finite holds
+        s = np.linspace(0.0, 0.3, 101)
+        verdicts = set()
+        for delta in np.geomspace(1e-160, 1e-60, 401):
+            p = PMParams(delta=float(delta), diffusivity_kind=kind)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    diffusion._pm_weights(s, p)
+                finite = True
+            except FloatingPointError:
+                finite = False
+            assert diffusion._weights_finite(p, 0.3) == finite
+            verdicts.add(finite)
+        assert verdicts == {True, False}
+
 
 class TestPmStep:
     def test_constant_fixed_point_bitwise(self):
