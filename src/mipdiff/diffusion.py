@@ -569,15 +569,17 @@ def _curvature_strip(nb, buf):
     and the discriminant is ((uxx - uyy)^2 + (2 uxy)^2) / 4. Scaling by a
     power of two is exact while every value stays normal and finite, so
     the results are those of the derivatives at their own size, bit for
-    bit, on the float32 MIPVOL input of every CLI run: a difference of
-    float32 values held in float64 is 0 or at least 2^-149 (about 1.4e-45)
-    at the input, and at least 2^-201 (about 3e-61) once iterates carry
-    float64 bits; at most 2^129 (about 6.8e38) at the input. Products of
-    three such differences, the largest terms formed, then lie within
-    about [1e-182, 1e117] and sums of them in a like range, far inside
-    float64's normal range [2.2e-308, 1.8e308]. Values outside it, as
-    arbitrary float64 input can give, may round differently in the last
-    bit."""
+    bit, on the float32 MIPVOL input of every CLI run: a nonzero
+    difference of float32 values held in float64 lies between 2^-149
+    (about 1.4e-45) and 2^129 (about 6.8e38), and once iterates carry
+    float64 bits its lower end is the float64 spacing at 2^-149, 2^-201
+    (about 3e-61). Products of three such differences, the most any term
+    multiplies, then lie within about [1e-182, 1e117], and their sums and
+    quotients in a like range, far inside float64's normal range
+    [2.2e-308, 1.8e308]. Arbitrary float64 input can leave that range and
+    round differently in the last bit; the tests hold the kernels to the
+    references on float32 fields near 1e-38, 1e38 and in float32's
+    subnormal range."""
     d_eta, _ = _gradient_strip(nb, buf)
     _, lam_max, uxx, uyy, b2, lam_min, t1, g4, _ = buf
     _eigenvalues(uxx, b2, uyy, (lam_max, lam_min, t1))

@@ -157,8 +157,8 @@ def test_criterion_2_eigen_suite():
     a, b, c = rng.normal(0.0, 2.0, (3, 100, 100))
     # the filters' strip kernel, on neighbour views whose stencil gives
     # uxx = a, uyy = c and uxy = b exactly at every third flat position:
-    # there e = a and s = c, at the positions either side s = -2b and +2b,
-    # every other view 0, so that (s - n) one on less one back is 4b
+    # there e = a and s = c, one position back s = -2b and one on s = +2b,
+    # every other view 0; uxy is (s - n) one on less (s - n) one back, / 4
     shape = (100, 300)
     zero, e, s = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     e.flat[1::3] = a.ravel()
