@@ -442,7 +442,7 @@ def _pm_strip(nb, buf, params: PMParams, border):
     u - n, and in the spare row the last row's south faces. No face mixes
     two slices; the views ``border`` zero the faces that hold a pixel
     value before any flux is taken, as g(0) * 0 = +0 is a border flux."""
-    u, e, _, s, n = (v.reshape(-1) for v in nb[:5])
+    u, e, _, s, n = (v.reshape(-1) for v in nb)
     fe, ge, fs, gs = (b.reshape(-1) for b in buf[:4])
     w, m = nb[0].shape[1], u.size
     np.subtract(e, u, fe[:m])
@@ -773,7 +773,7 @@ def _gradient_norm_strip(nb, buf):
     """|grad u| of one strip, from its neighbour views ``nb``, written into
     its buffers ``buf``: only the first differences a = e - w and d = s - n
     of the stencil, sqrt((a^2 + d^2) / 4)."""
-    _, e, w, s, n = nb[:5]
+    _, e, w, s, n = nb
     a, d = buf[:2]
     np.subtract(e, w, a)
     np.multiply(a, a, a)

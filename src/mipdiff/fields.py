@@ -81,14 +81,15 @@ def _padded(u, out=None, zero=False) -> np.ndarray:
     return q
 
 
-# (dy, dx) of the nine stencil points, in the order of _neighbours
-_OFFSETS = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, 1), (1, -1), (-1, -1))
+# (dy, dx) of the five stencil points, in the order of _neighbours
+_OFFSETS = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0))
 
 
 def _neighbours(q, nx: int, r0: int, r1: int):
-    """Views of field rows r0:r1 and of their eight neighbours, read from the
+    """Views of field rows r0:r1 and of their four neighbours, read from the
     padded buffer ``q`` of ``_padded`` for a field ``nx`` wide: centre, e, w,
-    s, n, se, ne, sw, nw.
+    s and n. No diagonal is needed: ``_stencil`` reads the mixed derivative
+    from s - n, flat.
 
     Each view has shape (r1 - r0, nx + 2): every neighbour is one contiguous
     range of whole padded rows, shifted, so the arithmetic runs on
@@ -105,7 +106,7 @@ def _neighbours(q, nx: int, r0: int, r1: int):
 def _hessian_diagonal(nb, out):
     """``(uxx, uyy)`` of the neighbour views ``nb``, written into
     ``out = (uxx, uyy, scratch)``: (e - 2u) + w and (s - 2u) + n."""
-    u, e, w, s, n = nb[:5]
+    u, e, w, s, n = nb
     uxx, uyy, tmp = out
     np.multiply(2.0, u, tmp)
     np.subtract(e, tmp, uxx)
@@ -128,7 +129,7 @@ def _stencil(nb, out):
     last elements have no such neighbours and belong to no pixel (the
     views' columns 0 and nx + 1); they are set to 0.
     """
-    _, e, w, s, n = nb[:5]
+    _, e, w, s, n = nb
     a, d, uxx, uyy, b2, tmp = out
     np.subtract(e, w, a)
     np.subtract(s, n, d)

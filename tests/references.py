@@ -1,18 +1,39 @@
 """Whole-slice reference kernels that the library's strip kernels are
 tested against bit for bit.
 
-The stencil, the gradient term, the eigenvalues and the structureness are
-kept here as the library wrote them before its strip kernels carried the
-stencil's factors of two: every derivative at its own scale, ux = (e - w)/2
-and uxy = ((se - ne) - (sw - nw))/4, read from all eight neighbours. The
-references run them on whole slices, allocating every temporary, with the
-library's padding, PM weights and gate."""
+The neighbour views, the stencil, the gradient term, the eigenvalues and
+the structureness are kept here as the library wrote them before its strip
+kernels carried the stencil's factors of two: every derivative at its own
+scale, ux = (e - w)/2 and uxy = ((se - ne) - (sw - nw))/4, read from all
+eight neighbours. The references run them on whole slices, allocating every
+temporary, with the library's padding, PM weights and gate."""
 from dataclasses import dataclass
 
 import numpy as np
 
 from mipdiff.diffusion import BoundPair, PMParams, _gate, _pm_weights, _run
-from mipdiff.fields import _neighbours, _padded, as_field
+from mipdiff.fields import _padded, as_field
+
+
+# (dy, dx) of the nine stencil points, in the order of _neighbours
+_OFFSETS = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, 1), (1, -1), (-1, -1))
+
+
+def _neighbours(q, nx: int, r0: int, r1: int):
+    """Views of field rows r0:r1 and of their eight neighbours, read from the
+    padded buffer ``q`` of ``_padded`` for a field ``nx`` wide: centre, e, w,
+    s, n, se, ne, sw, nw.
+
+    Each view has shape (r1 - r0, nx + 2): every neighbour is one contiguous
+    range of whole padded rows, shifted, so the arithmetic runs on
+    contiguous memory. Columns 1..nx are the pixels; columns 0 and nx + 1
+    mix border and wrapped-around values and belong to no pixel.
+    """
+    width = nx + 2
+    a = (r0 + 1) * width + 1
+    b = (r1 + 1) * width + 1
+    return tuple(q[a + o : b + o].reshape(r1 - r0, width)
+                 for o in (dy * width + dx for dy, dx in _OFFSETS))
 
 
 @dataclass(frozen=True)

@@ -158,14 +158,14 @@ def test_criterion_2_eigen_suite():
     # the filters' strip kernel, on neighbour views whose stencil gives
     # uxx = a, uyy = c and uxy = b exactly at every third flat position:
     # there e = a and s = c, one position back s = -2b and one on s = +2b,
-    # every other view 0; uxy is (s - n) one on less (s - n) one back, / 4
+    # u, w and n 0; uxy is (s - n) one on less (s - n) one back, / 4
     shape = (100, 300)
     zero, e, s = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     e.flat[1::3] = a.ravel()
     s.flat[1::3] = c.ravel()
     s.flat[0::3] = -2.0 * b.ravel()
     s.flat[2::3] = 2.0 * b.ravel()
-    nb = (zero, e, zero, s, zero, zero, zero, zero, zero)
+    nb = (zero, e, zero, s, zero)
     buf = [np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]
     lam1, lam2 = (x.ravel()[1::3].reshape(a.shape)
                   for x in diffusion._curvature_strip(nb, buf)[1:3])
