@@ -23,9 +23,11 @@ Each command runs as a fresh ``python -m mipdiff`` process with the
 tree's ``src/`` first on the path, in a work directory of its own per
 tree, with the same relative paths in both, so manifests compare byte for
 byte. For each command it prints the exit code, the sha256 of every file
-the command wrote, and the differences in standard error. It exits 1 if
-anything differs, else 0. Giving one tree twice checks that reruns are
-bit-identical.
+the command wrote, the differences in standard error and every Python
+warning line (``<file>:<line>: <Category>Warning: ...``) either tree's
+standard error holds. It exits 1 if anything differs or either tree
+warns, else 0. Giving one tree twice checks that reruns are bit-identical
+and warn nowhere.
 
     python3 scripts/ab_routes.py --a <tree> --b <tree>
 
@@ -49,6 +51,7 @@ import difflib
 import hashlib
 import json
 import os
+import re
 import shlex
 import statistics
 import subprocess
@@ -62,6 +65,8 @@ import numpy as np
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 COMMAND_TIMEOUT_S = 300
 ROI = "8,26,48,12"  # a band across the default tube (row 32 of 64)
+# a line of standard error as the warnings module prints a warning
+WARNING_LINE = re.compile(r"\S.*:\d+: \w+Warning: ")
 
 
 # float32 copies of the phantom ph/ph_noisy.vol, each scaled in float64 by
@@ -246,6 +251,9 @@ ROUTES = [
     ("error: pc sigma file lists inf", [
         "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pcx",
         "--sigma-file", "bad_sigma.txt"], {}),
+    ("error: pc sigma file whose weighted sum overflows", [
+        "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pct",
+        "--sigma-file", "tiny_sigma.txt"], {}),
     ("error: unknown config key", [
         "project", "--config", "bad.cfg", "--input", "filt.vol", "--output", "cfg.vol"], {}),
     ("error: phantom --width 4", ["phantom", "--out-dir", "narrow", "--width", "4"], {}),
@@ -283,6 +291,7 @@ def _inputs(work: Path) -> None:
     (work / "thin.vol").write_bytes(_mipvol(rng.normal(1.0, 0.1, (4, 2, 40))))
     (work / "short.vol").write_bytes(_mipvol(np.ones((4, 8, 8)))[:-100])
     (work / "bad_sigma.txt").write_text("0.05\ninf\n0.1\n")
+    (work / "tiny_sigma.txt").write_text("1e-300\n0.08\n0.1\n")
     (work / "bad.cfg").write_text("kind = min\nno_such_key = 1\n")
 
 
@@ -365,7 +374,7 @@ def run_route(tree: Path, work: Path, argv, feeds: dict) -> tuple:
 def routes(a: Path, b: Path) -> int:
     for tree in (a, b):
         _check_tree(tree)
-    differ = outputs = 0
+    differ = warned = outputs = 0
     with tempfile.TemporaryDirectory(prefix="ab_routes-") as tmp:
         works = Path(tmp) / "a", Path(tmp) / "b"
         for work in works:
@@ -394,10 +403,16 @@ def routes(a: Path, b: Path) -> int:
                 for line in difflib.unified_diff(err_a.splitlines(), err_b.splitlines(),
                                                  "A", "B", lineterm=""):
                     print(f"       {line}")
+            warning_lines = [(name, line) for name, err in (("A", err_a), ("B", err_b))
+                             for line in err.splitlines() if WARNING_LINE.match(line)]
+            for name, line in warning_lines:
+                print(f"     WARNING in {name}: {line}")
             differ += not same
+            warned += bool(warning_lines)
     print(f"{len(ROUTES)} routes, {outputs} outputs: "
-          f"{differ} route{'s' if differ != 1 else ''} differ between A ({a}) and B ({b})")
-    return 1 if differ else 0
+          f"{differ} route{'s' if differ != 1 else ''} differ between A ({a}) and B ({b}), "
+          f"{warned} print a Python warning")
+    return 1 if differ or warned else 0
 
 
 # (key, label, better) of each per-pair figure in bench mode

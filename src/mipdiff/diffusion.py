@@ -18,16 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import (
-    _eigenvalues,
-    _gradient_term,
-    _hessian_diagonal,
-    _neighbours,
-    _padded,
-    _stencil,
-    _structureness,
-    as_field,
-)
+from .fields import _eigenvalues, _gradient_norm, _gradient_strip, _neighbours, _padded, as_field
 
 __all__ = [
     "PMParams",
@@ -460,23 +451,6 @@ def _pm_strip(nb, buf, params: PMParams, border):
     return buf[1][:-1]
 
 
-def _gradient_strip(nb, buf):
-    """``(d_eta, g4)`` of ``fields._gradient_term`` of one strip, from its
-    neighbour views ``nb``, written into its buffers ``buf``: d_eta into
-    buffer 0, g4 into buffer 7 and the mask g4 > 0 into buffer 8. uxx, uyy
-    and b2 of ``fields._stencil`` stay in buffers 2, 3 and 4; buffers 1, 5
-    and 6 are free again."""
-    a, d, uxx, uyy, b2, t0, t1, g4, mask = buf
-    _stencil(nb, (a, d, uxx, uyy, b2, t0))
-    return _gradient_term(a, d, uxx, uyy, b2, (a, g4, t0, t1, mask))
-
-
-def _gradient_norm(g4):
-    """|grad u| = sqrt(g4 / 4), in g4's array."""
-    np.multiply(0.25, g4, g4)
-    return np.sqrt(g4, g4)
-
-
 def _orthogonal_strip(nb, buf, params: PMParams):
     """Raw per-pixel update lam1 * D_o + lam2 * D_p of ``run_orthogonal``
     on one strip, in its buffers."""
@@ -484,7 +458,7 @@ def _orthogonal_strip(nb, buf, params: PMParams):
     _, d_ortho, uxx, uyy, _, t0, _, _, mask = buf  # D_o takes d's buffer
     np.add(uxx, uyy, d_ortho)
     np.subtract(d_ortho, d_par, d_ortho)
-    # mask holds g4 > 0 from _gradient_term; D_o is 0 where it is false
+    # mask holds g4 > 0 from _gradient_strip; D_o is 0 where it is false
     np.copyto(d_ortho, 0.0, where=np.logical_not(mask, mask))
     lam1, lam2 = _pm_weights(_gradient_norm(g4), params, (uxx, uyy, t0))
     np.multiply(lam1, d_ortho, d_ortho)
@@ -499,7 +473,7 @@ def run_orthogonal(field, params: PMParams) -> np.ndarray:
     The update is lam1 * D_o + lam2 * D_p where D_o and D_p are the second
     derivatives across and along the gradient, lam1 = g(|grad u|) and
     lam2 = f''(|grad u|), the weights of ``_pm_weights``. D_p is the second
-    derivative along the unit gradient, ``fields._gradient_term``, and D_o
+    derivative along the unit gradient, ``fields._gradient_strip``, and D_o
     the rest of the Laplacian. Pixels with zero gradient are left
     unchanged. Every step runs in the strip workspace of ``_buffers``.
     """
@@ -559,31 +533,16 @@ def _curvature_strip(nb, buf):
     along the unit gradient (0 where the gradient vanishes), the Hessian
     eigenvalues, which are the second derivatives along the maximum- and
     minimum-curvature directions, and the structureness
-    sqrt(uxx^2 + uyy^2). No eigenvector is built. The mask, buffer 8,
-    holds g2 > 0 (as g4 > 0); buffers 2, 3, 4 and 6 are free again
-    afterwards.
-
-    The stencil carries ux, uy and uxy at twice their size (``fields``),
-    and the gradient term and the eigenvalues take the factors of two out
-    where they meet: each term of d_eta's quotient is four times its own,
-    and the discriminant is ((uxx - uyy)^2 + (2 uxy)^2) / 4. Scaling by a
-    power of two is exact while every value stays normal and finite, so
-    the results are those of the derivatives at their own size, bit for
-    bit, on the float32 MIPVOL input of every CLI run: a nonzero
-    difference of float32 values held in float64 lies between 2^-149
-    (about 1.4e-45) and 2^129 (about 6.8e38), and once iterates carry
-    float64 bits its lower end is the float64 spacing at 2^-149, 2^-201
-    (about 3e-61). Products of three such differences, the most any term
-    multiplies, then lie within about [1e-182, 1e117], and their sums and
-    quotients in a like range, far inside float64's normal range
-    [2.2e-308, 1.8e308]. Arbitrary float64 input can leave that range and
-    round differently in the last bit; the tests hold the kernels to the
-    references on float32 fields near 1e-38, 1e38 and in float32's
-    subnormal range."""
+    sqrt(uxx^2 + uyy^2), all from ``fields._gradient_strip``, exact for
+    the range it gives. No eigenvector is built. The mask, buffer 8, holds
+    g4 > 0; buffers 2, 3, 4 and 6 are free again afterwards."""
     d_eta, _ = _gradient_strip(nb, buf)
-    _, lam_max, uxx, uyy, b2, lam_min, t1, g4, _ = buf
+    _, lam_max, uxx, uyy, b2, lam_min, t1, c, _ = buf
     _eigenvalues(uxx, b2, uyy, (lam_max, lam_min, t1))
-    c = _structureness(uxx, uyy, (g4, t1))
+    np.square(uxx, c)
+    np.square(uyy, t1)
+    np.add(c, t1, c)
+    np.sqrt(c, c)
     return d_eta, lam_max, lam_min, c
 
 
@@ -701,23 +660,16 @@ def _filter_stack(u, params: AdaptiveParams):
     return _run(u, params.step, params.max_iterations, params.tolerance, kernel)
 
 
-def _structureness_strip(nb, buf):
-    """The structureness of one strip, from its neighbour views ``nb``,
-    written into its buffers ``buf``: only uxx and uyy of the stencil."""
-    uxx, uyy, t0, t1 = buf[:4]
-    _hessian_diagonal(nb, (uxx, uyy, t0))
-    return _structureness(uxx, uyy, (t0, t1))
-
-
 def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     """Two-pass filtering: run at alpha_low and alpha_high, pick the high
     result where the better run's structureness exceeds the threshold, the
     low result elsewhere.
 
     The structureness reference comes from whichever run changed the input
-    less (larger PSNR against the input), in one strip pass of the
-    workspace of ``_buffers``; the default threshold is its 90th
-    percentile. Returns (combined, low_result, high_result).
+    less (larger PSNR against the input), in one strip pass of
+    ``_curvature_strip`` in the workspace of ``_buffers``; the default
+    threshold is its 90th percentile. Returns (combined, low_result,
+    high_result).
     """
     from .metrics import psnr_vs_input
 
@@ -728,25 +680,27 @@ def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     p_high = psnr_vs_input(u, high_out)
     ref = low_out if p_low >= p_high else high_out
     # psnr_vs_input has validated both results
-    c_ref = _sweep(_buffers(ref), ref, _structureness_strip)
+    c_ref = _sweep(_buffers(ref), ref, lambda nb, buf: _curvature_strip(nb, buf)[3])
     threshold = hparams.c_threshold
     if threshold is None:
         threshold = float(np.quantile(c_ref, 0.9))
     return np.where(c_ref > threshold, high_out, low_out), low_out, high_out
 
 
-def _directional_ad_strip(nb, buf, params: PMParams, grad_threshold):
+def _directional_ad_strip(nb, buf, params: PMParams, thresholds):
     """Raw per-pixel update g * d_eta + g_e1 * d_e1 + g * d_e2 of
     ``run_directional_ad`` on one strip, in its buffers, g_e1 being g where
-    |grad u| <= grad_threshold and 0 elsewhere; the threshold is a number,
-    or an array of the strip's shape that holds each row's own."""
+    |grad u| <= the threshold and 0 elsewhere; ``thresholds`` holds one
+    (rows, threshold) pair per slice of the strip."""
     d_eta, g4 = _gradient_strip(nb, buf)
     _, d_e1, uxx, uyy, b2, d_e2, t1, _, mask = buf
     _eigenvalues(uxx, b2, uyy, (d_e1, d_e2, t1))
     gnorm = _gradient_norm(g4)
     g, _ = _pm_weights(gnorm, params, (uxx, None, uyy), slope=False)
+    for r, threshold in thresholds:  # pad rows, never copied out, keep g4 > 0
+        np.less_equal(gnorm[r], threshold, mask[r])
     # g >= 0, so g * False is the +0 that a select would give
-    g_e1 = np.multiply(g, np.less_equal(gnorm, grad_threshold, mask), b2)
+    g_e1 = np.multiply(g, mask, b2)
     np.multiply(g, d_eta, d_eta)
     np.multiply(g_e1, d_e1, d_e1)
     np.add(d_eta, d_e1, d_eta)
@@ -769,43 +723,21 @@ def run_directional_ad(field, params: PMParams, grad_threshold: float | None = N
     return _directional_ad_stack(as_field(field)[None], params, grad_threshold)[0]
 
 
-def _gradient_norm_strip(nb, buf):
-    """|grad u| of one strip, from its neighbour views ``nb``, written into
-    its buffers ``buf``: only the first differences a = e - w and d = s - n
-    of the stencil, sqrt((a^2 + d^2) / 4)."""
-    _, e, w, s, n = nb
-    a, d = buf[:2]
-    np.subtract(e, w, a)
-    np.multiply(a, a, a)
-    np.subtract(s, n, d)
-    np.multiply(d, d, d)
-    return _gradient_norm(np.add(a, d, a))
-
-
 def _directional_ad_stack(u, params: PMParams, grad_threshold: float | None) -> np.ndarray:
     """``run_directional_ad`` of each slice of the validated (k, ny, nx)
     stack ``u``, each with its own default threshold when none is given:
     the 90th percentile of its |grad u|, one strip pass into the update
-    buffer. A strip whose slices differ in threshold compares against a
-    map of its shape that holds each slice's on its rows, allocated once
-    (against a broadcast column, the compare took 3.6 times as long)."""
+    buffer. Each strip compares each slice's rows against the slice's
+    own."""
     if grad_threshold is not None and math.isnan(grad_threshold):
         raise ValueError("grad_threshold must not be NaN")
     ws = _buffers(u)
     if grad_threshold is None:
-        gnorm = _sweep(ws, u, _gradient_norm_strip)
+        gnorm = _sweep(ws, u, lambda nb, buf: _gradient_norm(_gradient_strip(nb, buf)[1]))
         thresholds = [float(np.quantile(g, 0.9)) for g in gnorm]
     else:
         thresholds = [grad_threshold] * len(u)
     ny = u.shape[1]
-    each = []
-    for _, buf, pieces in ws[2]:
-        mine = [thresholds[d.start // ny] for d, _ in pieces]
-        if len(set(mine)) > 1:
-            t = np.zeros(buf[0].shape)  # pad rows are never copied out
-            for value, (_, r) in zip(mine, pieces):
-                t[r] = value
-            mine = [t]
-        each.append(mine[0])
+    each = [[(r, thresholds[d.start // ny]) for d, r in pieces] for _, _, pieces in ws[2]]
     return _run(u, params.dt, params.iterations, 0.0,
                 lambda v: _sweep(ws, v, _directional_ad_strip, params, each=each))[0]

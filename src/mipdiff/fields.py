@@ -4,19 +4,19 @@ A field is a plain ``float64`` array of shape ``(height, width)`` with x the
 fast (column) axis; a volume is a stack of fields with shape
 ``(depth, height, width)``. The stencil is central differences on a unit
 grid with reflective borders, u(-1, y) = u(1, y). The private helpers here
-(padding, neighbour views, the stencil, the gradient term, the Hessian
-eigenvalues and the structureness) are what the strip kernels of
-``diffusion`` run on one row strip at a time.
+(padding, neighbour views, the gradient strip, the gradient norm and the
+Hessian eigenvalues) are what the strip kernels of ``diffusion`` run on one
+row strip at a time.
 
 The stencil carries the factors of two of its central differences instead
-of applying them: it gives a = e - w = 2 ux, d = s - n = 2 uy and
-b2 = 2 uxy, the last from d alone, read flat. The gradient term and the
-eigenvalues take the factors out where they meet (d_eta's quotient has four
-times each term above and below, the discriminant a quarter of
-(uxx - uyy)^2 + b2^2), and the filters that need |grad u| scale a^2 + d^2
-by a quarter. Scaling by a power of two is exact in float64's normal range,
-so every result is that of the derivatives at their own size, bit for bit,
-on float32 input (``diffusion._curvature_strip`` gives the range).
+of applying them, and only this module takes them out:
+``_gradient_strip`` gives a = e - w = 2 ux, d = s - n = 2 uy and
+b2 = 2 uxy, and d_eta's quotient has four times each term above and below;
+the discriminant of ``_eigenvalues`` is a quarter of (uxx - uyy)^2 + b2^2,
+and ``_gradient_norm`` scales a^2 + d^2 by a quarter. Scaling by a power of
+two is exact in float64's normal range, so every result is that of the
+derivatives at their own size, bit for bit, on float32 input
+(``_gradient_strip`` gives the range).
 """
 from __future__ import annotations
 
@@ -88,8 +88,8 @@ _OFFSETS = ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0))
 def _neighbours(q, nx: int, r0: int, r1: int):
     """Views of field rows r0:r1 and of their four neighbours, read from the
     padded buffer ``q`` of ``_padded`` for a field ``nx`` wide: centre, e, w,
-    s and n. No diagonal is needed: ``_stencil`` reads the mixed derivative
-    from s - n, flat.
+    s and n. No diagonal is needed: ``_gradient_strip`` reads the mixed
+    derivative from s - n, flat.
 
     Each view has shape (r1 - r0, nx + 2): every neighbour is one contiguous
     range of whole padded rows, shifted, so the arithmetic runs on
@@ -103,42 +103,69 @@ def _neighbours(q, nx: int, r0: int, r1: int):
                  for o in (dy * width + dx for dy, dx in _OFFSETS))
 
 
-def _hessian_diagonal(nb, out):
-    """``(uxx, uyy)`` of the neighbour views ``nb``, written into
-    ``out = (uxx, uyy, scratch)``: (e - 2u) + w and (s - 2u) + n."""
+def _gradient_strip(nb, buf):
+    """``(d_eta, g4)`` of one strip, from its neighbour views ``nb``,
+    written into its nine buffers ``buf`` (``diffusion._workspace``): the
+    second derivative along the unit gradient,
+    d_eta = (a^2 uxx + (a d) b2 + d^2 uyy) / g4, 0 where the gradient
+    vanishes, in buffer 0; g4 = a^2 + d^2, four times the squared gradient
+    norm, in buffer 7; the mask g4 > 0 in the bool buffer 8. The Hessian
+    diagonal uxx = (e - 2u) + w, uyy = (s - 2u) + n and b2 stay in buffers
+    2, 3 and 4; buffers 1, 5 and 6 are free again. Each term of d_eta's quotient is
+    four times that of (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / (ux^2 + uy^2).
+    d_eta is cleared before the masked divide, so a reused buffer gives
+    exactly 0 where the gradient vanishes.
+
+    Read flat, the south-east minus north-east difference of a point is d
+    one element on, and south-west minus north-west d one element back, so
+    b2 = (d[+1] - d[-1]) / 2 needs no diagonal view. Its first and last
+    elements have no such neighbours and belong to no pixel (the views'
+    columns 0 and nx + 1); they are set to 0.
+
+    Scaling by a power of two is exact while every value stays normal and
+    finite, so the results are those of the derivatives at their own size,
+    bit for bit, on the float32 MIPVOL input of every CLI run: a nonzero
+    difference of float32 values held in float64 lies between 2^-149
+    (about 1.4e-45) and 2^129 (about 6.8e38), and once iterates carry
+    float64 bits its lower end is the float64 spacing at 2^-149, 2^-201
+    (about 3e-61). Products of three such differences, the most any term
+    multiplies, then lie within about [1e-182, 1e117], and their sums and
+    quotients in a like range, far inside float64's normal range
+    [2.2e-308, 1.8e308]. Arbitrary float64 input can leave that range and
+    round differently in the last bit; the tests hold the kernels to the
+    references on float32 fields near 1e-38, 1e38 and in float32's
+    subnormal range."""
     u, e, w, s, n = nb
-    uxx, uyy, tmp = out
-    np.multiply(2.0, u, tmp)
-    np.subtract(e, tmp, uxx)
-    np.add(uxx, w, uxx)
-    np.subtract(s, tmp, uyy)
-    np.add(uyy, n, uyy)
-    return uxx, uyy
-
-
-def _stencil(nb, out):
-    """``(a, d, uxx, uyy, b2)`` of the neighbour views ``nb``, with the
-    first derivatives and the mixed one carried at twice their size:
-    a = e - w = 2 ux, d = s - n = 2 uy and b2 = 2 uxy, written into
-    ``out = (a, d, uxx, uyy, b2, scratch)``, contiguous arrays of the
-    views' shape.
-
-    Read flat, the south-east minus north-east difference of a point is
-    d one element on, and south-west minus north-west d one element back,
-    so b2 = (d[+1] - d[-1]) / 2 needs neither diagonal view. Its first and
-    last elements have no such neighbours and belong to no pixel (the
-    views' columns 0 and nx + 1); they are set to 0.
-    """
-    _, e, w, s, n = nb
-    a, d, uxx, uyy, b2, tmp = out
+    a, d, uxx, uyy, b2, num, yy, g4, mask = buf
     np.subtract(e, w, a)
     np.subtract(s, n, d)
-    _hessian_diagonal(nb, (uxx, uyy, tmp))
+    np.multiply(2.0, u, num)
+    np.subtract(e, num, uxx)
+    np.add(uxx, w, uxx)
+    np.subtract(s, num, uyy)
+    np.add(uyy, n, uyy)
     flat, b = d.reshape(-1), b2.reshape(-1)
     np.subtract(flat[2:], flat[:-2], b[1:-1])
     np.multiply(0.5, b, b)
     b[0] = b[-1] = 0.0
-    return a, d, uxx, uyy, b2
+    np.multiply(a, a, num)  # a^2, then the numerator
+    np.multiply(d, d, yy)
+    np.add(num, yy, g4)
+    np.multiply(num, uxx, num)
+    np.multiply(a, d, a)  # the cross term, then d_eta
+    np.multiply(a, b2, a)
+    np.add(num, a, num)
+    np.multiply(yy, uyy, yy)
+    np.add(num, yy, num)
+    np.greater(g4, 0.0, mask)
+    a.fill(0.0)
+    return np.divide(num, g4, a, where=mask), g4
+
+
+def _gradient_norm(g4):
+    """|grad u| = sqrt(g4 / 4), in g4's array."""
+    np.multiply(0.25, g4, g4)
+    return np.sqrt(g4, g4)
 
 
 def _eigenvalues(a, b2, c, out):
@@ -157,39 +184,3 @@ def _eigenvalues(a, b2, c, out):
     np.add(lo, disc, hi)
     np.subtract(lo, disc, lo)
     return hi, lo, disc
-
-
-def _structureness(uxx, uyy, out):
-    """sqrt(uxx^2 + uyy^2), written into ``out = (c, scratch)``."""
-    c, sq = out
-    np.square(uxx, c)
-    np.square(uyy, sq)
-    np.add(c, sq, c)
-    return np.sqrt(c, c)
-
-
-def _gradient_term(a, d, uxx, uyy, b2, out):
-    """``(d_eta, g4)`` from the stencil of ``_stencil``: the second
-    derivative along the unit gradient,
-    d_eta = (a^2 uxx + (a d) b2 + d^2 uyy) / g4, 0 where the gradient
-    vanishes, and g4 = a^2 + d^2, four times the squared gradient norm.
-    Each term of the quotient is four times that of
-    (ux^2 uxx + 2 ux uy uxy + uy^2 uyy) / (ux^2 + uy^2).
-
-    Written into ``out = (d_eta, g4, scratch, scratch, mask)``, the bool
-    mask holding g4 > 0; d_eta may be ``a``'s array, which the product
-    that starts it reads last. d_eta is cleared before the masked divide,
-    so a reused buffer gives exactly 0 where the gradient vanishes."""
-    d_eta, g4, num, yy, mask = out
-    np.multiply(a, a, num)  # a^2, then the numerator
-    np.multiply(d, d, yy)
-    np.add(num, yy, g4)
-    np.multiply(num, uxx, num)
-    np.multiply(a, d, d_eta)  # the cross term, then d_eta
-    np.multiply(d_eta, b2, d_eta)
-    np.add(num, d_eta, num)
-    np.multiply(yy, uyy, yy)
-    np.add(num, yy, num)
-    np.greater(g4, 0.0, mask)
-    d_eta.fill(0.0)
-    return np.divide(num, g4, d_eta, where=mask), g4

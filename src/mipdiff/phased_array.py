@@ -49,12 +49,25 @@ def combine_flow(x_components, y_components, z_components, mode: str = "sum"):
     return out
 
 
+def _sigma_finite(fields, sigma) -> bool:
+    """Whether sum_k (max|M_k| / s_k)^2 of the validated ``fields`` and the
+    finite, positive weights ``sigma`` is finite. Each pixel's quotients,
+    squares and running sum in ``pa_combine`` lie at or below these,
+    rounding included, as they are taken in the same order, so when this
+    sum is finite ``pa_combine`` overflows nowhere."""
+    total = 0.0
+    for f, s in zip(fields, sigma):
+        x = max(float(f.max()), -float(f.min())) / s
+        total += x * x  # x ** 2 raises OverflowError where x * x gives inf
+    return math.isfinite(total)
+
+
 def pa_combine(channels, sigma=None) -> np.ndarray:
     """Noise-weighted root-sum-of-squares combination sqrt(sum (M_k/s_k)^2).
 
     With ``sigma`` absent every channel weight is 1 (uncalibrated
-    combination). Sigma entries must be finite and positive and match the
-    channel count.
+    combination). Sigma entries must be finite and positive, match the
+    channel count and be large enough that the sum does not overflow.
     """
     fields = [as_field(ch) for ch in channels]
     if not fields:
@@ -72,6 +85,9 @@ def pa_combine(channels, sigma=None) -> np.ndarray:
             )
         if not all(math.isfinite(s) and s > 0 for s in weights):
             raise ValueError("sigma values must be finite and positive")
+        if not _sigma_finite(fields, weights):
+            raise ValueError(f"sigma values {weights!r} are too small for the channels' "
+                             "magnitudes: their weighted sum of squares overflows")
     acc = np.zeros(shape, dtype=np.float64)
     for f, s in zip(fields, weights):
         scaled = f / s

@@ -1078,6 +1078,25 @@ class TestPcCommand:
                        "--out-stem", tmp_path / "o", "--sigma-file", sigma)
         assert code == 2
 
+    @pytest.mark.parametrize("tiny", ["1e-300", "1e-320"])
+    def test_sigma_file_whose_sum_overflows_refused(self, tmp_path, capsys, tiny):
+        # (max|M_1| / tiny)^2 overflows: refused before any filter runs, with
+        # one line naming the option instead of a NaN field after a warning
+        assert run_cli("phantom", "--out-dir", tmp_path, "--stem", "fl",
+                       "--width", "32", "--height", "32", "--depth", "4",
+                       "--channels", "2", "--flow") == 0
+        capsys.readouterr()
+        sigma = tmp_path / "tiny.txt"
+        sigma.write_text(f"{tiny}\n0.1\n")
+        code = run_cli("pc", "--input-stem", tmp_path / "fl", "--channels", "2",
+                       "--out-stem", tmp_path / "o", "--sigma-file", sigma)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"mipdiff pc: config error: --sigma-file {sigma}: sigmas ")
+        assert err.rstrip().endswith("overflows")
+        assert not list(tmp_path.glob("o*"))
+
     def test_undecodable_sigma_file_names_option_and_path(self, tmp_path, capsys):
         assert run_cli("phantom", "--out-dir", tmp_path, "--stem", "fl",
                        "--width", "16", "--height", "16", "--depth", "3",

@@ -740,7 +740,8 @@ class TestHysteresis:
     @pytest.mark.parametrize("shape", STRIP_SHAPES.values(), ids=STRIP_SHAPES.keys())
     def test_strip_structureness_matches_whole_slice(self, rng, shape):
         u = rng.normal(1.0, 0.1, shape)
-        got = diffusion._sweep(diffusion._buffers(u), u, diffusion._structureness_strip)
+        got = diffusion._sweep(diffusion._buffers(u), u,
+                               lambda nb, buf: diffusion._curvature_strip(nb, buf)[3])
         assert_same_bits(got, structureness(derivatives(u)))
 
     def test_infinite_threshold_selects_low(self, rng):
@@ -1085,7 +1086,8 @@ class TestExactnessRange:
     @pytest.mark.parametrize("values", ["1e-38", "subnormal", "1e38", "integer"])
     def test_structureness_matches_whole_slice(self, rng, values):
         stack = self.field(rng, (9, 24, 40), values)
-        got = diffusion._sweep(diffusion._buffers(stack), stack, diffusion._structureness_strip)
+        got = diffusion._sweep(diffusion._buffers(stack), stack,
+                               lambda nb, buf: diffusion._curvature_strip(nb, buf)[3])
         for sl, c in zip(stack, got):
             assert_same_bits(c, structureness(derivatives(sl)))
         TestHysteresis.runs(stack[0], None)

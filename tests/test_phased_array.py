@@ -106,6 +106,18 @@ class TestPaCombine:
         with pytest.raises(ValueError, match="sigma values must be finite"):
             pa_combine(chans, sigma=(np.inf,))
 
+    @pytest.mark.parametrize("sigma", [(1e-300, 0.1), (1e-320, 0.1), (1e-154, 1.0)])
+    def test_sigma_whose_sum_overflows_refused(self, sigma):
+        # |-2| / 1e-154 squared is 4e308: a negative channel's magnitude counts
+        chans = [np.array([[1.0, -2.0]]), np.ones((1, 2))]
+        with pytest.raises(ValueError, match="sigma values .* overflows"):
+            pa_combine(chans, sigma)
+
+    def test_smallest_sigma_without_overflow_runs(self):
+        # (1 / 1e-154)^2 + (1 / 0.1)^2 is 1e308 + 100: finite, and no warning
+        out = pa_combine([np.ones((1, 2)), np.ones((1, 2))], (1e-154, 0.1))
+        assert np.isfinite(out).all()
+
     def test_empty_channel_list(self):
         with pytest.raises(ValueError, match="channel"):
             pa_combine([])
