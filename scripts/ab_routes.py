@@ -254,6 +254,13 @@ ROUTES = [
     ("error: pc sigma file whose weighted sum overflows", [
         "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pct",
         "--sigma-file", "tiny_sigma.txt"], {}),
+    # finite sums whose combination, near 1e154 and 1e45, leaves float32
+    ("error: pc sigma file whose combination overflows the filter", [
+        "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pcf",
+        "--sigma-file", "f64_sigma.txt"], {}),
+    ("error: pc sigma file whose combination leaves float32", [
+        "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pcw",
+        "--sigma-file", "f32_sigma.txt"], {}),
     ("error: unknown config key", [
         "project", "--config", "bad.cfg", "--input", "filt.vol", "--output", "cfg.vol"], {}),
     ("error: phantom --width 4", ["phantom", "--out-dir", "narrow", "--width", "4"], {}),
@@ -292,6 +299,8 @@ def _inputs(work: Path) -> None:
     (work / "short.vol").write_bytes(_mipvol(np.ones((4, 8, 8)))[:-100])
     (work / "bad_sigma.txt").write_text("0.05\ninf\n0.1\n")
     (work / "tiny_sigma.txt").write_text("1e-300\n0.08\n0.1\n")
+    (work / "f64_sigma.txt").write_text("1e-154\n0.08\n0.1\n")
+    (work / "f32_sigma.txt").write_text("1e-45\n0.08\n0.1\n")
     (work / "bad.cfg").write_text("kind = min\nno_such_key = 1\n")
 
 

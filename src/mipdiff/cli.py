@@ -45,7 +45,7 @@ from .phantom import (
     _metadata,
     _passes,
 )
-from .phased_array import _sigma_finite, combine_flow, pa_combine, pc_pipeline
+from .phased_array import _check_sigma, combine_flow, pa_combine, pc_pipeline
 from .projection import PhaseMaskParams, project_slices, swi_pipeline
 
 __all__ = ["main", "ConfigError"]
@@ -398,11 +398,11 @@ def cmd_pc(v: dict, inputs: list) -> str:
                            v["flow_mode"])[0]
               for k in range(1, v["channels"] + 1)]
     sigma = _read_sigma_file(v["sigma_file"], v["channels"], inputs) if v["sigma_file"] else None
-    # pa_combine refuses sigmas that are not finite and positive in its own words
-    if sigma is not None and all(0 < s < math.inf for s in sigma) \
-            and not _sigma_finite(merged, sigma):
-        raise ConfigError(f"--sigma-file {v['sigma_file']}: sigmas {sigma!r} are too small "
-                          "for the channels' magnitudes: their weighted sum of squares overflows")
+    if sigma is not None:
+        try:
+            _check_sigma(merged, sigma)
+        except ValueError as exc:
+            raise ConfigError(f"--sigma-file {v['sigma_file']}: {exc}") from exc
     params = _params(AdaptiveParams, v, mode="mip")
     scaled, combined = pc_pipeline(merged, params, sigma)
     for k, ch in enumerate(scaled, start=1):

@@ -56,7 +56,7 @@ DEFAULT_ALPHA = 0.5
 MIP_MIN_NU = 0.3
 
 # Pixels per strip of the filter kernels (_sweep): each of the
-# eight float64 strip buffers that _workspace allocates once per filter run
+# eight float64 strip buffers that _buffers allocates once per filter run
 # is then about 64 KiB, so a strip's working set stays in a core's L2 cache,
 # and each buffer, below glibc's default 128 KiB mmap threshold, comes from
 # the heap instead of being mapped and page-faulted in. A slice of more
@@ -353,25 +353,26 @@ def run_pm(field, params: PMParams) -> np.ndarray:
     return _pm_stack(as_field(field)[None], params)[0]
 
 
-def _workspace(q, out, spare=0):
-    """The strips of the filter kernels for the fields of ``out``, one
-    (ny, nx) field or a (k, ny, nx) stack, held in the padded buffer ``q``
-    of ``fields._padded`` (one tall field, pad rows between slices), built
-    once per filter run. A slice of at most ``_STRIP_PIXELS`` pixels lies
-    whole in a strip, with up to ``_batch(ny, nx) - 1`` slices after it; a
-    larger one is split into strips of ``_STRIP_PIXELS // nx`` rows. Per
-    strip: its neighbour views of ``q`` (``fields._neighbours``) over its
-    rows of the tall field, pad rows between its slices included; its rows
-    and ``spare`` more of eight float64 buffers and one bool mask, each
-    nx + 2 wide; and the pairs of rows of ``out``, read as (k * ny, nx),
-    and of the strip that the copy-out takes, one per slice, skipping the
-    pad rows.
+def _buffers(u, spare=0):
+    """``(q, update, strips)`` of one filter run on the validated field or
+    (k, ny, nx) stack ``u``, allocated in this order once per call and freed
+    when it returns: the padded buffer of ``fields._padded`` (one tall
+    field, pad rows between slices), the contiguous update that ``_run``
+    steps with, and the strips over both.
 
-    Every buffer is allocated on its own: a full strip's is then about
-    64 KiB, and always under glibc's 128 KiB mmap threshold, so it comes
-    from the heap instead of being mapped."""
-    ny, nx = out.shape[-2:]
-    k = out.size // (ny * nx)
+    A slice of at most ``_STRIP_PIXELS`` pixels lies whole in a strip, with
+    up to ``_batch(ny, nx) - 1`` slices after it; a larger one is split into
+    strips of ``_STRIP_PIXELS // nx`` rows. Per strip: its neighbour views
+    of ``q`` (``fields._neighbours``) over its rows of the tall field, pad
+    rows between its slices included; its rows and ``spare`` more of eight
+    float64 buffers and one bool mask, each nx + 2 wide and allocated on
+    its own, so that it comes from the heap (see ``_STRIP_PIXELS``); and
+    the pairs of rows of the update, read as (k * ny, nx), and of the strip
+    that the copy-out takes, one per slice, skipping the pad rows."""
+    ny, nx = u.shape[-2:]
+    k = u.size // (ny * nx)
+    q = np.empty(k * (ny + 2) * (nx + 2) + 2)
+    update = np.empty_like(u)
     if ny * nx <= _STRIP_PIXELS:  # whole slices, `per` to a strip
         per = min(k, _batch(ny, nx))
         rows = per * (ny + 2) - 2
@@ -391,37 +392,28 @@ def _workspace(q, out, spare=0):
             o = (i - i0) * (ny + 2)
             pieces.append((slice(i * ny + r0, i * ny + r1), slice(o, o + r1 - r0)))
         strips.append((_neighbours(q, nx, t0, t1), views, pieces))
-    return strips
+    return q, update, strips
 
 
-def _buffers(u, spare=0):
-    """``(q, update, strips)`` of one filter run on the validated field or
-    (k, ny, nx) stack ``u``, allocated in this order once per call and freed
-    when it returns: the padded buffer of ``fields._padded``, the contiguous
-    update that ``_run`` steps with, and the ``_workspace`` strips over
-    both, with ``spare`` rows more in each strip's buffers."""
-    ny, nx = u.shape[-2:]
-    q = np.empty(u.size // (ny * nx) * (ny + 2) * (nx + 2) + 2)
-    update = np.empty_like(u)
-    return q, update, _workspace(q, update, spare)
-
-
-def _sweep(ws, v, body, *args, each=None, zero=False):
+def _sweep(ws, v, body, *args, each=None, zero=False, outs=None):
     """The one strip loop of the filter kernels: refill the padded buffer
     of the workspace ``ws`` of ``_buffers`` with the fields ``v`` (with a
     zero border for ``zero``, else reflected), run ``body(nb, buf, *args)``
     on each strip's neighbour views and buffers, and copy the pixel
     columns of the strip map it returns, slice by slice, into the strip's
     rows of the update (a ufunc writing them directly would buffer its
-    strided operands). With ``each``, a list of one value per strip, each
-    body also gets its strip's value, last. Returns the update."""
+    strided operands). With ``outs``, a tuple of arrays shaped like the
+    update, the body returns one strip map per array instead, each copied
+    into its own. With ``each``, a list of one value per strip, each body
+    also gets its strip's value, last. Returns the update."""
     q, update, strips = ws
     _padded(v, q, zero)
-    rows = update.reshape(-1, update.shape[-1])
+    rows = [o.reshape(-1, v.shape[-1]) for o in ((update,) if outs is None else outs)]
     for j, (nb, buf, pieces) in enumerate(strips):
         m = body(nb, buf, *args) if each is None else body(nb, buf, *args, each[j])
         for d, r in pieces:
-            rows[d] = m[r, 1:-1]
+            for dst, src in zip(rows, (m,) if outs is None else m):
+                dst[d] = src[r, 1:-1]
     return update
 
 
@@ -563,6 +555,12 @@ def _mip_min_strip(nb, buf, h: float, nu: float):
     return np.subtract(t, t2, t)
 
 
+def _mip_maps(nb, buf, h: float):
+    """``_update``'s ``mip`` maps (d_eta, d_e2, h * c) of one strip, in its buffers."""
+    d_eta, _, d_e2, c = _curvature_strip(nb, buf)
+    return d_eta, d_e2, np.multiply(h, c, c)
+
+
 def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     """Raw per-pixel update of one directional step of the fields ``v``
     (a (k, ny, nx) stack), computed in the workspace ``ws`` of ``_buffers``
@@ -577,39 +575,32 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     direction's histogram bounds when a slice has at least 100 pixels,
     ungated below that.
 
-    ``mip_min`` mode is one ``_sweep``. ``mip`` mode first fills its d_eta,
-    d_e2 and k = alpha * c / 2 maps into ``maps`` (a (3, k, ny, nx) buffer,
-    allocated when None), takes each slice's bounds from its whole maps,
-    then gates and sums each slice's rows of each strip. Every pixel sees
-    the operations of a whole-slice evaluation in the same order, so the
-    result is the same bit for bit.
+    ``mip_min`` mode is one ``_sweep``. ``mip`` mode first sweeps
+    ``_mip_maps``, d_eta into the update buffer and d_e2 and
+    k = alpha * c / 2 into ``maps`` (a (2, k, ny, nx) buffer, allocated
+    when None), takes each slice's bounds from its whole maps, then gates
+    and sums each slice's rows of each strip over their d_eta. Every pixel
+    sees the operations of a whole-slice evaluation in the same order, so
+    the result is the same bit for bit.
     """
     h = 0.5 * params.alpha
     if params.mode == "mip_min":
         return _sweep(ws, v, _mip_min_strip, h, nu)
-    q, out, strips = ws
-    _padded(v, q)
+    out = ws[1]
+    maps = np.empty((2,) + out.shape) if maps is None else maps
+    _sweep(ws, v, _mip_maps, h, outs=(out, *maps))
     ny, nx = out.shape[-2:]
-    maps = np.empty((3,) + out.shape) if maps is None else maps
-    d_eta, d_e2, k = (m.reshape(-1, nx) for m in maps)
-    for nb, buf, pieces in strips:
-        d_eta_s, _, d_e2_s, c = _curvature_strip(nb, buf)
-        np.multiply(h, c, c)
-        for d, r in pieces:
-            d_eta[d] = d_eta_s[r, 1:-1]
-            d_e2[d] = d_e2_s[r, 1:-1]
-            k[d] = c[r, 1:-1]
     bounds = [(None, None)] * len(out)
     if ny * nx >= 100:
         bounds = [(histogram_bounds(e, params.tail_prob), histogram_bounds(f, params.tail_prob))
-                  for e, f in zip(maps[0], maps[1])]
-    rows = out.reshape(-1, nx)
-    for _, _, pieces in strips:
+                  for e, f in zip(out, maps[0])]
+    d_eta, d_e2, k = (m.reshape(-1, nx) for m in (out, *maps))
+    for _, _, pieces in ws[2]:
         for s, _ in pieces:
             b_eta, b_e2 = bounds[s.start // ny]
             t_eta = _gate(np.tanh(k[s] * d_eta[s]), d_eta[s], b_eta)
             t_e2 = _gate(np.tanh(k[s] * d_e2[s]), d_e2[s], b_e2)
-            np.add(t_eta * d_eta[s], t_e2 * d_e2[s], out=rows[s])
+            np.add(t_eta * d_eta[s], t_e2 * d_e2[s], out=d_eta[s])
     return out
 
 
@@ -652,9 +643,9 @@ def _filter_stack(u, params: AdaptiveParams):
 
     def kernel(v):
         # mip mode's maps come after the loop's buffers, so that freed they
-        # leave no hole below the result (+6 MiB peak RSS on coils_512)
+        # leave no hole below the result (+8.4 MiB peak RSS on coils_512)
         if params.mode == "mip" and not maps:
-            maps.append(np.empty((3,) + u.shape))
+            maps.append(np.empty((2,) + u.shape))
         return _update(ws, v, params, nu, *maps)
 
     return _run(u, params.step, params.max_iterations, params.tolerance, kernel)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .diffusion import AdaptiveParams, FilterTrace, run_filter
 from .fields import as_field
+from .fileio import _F32_OVERFLOW
 
 __all__ = [
     "combine_flow",
@@ -49,17 +50,38 @@ def combine_flow(x_components, y_components, z_components, mode: str = "sum"):
     return out
 
 
-def _sigma_finite(fields, sigma) -> bool:
-    """Whether sum_k (max|M_k| / s_k)^2 of the validated ``fields`` and the
-    finite, positive weights ``sigma`` is finite. Each pixel's quotients,
-    squares and running sum in ``pa_combine`` lie at or below these,
-    rounding included, as they are taken in the same order, so when this
-    sum is finite ``pa_combine`` overflows nowhere."""
+def _sigma_sum(fields, sigma) -> float:
+    """sum_k (max|M_k| / s_k)^2 of the validated ``fields`` and the finite,
+    positive weights ``sigma``, inf where it overflows. Each pixel's
+    quotients, squares and running sum in ``pa_combine`` lie at or below
+    these, rounding included, as they are taken in the same order, so when
+    this sum is finite ``pa_combine`` overflows nowhere, and its square
+    root bounds every pixel of the combination."""
     total = 0.0
     for f, s in zip(fields, sigma):
         x = max(float(f.max()), -float(f.min())) / s
         total += x * x  # x ** 2 raises OverflowError where x * x gives inf
-    return math.isfinite(total)
+    return total
+
+
+def _check_sigma(fields, sigma) -> None:
+    """Refuse, with a ValueError naming them, finite and positive weights
+    ``sigma`` whose combination of the validated ``fields`` may reach
+    float32's overflow: ``pc_pipeline`` filters that combination and
+    ``pc`` writes it to a MIPVOL file, and the strip kernels' exactness
+    argument covers float32-sized values only. Sigmas that are not finite
+    and positive are left to ``pa_combine``'s own words."""
+    if not all(0 < s < math.inf for s in sigma):
+        return
+    total = _sigma_sum(fields, sigma)
+    if not math.isfinite(total):
+        why = "their weighted sum of squares overflows"
+    elif math.sqrt(total) >= _F32_OVERFLOW:
+        why = f"their combination may reach {math.sqrt(total):.4g}, beyond float32 range"
+    else:
+        return
+    raise ValueError(f"sigmas {[float(s) for s in sigma]!r} are too small for the "
+                     f"channels' magnitudes: {why}")
 
 
 def pa_combine(channels, sigma=None) -> np.ndarray:
@@ -85,7 +107,7 @@ def pa_combine(channels, sigma=None) -> np.ndarray:
             )
         if not all(math.isfinite(s) and s > 0 for s in weights):
             raise ValueError("sigma values must be finite and positive")
-        if not _sigma_finite(fields, weights):
+        if not math.isfinite(_sigma_sum(fields, weights)):
             raise ValueError(f"sigma values {weights!r} are too small for the channels' "
                              "magnitudes: their weighted sum of squares overflows")
     acc = np.zeros(shape, dtype=np.float64)
@@ -124,11 +146,16 @@ def pc_pipeline(channels, params: AdaptiveParams, sigma=None):
     flow ``channels`` that ``combine_flow`` returns.
 
     Steps: filtering of the plain combination for the denominator trace,
-    which checks ``sigma`` before any filter runs; directional filtering of
-    each channel (keeping traces); filter-synthesized rescaling; final
-    combination of the rescaled channels. Returns (scaled, combined).
+    refusing ``sigma`` as ``pa_combine`` and ``_check_sigma`` do before any
+    filter runs; directional filtering of each channel (keeping traces);
+    filter-synthesized rescaling; final combination of the rescaled
+    channels. Returns (scaled, combined).
     """
-    _, combined_trace = run_filter(pa_combine(channels, sigma), params)
+    combined = pa_combine(channels, sigma)
+    if sigma is not None:
+        _check_sigma([as_field(ch) for ch in channels], sigma)
+    _, combined_trace = run_filter(combined, params)
+    del combined  # not held through the channels' runs: about 2 MiB of peak at 512²
     filtered = [run_filter(ch, params) for ch in channels]
     scaled = filter_synthesized_scale(filtered, combined_trace)
     return scaled, pa_combine(scaled, sigma)

@@ -1097,6 +1097,27 @@ class TestPcCommand:
         assert err.rstrip().endswith("overflows")
         assert not list(tmp_path.glob("o*"))
 
+    @pytest.mark.parametrize("tiny", ["1e-154", "1e-45"])
+    def test_sigma_file_whose_combination_leaves_float32_refused(self, tmp_path, capsys,
+                                                                  tiny):
+        # the sum is finite, but the combination of channels near 1.07 would
+        # be near 1e154 or 1e45, beyond what the filter's exact range and a
+        # MIPVOL file hold: refused before any filter runs
+        assert run_cli("phantom", "--out-dir", tmp_path, "--stem", "fl",
+                       "--width", "32", "--height", "32", "--depth", "4",
+                       "--channels", "2", "--flow") == 0
+        capsys.readouterr()
+        sigma = tmp_path / "tiny.txt"
+        sigma.write_text(f"{tiny}\n0.1\n")
+        code = run_cli("pc", "--input-stem", tmp_path / "fl", "--channels", "2",
+                       "--out-stem", tmp_path / "o", "--sigma-file", sigma)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"mipdiff pc: config error: --sigma-file {sigma}: sigmas ")
+        assert err.rstrip().endswith("beyond float32 range")
+        assert not list(tmp_path.glob("o*"))
+
     def test_undecodable_sigma_file_names_option_and_path(self, tmp_path, capsys):
         assert run_cli("phantom", "--out-dir", tmp_path, "--stem", "fl",
                        "--width", "16", "--height", "16", "--depth", "3",

@@ -222,3 +222,15 @@ class TestPcPipeline:
         with pytest.raises(ValueError, match="sigma values must be finite and positive"):
             pc_pipeline(self.make_channels(rng), AdaptiveParams(mode="mip"),
                         sigma=[math.inf, 1.0])
+
+    @pytest.mark.parametrize("tiny", [1e-154, 1e-45])
+    def test_sigma_whose_combination_leaves_float32_checked_first(self, rng, monkeypatch,
+                                                                  tiny):
+        # sqrt((max|M_1| / tiny)^2 + ...) is finite but beyond float32's range
+        def no_filter(*args, **kwargs):
+            raise AssertionError("run_filter called before the sigmas were checked")
+
+        monkeypatch.setattr(phased_array, "run_filter", no_filter)
+        with pytest.raises(ValueError, match=r"sigmas \[.*\] .* beyond float32 range"):
+            pc_pipeline(self.make_channels(rng), AdaptiveParams(mode="mip"),
+                        sigma=[tiny, 1.0])
