@@ -261,6 +261,10 @@ ROUTES = [
     ("error: pc sigma file whose combination leaves float32", [
         "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pcw",
         "--sigma-file", "f32_sigma.txt"], {}),
+    # channels 1 and 2 are written before channel 3 fails, and removed
+    ("error: pc channel 3 into a directory", [
+        "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pcd",
+        "--metrics-csv", "pcd.csv"], {}),
     ("error: unknown config key", [
         "project", "--config", "bad.cfg", "--input", "filt.vol", "--output", "cfg.vol"], {}),
     ("error: phantom --width 4", ["phantom", "--out-dir", "narrow", "--width", "4"], {}),
@@ -302,6 +306,7 @@ def _inputs(work: Path) -> None:
     (work / "f64_sigma.txt").write_text("1e-154\n0.08\n0.1\n")
     (work / "f32_sigma.txt").write_text("1e-45\n0.08\n0.1\n")
     (work / "bad.cfg").write_text("kind = min\nno_such_key = 1\n")
+    (work / "pcd_c3.vol").mkdir()
 
 
 def _scale(work: Path, argv) -> None:

@@ -45,7 +45,7 @@ from .phantom import (
     _metadata,
     _passes,
 )
-from .phased_array import _check_sigma, combine_flow, pa_combine, pc_pipeline
+from .phased_array import _check_sigma, _pc_stream, combine_flow, pa_combine
 from .projection import PhaseMaskParams, project_slices, swi_pipeline
 
 __all__ = ["main", "ConfigError"]
@@ -227,11 +227,13 @@ def write_metrics_csv(path, rows) -> None:
 
 def _metrics_row(method: str, base, ref, test, roi: Roi | None = None) -> tuple:
     """One ``write_metrics_csv`` row scoring ``test`` against the input
-    ``base`` and the reference ``ref``."""
+    ``base`` and the reference ``ref``; where ``ref`` is ``base``, the one
+    PSNR serves both, as ``psnr_vs_reference`` is ``psnr_vs_input``."""
+    psnr = psnr_vs_input(base, test, roi)
     return (
         method,
-        psnr_vs_input(base, test, roi),
-        psnr_vs_reference(ref, test, roi),
+        psnr,
+        psnr if ref is base else psnr_vs_reference(ref, test, roi),
         contrast_ratio(test, roi),
         contrast_per_pixel(test),
     )
@@ -404,10 +406,12 @@ def cmd_pc(v: dict, inputs: list) -> str:
         except ValueError as exc:
             raise ConfigError(f"--sigma-file {v['sigma_file']}: {exc}") from exc
     params = _params(AdaptiveParams, v, mode="mip")
-    scaled, combined = pc_pipeline(merged, params, sigma)
-    for k, ch in enumerate(scaled, start=1):
-        write_volume(ch, f"{v['out_stem']}_c{k}.vol")
-    return _write_image(v, "pc", combined, f"{v['out_stem']}_combined.vol",
+    # each channel is written as it is made; inside main's commit, a later
+    # failure still leaves none of them
+    stream = _pc_stream(merged, params, sigma)
+    for k in range(1, len(merged) + 1):
+        write_volume(next(stream), f"{v['out_stem']}_c{k}.vol")
+    return _write_image(v, "pc", next(stream), f"{v['out_stem']}_combined.vol",
                         lambda: pa_combine(merged, sigma))
 
 

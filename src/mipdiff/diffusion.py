@@ -208,6 +208,10 @@ class FilterTrace:
     scaling: sum(mu_i * d_i), plus MIP_MIN_NU * (d_eta + d_e2) in mip_min
     mode, so a one-iteration run gives out == in + step * basis_sum. It
     feeds the filter-synthesized channel scaling of multi-coil combination.
+    A slice that stops while others of its stack step on keeps a copy; the
+    basis_sum of every other slice, a lone slice's included, is a view of
+    the run's one update buffer, shared across the stack, which ``pc``
+    rescales in place.
     """
 
     iterations: int

@@ -1,5 +1,6 @@
 """Flow merging, channel combination, and filter-synthesized rescaling."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,16 +186,25 @@ class TestPcPipeline:
         for s, m in zip(scaled, merged):
             np.testing.assert_array_equal(s, m)
 
-    def test_matches_composed_module_calls(self, rng):
-        merged = self.make_channels(rng)
+    @pytest.mark.parametrize("sigma", [None, (0.5, 1.0, 2.0, 0.8)], ids=["plain", "sigma"])
+    def test_matches_composed_module_calls(self, rng, sigma):
+        merged = self.make_channels(rng, n_channels=4)
         params = AdaptiveParams(alpha=2.0, mode="mip", max_iterations=3)
-        scaled, combined = pc_pipeline(merged, params)
+        # a tolerance between the channels' first relative changes stops
+        # some channels after one step while the others step on; each run's
+        # basis_sum is a view of its own update buffer either way, which
+        # the stream rescales in place
+        first = [run_filter(m, replace(params, max_iterations=1))[1].relative_changes[0]
+                 for m in merged]
+        params = replace(params, tolerance=(min(first) + max(first)) / 2)
+        scaled, combined = pc_pipeline(merged, params, sigma)
         filtered = [run_filter(m, params) for m in merged]
-        _, ctrace = run_filter(pa_combine(merged), params)
+        assert len({trace.iterations for _, trace in filtered}) > 1
+        _, ctrace = run_filter(pa_combine(merged, sigma), params)
         want_scaled = filter_synthesized_scale(filtered, ctrace)
-        for got, want in zip(scaled, want_scaled):
+        for got, want in zip(scaled, want_scaled, strict=True):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(combined, pa_combine(want_scaled))
+        np.testing.assert_array_equal(combined, pa_combine(want_scaled, sigma))
 
     def test_identical_channels_scale_as_sqrt_n(self, rng):
         base = rng.uniform(0.5, 1.0, (12, 12))
@@ -213,6 +223,16 @@ class TestPcPipeline:
         params = AdaptiveParams(alpha=0.0)
         _, combined = pc_pipeline(merged, params, sigma=(0.5, 2.0))
         np.testing.assert_array_equal(combined, pa_combine(merged, (0.5, 2.0)))
+
+    def test_filtered_channel_whose_sigma_sum_overflows_refused(self, rng, monkeypatch):
+        # the inputs pass, but a filtered channel near 1e200 would overflow
+        # (f / sigma)^2: refused with pa_combine's words before it is folded
+        def huge(field, params):
+            return np.full(np.shape(field), 1e200), trace_with(np.ones(np.shape(field)))
+
+        monkeypatch.setattr(phased_array, "run_filter", huge)
+        with pytest.raises(ValueError, match=r"sigma values \[1.0, 1.0\] .* overflows"):
+            pc_pipeline(self.make_channels(rng), AdaptiveParams(mode="mip"), sigma=[1.0, 1.0])
 
     def test_sigma_checked_before_any_filter_runs(self, rng, monkeypatch):
         def no_filter(*args, **kwargs):
