@@ -265,6 +265,8 @@ ROUTES = [
     ("error: pc channel 3 into a directory", [
         "pc", "--input-stem", "ph/fl", "--channels", "3", "--out-stem", "pcd",
         "--metrics-csv", "pcd.csv"], {}),
+    ("error: pc --channels 0", [
+        "pc", "--input-stem", "ph/fl", "--channels", "0", "--out-stem", "pcz"], {}),
     ("error: unknown config key", [
         "project", "--config", "bad.cfg", "--input", "filt.vol", "--output", "cfg.vol"], {}),
     ("error: phantom --width 4", ["phantom", "--out-dir", "narrow", "--width", "4"], {}),

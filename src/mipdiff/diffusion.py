@@ -208,9 +208,10 @@ class FilterTrace:
     scaling: sum(mu_i * d_i), plus MIP_MIN_NU * (d_eta + d_e2) in mip_min
     mode, so a one-iteration run gives out == in + step * basis_sum. It
     feeds the filter-synthesized channel scaling of multi-coil combination.
-    A slice that stops while others of its stack step on keeps a copy; the
-    basis_sum of every other slice, a lone slice's included, is a view of
-    the run's one update buffer, shared across the stack, which ``pc``
+    Every trace is built once the run has ended. A slice that stopped
+    while others of its stack stepped on holds a copy of its last update;
+    the basis_sum of every other slice, a lone slice's included, is a view
+    of the run's one update buffer, shared across the stack, which ``pc``
     rescales in place.
     """
 
@@ -271,42 +272,40 @@ def _weights_finite(params: PMParams, span: float) -> bool:
 
 
 def _run(u, step, iterations: int, tolerance: float, update):
-    """The one iteration loop of the ``run_*`` filters: up to ``iterations``
+    """The one iteration loop of every filter call: up to ``iterations``
     steps u <- u + step * update(u) of the validated (k, ny, nx) stack
     ``u``, where ``update`` returns the raw per-pixel update of the whole
     stack. Each slice stops on its own once its relative L2 change, taken
     from its own contiguous rows, drops below ``tolerance`` (never, when it
     is 0); a stopped slice keeps its value while the others step on, and
     the loop ends once all have stopped. It works on a copy in buffers
-    allocated once, so the caller's array is never written, and refuses to
-    step a slice from a NaN or Inf iterate, with the error of such an
-    input. Returns ``(u, traces)``, one ``FilterTrace`` per slice with the
-    slice's last update as ``basis_sum``. Every slice gets the bits of a
-    run of its own."""
+    allocated once, so the caller's array is never written. Each step of a
+    slice, the last one included, is checked right after it is taken: one
+    that leaves a NaN or Inf is refused with the error of such an input.
+    Returns ``(u, traces)``, one ``FilterTrace`` per slice with the slice's
+    last update as ``basis_sum``. Every slice gets the bits of a run of its
+    own."""
     u = u.copy()
     u_next = np.empty_like(u)
     scratch = np.empty_like(u)
     changes: list[list[float]] = [[] for _ in u]
-    diffs = [0.0] * len(u)
-    traces: list[FilterTrace | None] = [None] * len(u)
+    kept = {}  # the last update of each slice stopped while others step on
     live = range(len(u))  # the slices still stepping
-    done: list[int] = []  # and those stopped with others still stepping
     for _ in range(iterations):
-        for i in live:
-            # a finite norm of the last change means every pixel is finite
-            if not math.isfinite(diffs[i]) and not np.isfinite(u[i]).all():
-                raise ValueError("field contains NaN or Inf values")
         du = update(u)
         np.multiply(step, du, u_next)
         np.add(u, u_next, u_next)
-        for i in done:
+        for i in kept:
             u_next[i] = u[i]
         # the sums np.linalg.norm takes, without its per-call overhead
         np.subtract(u_next, u, scratch)
         stop = []
         for i in live:
             d, b = scratch[i].ravel(), u[i].ravel()
-            diffs[i] = diff = math.sqrt(d.dot(d))
+            diff = math.sqrt(d.dot(d))
+            # a finite norm of the change means every pixel is finite
+            if not math.isfinite(diff) and not np.isfinite(u_next[i]).all():
+                raise ValueError("field contains NaN or Inf values")
             base = math.sqrt(b.dot(b))
             rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
             changes[i].append(rel)
@@ -317,10 +316,9 @@ def _run(u, step, iterations: int, tolerance: float, update):
         if not live:
             break
         for i in stop:  # the next step refills the update buffer
-            traces[i] = FilterTrace(len(changes[i]), changes[i], du[i].copy(), converged=True)
-        done += stop
-    return u, [t if t is not None else FilterTrace(len(c), c, du[i], converged=i not in live)
-               for i, (t, c) in enumerate(zip(traces, changes))]
+            kept[i] = du[i].copy()
+    return u, [FilterTrace(len(c), c, kept.get(i, du[i]), converged=i not in live)
+               for i, c in enumerate(changes)]
 
 
 def pm_step(field, params: PMParams) -> np.ndarray:
@@ -581,9 +579,9 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
 
     ``mip_min`` mode is one ``_sweep``. ``mip`` mode first sweeps
     ``_mip_maps``, d_eta into the update buffer and d_e2 and
-    k = alpha * c / 2 into ``maps`` (a (2, k, ny, nx) buffer, allocated
-    when None), takes each slice's bounds from its whole maps, then gates
-    and sums each slice's rows of each strip over their d_eta. Every pixel
+    k = alpha * c / 2 into ``maps``, a (2, k, ny, nx) buffer, takes each
+    slice's bounds from its whole maps, then gates and sums each slice's
+    rows of each strip over their d_eta. Every pixel
     sees the operations of a whole-slice evaluation in the same order, so
     the result is the same bit for bit.
     """
@@ -591,7 +589,6 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     if params.mode == "mip_min":
         return _sweep(ws, v, _mip_min_strip, h, nu)
     out = ws[1]
-    maps = np.empty((2,) + out.shape) if maps is None else maps
     _sweep(ws, v, _mip_maps, h, outs=(out, *maps))
     ny, nx = out.shape[-2:]
     bounds = [(None, None)] * len(out)
@@ -609,17 +606,16 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
 
 
 def directional_step(field, params: AdaptiveParams) -> np.ndarray:
-    """One explicit sharpening step u <- u + step * sum(mu_i * d_i).
+    """One explicit sharpening step u <- u + step * sum(mu_i * d_i): a
+    one-iteration ``run_filter`` without forward diffusion, in either mode,
+    so it too refuses a step that leaves a NaN or Inf.
 
     mip mode gates each direction to its histogram bounds when the field
-    has at least 100 pixels. No forward diffusion is added in either mode.
-    alpha = 0 returns the input unchanged, bit for bit.
+    has at least 100 pixels. alpha = 0 returns the input unchanged, bit for
+    bit.
     """
-    u = as_field(field)
-    if params.alpha == 0:
-        return u.copy()
-    v = u[None]
-    return u + params.step * _update(_buffers(v), v, params, 0.0)[0]
+    u = as_field(field)[None]
+    return _filter_stack(u, replace(params, max_iterations=1), nu=0.0)[0][0]
 
 
 def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
@@ -635,14 +631,14 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
     return out[0], trace
 
 
-def _filter_stack(u, params: AdaptiveParams):
+def _filter_stack(u, params: AdaptiveParams, nu: float = MIP_MIN_NU):
     """``run_filter`` of each slice of the validated (k, ny, nx) stack
-    ``u``: the filtered stack and one ``FilterTrace`` per slice."""
+    ``u``: the filtered stack and one ``FilterTrace`` per slice. ``nu`` is
+    the weight of ``mip_min`` mode's forward diffusion."""
     if params.alpha == 0:
         return u.copy(), [FilterTrace(iterations=1, relative_changes=[0.0],
                                       basis_sum=np.zeros_like(sl), converged=True) for sl in u]
     ws = _buffers(u)
-    nu = MIP_MIN_NU if params.mode == "mip_min" else 0.0
     maps = []
 
     def kernel(v):

@@ -69,10 +69,7 @@ def _check_sigma(fields, sigma) -> None:
     ``sigma`` whose combination of the validated ``fields`` may reach
     float32's overflow: ``pc_pipeline`` filters that combination and
     ``pc`` writes it to a MIPVOL file, and the strip kernels' exactness
-    argument covers float32-sized values only. Sigmas that are not finite
-    and positive are left to ``pa_combine``'s own words."""
-    if not all(0 < s < math.inf for s in sigma):
-        return
+    argument covers float32-sized values only."""
     total = _sigma_sum(fields, sigma)
     if not math.isfinite(total):
         why = "their weighted sum of squares overflows"
@@ -190,9 +187,9 @@ def _pc_stream(channels, params: AdaptiveParams, sigma=None):
     total = 0.0
     for ch, s in zip(channels, weights):
         f, trace = run_filter(ch, params)
-        # checked as filter_synthesized_scale checks its input, and as
-        # pa_combine checks its channels
-        f = as_field(_rescale(as_field(f), trace.basis_sum, denom, small, f))
+        # run_filter refuses a step that leaves a NaN or Inf; the rescaled
+        # channel is checked as pa_combine checks its channels
+        f = as_field(_rescale(f, trace.basis_sum, denom, small, f))
         del trace  # with f below: no run outlives its channel's turn
         if s is not None:
             total += _sigma_sum([f], [s])

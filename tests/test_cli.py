@@ -1159,6 +1159,32 @@ class TestPcCommand:
         assert err.startswith(f"mipdiff pc: config error: --sigma-file {sigma}: not UTF-8 text")
         assert not list(tmp_path.glob("o*"))
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_sigma_file_value_not_finite_and_positive_names_option_and_path(
+            self, tmp_path, capsys, value):
+        assert run_cli("phantom", "--out-dir", tmp_path, "--stem", "fl",
+                       "--width", "16", "--height", "16", "--depth", "3",
+                       "--channels", "2", "--flow") == 0
+        capsys.readouterr()
+        sigma = tmp_path / "bad.txt"
+        sigma.write_text(f"0.05\n{value}\n")
+        code = run_cli("pc", "--input-stem", tmp_path / "fl", "--channels", "2",
+                       "--out-stem", tmp_path / "o", "--sigma-file", sigma)
+        assert code == 2
+        assert capsys.readouterr().err == (f"mipdiff pc: config error: --sigma-file {sigma}: "
+                                           "sigma values must be finite and positive\n")
+        assert not list(tmp_path.glob("o*"))
+
+    @pytest.mark.parametrize("channels", ["0", "-3"])
+    def test_channels_below_one_refused_before_any_read(self, tmp_path, capsys, channels):
+        # no input file exists: the option is refused before any is opened
+        code = run_cli("pc", "--input-stem", tmp_path / "nope", "--channels", channels,
+                       "--out-stem", tmp_path / "o", "--sigma-file", tmp_path / "nope.txt")
+        assert code == 2
+        assert capsys.readouterr().err == (f"mipdiff pc: config error: channels must be >= 1, "
+                                           f"got {channels}\n")
+        assert os.listdir(tmp_path) == []
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -1029,22 +1029,38 @@ class TestEigenvectorFreeHotPath:
             )
 
     def test_non_finite_iterate_stops_the_run(self, rng):
-        # the stencil overflows on the first iteration; the next one refuses
-        # the non-finite field, as a non-finite input is refused
+        # the stencil overflows on the first step, which is refused as a
+        # non-finite input is refused, whether or not another step follows
         u = 1e308 * rng.uniform(-1.0, 1.0, (8, 8))
+        # scalar diffusion lets large differences be, but one that
+        # overflows gives its face a NaN flux
+        checker = 1e308 * (-1.0) ** np.add.outer(np.arange(8), np.arange(8))
         with np.errstate(all="ignore"):
-            out, _ = run_filter(u, AdaptiveParams(alpha=2.0, max_iterations=1))
-            assert not np.all(np.isfinite(out))
-            with pytest.raises(ValueError, match="NaN or Inf"):
-                run_filter(u, AdaptiveParams(alpha=2.0, max_iterations=2))
-            # scalar diffusion lets large differences be, but one that
-            # overflows gives its face a NaN flux
-            checker = 1e308 * (-1.0) ** np.add.outer(np.arange(8), np.arange(8))
-            for run, v in ((run_pm, checker), (run_orthogonal, u), (run_directional_ad, u)):
-                out = run(v, PMParams(delta=1.0, iterations=1))
-                assert not np.all(np.isfinite(out))
-                with pytest.raises(ValueError, match="NaN or Inf"):
-                    run(v, PMParams(delta=1.0, iterations=2))
+            for n in (1, 2):
+                with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
+                    run_filter(u, AdaptiveParams(alpha=2.0, max_iterations=n))
+                for run, v in ((run_pm, checker), (run_orthogonal, u), (run_directional_ad, u)):
+                    with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
+                        run(v, PMParams(delta=1.0, iterations=n))
+
+    @pytest.mark.parametrize("call", [
+        lambda u: pm_step(u, PMParams(delta=1.0)),
+        lambda u: directional_step(u, AdaptiveParams(mode="mip")),
+        lambda u: directional_step(u, AdaptiveParams(mode="mip_min")),
+        lambda u: run_pm(u, PMParams(delta=1.0, iterations=1)),
+        lambda u: run_orthogonal(u, PMParams(delta=1.0, iterations=1)),
+        lambda u: run_directional_ad(u, PMParams(delta=1.0, iterations=1)),
+        lambda u: run_filter(u, AdaptiveParams(mode="mip", max_iterations=1)),
+        lambda u: run_filter(u, AdaptiveParams(mode="mip_min", max_iterations=1)),
+    ], ids=["pm_step", "directional_step-mip", "directional_step-mip_min", "run_pm",
+            "run_orthogonal", "run_directional_ad", "run_filter-mip", "run_filter-mip_min"])
+    def test_overflowing_step_refused(self, call):
+        # every stencil's difference of the two neighbours overflows
+        u = np.ones((8, 8))
+        u[3, 3], u[3, 4] = 1.7e308, -1.7e308
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
+            call(u)
 
 
 class TestExactnessRange:
@@ -1174,33 +1190,48 @@ class TestStacks:
         assert np.any(traces[0].basis_sum != 0.0)
 
     def test_slice_going_non_finite_raises(self, rng):
+        # the bad slice's first step overflows, at either end of the stack,
+        # and is refused whether or not another step follows
         good = rng.normal(1.0, 0.1, (8, 8))
         bad = 1e308 * rng.uniform(-1.0, 1.0, (8, 8))
         checker = 1e308 * (-1.0) ** np.add.outer(np.arange(8), np.arange(8))
-        once = AdaptiveParams(alpha=2.0, max_iterations=1)
+        runs = [
+            (lambda s, n: diffusion._filter_stack(s, AdaptiveParams(alpha=2.0, max_iterations=n)),
+             bad),
+            (lambda s, n: diffusion._pm_stack(s, PMParams(delta=1.0, iterations=n)), checker),
+            (lambda s, n: diffusion._orthogonal_stack(s, PMParams(delta=1.0, iterations=n)), bad),
+            (lambda s, n: diffusion._directional_ad_stack(s, PMParams(delta=1.0, iterations=n),
+                                                          None), bad),
+        ]
         with np.errstate(all="ignore"):
-            for g, pair in ((0, [good, bad]), (1, [bad, good])):
-                stack = np.stack(pair)
-                # the bad slice's first step overflows; the NaN it leaves
-                # may carry another sign bit, as ufuncs can take another
-                # code path at another array length
-                out, traces = diffusion._filter_stack(stack, once)
-                for sl, got, trace in zip(stack, out, traces):
-                    want, want_trace = run_filter(sl, once)
-                    np.testing.assert_array_equal(got, want)
-                    np.testing.assert_array_equal(trace.relative_changes,
-                                                  want_trace.relative_changes)
-                assert_same_bits(out[g], run_filter(good, once)[0])
+            for stack_run, v in runs:
+                for pair in ([good, v], [v, good]):
+                    for n in (1, 2):
+                        with pytest.raises(ValueError,
+                                           match="^field contains NaN or Inf values$"):
+                            stack_run(np.stack(pair), n)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_last_step_is_checked(self, iterations):
+        # an update that takes the bad slice from 1e103 ** (3 - iterations)
+        # past float64's range on step `iterations`, and no sooner; the
+        # quiet slice stops after its first step and is kept from then on
+        def update(v):
+            return v * scale
+
+        for k in range(3):  # alone, and first or last beside the quiet slice
+            start = np.full((2, 4, 4), 1e103 ** (3 - iterations))
+            scale = np.full((2, 1, 1), 1e103)
+            if k < 2:
+                start[1 - k], scale[1 - k] = 1.0, 0.0
+            else:
+                start, scale = start[:1], scale[:1]
+            with np.errstate(all="ignore"):  # the norms of a finite step overflow
+                if iterations > 1:
+                    u, _ = diffusion._run(start, 1.0, iterations - 1, 1e-300, update)
+                    assert np.isfinite(u).all()
                 with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
-                    diffusion._filter_stack(stack, replace(once, max_iterations=2))
-                for stack_run, v in ((diffusion._pm_stack, checker),
-                                     (diffusion._orthogonal_stack, bad),
-                                     (lambda s, p: diffusion._directional_ad_stack(s, p, None),
-                                      bad)):
-                    s = np.stack([good, v] if g == 0 else [v, good])
-                    assert not np.isfinite(stack_run(s, PMParams(delta=1.0, iterations=1))).all()
-                    with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
-                        stack_run(s, PMParams(delta=1.0, iterations=2))
+                    diffusion._run(start, 1.0, iterations, 1e-300, update)
 
     def test_pm_takes_no_face_across_slices(self):
         # a face between the two slices' pad rows would be 2e150, and its
