@@ -4,9 +4,10 @@ by benchmark run.
 Route mode runs every command and mode of the CLI at 64x64x32 in each
 tree: the phantom variants, filter, project, metrics, compare,
 alpha-sweep, swi, mip and pc, FIFO inputs, and the known error cases.
-filter, compare and mip --hysteresis also run at 300x40x4, where the
-strip kernels split each slice into strips of 27 and 13 rows; at 64
-pixels wide every slice is one strip. Slices this small are filtered in
+filter, compare and mip --hysteresis also run at 300x60x4, where the
+strip kernels split each slice into strips of 54 and 6 rows, the second
+on a worker thread where the process may use two CPUs; at 64 pixels wide
+every slice is one strip. Slices this small are filtered in
 stacks of as many whole slices as fill a strip: filter (also traced),
 compare --kind min and max, swi and alpha-sweep in both modes also run at
 64x64x7, stacks of two and a last one of one, and at 40x24x9, a stack of
@@ -134,8 +135,8 @@ ROUTES = [
     # under 16 slices the reader reads one slice per call into one reused
     # buffer, so a fold that keeps a slice without copying it shows here
     ("phantom, 8 slices", ["phantom", "--out-dir", "ph", "--stem", "th", "--depth", "8"], {}),
-    ("phantom 300x40x4", [
-        "phantom", "--out-dir", "ph", "--stem", "wide", "--width", "300", "--height", "40",
+    ("phantom 300x60x4", [
+        "phantom", "--out-dir", "ph", "--stem", "wide", "--width", "300", "--height", "60",
         "--depth", "4", "--seed", "11"], {}),
     # a 2 MiB payload, over one 1 MiB read: a worker thread hashes each
     # slice while the reader reads the next into a second buffer

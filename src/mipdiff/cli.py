@@ -412,7 +412,7 @@ def cmd_pc(v: dict, inputs: list) -> str:
     params = _params(AdaptiveParams, v, mode="mip")
     # each channel is written as it is made; inside main's commit, a later
     # failure still leaves none of them
-    stream = _pc_stream(merged, params, sigma)
+    stream = _pc_stream(merged, pa_combine(merged, sigma), params, sigma)
     for k in range(1, len(merged) + 1):
         write_volume(next(stream), f"{v['out_stem']}_c{k}.vol")
     # the baseline is recomputed, 4-5 ms for four 512² coils; kept from

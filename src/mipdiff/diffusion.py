@@ -14,6 +14,8 @@ the one across a vessel, only sharpens.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,26 +57,32 @@ DEFAULT_ALPHA = 0.5
 # both on every seed.
 MIP_MIN_NU = 0.3
 
-# Pixels per strip of the filter kernels (_sweep): each of the
-# eight float64 strip buffers that _buffers allocates once per filter run
-# is then about 64 KiB, so a strip's working set stays in a core's L2 cache,
-# and each buffer, below glibc's default 128 KiB mmap threshold, comes from
-# the heap instead of being mapped and page-faulted in. A slice of more
-# pixels is split into row strips. Smaller slices are filtered in stacks,
+# Pixels per strip of the filter kernels (_sweep): a slice of more pixels
+# is split into row strips of _STRIP_PIXELS // nx rows, 64 at 256x256 and
+# 32 at 512x512, and each of a strip's eight float64 buffers is then about
+# 129 KiB, so a strip's working set stays in a core's L2 cache. Strips this
+# long also let the worker thread of such a slice (_Worker) run each ufunc
+# call long enough between its hand-overs of the interpreter lock: two
+# threads on 8192-pixel strips ran slower than one.
+_STRIP_PIXELS = 16384
+
+# Pixels per stack of small slices: those are filtered in stacks of
 # _batch(ny, nx) whole slices to a strip (2 at 64x64, 8 at 32x32), so that
 # each ufunc call of a step runs on a full strip instead of, at 64x64,
-# paying its fixed cost on half of one.
-_STRIP_PIXELS = 8192
+# paying its fixed cost on half of one; each strip buffer, below glibc's
+# default 128 KiB mmap threshold, then comes from the heap instead of
+# being mapped and page-faulted in.
+_STACK_PIXELS = 8192
 
 
 def _batch(ny: int, nx: int) -> int:
     """Slices per strip, and per stack of ``_stacks``: as many whole
-    (ny, nx) slices as hold ``_STRIP_PIXELS`` pixels, at least one (so one
+    (ny, nx) slices as hold ``_STACK_PIXELS`` pixels, at least one (so one
     from 65x65 up), and few enough that a strip buffer, pad rows and
-    columns included, stays under 2 * ``_STRIP_PIXELS`` values, the mmap
+    columns included, stays under 2 * ``_STACK_PIXELS`` values, the mmap
     threshold, which only slices of about 8x8 and less reach."""
-    return max(1, min(_STRIP_PIXELS // (ny * nx),
-                      (2 * _STRIP_PIXELS - 1) // ((ny + 2) * (nx + 2))))
+    return max(1, min(_STACK_PIXELS // (ny * nx),
+                      (2 * _STACK_PIXELS - 1) // ((ny + 2) * (nx + 2))))
 
 
 def _stacks(slices):
@@ -271,54 +279,65 @@ def _weights_finite(params: PMParams, span: float) -> bool:
     return math.isfinite(top)
 
 
-def _run(u, step, iterations: int, tolerance: float, update):
+def _norm(x) -> float:
+    """The L2 norm of the 2-D array ``x``, a sum numpy takes itself, without
+    a temporary on a strided view. Unlike ``ndarray.dot``, whose BLAS splits
+    long sums over its own threads, it gives the same bits on any number of
+    BLAS threads, and starts none to contend with the strip worker."""
+    return math.sqrt(np.einsum("ij,ij->", x, x))
+
+
+def _run(ws, u, step, iterations: int, tolerance: float, update):
     """The one iteration loop of every filter call: up to ``iterations``
     steps u <- u + step * update(u) of the validated (k, ny, nx) stack
     ``u``, where ``update`` returns the raw per-pixel update of the whole
-    stack. Each slice stops on its own once its relative L2 change, taken
-    from its own contiguous rows, drops below ``tolerance`` (never, when it
-    is 0); a stopped slice keeps its value while the others step on, and
-    the loop ends once all have stopped. It works on a copy in buffers
-    allocated once, so the caller's array is never written. Each step of a
-    slice, the last one included, is checked right after it is taken: one
-    that leaves a NaN or Inf is refused with the error of such an input.
-    Returns ``(u, traces)``, one ``FilterTrace`` per slice with the slice's
-    last update as ``basis_sum``. Every slice gets the bits of a run of its
-    own."""
-    u = u.copy()
-    u_next = np.empty_like(u)
-    scratch = np.empty_like(u)
-    changes: list[list[float]] = [[] for _ in u]
+    stack. Each slice stops on its own once its relative L2 change
+    (``_norm``) drops below ``tolerance`` (never, when it is 0); a stopped
+    slice keeps its value while the others step on, and the loop ends once
+    all have stopped. Each step of a slice, the last one included, is
+    checked right after it is taken: one that leaves a NaN or Inf is
+    refused with the error of such an input. Returns ``(u, traces)``, one
+    ``FilterTrace`` per slice with the slice's last update as
+    ``basis_sum``. Every slice gets the bits of a run of its own.
+
+    It keeps one iterate, in the ``_Workspace`` ``ws``'s ``it``, so the
+    caller's array is never written. ``update(it)`` first copies it into
+    the padded buffer, as ``_sweep`` does, which leaves ``it`` free while
+    the strips run (the worker keeps strip buffers there); the step and the
+    change then read the old iterate in the padded buffer's interior, and
+    the change is taken in place there."""
+    it = ws.it
+    np.copyto(it, u)
+    k, ny, nx = it.shape
+    old = ws.q[1:-1].reshape(k, ny + 2, nx + 2)[:, 1:-1, 1:-1]
+    changes: list[list[float]] = [[] for _ in it]
     kept = {}  # the last update of each slice stopped while others step on
-    live = range(len(u))  # the slices still stepping
+    live = range(k)  # the slices still stepping
     for _ in range(iterations):
-        du = update(u)
-        np.multiply(step, du, u_next)
-        np.add(u, u_next, u_next)
+        du = update(it)
+        base = {i: _norm(old[i]) for i in live}
+        np.multiply(step, du, it)
+        np.add(old, it, it)
         for i in kept:
-            u_next[i] = u[i]
-        # the sums np.linalg.norm takes, without its per-call overhead
-        np.subtract(u_next, u, scratch)
+            it[i] = old[i]
+        np.subtract(it, old, old)
         stop = []
         for i in live:
-            d, b = scratch[i].ravel(), u[i].ravel()
-            diff = math.sqrt(d.dot(d))
+            diff = _norm(old[i])
             # a finite norm of the change means every pixel is finite
-            if not math.isfinite(diff) and not np.isfinite(u_next[i]).all():
+            if not math.isfinite(diff) and not np.isfinite(it[i]).all():
                 raise ValueError("field contains NaN or Inf values")
-            base = math.sqrt(b.dot(b))
-            rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
+            rel = 0.0 if diff == 0.0 else (math.inf if base[i] == 0.0 else diff / base[i])
             changes[i].append(rel)
             if rel < tolerance:
                 stop.append(i)
-        u, u_next = u_next, u
         live = [i for i in live if i not in stop]
         if not live:
             break
         for i in stop:  # the next step refills the update buffer
             kept[i] = du[i].copy()
-    return u, [FilterTrace(len(c), c, kept.get(i, du[i]), converged=i not in live)
-               for i, c in enumerate(changes)]
+    return it, [FilterTrace(len(c), c, kept.get(i, du[i]), converged=i not in live)
+                for i, c in enumerate(changes)]
 
 
 def pm_step(field, params: PMParams) -> np.ndarray:
@@ -333,90 +352,185 @@ def pm_step(field, params: PMParams) -> np.ndarray:
 
 def _pm_stack(u, params: PMParams) -> np.ndarray:
     """``run_pm`` of each slice of the validated (k, ny, nx) stack ``u``:
-    ``_pm_strip`` on each strip of a ``_buffers`` workspace with one spare
-    row, whose padded buffer has a zero border."""
+    ``_pm_strip`` on each strip of a ``_Workspace`` with one spare row,
+    whose padded buffer has a zero border."""
     ny, nx = u.shape[1:]
-    ws = _buffers(u, spare=1)
-    # per strip, its faces on the slices' borders: the first and last face
-    # columns, and the face rows north of the slices' first rows and south
-    # of their last, where the strip holds those rows
-    border = []
-    for _, buf, ((d, r), *_) in ws[2]:
-        rows = [j for i, j in ((d.start, r.start), (d.stop, r.stop)) if i % ny == 0]
-        border.append([buf[0][:-1, ::nx], *(buf[2][j :: ny + 2] for j in rows)])
-    return _run(u, params.dt, params.iterations, 0.0,
-                lambda v: _sweep(ws, v, _pm_strip, params, each=border, zero=True))[0]
+    with _Workspace(u, spare=1) as ws:
+        # per strip, its faces on the slices' borders: the first and last
+        # face columns, and the face rows north of the slices' first rows
+        # and south of their last, where the strip holds those rows
+        border = []
+        for _, buf, ((d, r), *_) in ws.strips:
+            rows = [j for i, j in ((d.start, r.start), (d.stop, r.stop)) if i % ny == 0]
+            border.append([buf[0][:-1, ::nx], *(buf[2][j :: ny + 2] for j in rows)])
+        return _run(ws, u, params.dt, params.iterations, 0.0,
+                    lambda v: _sweep(ws, v, _pm_strip, params, each=border, zero=True))[0]
 
 
 def run_pm(field, params: PMParams) -> np.ndarray:
     """Apply ``params.iterations`` explicit scalar diffusion steps; the input
     is validated once, and every step runs in the strip workspace of
-    ``_buffers``."""
+    ``_Workspace``."""
     return _pm_stack(as_field(field)[None], params)[0]
 
 
-def _buffers(u, spare=0):
-    """``(q, update, strips)`` of one filter run on the validated field or
-    (k, ny, nx) stack ``u``, allocated in this order once per call and freed
-    when it returns: the padded buffer of ``fields._padded`` (one tall
-    field, pad rows between slices), the contiguous update that ``_run``
-    steps with, and the strips over both.
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    A slice of at most ``_STRIP_PIXELS`` pixels lies whole in a strip, with
-    up to ``_batch(ny, nx) - 1`` slices after it; a larger one is split into
-    strips of ``_STRIP_PIXELS // nx`` rows. Per strip: its neighbour views
-    of ``q`` (``fields._neighbours``) over its rows of the tall field, pad
-    rows between its slices included; its rows and ``spare`` more of eight
-    float64 buffers and one bool mask, each nx + 2 wide and allocated on
-    its own, so that it comes from the heap (see ``_STRIP_PIXELS``); and
-    the pairs of rows of the update, read as (k * ny, nx), and of the strip
-    that the copy-out takes, one per slice, skipping the pad rows."""
-    ny, nx = u.shape[-2:]
-    k = u.size // (ny * nx)
-    q = np.empty(k * (ny + 2) * (nx + 2) + 2)
-    update = np.empty_like(u)
-    if ny * nx <= _STRIP_PIXELS:  # whole slices, `per` to a strip
-        per = min(k, _batch(ny, nx))
-        rows = per * (ny + 2) - 2
-        spans = [(i, min(i + per, k), 0, ny) for i in range(0, k, per)]
-    else:  # row strips inside each slice
-        rows = max(1, _STRIP_PIXELS // nx)
-        spans = [(i, i + 1, r0, min(r0 + rows, ny))
-                 for i in range(k) for r0 in range(0, ny, rows)]
-    bufs = [np.empty((rows + spare, nx + 2)) for _ in range(8)]
-    bufs.append(np.empty((rows + spare, nx + 2), dtype=bool))
-    strips = []
-    for i0, i1, r0, r1 in spans:  # slices i0:i1, rows r0:r1 of each
-        t0, t1 = i0 * (ny + 2) + r0, (i1 - 1) * (ny + 2) + r1  # rows of the tall field
-        views = bufs if t1 - t0 == rows else [b[: t1 - t0 + spare] for b in bufs]
-        pieces = []
-        for i in range(i0, i1):  # each slice's rows, not the pad rows after it
-            o = (i - i0) * (ny + 2)
-            pieces.append((slice(i * ny + r0, i * ny + r1), slice(o, o + r1 - r0)))
-        strips.append((_neighbours(q, nx, t0, t1), views, pieces))
-    return q, update, strips
+
+class _Worker:
+    """A thread that runs one function at a time for the thread that made
+    it, under that thread's floating-point error state (numpy keeps one per
+    thread), so that it warns, raises or keeps quiet as the caller would.
+
+    ``start`` hands it a function; ``wait`` blocks until that has returned
+    and re-raises what it raised, if anything; ``close`` stops the thread."""
+
+    def __init__(self):
+        self._job = None
+        self._error = None
+        self._go = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._loop, name="mipdiff-strips", daemon=True)
+        self._thread.start()
+
+    def _loop(self):
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            fn, state = self._job
+            try:
+                with np.errstate(**state):
+                    fn()
+            except BaseException as exc:  # re-raised by wait, in the caller's thread
+                self._error = exc
+            self._done.release()
+
+    def start(self, fn):
+        self._job = fn, dict(np.geterr(), call=np.geterrcall())
+        self._go.release()
+
+    def wait(self):
+        self._done.acquire()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def close(self):
+        self._job = None
+        self._go.release()
+        self._thread.join()
+
+
+class _Workspace:
+    """The arrays of one filter call on the validated field or (k, ny, nx)
+    stack ``u``, allocated in this order once per call and freed when it
+    returns: ``q``, the padded buffer of ``fields._padded`` (one tall
+    field, pad rows between slices); ``it``, the iterate that ``_run``
+    steps; ``update``, the contiguous update it steps with; and
+    ``strips``, the strips over them.
+
+    A slice of at most ``_STRIP_PIXELS`` pixels lies whole in a strip,
+    with up to ``_batch(ny, nx) - 1`` slices after it; a larger one is
+    split into strips of ``_STRIP_PIXELS // nx`` rows. Per strip: its
+    neighbour views of ``q`` (``fields._neighbours``) over its rows of the
+    tall field, pad rows between its slices included; its rows and
+    ``spare`` more of eight float64 buffers and one bool mask, each
+    nx + 2 wide; and the pairs of rows of the update, read as
+    (k * ny, nx), and of the strip that the copy-out takes, one per slice,
+    skipping the pad rows.
+
+    A call of two or more strips, on a process allowed more than one CPU,
+    gets one worker thread (``_Worker``) while its ``with`` block runs,
+    which ``_sweep`` hands every other strip. Those strips have a second
+    set of buffers, as many of them as fit held in ``it``, which holds
+    nothing while a sweep runs. Used without ``with``, every strip runs in
+    the calling thread."""
+
+    def __init__(self, u, spare=0):
+        ny, nx = u.shape[-2:]
+        k = u.size // (ny * nx)
+        self.q = np.empty(k * (ny + 2) * (nx + 2) + 2)
+        self.it = np.empty_like(u)
+        self.update = np.empty_like(u)
+        if ny * nx <= _STRIP_PIXELS:  # whole slices, `per` to a strip
+            per = min(k, _batch(ny, nx))
+            rows = per * (ny + 2) - 2
+            spans = [(i, min(i + per, k), 0, ny) for i in range(0, k, per)]
+        else:  # row strips inside each slice
+            rows = max(1, _STRIP_PIXELS // nx)
+            spans = [(i, i + 1, r0, min(r0 + rows, ny))
+                     for i in range(k) for r0 in range(0, ny, rows)]
+        shape = (rows + spare, nx + 2)
+        sets = [[np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]]
+        self._threads = len(spans) > 1 and _cpus() > 1
+        if self._threads:
+            size = shape[0] * shape[1]
+            flat = self.it.reshape(-1)
+            held = [flat[j * size : (j + 1) * size].reshape(shape)
+                    for j in range(min(8, flat.size // size))]
+            sets.append(held + [np.empty(shape) for _ in range(8 - len(held))]
+                        + [np.empty(shape, dtype=bool)])
+        self.strips = []
+        for j, (i0, i1, r0, r1) in enumerate(spans):  # slices i0:i1, rows r0:r1 of each
+            t0, t1 = i0 * (ny + 2) + r0, (i1 - 1) * (ny + 2) + r1  # rows of the tall field
+            bufs = sets[j % len(sets)]
+            views = bufs if t1 - t0 == rows else [b[: t1 - t0 + spare] for b in bufs]
+            pieces = []
+            for i in range(i0, i1):  # each slice's rows, not the pad rows after it
+                o = (i - i0) * (ny + 2)
+                pieces.append((slice(i * ny + r0, i * ny + r1), slice(o, o + r1 - r0)))
+            self.strips.append((_neighbours(self.q, nx, t0, t1), views, pieces))
+        self.worker = None
+
+    def __enter__(self):
+        if self._threads:
+            self.worker = _Worker()
+        return self
+
+    def __exit__(self, *exc):
+        if self.worker is not None:
+            self.worker.close()
+            self.worker = None
 
 
 def _sweep(ws, v, body, *args, each=None, zero=False, outs=None):
     """The one strip loop of the filter kernels: refill the padded buffer
-    of the workspace ``ws`` of ``_buffers`` with the fields ``v`` (with a
-    zero border for ``zero``, else reflected), run ``body(nb, buf, *args)``
-    on each strip's neighbour views and buffers, and copy the pixel
-    columns of the strip map it returns, slice by slice, into the strip's
-    rows of the update (a ufunc writing them directly would buffer its
-    strided operands). With ``outs``, a tuple of arrays shaped like the
-    update, the body returns one strip map per array instead, each copied
-    into its own. With ``each``, a list of one value per strip, each body
-    also gets its strip's value, last. Returns the update."""
-    q, update, strips = ws
-    _padded(v, q, zero)
-    rows = [o.reshape(-1, v.shape[-1]) for o in ((update,) if outs is None else outs)]
-    for j, (nb, buf, pieces) in enumerate(strips):
-        m = body(nb, buf, *args) if each is None else body(nb, buf, *args, each[j])
-        for d, r in pieces:
-            for dst, src in zip(rows, (m,) if outs is None else m):
-                dst[d] = src[r, 1:-1]
-    return update
+    of the ``_Workspace`` ``ws`` with the fields ``v`` (with a zero border
+    for ``zero``, else reflected), run ``body(nb, buf, *args)`` on each
+    strip's neighbour views and buffers, and copy the pixel columns of the
+    strip map it returns, slice by slice, into the strip's rows of the
+    update (a ufunc writing them directly would buffer its strided
+    operands). With ``outs``, a tuple of arrays shaped like the update, the
+    body returns one strip map per array instead, each copied into its
+    own. With ``each``, a list of one value per strip, each body also gets
+    its strip's value, last. The workspace's worker, if it has one, runs
+    every other strip, from the second on, while this thread runs the
+    rest; no strip reads what another writes. Returns the update."""
+    _padded(v, ws.q, zero)
+    rows = [o.reshape(-1, v.shape[-1]) for o in ((ws.update,) if outs is None else outs)]
+
+    def run(first, stride):
+        for j in range(first, len(ws.strips), stride):
+            nb, buf, pieces = ws.strips[j]
+            m = body(nb, buf, *args) if each is None else body(nb, buf, *args, each[j])
+            for d, r in pieces:
+                for dst, src in zip(rows, (m,) if outs is None else m):
+                    dst[d] = src[r, 1:-1]
+
+    if ws.worker is None:
+        run(0, 1)
+    else:
+        ws.worker.start(lambda: run(1, 2))
+        try:
+            run(0, 2)
+        finally:
+            ws.worker.wait()
+    return ws.update
 
 
 def _pm_strip(nb, buf, params: PMParams, border):
@@ -469,16 +583,16 @@ def run_orthogonal(field, params: PMParams) -> np.ndarray:
     lam2 = f''(|grad u|), the weights of ``_pm_weights``. D_p is the second
     derivative along the unit gradient, ``fields._gradient_strip``, and D_o
     the rest of the Laplacian. Pixels with zero gradient are left
-    unchanged. Every step runs in the strip workspace of ``_buffers``.
+    unchanged. Every step runs in the strip workspace of ``_Workspace``.
     """
     return _orthogonal_stack(as_field(field)[None], params)[0]
 
 
 def _orthogonal_stack(u, params: PMParams) -> np.ndarray:
     """``run_orthogonal`` of each slice of the validated (k, ny, nx) stack ``u``."""
-    ws = _buffers(u)
-    return _run(u, params.dt, params.iterations, 0.0,
-                lambda v: _sweep(ws, v, _orthogonal_strip, params))[0]
+    with _Workspace(u) as ws:
+        return _run(ws, u, params.dt, params.iterations, 0.0,
+                    lambda v: _sweep(ws, v, _orthogonal_strip, params))[0]
 
 
 def _nearest_rank_index(q: float, n: int) -> int:
@@ -565,7 +679,7 @@ def _mip_maps(nb, buf, h: float):
 
 def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     """Raw per-pixel update of one directional step of the fields ``v``
-    (a (k, ny, nx) stack), computed in the workspace ``ws`` of ``_buffers``
+    (a (k, ny, nx) stack), computed in the ``_Workspace`` ``ws``
     and returned in its update buffer.
 
     With t_i = tanh(alpha * c * d_i / 2), whose negative (``mip_min``) or
@@ -588,7 +702,7 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     h = 0.5 * params.alpha
     if params.mode == "mip_min":
         return _sweep(ws, v, _mip_min_strip, h, nu)
-    out = ws[1]
+    out = ws.update
     _sweep(ws, v, _mip_maps, h, outs=(out, *maps))
     ny, nx = out.shape[-2:]
     bounds = [(None, None)] * len(out)
@@ -596,7 +710,7 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
         bounds = [(histogram_bounds(e, params.tail_prob), histogram_bounds(f, params.tail_prob))
                   for e, f in zip(out, maps[0])]
     d_eta, d_e2, k = (m.reshape(-1, nx) for m in (out, *maps))
-    for _, _, pieces in ws[2]:
+    for _, _, pieces in ws.strips:
         for s, _ in pieces:
             b_eta, b_e2 = bounds[s.start // ny]
             t_eta = _gate(np.tanh(k[s] * d_eta[s]), d_eta[s], b_eta)
@@ -638,17 +752,16 @@ def _filter_stack(u, params: AdaptiveParams, nu: float = MIP_MIN_NU):
     if params.alpha == 0:
         return u.copy(), [FilterTrace(iterations=1, relative_changes=[0.0],
                                       basis_sum=np.zeros_like(sl), converged=True) for sl in u]
-    ws = _buffers(u)
     maps = []
+    with _Workspace(u) as ws:
+        def kernel(v):
+            # mip mode's maps come after the loop's buffers, so that freed
+            # they leave no hole below the result (+8.4 MiB peak RSS on coils_512)
+            if params.mode == "mip" and not maps:
+                maps.append(np.empty((2,) + u.shape))
+            return _update(ws, v, params, nu, *maps)
 
-    def kernel(v):
-        # mip mode's maps come after the loop's buffers, so that freed they
-        # leave no hole below the result (+8.4 MiB peak RSS on coils_512)
-        if params.mode == "mip" and not maps:
-            maps.append(np.empty((2,) + u.shape))
-        return _update(ws, v, params, nu, *maps)
-
-    return _run(u, params.step, params.max_iterations, params.tolerance, kernel)
+        return _run(ws, u, params.step, params.max_iterations, params.tolerance, kernel)
 
 
 def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
@@ -658,7 +771,7 @@ def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
 
     The structureness reference comes from whichever run changed the input
     less (larger PSNR against the input), in one strip pass of
-    ``_curvature_strip`` in the workspace of ``_buffers``; the default
+    ``_curvature_strip`` in a ``_Workspace``; the default
     threshold is its 90th percentile. Returns (combined, low_result,
     high_result).
     """
@@ -671,7 +784,8 @@ def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
     p_high = psnr_vs_input(u, high_out)
     ref = low_out if p_low >= p_high else high_out
     # psnr_vs_input has validated both results
-    c_ref = _sweep(_buffers(ref), ref, lambda nb, buf: _curvature_strip(nb, buf)[3])
+    with _Workspace(ref) as ws:
+        c_ref = _sweep(ws, ref, lambda nb, buf: _curvature_strip(nb, buf)[3])
     threshold = hparams.c_threshold
     if threshold is None:
         threshold = float(np.quantile(c_ref, 0.9))
@@ -708,7 +822,7 @@ def run_directional_ad(field, params: PMParams, grad_threshold: float | None = N
     edges (|grad u| > grad_threshold) so contours are not smeared. The
     threshold defaults to the 90th percentile of the input's gradient
     magnitude and stays fixed; inf never switches the term off, and NaN is
-    refused. Every step runs in the strip workspace of ``_buffers``, which
+    refused. Every step runs in the strip workspace of ``_Workspace``, which
     also gives the default threshold.
     """
     return _directional_ad_stack(as_field(field)[None], params, grad_threshold)[0]
@@ -718,17 +832,17 @@ def _directional_ad_stack(u, params: PMParams, grad_threshold: float | None) -> 
     """``run_directional_ad`` of each slice of the validated (k, ny, nx)
     stack ``u``, each with its own default threshold when none is given:
     the 90th percentile of its |grad u|, one strip pass into the update
-    buffer. Each strip compares each slice's rows against the slice's
-    own."""
+    buffer, taken in place there, as the run refills that buffer anyway.
+    Each strip compares each slice's rows against the slice's own."""
     if grad_threshold is not None and math.isnan(grad_threshold):
         raise ValueError("grad_threshold must not be NaN")
-    ws = _buffers(u)
-    if grad_threshold is None:
-        gnorm = _sweep(ws, u, lambda nb, buf: _gradient_norm(_gradient_strip(nb, buf)[1]))
-        thresholds = [float(np.quantile(g, 0.9)) for g in gnorm]
-    else:
-        thresholds = [grad_threshold] * len(u)
-    ny = u.shape[1]
-    each = [[(r, thresholds[d.start // ny]) for d, r in pieces] for _, _, pieces in ws[2]]
-    return _run(u, params.dt, params.iterations, 0.0,
-                lambda v: _sweep(ws, v, _directional_ad_strip, params, each=each))[0]
+    with _Workspace(u) as ws:
+        if grad_threshold is None:
+            gnorm = _sweep(ws, u, lambda nb, buf: _gradient_norm(_gradient_strip(nb, buf)[1]))
+            thresholds = [float(np.quantile(g, 0.9, overwrite_input=True)) for g in gnorm]
+        else:
+            thresholds = [grad_threshold] * len(u)
+        ny = u.shape[1]
+        each = [[(r, thresholds[d.start // ny]) for d, r in pieces] for _, _, pieces in ws.strips]
+        return _run(ws, u, params.dt, params.iterations, 0.0,
+                    lambda v: _sweep(ws, v, _directional_ad_strip, params, each=each))[0]

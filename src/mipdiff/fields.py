@@ -105,7 +105,7 @@ def _neighbours(q, nx: int, r0: int, r1: int):
 
 def _gradient_strip(nb, buf):
     """``(d_eta, g4)`` of one strip, from its neighbour views ``nb``,
-    written into its nine buffers ``buf`` (``diffusion._buffers``): the
+    written into its nine buffers ``buf`` (``diffusion._Workspace``): the
     second derivative along the unit gradient,
     d_eta = (a^2 uxx + (a d) b2 + d^2 uyy) / g4, 0 where the gradient
     vanishes, in buffer 0; g4 = a^2 + d^2, four times the squared gradient

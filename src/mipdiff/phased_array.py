@@ -159,27 +159,25 @@ def filter_synthesized_scale(filtered_channels, combined_trace: FilterTrace):
     return out
 
 
-def _pc_stream(channels, params: AdaptiveParams, sigma=None):
+def _pc_stream(channels, combined, params: AdaptiveParams, sigma=None):
     """Yield ``pc_pipeline``'s results one at a time: each of ``channels``
-    filtered and rescaled, then their combination. The plain combination
-    is filtered once, keeping only its final update, the ratio's
-    denominator, and the mask of its pixels below ``RATIO_EPS``. Each
-    channel is then filtered, rescaled in its run's own buffers, checked
-    as ``pa_combine`` checks it, with a running sum of its sigma bound,
-    yielded and folded into one sum of squares before the next is
-    filtered.
+    filtered and rescaled, then their combination. ``combined`` is their
+    plain combination, ``pa_combine(channels, sigma)``, whose inputs the
+    caller has checked, ``sigma`` with ``_check_sigma`` too. It is filtered
+    once, keeping only its final update, the ratio's denominator, and the
+    mask of its pixels below ``RATIO_EPS``; the caller holds no other
+    reference to it, so it is freed then. Each channel is then filtered,
+    rescaled in its run's own buffers, checked as ``pa_combine`` checks it,
+    with a running sum of its sigma bound, yielded and folded into one sum
+    of squares before the next is filtered.
 
     At its peak, while a channel is filtered, this holds the ``channels``,
     the denominator and the running sum (a slice each), the mask and the
-    channel's run (8.3 slices: ``_run``'s copy and two step buffers, the
-    padded field, the update, ``mip`` mode's two maps, the strip buffers).
-    A four-coil 512x512 ``pc`` peaks at 14.5 slices, 28.9 MiB of traced
-    numpy memory, where keeping every run until the last had finished
-    took 21.2 slices, 42.4 MiB."""
-    combined = pa_combine(channels, sigma)
+    channel's run (``_run``'s iterate, the padded field, the update,
+    ``mip`` mode's two maps, the strip buffers). A four-coil 512x512 ``pc``
+    peaks at 12.7 slices, 25.4 MiB of traced numpy memory, where keeping
+    every run until the last had finished took 21.2 slices, 42.4 MiB."""
     weights = [None] * len(channels) if sigma is None else [float(s) for s in sigma]
-    if sigma is not None:
-        _check_sigma([as_field(ch) for ch in channels], sigma)
     denom = run_filter(combined, params)[1].basis_sum
     del combined  # not held through the channels' runs: about 2 MiB of peak at 512²
     small = np.abs(denom) < RATIO_EPS
@@ -211,5 +209,10 @@ def pc_pipeline(channels, params: AdaptiveParams, sigma=None):
     filter-synthesized rescaling and a fold into the final combination of
     the rescaled channels (``_pc_stream``). Returns (scaled, combined).
     """
-    *scaled, combined = _pc_stream(channels, params, sigma)
+    combined = pa_combine(channels, sigma)
+    if sigma is not None:
+        _check_sigma([as_field(ch) for ch in channels], sigma)
+    stream = _pc_stream(channels, combined, params, sigma)
+    del combined  # the stream frees it once it has been filtered
+    *scaled, combined = stream
     return scaled, combined

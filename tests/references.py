@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mipdiff.diffusion import BoundPair, PMParams, _gate, _pm_weights, _run
+from mipdiff.diffusion import BoundPair, PMParams, _gate, _pm_weights, _run, _Workspace
 from mipdiff.fields import _padded, as_field
 
 
@@ -222,5 +222,10 @@ def pm_stack(u, params: PMParams) -> np.ndarray:
     """``run_pm`` of each slice of the validated (k, ny, nx) stack ``u``."""
     k, ny, nx = u.shape
     faces = np.zeros((k, ny, nx + 1)), np.zeros((k, ny + 1, nx))
-    return _run(u, params.dt, params.iterations, 0.0,
-                lambda v: pm_update(v, params, faces))[0]
+    ws = _Workspace(u)
+
+    def update(v):
+        _padded(v, ws.q, zero=True)  # where _run reads the old iterate
+        return pm_update(v, params, faces)
+
+    return _run(ws, u, params.dt, params.iterations, 0.0, update)[0]

@@ -179,9 +179,9 @@ def test_criterion_2_eigen_suite():
     min_margin = np.inf
     for _ in range(20):
         u = smooth_field(rng, (24, 31), scale=3.0)
-        q, _, strips = diffusion._buffers(u)
-        _padded(u, q)
-        for nb, buf, pieces in strips:
+        ws = diffusion._Workspace(u)
+        _padded(u, ws.q)
+        for nb, buf, pieces in ws.strips:
             d_eta, f1, f2, _ = diffusion._curvature_strip(nb, buf)
             moving = buf[8]  # g2 > 0
             for _, r in pieces:

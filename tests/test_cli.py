@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -830,7 +831,7 @@ class TestStreamedRoutes:
         writes and folds one channel at a time. At its peak it holds the
         merged channels, the plain combination's final update and its
         mask, the running sum of squares and one channel's filter run:
-        15.4 slices measured, where keeping every channel's run until the
+        15.8 slices measured, where keeping every channel's run until the
         last had finished took 21.3."""
         assert run_cli("phantom", "--out-dir", tmp_path, "--stem", "fl", "--width", "256",
                        "--height", "256", "--depth", "16", "--channels", "4", "--flow") == 0
@@ -1194,6 +1195,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "mipdiff" in proc.stdout
+
+
+class TestBlasThreads:
+    def test_filter_is_the_same_on_any_blas_thread_count(self, tmp_path):
+        """The run loop's norms are sums numpy takes itself: OpenBLAS splits
+        a dot of 65536 or more values over its threads, and their partial
+        sums round differently, so a 256x256 slice's trace changed with
+        the thread count."""
+        rng = np.random.default_rng(7)
+        src = tmp_path / "in.vol"
+        write_volume(rng.normal(1.0, 0.1, (2, 256, 256)), src)
+        path = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                *filter(None, [os.environ.get("PYTHONPATH")])])
+        outs = {}
+        for n in ("1", "2"):
+            work = tmp_path / n
+            work.mkdir()
+            subprocess.run([sys.executable, "-m", "mipdiff", "filter", "--input", src,
+                            "--output", "f.vol", "--trace"], cwd=work, check=True,
+                           env=dict(os.environ, OPENBLAS_NUM_THREADS=n, PYTHONPATH=path))
+            outs[n] = {f.name: f.read_bytes() for f in sorted(work.iterdir())}
+        assert sorted(outs["1"]) == ["f.vol", "f.vol.manifest.txt",
+                                     "f_trace_s0.csv", "f_trace_s1.csv"]
+        assert outs["1"] == outs["2"]
 
 
 class TestFoldsOverReusedBuffers:

@@ -1,7 +1,9 @@
 """Scalar, orthogonal-split, and adaptive directional diffusion filters."""
 import math
 import sys
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +69,15 @@ def adaptive_mu_step(u, params, nu=0.0):
     return u + params.step * adaptive_mu_update(u, params, nu)
 
 
+def padded_norm(x):
+    """The L2 norm that the run loop takes of a slice: one np.einsum over
+    the slice as the interior of a padded buffer, rows nx + 2 apart, whose
+    layout sets the order of the sum."""
+    p = np.zeros((x.shape[0] + 2, x.shape[1] + 2))
+    p[1:-1, 1:-1] = x
+    return math.sqrt(np.einsum("ij,ij->", p[1:-1, 1:-1], p[1:-1, 1:-1]))
+
+
 def whole_slice_run(u, params):
     """run_filter's loop on whole slices: (out, relative_changes, basis_sum)."""
     nu = MIP_MIN_NU if params.mode == "mip_min" else 0.0
@@ -77,8 +88,8 @@ def whole_slice_run(u, params):
         else:
             update = adaptive_mu_update(u, params, nu=nu)
             u_next = u + params.step * update
-        diff = float(np.linalg.norm(u_next - u))
-        base = float(np.linalg.norm(u))
+        diff = padded_norm(u_next - u)
+        base = padded_norm(u)
         rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
         changes.append(rel)
         u = u_next
@@ -601,8 +612,9 @@ class TestRunFilter:
         np.testing.assert_array_equal(out, directional_step(u, params))
 
 
-# Strip heights at _STRIP_PIXELS = 8192: 128 rows at width 64 (300 = 2 * 128
-# + 44), 81 at width 100 (250 = 3 * 81 + 7), one row above 8192 columns.
+# Strip heights at _STRIP_PIXELS = 16384: 256 rows at width 64 (300 = 256
+# + 44), 163 at width 100 (250 = 163 + 87), one row above 16384 pixels at
+# 8300 columns (three strips and seven).
 STRIP_SHAPES = {
     "300x64": (300, 64),
     "250x100": (250, 100),
@@ -665,22 +677,25 @@ class TestStripBlocking:
         flat = (b.ux == 0.0) & (b.uy == 0.0)
         assert (flat & (b.uxy < 0.0)).any()  # where ux * uy * uxy is -0
         np.testing.assert_array_equal(np.signbit(want[0][flat]), False)
-        q, _, strips = diffusion._buffers(u)
-        _padded(u, q)
-        for buf in strips[0][1][:8]:
-            buf.fill(stale)
-        for nb, buf, ((s, _),) in strips:
+        ws = diffusion._Workspace(u)
+        _padded(u, ws.q)
+        for _, bufs, _ in ws.strips[:2]:  # both buffer sets, where there are two
+            for buf in bufs[:8]:
+                buf.fill(stale)
+        for nb, buf, ((s, _),) in ws.strips:
             got = diffusion._curvature_strip(nb, buf)
             for g, w in zip(got, want):
                 assert_same_bits(g[:, 1:-1].copy(), w[s])
 
     @pytest.mark.parametrize("mode, slices", [("mip_min", 7), ("mip", 9.5)])
     def test_kernel_memory(self, rng, mode, slices):
-        # the loop's three slices, the padded field, the update and the
-        # strip buffers trace about 6.1 slices; a kernel allocating every
-        # strip temporary afresh traces 7.5. mip mode adds its d_e2 and k
-        # maps and the gate-and-sum temporaries of a strip's rows: 9.1
-        # slices; a third map, for d_eta, would trace 10.1
+        # the loop's one iterate, the padded field, the update, the two
+        # strip buffer sets less what the iterate holds of the worker's,
+        # and the step's strided buffers trace about 6.6 slices (6.1 with
+        # three loop slices and one 8192-pixel set; a kernel allocating
+        # every strip temporary afresh traced 7.5). mip mode adds its d_e2
+        # and k maps and the gate-and-sum temporaries of a strip's rows:
+        # 9.4 slices
         u = rng.normal(1.0, 0.1, (256, 256))
         tracemalloc.start()
         try:
@@ -695,8 +710,9 @@ class TestStripBlocking:
         u = rng.normal(1.0, 0.1, (9, 10))
         self.check(u, AdaptiveParams(alpha=2.0, mode="mip", max_iterations=3))
 
-    def test_oracles_on_field_taller_than_one_strip(self, rng):
+    def test_oracles_on_field_taller_than_one_strip(self, monkeypatch, rng):
         # width 700: strips of 11 and 6 rows
+        monkeypatch.setattr(diffusion, "_STRIP_PIXELS", 8192)
         u = rng.normal(1.0, 0.2, (17, 700))
         g = oracles.grid(u)
         params = AdaptiveParams(alpha=2.0, step=0.15, mode="mip_min", max_iterations=1)
@@ -744,7 +760,7 @@ class TestHysteresis:
     @pytest.mark.parametrize("shape", STRIP_SHAPES.values(), ids=STRIP_SHAPES.keys())
     def test_strip_structureness_matches_whole_slice(self, rng, shape):
         u = rng.normal(1.0, 0.1, shape)
-        got = diffusion._sweep(diffusion._buffers(u), u,
+        got = diffusion._sweep(diffusion._Workspace(u), u,
                                lambda nb, buf: diffusion._curvature_strip(nb, buf)[3])
         assert_same_bits(got, structureness(derivatives(u)))
 
@@ -886,10 +902,10 @@ class TestBaselinesMatchWholeSlice:
                                      whole_slice_directional_ad(u, p, thr))
 
     def test_workspace_memory(self, rng):
-        # the loop's three slices, the padded field, the update and the
-        # strip buffers trace about 6.1 slices, as run_filter's do; a
-        # whole-slice workspace traced 13.3, and kernels allocating every
-        # temporary afresh 17 to 22
+        # the loop's iterate, the padded field, the update and the strip
+        # buffers trace about 6.6 slices, as run_filter's do, DAD's default
+        # threshold taken in place; a whole-slice workspace traced 13.3,
+        # and kernels allocating every temporary afresh 17 to 22
         u = rng.normal(1.0, 0.1, (256, 256))
         p = PMParams(delta=0.05, iterations=2)
         for run in (run_orthogonal, run_directional_ad):
@@ -908,6 +924,156 @@ class TestStructurenessIntegration:
         u = smooth_field(rng, (10, 10))
         c = structureness(derivatives(u))
         assert np.all(c >= 0.0)
+
+
+# Stacks of the worker tests: one 256x256 and one 512x512 slice; slices of
+# two strips, the last short (300x64: 256 + 44 rows, 250x100: 163 + 87);
+# three strips, the worker's between this thread's two, the last short
+# (700x64: 256, 256, 188 rows); and two 64x64 slices, one strip, run by no
+# worker.
+WORKER_STACKS = {
+    "256x256": (1, 256, 256),
+    "512x512": (1, 512, 512),
+    "300x64": (1, 300, 64),
+    "250x100": (1, 250, 100),
+    "700x64": (1, 700, 64),
+    "64x64x2": (2, 64, 64),
+}
+
+# every filter call on a 2-D field, one step each
+FILTER_CALLS = {
+    "pm_step": lambda u: pm_step(u, PMParams(delta=1.0)),
+    "directional_step-mip": lambda u: directional_step(u, AdaptiveParams(mode="mip")),
+    "directional_step-mip_min": lambda u: directional_step(u, AdaptiveParams(mode="mip_min")),
+    "run_pm": lambda u: run_pm(u, PMParams(delta=1.0, iterations=1)),
+    "run_orthogonal": lambda u: run_orthogonal(u, PMParams(delta=1.0, iterations=1)),
+    "run_directional_ad": lambda u: run_directional_ad(u, PMParams(delta=1.0, iterations=1)),
+    "run_filter-mip": lambda u: run_filter(u, AdaptiveParams(mode="mip", max_iterations=1)),
+    "run_filter-mip_min": lambda u: run_filter(u, AdaptiveParams(mode="mip_min",
+                                                                 max_iterations=1)),
+}
+
+
+class TestStripWorker:
+    """A call whose slices span two or more strips runs every other strip on
+    a worker thread, when the process may use more than one CPU; the
+    outputs and traces are those of one thread, bit for bit, the worker
+    keeps the caller's floating-point error state, and no call leaves a
+    thread behind."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """A function that sets the CPU count the filters see, and returns
+        the list of the workers started from then on."""
+        started = []
+
+        class Counted(diffusion._Worker):
+            def __init__(self):
+                started.append(self)
+                super().__init__()
+
+        def cpus(n):
+            monkeypatch.setattr(diffusion, "_cpus", lambda: n)
+            started.clear()
+            return started
+
+        monkeypatch.setattr(diffusion, "_Worker", Counted)
+        return cpus
+
+    @staticmethod
+    def filters(stack):
+        """Every filter's results on ``stack``, its stack code and the 2-D
+        functions on its first slice, checking after each call that it
+        left no thread running."""
+        threads = threading.active_count()
+        outs = []
+
+        def keep(*got):
+            assert threading.active_count() == threads
+            outs.extend(got)
+
+        def trace(out, traces):
+            return out, *(np.array(t.relative_changes) for t in traces), \
+                *(t.basis_sum for t in traces)
+
+        p = PMParams(delta=0.05, iterations=2)
+        keep(diffusion._pm_stack(stack, p))
+        keep(diffusion._orthogonal_stack(stack, p))
+        for threshold in (None, 0.02):
+            keep(diffusion._directional_ad_stack(stack, p, threshold))
+        for mode in ("mip_min", "mip"):
+            params = AdaptiveParams(alpha=2.0, mode=mode, max_iterations=2)
+            keep(directional_step(stack[0], params))
+            out, tr = run_filter(stack[0], params)
+            keep(*trace(out, [tr]))
+            keep(*trace(*diffusion._filter_stack(stack, params)))
+        keep(*hysteresis_filter(stack[0], AdaptiveParams(mode="mip", max_iterations=2),
+                                HysteresisParams()))
+        return outs
+
+    @pytest.mark.parametrize("shape", WORKER_STACKS.values(), ids=WORKER_STACKS.keys())
+    def test_worker_changes_no_bit(self, workers, rng, shape):
+        stack = rng.normal(1.0, 0.1, shape)
+        started = workers(1)
+        alone = self.filters(stack)
+        assert started == []
+        started = workers(2)
+        paired = self.filters(stack)
+        # one per call of more than one strip; hysteresis_filter makes three
+        assert len(started) == (0 if shape[0] > 1 else 13)
+        assert len(alone) == len(paired)
+        for a, b in zip(alone, paired):
+            assert_same_bits(b, a)
+
+    def test_concurrent_calls_under_fast_switching(self, workers, rng):
+        # four callers and their four workers on two CPUs or fewer, the
+        # interpreter switching threads every microsecond: each call keeps
+        # its own workspace, and each caller gets one thread's bits
+        u = rng.normal(1.0, 0.1, (700, 64))
+        params = AdaptiveParams(alpha=2.0, max_iterations=3)
+        workers(1)
+        want = run_filter(u, params)[0]
+        started = workers(2)
+        got = [None] * 4
+
+        def call(i):
+            got[i] = run_filter(u, params)[0]
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(started) == 4
+        for g in got:
+            assert_same_bits(g, want)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflow_in_the_workers_strip(self, workers, cpus):
+        # 300x64: the worker, if any, runs the second strip, rows 256 to 299
+        u = np.ones((300, 64))
+        u[280, 3], u[280, 4] = 1.7e308, -1.7e308
+        started = workers(cpus)
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning from either thread fails its call
+            for call in FILTER_CALLS.values():
+                with np.errstate(all="ignore"), \
+                        pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
+                    call(u)
+                assert threading.active_count() == threads
+                # no strip of this thread's overflows: the worker raises, in
+                # the caller's error state, and its error reaches the caller
+                with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+                    call(u)
+                assert threading.active_count() == threads
+        assert len(started) == (2 * len(FILTER_CALLS) if cpus == 2 else 0)
 
 
 class TestEigenvectorFreeHotPath:
@@ -952,7 +1118,7 @@ class TestEigenvectorFreeHotPath:
         assert np.any(out[~still] != u[~still])
 
     def test_filters_run_without_derivatives_or_pad(self, no_np_pad, rng):
-        u = rng.normal(1.0, 0.1, (40, 300))  # 27-row strips
+        u = rng.normal(1.0, 0.1, (60, 300))  # strips of 54 and 6 rows
         for mode in ("mip", "mip_min"):
             out, _ = run_filter(u, AdaptiveParams(mode=mode))
             assert np.all(np.isfinite(out))
@@ -1043,17 +1209,7 @@ class TestEigenvectorFreeHotPath:
                     with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
                         run(v, PMParams(delta=1.0, iterations=n))
 
-    @pytest.mark.parametrize("call", [
-        lambda u: pm_step(u, PMParams(delta=1.0)),
-        lambda u: directional_step(u, AdaptiveParams(mode="mip")),
-        lambda u: directional_step(u, AdaptiveParams(mode="mip_min")),
-        lambda u: run_pm(u, PMParams(delta=1.0, iterations=1)),
-        lambda u: run_orthogonal(u, PMParams(delta=1.0, iterations=1)),
-        lambda u: run_directional_ad(u, PMParams(delta=1.0, iterations=1)),
-        lambda u: run_filter(u, AdaptiveParams(mode="mip", max_iterations=1)),
-        lambda u: run_filter(u, AdaptiveParams(mode="mip_min", max_iterations=1)),
-    ], ids=["pm_step", "directional_step-mip", "directional_step-mip_min", "run_pm",
-            "run_orthogonal", "run_directional_ad", "run_filter-mip", "run_filter-mip_min"])
+    @pytest.mark.parametrize("call", FILTER_CALLS.values(), ids=FILTER_CALLS.keys())
     def test_overflowing_step_refused(self, call):
         # every stencil's difference of the two neighbours overflows
         u = np.ones((8, 8))
@@ -1082,7 +1238,7 @@ class TestExactnessRange:
         return np.asarray(v, dtype=np.float32).astype(np.float64)
 
     @pytest.mark.parametrize("values", ["1e-38", "subnormal", "1e38", "integer"])
-    @pytest.mark.parametrize("shape", [(9, 24, 40), (1, 37, 300)], ids=["40x24x9", "300x37"])
+    @pytest.mark.parametrize("shape", [(9, 24, 40), (1, 60, 300)], ids=["40x24x9", "300x60"])
     def test_filters_match_whole_slice(self, rng, shape, values):
         stack = self.field(rng, shape, values)
         if values == "subnormal":
@@ -1106,7 +1262,7 @@ class TestExactnessRange:
     @pytest.mark.parametrize("values", ["1e-38", "subnormal", "1e38", "integer"])
     def test_structureness_matches_whole_slice(self, rng, values):
         stack = self.field(rng, (9, 24, 40), values)
-        got = diffusion._sweep(diffusion._buffers(stack), stack,
+        got = diffusion._sweep(diffusion._Workspace(stack), stack,
                                lambda nb, buf: diffusion._curvature_strip(nb, buf)[3])
         for sl, c in zip(stack, got):
             assert_same_bits(c, structureness(derivatives(sl)))
@@ -1216,8 +1372,9 @@ class TestStacks:
         # an update that takes the bad slice from 1e103 ** (3 - iterations)
         # past float64's range on step `iterations`, and no sooner; the
         # quiet slice stops after its first step and is kept from then on
-        def update(v):
-            return v * scale
+        def update(v):  # the run reads the old iterate in the padded buffer
+            _padded(v, ws.q)
+            return np.multiply(v, scale, ws.update)
 
         for k in range(3):  # alone, and first or last beside the quiet slice
             start = np.full((2, 4, 4), 1e103 ** (3 - iterations))
@@ -1226,12 +1383,13 @@ class TestStacks:
                 start[1 - k], scale[1 - k] = 1.0, 0.0
             else:
                 start, scale = start[:1], scale[:1]
+            ws = diffusion._Workspace(start)
             with np.errstate(all="ignore"):  # the norms of a finite step overflow
                 if iterations > 1:
-                    u, _ = diffusion._run(start, 1.0, iterations - 1, 1e-300, update)
+                    u, _ = diffusion._run(ws, start, 1.0, iterations - 1, 1e-300, update)
                     assert np.isfinite(u).all()
                 with pytest.raises(ValueError, match="^field contains NaN or Inf values$"):
-                    diffusion._run(start, 1.0, iterations, 1e-300, update)
+                    diffusion._run(ws, start, 1.0, iterations, 1e-300, update)
 
     def test_pm_takes_no_face_across_slices(self):
         # a face between the two slices' pad rows would be 2e150, and its
@@ -1305,10 +1463,10 @@ class TestBatchRule:
         assert diffusion._batch(24, 40) == 8
 
     def test_two_64x64_slices_are_one_strip(self):
-        q, update, strips = diffusion._buffers(np.zeros((2, 64, 64)))
-        assert update.shape == (2, 64, 64) and q.size == 2 * 66 * 66 + 2
-        ((nb, buf, pieces),) = strips
-        assert nb[0].shape == (130, 66) and self.first_row(q, nb, 66) == 0
+        ws = diffusion._Workspace(np.zeros((2, 64, 64)))
+        assert ws.update.shape == ws.it.shape == (2, 64, 64) and ws.q.size == 2 * 66 * 66 + 2
+        ((nb, buf, pieces),) = ws.strips
+        assert nb[0].shape == (130, 66) and self.first_row(ws.q, nb, 66) == 0
         assert [b.shape for b in buf] == [(130, 66)] * 9
         assert all(b.nbytes < 128 * 1024 for b in buf)
         # the copy-out skips the two pad rows between the slices
@@ -1318,18 +1476,29 @@ class TestBatchRule:
     @pytest.mark.parametrize("n", [3, 4, 8, 16, 32, 64, 90])
     def test_full_stack_strips_stay_under_the_mmap_threshold(self, n, spare):
         # run_pm's strip buffers have one spare row
-        _, _, strips = diffusion._buffers(np.zeros((diffusion._batch(n, n), n, n)), spare)
+        strips = diffusion._Workspace(np.zeros((diffusion._batch(n, n), n, n)), spare).strips
         assert len(strips) == 1
         assert all(b.nbytes < 128 * 1024 for b in strips[0][1])
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_256x256_slices_keep_32_row_strips(self, k):
+    def test_256x256_slices_keep_64_row_strips(self, monkeypatch, k, cpus):
+        # with a worker, every other strip has the second buffer set, as
+        # many of its float64 buffers as fit (three at one 256x256 slice,
+        # seven at two) held in the iterate buffer
+        monkeypatch.setattr(diffusion, "_cpus", lambda: cpus)
         u = np.zeros((k, 256, 256))
-        q, _, strips = diffusion._buffers(u if k > 1 else u[0])
-        assert len(strips) == 8 * k
-        for j, (nb, buf, pieces) in enumerate(strips):
-            i, r0 = divmod(j, 8)
-            r0 *= 32
-            assert pieces == [(slice(i * 256 + r0, i * 256 + r0 + 32), slice(0, 32))]
-            assert nb[0].shape == buf[0].shape == (32, 258)
-            assert self.first_row(q, nb, 258) == i * 258 + r0
+        ws = diffusion._Workspace(u if k > 1 else u[0])
+        assert len(ws.strips) == 4 * k
+        for j, (nb, buf, pieces) in enumerate(ws.strips):
+            i, r0 = divmod(j, 4)
+            r0 *= 64
+            assert pieces == [(slice(i * 256 + r0, i * 256 + r0 + 64), slice(0, 64))]
+            assert nb[0].shape == buf[0].shape == (64, 258)
+            assert self.first_row(ws.q, nb, 258) == i * 258 + r0
+            assert buf is ws.strips[j % cpus][1]
+        if cpus == 2:
+            main, worker = ws.strips[0][1], ws.strips[1][1]
+            assert not any(np.shares_memory(b, c) for b in main for c in worker)
+            held = [np.shares_memory(b, ws.it) for b in worker]
+            assert held == [True] * {1: 3, 2: 7}[k] + [False] * {1: 6, 2: 2}[k]
