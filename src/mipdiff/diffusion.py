@@ -279,12 +279,14 @@ def _weights_finite(params: PMParams, span: float) -> bool:
     return math.isfinite(top)
 
 
-def _norm(x) -> float:
-    """The L2 norm of the 2-D array ``x``, a sum numpy takes itself, without
-    a temporary on a strided view. Unlike ``ndarray.dot``, whose BLAS splits
-    long sums over its own threads, it gives the same bits on any number of
-    BLAS threads, and starts none to contend with the strip worker."""
-    return math.sqrt(np.einsum("ij,ij->", x, x))
+def _norms(x) -> list:
+    """The L2 norm of each slice of the (k, ny, nx) array ``x``, from sums
+    numpy takes itself, all in one call, without a temporary on a strided
+    view; each sum has the bits of that slice's own ``einsum``. Unlike
+    ``ndarray.dot``, whose BLAS splits long sums over its own threads, it
+    gives the same bits on any number of BLAS threads, and starts none to
+    contend with the strip worker."""
+    return [math.sqrt(s) for s in np.einsum("kij,kij->k", x, x).tolist()]
 
 
 def _run(ws, u, step, iterations: int, tolerance: float, update):
@@ -292,7 +294,7 @@ def _run(ws, u, step, iterations: int, tolerance: float, update):
     steps u <- u + step * update(u) of the validated (k, ny, nx) stack
     ``u``, where ``update`` returns the raw per-pixel update of the whole
     stack. Each slice stops on its own once its relative L2 change
-    (``_norm``) drops below ``tolerance`` (never, when it is 0); a stopped
+    (``_norms``) drops below ``tolerance`` (never, when it is 0); a stopped
     slice keeps its value while the others step on, and the loop ends once
     all have stopped. Each step of a slice, the last one included, is
     checked right after it is taken: one that leaves a NaN or Inf is
@@ -302,8 +304,9 @@ def _run(ws, u, step, iterations: int, tolerance: float, update):
 
     It keeps one iterate, in the ``_Workspace`` ``ws``'s ``it``, so the
     caller's array is never written. ``update(it)`` first copies it into
-    the padded buffer, as ``_sweep`` does, which leaves ``it`` free while
-    the strips run (the worker keeps strip buffers there); the step and the
+    the padded buffer, as ``_sweep`` does, which leaves ``it`` free until
+    the step (the worker keeps strip buffers there, and ``mip`` mode
+    selects its d_e2 bounds there); the step and the
     change then read the old iterate in the padded buffer's interior, and
     the change is taken in place there."""
     it = ws.it
@@ -315,15 +318,16 @@ def _run(ws, u, step, iterations: int, tolerance: float, update):
     live = range(k)  # the slices still stepping
     for _ in range(iterations):
         du = update(it)
-        base = {i: _norm(old[i]) for i in live}
+        base = _norms(old)
         np.multiply(step, du, it)
         np.add(old, it, it)
         for i in kept:
             it[i] = old[i]
         np.subtract(it, old, old)
+        diffs = _norms(old)
         stop = []
         for i in live:
-            diff = _norm(old[i])
+            diff = diffs[i]
             # a finite norm of the change means every pixel is finite
             if not math.isfinite(diff) and not np.isfinite(it[i]).all():
                 raise ValueError("field contains NaN or Inf values")
@@ -446,10 +450,13 @@ class _Workspace:
 
     A call of two or more strips, on a process allowed more than one CPU,
     gets one worker thread (``_Worker``) while its ``with`` block runs,
-    which ``_sweep`` hands every other strip. Those strips have a second
-    set of buffers, as many of them as fit held in ``it``, which holds
-    nothing while a sweep runs. Used without ``with``, every strip runs in
-    the calling thread."""
+    which ``_split`` hands every other job: a strip of ``_sweep`` or of
+    ``mip`` mode's gate-and-sum pass, or that mode's d_e2 bounds. Those
+    strips have a second set of buffers, as many of them as fit held in
+    ``it``, which holds nothing from the time an update copies it into the
+    padded buffer until the step writes it; the d_e2 bounds are taken in
+    ``it`` too, between the two strip passes. Used without ``with``, every
+    job runs in the calling thread."""
 
     def __init__(self, u, spare=0):
         ny, nx = u.shape[-2:]
@@ -498,6 +505,26 @@ class _Workspace:
             self.worker = None
 
 
+def _split(ws, n, job):
+    """Run ``job(j)`` for j in range(n): the ``_Workspace`` ``ws``'s
+    worker, if it has one, runs every other job, from the second on, while
+    this thread runs the rest, else this thread runs them all, in order.
+    Returns once every job has; a job's error is raised here. No job may
+    read what another writes."""
+    def run(first, stride):
+        for j in range(first, n, stride):
+            job(j)
+
+    if ws.worker is None:
+        run(0, 1)
+    else:
+        ws.worker.start(lambda: run(1, 2))
+        try:
+            run(0, 2)
+        finally:
+            ws.worker.wait()
+
+
 def _sweep(ws, v, body, *args, each=None, zero=False, outs=None):
     """The one strip loop of the filter kernels: refill the padded buffer
     of the ``_Workspace`` ``ws`` with the fields ``v`` (with a zero border
@@ -508,28 +535,19 @@ def _sweep(ws, v, body, *args, each=None, zero=False, outs=None):
     operands). With ``outs``, a tuple of arrays shaped like the update, the
     body returns one strip map per array instead, each copied into its
     own. With ``each``, a list of one value per strip, each body also gets
-    its strip's value, last. The workspace's worker, if it has one, runs
-    every other strip, from the second on, while this thread runs the
-    rest; no strip reads what another writes. Returns the update."""
+    its strip's value, last. The strips are ``_split`` over the two
+    threads. Returns the update."""
     _padded(v, ws.q, zero)
     rows = [o.reshape(-1, v.shape[-1]) for o in ((ws.update,) if outs is None else outs)]
 
-    def run(first, stride):
-        for j in range(first, len(ws.strips), stride):
-            nb, buf, pieces = ws.strips[j]
-            m = body(nb, buf, *args) if each is None else body(nb, buf, *args, each[j])
-            for d, r in pieces:
-                for dst, src in zip(rows, (m,) if outs is None else m):
-                    dst[d] = src[r, 1:-1]
+    def strip(j):
+        nb, buf, pieces = ws.strips[j]
+        m = body(nb, buf, *args) if each is None else body(nb, buf, *args, each[j])
+        for d, r in pieces:
+            for dst, src in zip(rows, (m,) if outs is None else m):
+                dst[d] = src[r, 1:-1]
 
-    if ws.worker is None:
-        run(0, 1)
-    else:
-        ws.worker.start(lambda: run(1, 2))
-        try:
-            run(0, 2)
-        finally:
-            ws.worker.wait()
+    _split(ws, len(ws.strips), strip)
     return ws.update
 
 
@@ -613,26 +631,25 @@ def histogram_bounds(d_e, tail_prob: float = 0.05) -> BoundPair:
     """
     if not 0 < tail_prob < 0.5:
         raise ValueError("tail_prob must lie in (0, 0.5)")
-    values = np.asarray(d_e, dtype=np.float64).ravel()
+    values = np.array(d_e, dtype=np.float64, order="C").reshape(-1)
+    if values.size < 100:
+        raise ValueError(f"histogram bounds need >= 100 pixels, got {values.size}")
+    return _select_bounds(values, tail_prob)
+
+
+def _select_bounds(values, tail_prob: float) -> BoundPair:
+    """``histogram_bounds`` of the flat float64 array ``values``, at least
+    100 of them, which it reorders: rank i by exact selection, then rank j
+    among the values above it, both in place (j > i, as tail_prob < 0.5
+    and n >= 100)."""
     n = values.size
-    if n < 100:
-        raise ValueError(f"histogram bounds need >= 100 pixels, got {n}")
     q = tail_prob / 2.0
     i = _nearest_rank_index(q, n)
     j = _nearest_rank_index(1.0 - q, n)
-    # exact selection: rank i, then rank j among the values above it, found
-    # in place in the partitioned copy (j > i, as tail_prob < 0.5 and n >= 100)
-    s = np.partition(values, i)
-    above = s[i + 1 :]
+    values.partition(i)
+    above = values[i + 1 :]
     above.partition(j - i - 1)
-    return BoundPair(float(s[i]), float(above[j - i - 1]))
-
-
-def _gate(t, d_e, bounds: BoundPair | None):
-    """Weight t zeroed where d_e lies outside the open interval ``bounds``."""
-    if bounds is None:
-        return t
-    return np.where((d_e > bounds.ue_min) & (d_e < bounds.ue_max), t, 0.0)
+    return BoundPair(float(values[i]), float(above[j - i - 1]))
 
 
 def _curvature_strip(nb, buf):
@@ -691,11 +708,14 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     direction's histogram bounds when a slice has at least 100 pixels,
     ungated below that.
 
-    ``mip_min`` mode is one ``_sweep``. ``mip`` mode first sweeps
-    ``_mip_maps``, d_eta into the update buffer and d_e2 and
-    k = alpha * c / 2 into ``maps``, a (2, k, ny, nx) buffer, takes each
-    slice's bounds from its whole maps, then gates and sums each slice's
-    rows of each strip over their d_eta. Every pixel
+    ``mip_min`` mode is one ``_sweep``. ``mip`` mode runs three passes,
+    each ``_split`` over the two threads: it sweeps ``_mip_maps``, d_eta
+    into the update buffer and d_e2 and k = alpha * c / 2 into ``maps``, a
+    (2, k, ny, nx) buffer; takes each slice's bounds from its whole maps,
+    d_eta's in ``histogram_bounds``'s copy in this thread and d_e2's in
+    place in a copy in the iterate buffer, which holds nothing from the
+    sweep's padded copy until the step; then gates and sums each slice's
+    rows of each strip over their d_eta (``_gate_sum``). Every pixel
     sees the operations of a whole-slice evaluation in the same order, so
     the result is the same bit for bit.
     """
@@ -705,18 +725,50 @@ def _update(ws, v, params: AdaptiveParams, nu: float, maps=None):
     out = ws.update
     _sweep(ws, v, _mip_maps, h, outs=(out, *maps))
     ny, nx = out.shape[-2:]
-    bounds = [(None, None)] * len(out)
+    bounds = [[None] * len(out), [None] * len(out)]  # d_eta's and d_e2's, per slice
     if ny * nx >= 100:
-        bounds = [(histogram_bounds(e, params.tail_prob), histogram_bounds(f, params.tail_prob))
-                  for e, f in zip(out, maps[0])]
+        def select(j):
+            if j == 0:
+                bounds[0] = [histogram_bounds(e, params.tail_prob) for e in out]
+                return
+            for i, (e2, w) in enumerate(zip(maps[0], ws.it)):
+                np.copyto(w, e2)
+                bounds[1][i] = _select_bounds(w.reshape(-1), params.tail_prob)
+
+        _split(ws, 2, select)
     d_eta, d_e2, k = (m.reshape(-1, nx) for m in (out, *maps))
-    for _, _, pieces in ws.strips:
-        for s, _ in pieces:
-            b_eta, b_e2 = bounds[s.start // ny]
-            t_eta = _gate(np.tanh(k[s] * d_eta[s]), d_eta[s], b_eta)
-            t_e2 = _gate(np.tanh(k[s] * d_e2[s]), d_e2[s], b_e2)
-            np.add(t_eta * d_eta[s], t_e2 * d_e2[s], out=d_eta[s])
+
+    def gate_sum(j):
+        buf, pieces = ws.strips[j][1:]
+        for d, _ in pieces:
+            i = d.start // ny
+            _gate_sum(buf, d_eta[d], d_e2[d], k[d], bounds[0][i], bounds[1][i])
+
+    _split(ws, len(ws.strips), gate_sum)
     return out
+
+
+def _gate_sum(buf, d_eta, d_e2, k, b_eta, b_e2):
+    """``_update``'s ``mip`` sum t_eta * d_eta + t_e2 * d_e2 of some rows
+    of its maps, written over d_eta's, each t = tanh(k * d) set to +0
+    where d lies outside the open interval of its bounds, if any, as
+    ``np.where`` sets it (a product with the mask would give -0 for a
+    negative t). Every operation writes into the strip buffers ``buf``,
+    read flat: t, t2, the bool mask and a float buffer read as a second."""
+    n, shape = d_eta.size, d_eta.shape
+    t, t2 = (b.reshape(-1)[:n].reshape(shape) for b in buf[2:4])
+    inside = buf[8].reshape(-1)[:n].reshape(shape)
+    below = buf[4].reshape(-1).view(bool)[:n].reshape(shape)
+    for d, w, b in ((d_eta, t, b_eta), (d_e2, t2, b_e2)):
+        np.multiply(k, d, w)
+        np.tanh(w, w)
+        if b is not None:
+            np.greater(d, b.ue_min, inside)
+            np.less(d, b.ue_max, below)
+            np.logical_and(inside, below, inside)
+            np.copyto(w, 0.0, where=np.logical_not(inside, inside))
+        np.multiply(w, d, w)
+    np.add(t, t2, d_eta)
 
 
 def directional_step(field, params: AdaptiveParams) -> np.ndarray:

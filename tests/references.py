@@ -6,12 +6,13 @@ the structureness are kept here as the library wrote them before its strip
 kernels carried the stencil's factors of two: every derivative at its own
 scale, ux = (e - w)/2 and uxy = ((se - ne) - (sw - nw))/4, read from all
 eight neighbours. The references run them on whole slices, allocating every
-temporary, with the library's padding, PM weights and gate."""
+temporary, with the library's padding and PM weights, and a whole-slice
+gate of their own."""
 from dataclasses import dataclass
 
 import numpy as np
 
-from mipdiff.diffusion import BoundPair, PMParams, _gate, _pm_weights, _run, _Workspace
+from mipdiff.diffusion import BoundPair, PMParams, _pm_weights, _run, _Workspace
 from mipdiff.fields import _padded, as_field
 
 
@@ -183,6 +184,14 @@ def pm_flux_second_derivative(grad_mag, params: PMParams):
     """
     out = _pm_weights(_as_arr(grad_mag), params)[1]
     return out if out.ndim else float(out)
+
+
+def _gate(t, d_e, bounds: BoundPair | None):
+    """Weight t set to +0 where d_e lies outside the open interval
+    ``bounds``, over the whole slice; unchanged without bounds."""
+    if bounds is None:
+        return t
+    return np.where((d_e > bounds.ue_min) & (d_e < bounds.ue_max), t, 0.0)
 
 
 def adaptive_mu(c, d_e, alpha: float, mode: str = "mip_min", bounds: BoundPair | None = None):

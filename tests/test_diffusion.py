@@ -418,6 +418,22 @@ class TestHistogramBounds:
         assert (values < b.ue_min).sum() <= tail / 2.0 * n
         assert (values > b.ue_max).sum() <= tail / 2.0 * n
 
+    @given(st.integers(0, 2**32 - 1), st.integers(100, 700), st.sampled_from([None, 1, 3, 50]),
+           st.floats(0.001, 0.499))
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_selection_matches(self, seed, n, levels, tail):
+        # mip mode takes d_e2's bounds in place in the iterate buffer, d_eta's
+        # in histogram_bounds's copy: the same pair, with ties (a few levels)
+        # and on constant maps (one level)
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            values = rng.normal(0.0, 1.0, n)
+        else:
+            values = rng.integers(0, levels, n) * rng.normal(0.0, 1.0)
+        want = histogram_bounds(values, tail)
+        got = diffusion._select_bounds(values.copy(), tail)
+        assert got == want
+
 
 class TestAdaptiveMu:
     def test_zero_derivative_is_zero(self):
@@ -694,8 +710,9 @@ class TestStripBlocking:
         # and the step's strided buffers trace about 6.6 slices (6.1 with
         # three loop slices and one 8192-pixel set; a kernel allocating
         # every strip temporary afresh traced 7.5). mip mode adds its d_e2
-        # and k maps and the gate-and-sum temporaries of a strip's rows:
-        # 9.4 slices
+        # and k maps, 8.4 slices through its gate-and-sum pass, which runs
+        # in the strip buffers, and peaks at 9.4 while histogram_bounds
+        # holds its copy of a slice's d_eta
         u = rng.normal(1.0, 0.1, (256, 256))
         tracemalloc.start()
         try:
@@ -929,14 +946,16 @@ class TestStructurenessIntegration:
 # Stacks of the worker tests: one 256x256 and one 512x512 slice; slices of
 # two strips, the last short (300x64: 256 + 44 rows, 250x100: 163 + 87);
 # three strips, the worker's between this thread's two, the last short
-# (700x64: 256, 256, 188 rows); and two 64x64 slices, one strip, run by no
-# worker.
+# (700x64: 256, 256, 188 rows); two slices of two strips each, whose mip
+# bounds the worker takes for both, in two rows of the iterate buffer
+# (300x64x2); and two 64x64 slices, one strip, run by no worker.
 WORKER_STACKS = {
     "256x256": (1, 256, 256),
     "512x512": (1, 512, 512),
     "300x64": (1, 300, 64),
     "250x100": (1, 250, 100),
     "700x64": (1, 700, 64),
+    "300x64x2": (2, 300, 64),
     "64x64x2": (2, 64, 64),
 }
 
@@ -1020,7 +1039,7 @@ class TestStripWorker:
         started = workers(2)
         paired = self.filters(stack)
         # one per call of more than one strip; hysteresis_filter makes three
-        assert len(started) == (0 if shape[0] > 1 else 13)
+        assert len(started) == (0 if shape[1] * shape[2] <= diffusion._STRIP_PIXELS else 13)
         assert len(alone) == len(paired)
         for a, b in zip(alone, paired):
             assert_same_bits(b, a)
@@ -1028,16 +1047,17 @@ class TestStripWorker:
     def test_concurrent_calls_under_fast_switching(self, workers, rng):
         # four callers and their four workers on two CPUs or fewer, the
         # interpreter switching threads every microsecond: each call keeps
-        # its own workspace, and each caller gets one thread's bits
+        # its own workspace, and each caller gets one thread's bits; two
+        # callers run mip mode, whose bounds and gate pass are split too
         u = rng.normal(1.0, 0.1, (700, 64))
-        params = AdaptiveParams(alpha=2.0, max_iterations=3)
+        params = [AdaptiveParams(alpha=2.0, mode=m, max_iterations=3) for m in ("mip_min", "mip")]
         workers(1)
-        want = run_filter(u, params)[0]
+        want = [run_filter(u, p)[0] for p in params] * 2
         started = workers(2)
         got = [None] * 4
 
         def call(i):
-            got[i] = run_filter(u, params)[0]
+            got[i] = run_filter(u, params[i % 2])[0]
 
         callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -1051,8 +1071,8 @@ class TestStripWorker:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert len(started) == 4
-        for g in got:
-            assert_same_bits(g, want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_overflow_in_the_workers_strip(self, workers, cpus):
@@ -1074,6 +1094,58 @@ class TestStripWorker:
                     call(u)
                 assert threading.active_count() == threads
         assert len(started) == (2 * len(FILTER_CALLS) if cpus == 2 else 0)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflow_in_the_workers_gate_pass(self, workers, cpus):
+        # a bump of 1e4 in the worker's strip: at alpha = 1e300 the map
+        # pass's k = alpha * c / 2 stays finite, and only the gate pass's
+        # k * d overflows, which tanh takes to +-1
+        u = np.ones((300, 64))
+        u[280, 3] = 1e4
+        params = AdaptiveParams(alpha=1e300, mode="mip", max_iterations=1)
+        ws = diffusion._Workspace(u[None])
+        maps = np.empty((2, 1, 300, 64))
+        with np.errstate(all="raise"):
+            diffusion._sweep(ws, u[None], diffusion._mip_maps, 0.5 * params.alpha,
+                             outs=(ws.update, *maps))
+        assert np.isfinite(maps).all() and (abs(maps[0]) * (maps[1] * 1e-300) > 1.8e8).any()
+        started = workers(cpus)
+        threads = threading.active_count()
+        with np.errstate(all="ignore"):
+            assert np.isfinite(run_filter(u, params)[0]).all()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            run_filter(u, params)
+        assert threading.active_count() == threads
+        assert len(started) == (2 if cpus == 2 else 0)
+
+    @pytest.mark.parametrize("shape", [(1, 512, 512), (1, 300, 64), (2, 300, 64), (8, 24, 40)],
+                             ids=["512x512", "300x64", "300x64x2", "24x40x8"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_mip_passes_read_no_stale_value(self, monkeypatch, workers, rng, shape, cpus):
+        # after mip mode's map pass, every strip buffer and the iterate
+        # buffer hold NaN (the masks True): the bounds and the gate-and-sum
+        # pass write before they read, and the run keeps its bits
+        stack = rng.normal(1.0, 0.1, shape)
+        params = AdaptiveParams(alpha=2.0, mode="mip", max_iterations=3, tolerance=1e-300)
+        workers(cpus)
+        want = diffusion._filter_stack(stack, params)
+        sweep = diffusion._sweep
+
+        def stale(ws, *args, **kwargs):
+            got = sweep(ws, *args, **kwargs)
+            ws.it.fill(np.nan)
+            for _, bufs, _ in ws.strips:
+                for b in bufs[:8]:
+                    b.fill(np.nan)
+                bufs[8].fill(True)
+            return got
+
+        monkeypatch.setattr(diffusion, "_sweep", stale)
+        out, traces = diffusion._filter_stack(stack, params)
+        assert_same_bits(out, want[0])
+        for got, w in zip(traces, want[1]):
+            assert got.relative_changes == w.relative_changes
+            assert_same_bits(got.basis_sum, w.basis_sum)
 
 
 class TestEigenvectorFreeHotPath:
@@ -1310,6 +1382,18 @@ class TestStacks:
             assert out.shape == stack.shape
             for sl, got in zip(stack, out):
                 assert_same_bits(got, run(sl, params))
+
+    @pytest.mark.parametrize("shape", [(2, 64, 64), (1, 64, 64), (1, 256, 256), (1, 512, 512),
+                                       (8, 32, 32), (8, 24, 40)],
+                             ids=["64x64x2", "64x64", "256x256", "512x512", "32x32x8", "24x40x8"])
+    def test_stack_norms_are_slice_norms(self, rng, shape):
+        # _run takes a stack's norms in one call over the padded buffer's
+        # strided interior: each is its slice's own sum, bit for bit
+        k, ny, nx = shape
+        q = rng.normal(1.0, 0.1, k * (ny + 2) * (nx + 2))
+        old = q.reshape(k, ny + 2, nx + 2)[:, 1:-1, 1:-1]
+        want = [math.sqrt(np.einsum("ij,ij->", x, x)) for x in old]
+        assert_same_bits(np.array(diffusion._norms(old)), np.array(want))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 9])
     @pytest.mark.parametrize("shape", [(64, 64), (24, 40)], ids=["64x64", "24x40"])
