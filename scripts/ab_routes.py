@@ -11,7 +11,10 @@ every slice is one strip. Slices this small are filtered in
 stacks of as many whole slices as fill a strip: filter (also traced),
 compare --kind min and max, swi and alpha-sweep in both modes also run at
 64x64x7, stacks of two and a last one of one, and at 40x24x9, a stack of
-eight and one of one. project, from a file and from a
+eight and one of one. The same routes run at 300x60x5, whose slices of two
+strips each are stacks of one: where the process may use two CPUs they
+run two at a time, one per thread, in two pairs, and the last one alone
+with its strips on both threads. project, from a file and from a
 FIFO, and swi, whose two inputs are read in lock step, also run at
 256x256x8: a 2 MiB payload is more than one 1 MiB read, so each input is
 hashed on a worker thread while the next slice is read, where every
@@ -138,6 +141,10 @@ ROUTES = [
     ("phantom 300x60x4", [
         "phantom", "--out-dir", "ph", "--stem", "wide", "--width", "300", "--height", "60",
         "--depth", "4", "--seed", "11"], {}),
+    # slices of two strips, filtered two at a time: two pairs and a lone stack
+    ("phantom 300x60x5", [
+        "phantom", "--out-dir", "ph", "--stem", "pairs", "--width", "300", "--height", "60",
+        "--depth", "5", "--seed", "13"], {}),
     # a 2 MiB payload, over one 1 MiB read: a worker thread hashes each
     # slice while the reader reads the next into a second buffer
     ("phantom 256x256x8", [
@@ -230,6 +237,7 @@ ROUTES = [
         "--depth", "9", "--seed", "5"], {}),
     *_stack_routes("64x64x7", "odd"),
     *_stack_routes("40x24x9", "small"),
+    *_stack_routes("300x60x5", "pairs"),
     *(route for name in SCALED for route in _scaled_routes(name)),
     # the known error cases: each must fail the same way in both trees
     ("error: oversized header", ["project", "--input", "huge.vol", "--output", "huge_p.vol"], {}),
@@ -295,7 +303,7 @@ def _inputs(work: Path) -> None:
     each tree's work directory."""
     rng = np.random.default_rng(1234)
     for name, shape in (("phase", (32, 64, 64)), ("odd_phase", (7, 64, 64)),
-                        ("small_phase", (9, 24, 40))):
+                        ("small_phase", (9, 24, 40)), ("pairs_phase", (5, 60, 300))):
         phase = np.clip(rng.normal(-0.4, 0.8, shape), -np.pi, np.pi)
         (work / f"{name}.vol").write_bytes(_mipvol(phase))
     (work / "huge.vol").write_bytes(b"MIPVOL1 100000 100000 100000\n\0\0\0\0")

@@ -24,11 +24,11 @@ from .diffusion import (
     AdaptiveParams,
     HysteresisParams,
     PMParams,
-    _directional_ad_stack,
-    _filter_stack,
-    _orthogonal_stack,
-    _pm_stack,
-    _stacks,
+    _directional_ad_job,
+    _filter_job,
+    _orthogonal_job,
+    _pm_job,
+    _stream,
     _weights_finite,
     default_delta,
     hysteresis_filter,
@@ -170,25 +170,18 @@ def _slices(path, inputs: list):
     return shape, slices()
 
 
-def _project_each(slices, shape, fns, kind: str) -> np.ndarray:
-    """Row j is the ``kind`` projection of ``fns[j](stack)`` over the
-    ``slices`` of a volume of ``shape``, which ``diffusion._stacks`` copies
-    into float64 stacks: each stack's results fill one reused block of
-    (len(fns), ny, nx) rows per slice, and one ``project_slices`` folds
-    them slice by slice, in order."""
-    block = None
-
-    def rows():
-        nonlocal block
-        for stack in _stacks(slices):
-            if block is None:  # the first stack is the largest
-                block = np.empty((len(stack), len(fns), *shape[1:]))
-            res = block[: len(stack)]
-            for j, fn in enumerate(fns):
-                res[:, j] = fn(stack)
-            yield from res
-
-    return project_slices(rows(), kind)
+def _project_each(slices, shape, jobs, kind: str) -> np.ndarray:
+    """Row j is the ``kind`` projection of the results of ``jobs[j]`` over
+    the ``slices`` of a volume of ``shape``, run by ``diffusion._stream``:
+    each result is folded into its row as it arrives, slice by slice, each
+    job's in slice order, from an infinite start that the first slice
+    replaces, so each row has the bits of ``project_slices``."""
+    op = {"min": np.minimum, "max": np.maximum}[kind]
+    folded = np.full((len(jobs), *shape[1:]), np.inf if kind == "min" else -np.inf)
+    for j, (out, _) in _stream(slices, jobs):
+        for sl in out:
+            op(folded[j], sl, out=folded[j])
+    return folded
 
 
 def _image(path, inputs: list) -> np.ndarray:
@@ -324,8 +317,7 @@ def cmd_filter(v: dict, inputs: list) -> str:
     stem = Path(v["output"]).with_suffix("")
     with VolumeWriter(v["output"], shape) as out:
         k = 0
-        for stack in _stacks(slices):
-            filtered, traces = _filter_stack(stack, params)
+        for _, (filtered, traces) in _stream(slices, [(_filter_job, params)]):
             for sl, trace in zip(filtered, traces):
                 out.write(sl)
                 if v["trace"]:
@@ -459,10 +451,10 @@ def cmd_compare(v: dict, inputs: list) -> str:
                           f"{hi - lo!r}: the PM weights overflow")
     adaptive = _params(AdaptiveParams, v, mode="mip_min" if kind == "min" else "mip")
     methods = {
-        "pm": lambda st: _pm_stack(st, pm_params),
-        "orthogonal": lambda st: _orthogonal_stack(st, pm_params),
-        "directional": lambda st: _directional_ad_stack(st, pm_params, v["grad_threshold"]),
-        "proposed": lambda st: _filter_stack(st, adaptive)[0],
+        "pm": (_pm_job, pm_params),
+        "orthogonal": (_orthogonal_job, pm_params),
+        "directional": (_directional_ad_job, pm_params, v["grad_threshold"]),
+        "proposed": (_filter_job, adaptive),
     }
     folded = _project_each(noisy, shape, list(methods.values()), kind)
     rows = [_metrics_row(name, base_proj, ref_proj, img, roi)
@@ -478,9 +470,10 @@ def cmd_alpha_sweep(v: dict, inputs: list) -> str:
     kind = "min" if v["mode"] == "mip_min" else "max"
     alphas = sorted(v["alphas"])
     gains = [_params(AdaptiveParams, v, alpha=alpha) for alpha in alphas]
-    # row 0 folds the input slices, row k their filtered results at the k-th gain
-    filters = [lambda st, params=params: _filter_stack(st, params)[0] for params in gains]
-    folded = _project_each(slices, shape, [np.asarray, *filters], kind)
+    # row 0 folds the input slices, as the filter at gain 0 returns them bit
+    # for bit, and row k their filtered results at the k-th gain
+    jobs = [(_filter_job, params) for params in [replace(gains[0], alpha=0.0), *gains]]
+    folded = _project_each(slices, shape, jobs, kind)
     rows = [f"{_fmt_value(float(alpha))},{_fmt_metric(psnr_vs_input(folded[0], img))}"
             for alpha, img in zip(alphas, folded[1:])]
     _write_text(v["output"], ["alpha,psnr_input", *rows])

@@ -90,7 +90,9 @@ def _stacks(slices):
     stacks of ``_batch(ny, nx)`` whole slices, in order, a new array each;
     the last may hold fewer. Each slice is checked as ``as_field`` checks a
     field and copied into its stack as it arrives, so the slices may be
-    views of one reused read buffer."""
+    views of one reused read buffer. A stack is read only when asked for:
+    ``_stream`` reads the second stack of a pair while its worker runs the
+    first."""
     shape, stack, n = None, None, 0
     for sl in slices:
         sl = np.asarray(sl)
@@ -354,21 +356,26 @@ def pm_step(field, params: PMParams) -> np.ndarray:
     return run_pm(field, replace(params, iterations=1))
 
 
-def _pm_stack(u, params: PMParams) -> np.ndarray:
-    """``run_pm`` of each slice of the validated (k, ny, nx) stack ``u``:
-    ``_pm_strip`` on each strip of a ``_Workspace`` with one spare row,
-    whose padded buffer has a zero border."""
+def _pm_job(u, params: PMParams, threads=True):
+    """The ``_stream`` job of ``run_pm`` on the validated (k, ny, nx) stack
+    ``u``: ``_pm_strip`` on each strip of a ``_Workspace`` with one spare
+    row, whose padded buffer has a zero border."""
     ny, nx = u.shape[1:]
-    with _Workspace(u, spare=1) as ws:
-        # per strip, its faces on the slices' borders: the first and last
-        # face columns, and the face rows north of the slices' first rows
-        # and south of their last, where the strip holds those rows
-        border = []
-        for _, buf, ((d, r), *_) in ws.strips:
-            rows = [j for i, j in ((d.start, r.start), (d.stop, r.stop)) if i % ny == 0]
-            border.append([buf[0][:-1, ::nx], *(buf[2][j :: ny + 2] for j in rows)])
-        return _run(ws, u, params.dt, params.iterations, 0.0,
-                    lambda v: _sweep(ws, v, _pm_strip, params, each=border, zero=True))[0]
+    ws = _Workspace(u, spare=1, threads=threads)
+    # per strip, its faces on the slices' borders: the first and last face
+    # columns, and the face rows north of the slices' first rows and south
+    # of their last, where the strip holds those rows
+    border = []
+    for _, buf, ((d, r), *_) in ws.strips:
+        rows = [j for i, j in ((d.start, r.start), (d.stop, r.stop)) if i % ny == 0]
+        border.append([buf[0][:-1, ::nx], *(buf[2][j :: ny + 2] for j in rows)])
+    return ws, lambda: _run(ws, u, params.dt, params.iterations, 0.0,
+                            lambda v: _sweep(ws, v, _pm_strip, params, each=border, zero=True))
+
+
+def _pm_stack(u, params: PMParams) -> np.ndarray:
+    """``run_pm`` of each slice of the validated (k, ny, nx) stack ``u``."""
+    return _serial(*_pm_job(u, params))[0]
 
 
 def run_pm(field, params: PMParams) -> np.ndarray:
@@ -388,17 +395,21 @@ def _cpus() -> int:
 class _Worker:
     """A thread that runs one function at a time for the thread that made
     it, under that thread's floating-point error state (numpy keeps one per
-    thread), so that it warns, raises or keeps quiet as the caller would.
+    thread), so that it warns, raises or keeps quiet as the caller would:
+    every other strip job of a call (``_split``), or a whole call on one
+    stack of a pair (``_stream``).
 
     ``start`` hands it a function; ``wait`` blocks until that has returned
-    and re-raises what it raised, if anything; ``close`` stops the thread."""
+    and re-raises what it raised, if anything; ``close`` stops the thread.
+    It drops the function once it has run, so that an idle worker keeps
+    none of its arrays alive."""
 
     def __init__(self):
         self._job = None
         self._error = None
         self._go = threading.Semaphore(0)
         self._done = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._loop, name="mipdiff-strips", daemon=True)
+        self._thread = threading.Thread(target=self._loop, name="mipdiff-worker", daemon=True)
         self._thread.start()
 
     def _loop(self):
@@ -412,6 +423,7 @@ class _Worker:
                     fn()
             except BaseException as exc:  # re-raised by wait, in the caller's thread
                 self._error = exc
+            fn = self._job = None
             self._done.release()
 
     def start(self, fn):
@@ -430,51 +442,65 @@ class _Worker:
         self._thread.join()
 
 
+def _spans(k: int, ny: int, nx: int):
+    """``(rows, spans)`` of a call on k slices of (ny, nx): the rows of a
+    strip, and per strip the slices i0:i1 and the rows r0:r1 of each that
+    it holds, as ``(i0, i1, r0, r1)``. A slice of at most ``_STRIP_PIXELS``
+    pixels lies whole in a strip, with up to ``_batch(ny, nx) - 1`` slices
+    after it; a larger one is split into strips of ``_STRIP_PIXELS // nx``
+    rows."""
+    if ny * nx <= _STRIP_PIXELS:  # whole slices, `per` to a strip
+        per = min(k, _batch(ny, nx))
+        return per * (ny + 2) - 2, [(i, min(i + per, k), 0, ny) for i in range(0, k, per)]
+    rows = max(1, _STRIP_PIXELS // nx)  # row strips inside each slice
+    return rows, [(i, i + 1, r0, min(r0 + rows, ny)) for i in range(k) for r0 in range(0, ny, rows)]
+
+
+def _threaded(spans) -> bool:
+    """Whether a call of these ``_spans`` gets both threads: it has two or
+    more strips, and the process may run on more than one CPU."""
+    return len(spans) > 1 and _cpus() > 1
+
+
 class _Workspace:
     """The arrays of one filter call on the validated field or (k, ny, nx)
     stack ``u``, allocated in this order once per call and freed when it
     returns: ``q``, the padded buffer of ``fields._padded`` (one tall
     field, pad rows between slices); ``it``, the iterate that ``_run``
-    steps; ``update``, the contiguous update it steps with; and
-    ``strips``, the strips over them.
+    steps; ``update``, the contiguous update it steps with, both in C
+    order whatever ``u``'s layout; and ``strips``, the strips over them.
 
-    A slice of at most ``_STRIP_PIXELS`` pixels lies whole in a strip,
-    with up to ``_batch(ny, nx) - 1`` slices after it; a larger one is
-    split into strips of ``_STRIP_PIXELS // nx`` rows. Per strip: its
-    neighbour views of ``q`` (``fields._neighbours``) over its rows of the
-    tall field, pad rows between its slices included; its rows and
-    ``spare`` more of eight float64 buffers and one bool mask, each
-    nx + 2 wide; and the pairs of rows of the update, read as
-    (k * ny, nx), and of the strip that the copy-out takes, one per slice,
-    skipping the pad rows.
+    The strips are ``_spans``'s. Per strip: its neighbour views of ``q``
+    (``fields._neighbours``) over its rows of the tall field, pad rows
+    between its slices included; its rows and ``spare`` more of eight
+    float64 buffers and one bool mask, each nx + 2 wide; and the pairs of
+    rows of the update, read as (k * ny, nx), and of the strip that the
+    copy-out takes, one per slice, skipping the pad rows.
 
-    A call of two or more strips, on a process allowed more than one CPU,
-    gets one worker thread (``_Worker``) while its ``with`` block runs,
-    which ``_split`` hands every other job: a strip of ``_sweep`` or of
-    ``mip`` mode's gate-and-sum pass, or that mode's d_e2 bounds. Those
-    strips have a second set of buffers, as many of them as fit held in
-    ``it``, which holds nothing from the time an update copies it into the
-    padded buffer until the step writes it; the d_e2 bounds are taken in
-    ``it`` too, between the two strip passes. Used without ``with``, every
-    job runs in the calling thread."""
+    A call of two or more strips, on a process allowed more than one CPU
+    (``_threaded``), unless ``threads`` is false, runs on both threads:
+    ``_split`` hands every other job to a worker thread (``_Worker``), a
+    strip of ``_sweep`` or of ``mip`` mode's gate-and-sum pass, or that
+    mode's d_e2 bounds. The worker is the workspace's own while its
+    ``with`` block runs, or one that ``_serial`` lends it. Those strips
+    have a second set of buffers, as many of them as fit held in ``it``,
+    which holds nothing from the time an update copies it into the padded
+    buffer until the step writes it; the d_e2 bounds are taken in ``it``
+    too, between the two strip passes. Without a worker, every job runs
+    in the thread that runs the call: ``_stream`` runs two calls at once
+    that way, one per thread, each with ``threads`` false and so one set
+    of buffers."""
 
-    def __init__(self, u, spare=0):
+    def __init__(self, u, spare=0, threads=True):
         ny, nx = u.shape[-2:]
         k = u.size // (ny * nx)
         self.q = np.empty(k * (ny + 2) * (nx + 2) + 2)
-        self.it = np.empty_like(u)
-        self.update = np.empty_like(u)
-        if ny * nx <= _STRIP_PIXELS:  # whole slices, `per` to a strip
-            per = min(k, _batch(ny, nx))
-            rows = per * (ny + 2) - 2
-            spans = [(i, min(i + per, k), 0, ny) for i in range(0, k, per)]
-        else:  # row strips inside each slice
-            rows = max(1, _STRIP_PIXELS // nx)
-            spans = [(i, i + 1, r0, min(r0 + rows, ny))
-                     for i in range(k) for r0 in range(0, ny, rows)]
+        self.it = np.empty(u.shape)
+        self.update = np.empty(u.shape)
+        rows, spans = _spans(k, ny, nx)
         shape = (rows + spare, nx + 2)
         sets = [[np.empty(shape) for _ in range(8)] + [np.empty(shape, dtype=bool)]]
-        self._threads = len(spans) > 1 and _cpus() > 1
+        self._threads = threads and _threaded(spans)
         if self._threads:
             size = shape[0] * shape[1]
             flat = self.it.reshape(-1)
@@ -523,6 +549,88 @@ def _split(ws, n, job):
             run(0, 2)
         finally:
             ws.worker.wait()
+
+
+def _serial(ws, run, worker=None):
+    """``run()``, the run of a job (``_stream``) in the ``_Workspace``
+    ``ws``, None for a job that has none, with the strips split over two
+    threads where ``ws`` may split them: on ``worker`` if given, else on
+    the worker of ws's ``with`` block."""
+    if ws is None:
+        return run()
+    if worker is None or not ws._threads:
+        with ws:
+            return run()
+    ws.worker = worker
+    return run()
+
+
+def _pair(worker, a, b, stacks, build, *args):
+    """Run the job ``(build, *args)`` (``_stream``) on the stack ``a`` on
+    ``worker`` and meanwhile on the stack ``b`` in this thread, b read from
+    ``stacks`` first if None, each run whole in one thread, in a
+    ``_Workspace`` of one strip-buffer set that this thread allocates.
+    Returns ``(results, b, error)``: a's result, then b's if b ran; b None
+    where there was none left to read, or where reading or running it
+    raised ``error``. a's error is raised here."""
+    run_a = build(a, *args, threads=False)[1]
+    got, error = [], None
+    worker.start(lambda: got.append(run_a()))
+    try:
+        b = next(stacks, None) if b is None else b
+        got_b = [] if b is None else [build(b, *args, threads=False)[1]()]
+    except Exception as exc:
+        b, got_b, error = None, [], exc
+    finally:
+        worker.wait()
+    return got + got_b, b, error
+
+
+def _stream(slices, jobs):
+    """Run each job of ``jobs`` on each stack of ``_stacks(slices)`` and
+    yield ``(j, result)`` as each run of ``jobs[j]`` ends, every job's
+    results in stack order. A job is a tuple ``(build, *args)``:
+    ``build(stack, *args, threads=...)`` allocates the job's arrays,
+    ``_Workspace(..., threads=threads)`` among them, and returns
+    ``(ws, run)``, ws None for a job without a workspace, and ``run`` a
+    function that runs the job and returns its result.
+
+    Where the slices span two or more strips and the process may use more
+    than one CPU (``_threaded``), the stream has one worker thread
+    (``_Worker``), and the stacks run in pairs (``_pair``): the worker runs
+    a job on the first while this thread reads the second, for the first
+    job, and runs the job on it. Each job runs on both before the next, so
+    at most two runs are alive. A last stack without a partner runs its
+    first job on the worker alone, and the others with their strips split
+    over this thread and the worker. Elsewhere each run is ``_serial``'s,
+    one after the other, as a lone call's.
+
+    Either way each job's results are those of a serial run, bit for bit
+    and in order, and so is the error: the earliest stack's, whether from
+    reading, a check or a step, raised once every result of the stacks
+    before it has been yielded (with several jobs, a pair's second stack
+    may have yielded the results of the jobs before the failing one on
+    the first, which a serial run would not have reached). The worker is
+    joined when the stream ends, raises or is closed."""
+    stacks = _stacks(slices)
+    worker = None
+    try:
+        for a in stacks:
+            if worker is None and _threaded(_spans(*a.shape)[1]):
+                worker = _Worker()
+            b = error = None
+            for j, (build, *args) in enumerate(jobs):
+                if worker is None or (j and b is None):  # a alone
+                    yield j, _serial(*build(a, *args), worker)
+                    continue
+                got, b, error = _pair(worker, a, b, stacks, build, *args)
+                while got:
+                    yield j, got.pop(0)
+            if error is not None:
+                raise error
+    finally:
+        if worker is not None:
+            worker.close()
 
 
 def _sweep(ws, v, body, *args, each=None, zero=False, outs=None):
@@ -606,11 +714,16 @@ def run_orthogonal(field, params: PMParams) -> np.ndarray:
     return _orthogonal_stack(as_field(field)[None], params)[0]
 
 
+def _orthogonal_job(u, params: PMParams, threads=True):
+    """The ``_stream`` job of ``run_orthogonal`` on the validated (k, ny, nx) stack ``u``."""
+    ws = _Workspace(u, threads=threads)
+    return ws, lambda: _run(ws, u, params.dt, params.iterations, 0.0,
+                            lambda v: _sweep(ws, v, _orthogonal_strip, params))
+
+
 def _orthogonal_stack(u, params: PMParams) -> np.ndarray:
     """``run_orthogonal`` of each slice of the validated (k, ny, nx) stack ``u``."""
-    with _Workspace(u) as ws:
-        return _run(ws, u, params.dt, params.iterations, 0.0,
-                    lambda v: _sweep(ws, v, _orthogonal_strip, params))[0]
+    return _serial(*_orthogonal_job(u, params))[0]
 
 
 def _nearest_rank_index(q: float, n: int) -> int:
@@ -797,23 +910,27 @@ def run_filter(field, params: AdaptiveParams) -> tuple[np.ndarray, FilterTrace]:
     return out[0], trace
 
 
+def _filter_job(u, params: AdaptiveParams, nu: float = MIP_MIN_NU, threads=True):
+    """The ``_stream`` job of ``run_filter`` on the validated (k, ny, nx)
+    stack ``u``; ``nu`` is the weight of ``mip_min`` mode's forward
+    diffusion. ``mip`` mode's maps are allocated after the workspace, so
+    that freed they leave no hole below the result (+8.4 MiB peak RSS on
+    coils_512 the other way round). At alpha = 0 the result, a copy of
+    ``u``, is made here, and the job has no workspace."""
+    if params.alpha == 0:
+        done = u.copy(), [FilterTrace(iterations=1, relative_changes=[0.0],
+                                      basis_sum=np.zeros_like(sl), converged=True) for sl in u]
+        return None, lambda: done
+    ws = _Workspace(u, threads=threads)
+    maps = np.empty((2,) + u.shape) if params.mode == "mip" else None
+    return ws, lambda: _run(ws, u, params.step, params.max_iterations, params.tolerance,
+                            lambda v: _update(ws, v, params, nu, maps))
+
+
 def _filter_stack(u, params: AdaptiveParams, nu: float = MIP_MIN_NU):
     """``run_filter`` of each slice of the validated (k, ny, nx) stack
-    ``u``: the filtered stack and one ``FilterTrace`` per slice. ``nu`` is
-    the weight of ``mip_min`` mode's forward diffusion."""
-    if params.alpha == 0:
-        return u.copy(), [FilterTrace(iterations=1, relative_changes=[0.0],
-                                      basis_sum=np.zeros_like(sl), converged=True) for sl in u]
-    maps = []
-    with _Workspace(u) as ws:
-        def kernel(v):
-            # mip mode's maps come after the loop's buffers, so that freed
-            # they leave no hole below the result (+8.4 MiB peak RSS on coils_512)
-            if params.mode == "mip" and not maps:
-                maps.append(np.empty((2,) + u.shape))
-            return _update(ws, v, params, nu, *maps)
-
-        return _run(ws, u, params.step, params.max_iterations, params.tolerance, kernel)
+    ``u``: the filtered stack and one ``FilterTrace`` per slice."""
+    return _serial(*_filter_job(u, params, nu))
 
 
 def hysteresis_filter(field, params: AdaptiveParams, hparams: HysteresisParams):
@@ -880,15 +997,18 @@ def run_directional_ad(field, params: PMParams, grad_threshold: float | None = N
     return _directional_ad_stack(as_field(field)[None], params, grad_threshold)[0]
 
 
-def _directional_ad_stack(u, params: PMParams, grad_threshold: float | None) -> np.ndarray:
-    """``run_directional_ad`` of each slice of the validated (k, ny, nx)
-    stack ``u``, each with its own default threshold when none is given:
-    the 90th percentile of its |grad u|, one strip pass into the update
-    buffer, taken in place there, as the run refills that buffer anyway.
-    Each strip compares each slice's rows against the slice's own."""
+def _directional_ad_job(u, params: PMParams, grad_threshold: float | None, threads=True):
+    """The ``_stream`` job of ``run_directional_ad`` on the validated
+    (k, ny, nx) stack ``u``, each slice with its own default threshold
+    when none is given: the 90th percentile of its |grad u|, one strip pass
+    into the update buffer, taken in place there, as the run refills that
+    buffer anyway. Each strip compares each slice's rows against the
+    slice's own."""
     if grad_threshold is not None and math.isnan(grad_threshold):
         raise ValueError("grad_threshold must not be NaN")
-    with _Workspace(u) as ws:
+    ws = _Workspace(u, threads=threads)
+
+    def run():
         if grad_threshold is None:
             gnorm = _sweep(ws, u, lambda nb, buf: _gradient_norm(_gradient_strip(nb, buf)[1]))
             thresholds = [float(np.quantile(g, 0.9, overwrite_input=True)) for g in gnorm]
@@ -897,4 +1017,11 @@ def _directional_ad_stack(u, params: PMParams, grad_threshold: float | None) -> 
         ny = u.shape[1]
         each = [[(r, thresholds[d.start // ny]) for d, r in pieces] for _, _, pieces in ws.strips]
         return _run(ws, u, params.dt, params.iterations, 0.0,
-                    lambda v: _sweep(ws, v, _directional_ad_strip, params, each=each))[0]
+                    lambda v: _sweep(ws, v, _directional_ad_strip, params, each=each))
+
+    return ws, run
+
+
+def _directional_ad_stack(u, params: PMParams, grad_threshold: float | None) -> np.ndarray:
+    """``run_directional_ad`` of each slice of the validated (k, ny, nx) stack ``u``."""
+    return _serial(*_directional_ad_job(u, params, grad_threshold))[0]

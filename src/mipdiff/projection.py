@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import AdaptiveParams, _filter_stack, _stacks
+from .diffusion import AdaptiveParams, _filter_job, _stream
 from .fields import as_volume
 
 __all__ = [
@@ -112,8 +112,8 @@ def swi_pipeline(
             yield mag
 
     mip = weight = None
-    for stack in _stacks(magnitudes()):
-        for filtered in _filter_stack(stack, params)[0]:
+    for _, (out, _) in _stream(magnitudes(), [(_filter_job, params)]):
+        for filtered in out:
             w = phase_mask(phases.popleft(), mask_params)
             if mask_before_projection:
                 filtered *= w

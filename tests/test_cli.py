@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import MISSING, fields
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import fed_fifo
-from mipdiff import cli, fileio
+from mipdiff import cli, diffusion, fileio
 from mipdiff.cli import main, parse_config
 from mipdiff.diffusion import (
     AdaptiveParams,
@@ -955,7 +956,7 @@ class TestCompareCommand:
         def boom(*args, **kwargs):
             raise AssertionError("a filter ran before the roi was checked")
 
-        monkeypatch.setattr(cli, "_pm_stack", boom)
+        monkeypatch.setattr(cli, "_pm_job", boom)
         src, _ = noisy_volume
         csv = tmp_path / "cmp.csv"
         assert run_cli("compare", "--input", src, "--output", csv, "--roi", "0,0,500,500") == 2
@@ -1195,6 +1196,63 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "mipdiff" in proc.stdout
+
+
+class TestPairedStacks:
+    """filter, swi, compare and alpha-sweep run stacks whose slices span two
+    or more strips two at a time, one per thread, where the process may use
+    two CPUs (``diffusion._stream``). At 5x300x64 each slice is two strips
+    and one stack: two pairs and a lone last stack. Every file written,
+    traces and manifests included, is the one-CPU run's, byte for byte;
+    each command starts one worker, and leaves no thread behind."""
+
+    ROUTES = {
+        "filter mip_min": ["filter", "--input", "../in.vol", "--output", "f.vol", "--trace"],
+        "filter mip": ["filter", "--input", "../in.vol", "--output", "f.vol", "--mode", "mip",
+                       "--trace"],
+        "compare min": ["compare", "--input", "../in.vol", "--reference", "../ref.vol",
+                        "--output", "c.csv"],
+        "compare max": ["compare", "--input", "../in.vol", "--reference", "../ref.vol",
+                        "--kind", "max", "--output", "c.csv"],
+        "alpha-sweep mip_min": ["alpha-sweep", "--input", "../in.vol", "--alphas", "0.5,2",
+                                "--output", "a.csv"],
+        "alpha-sweep mip": ["alpha-sweep", "--input", "../in.vol", "--mode", "mip",
+                            "--alphas", "0.5,2", "--output", "a.csv"],
+        "swi": ["swi", "--magnitude", "../in.vol", "--phase", "../phase.vol", "--output",
+                "s.vol", "--metrics-csv", "s.csv"],
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_files_are_the_one_cpu_files(self, tmp_path, monkeypatch, route):
+        rng = np.random.default_rng(5)
+        shape = (5, 300, 64)
+        write_volume(rng.normal(1.0, 0.1, shape), tmp_path / "in.vol")
+        write_volume(rng.normal(1.0, 0.1, shape), tmp_path / "ref.vol")
+        write_volume(np.clip(rng.normal(-0.4, 0.8, shape), -np.pi, np.pi), tmp_path / "phase.vol")
+        started = []
+
+        class Counted(diffusion._Worker):
+            def __init__(self):
+                started.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(diffusion, "_Worker", Counted)
+        files = {}
+        for cpus in (1, 2):
+            work = tmp_path / str(cpus)
+            work.mkdir()
+            monkeypatch.chdir(work)
+            monkeypatch.setattr(diffusion, "_cpus", lambda: cpus)
+            started.clear()
+            threads = threading.active_count()
+            assert run_cli(*self.ROUTES[route]) == 0
+            assert threading.active_count() == threads
+            assert len(started) == cpus - 1
+            files[cpus] = {f.name: f.read_bytes() for f in sorted(work.iterdir())}
+        if route.startswith("filter"):
+            assert sorted(files[1]) == ["f.vol", "f.vol.manifest.txt",
+                                        *(f"f_trace_s{k}.csv" for k in range(5))]
+        assert files[2] == files[1]
 
 
 class TestBlasThreads:

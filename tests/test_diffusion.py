@@ -627,6 +627,24 @@ class TestRunFilter:
         out, _ = run_filter(u, params)
         np.testing.assert_array_equal(out, directional_step(u, params))
 
+    @pytest.mark.parametrize("shape", [(64, 64), (300, 64)], ids=["one strip", "two strips"])
+    def test_fortran_ordered_input(self, rng, shape):
+        # the workspace's iterate and update take one layout, C order,
+        # whatever the input's: a Fortran-ordered iterate was copied by
+        # every flat view of it and written in strided rows, 2.4x the time
+        # at 512x512 in mip mode, for the same bits
+        u = rng.normal(1.0, 0.1, shape)
+        f = np.asfortranarray(u)
+        for mode in ("mip_min", "mip"):
+            params = AdaptiveParams(alpha=2.0, mode=mode, max_iterations=3)
+            want, want_trace = run_filter(u, params)
+            got, trace = run_filter(f, params)
+            assert_same_bits(got, want)
+            assert trace.relative_changes == want_trace.relative_changes
+            assert_same_bits(trace.basis_sum, want_trace.basis_sum)
+        ws = diffusion._Workspace(f[None])
+        assert ws.it.flags.c_contiguous and ws.update.flags.c_contiguous
+
 
 # Strip heights at _STRIP_PIXELS = 16384: 256 rows at width 64 (300 = 256
 # + 44), 163 at width 100 (250 = 163 + 87), one row above 16384 pixels at
@@ -973,31 +991,33 @@ FILTER_CALLS = {
 }
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """A function that sets the CPU count the filters see, and returns the
+    list of the workers started from then on."""
+    started = []
+
+    class Counted(diffusion._Worker):
+        def __init__(self):
+            started.append(self)
+            super().__init__()
+
+    def cpus(n):
+        monkeypatch.setattr(diffusion, "_cpus", lambda: n)
+        started.clear()
+        return started
+
+    monkeypatch.setattr(diffusion, "_Worker", Counted)
+    return cpus
+
+
 class TestStripWorker:
-    """A call whose slices span two or more strips runs every other strip on
-    a worker thread, when the process may use more than one CPU; the
-    outputs and traces are those of one thread, bit for bit, the worker
-    keeps the caller's floating-point error state, and no call leaves a
-    thread behind."""
-
-    @pytest.fixture
-    def workers(self, monkeypatch):
-        """A function that sets the CPU count the filters see, and returns
-        the list of the workers started from then on."""
-        started = []
-
-        class Counted(diffusion._Worker):
-            def __init__(self):
-                started.append(self)
-                super().__init__()
-
-        def cpus(n):
-            monkeypatch.setattr(diffusion, "_cpus", lambda: n)
-            started.clear()
-            return started
-
-        monkeypatch.setattr(diffusion, "_Worker", Counted)
-        return cpus
+    """A lone call whose slices span two or more strips, as every public
+    filter makes, runs every other strip on a worker thread, when the
+    process may use more than one CPU; the outputs and traces are those of
+    one thread, bit for bit, the worker keeps the caller's floating-point
+    error state, and no call leaves a thread behind. The CLI's streams of
+    such stacks run them two at a time instead (``TestStream``)."""
 
     @staticmethod
     def filters(stack):
@@ -1146,6 +1166,264 @@ class TestStripWorker:
         for got, w in zip(traces, want[1]):
             assert got.relative_changes == w.relative_changes
             assert_same_bits(got.basis_sum, w.basis_sum)
+
+
+# the jobs of every stream consumer: each baseline, DAD with its default
+# threshold and a fixed one, both modes, and the identity at gain 0, whose
+# job has no workspace
+STREAM_PM = PMParams(delta=0.05, iterations=2)
+STREAM_JOBS = [
+    (diffusion._pm_job, STREAM_PM),
+    (diffusion._orthogonal_job, STREAM_PM),
+    (diffusion._directional_ad_job, STREAM_PM, None),
+    (diffusion._directional_ad_job, STREAM_PM, 0.02),
+    (diffusion._filter_job, AdaptiveParams(alpha=2.0, mode="mip_min", max_iterations=2)),
+    (diffusion._filter_job, AdaptiveParams(alpha=2.0, mode="mip", max_iterations=2)),
+    (diffusion._filter_job, AdaptiveParams(alpha=0.0)),
+]
+
+
+class TestStream:
+    """``_stream`` runs stacks of slices of two or more strips two at a
+    time, one per thread, where the process may use two CPUs. At 300x64
+    each slice is two strips and one stack, so five slices make two pairs
+    and a lone last stack, which splits its strips over both threads. The
+    results, their order and the errors are those of one thread, bit for
+    bit; one worker serves the whole stream, every workspace is built in
+    the calling thread, and no stream leaves a thread behind."""
+
+    @staticmethod
+    def stream(slices, jobs):
+        """What ``_stream`` yields: per job, its (output, relative changes,
+        basis sums) in the order yielded, and the job order of the yields;
+        checks that the stream left no thread running."""
+        threads = threading.active_count()
+        per_job, order = [[] for _ in jobs], []
+        for j, (out, traces) in diffusion._stream(slices, jobs):
+            order.append(j)
+            per_job[j].append((out, [t.relative_changes for t in traces],
+                               [t.basis_sum for t in traces]))
+        assert threading.active_count() == threads
+        return per_job, order
+
+    @staticmethod
+    def assert_same_results(got, want):
+        assert len(got) == len(want)
+        for (out, changes, sums), (w_out, w_changes, w_sums) in zip(got, want):
+            assert_same_bits(out, w_out)
+            assert changes == w_changes
+            for g, w in zip(sums, w_sums):
+                assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("shape", [(5, 300, 64), (5, 64, 64)], ids=["300x64x5", "64x64x5"])
+    def test_stream_changes_no_bit(self, workers, rng, shape):
+        vol = rng.normal(1.0, 0.1, shape)
+        started = workers(1)
+        alone, alone_order = self.stream(vol, STREAM_JOBS)
+        assert started == []
+        started = workers(2)
+        paired, paired_order = self.stream(vol, STREAM_JOBS)
+        # one worker for the whole stream, or none where a slice is one strip
+        assert len(started) == (1 if shape[1] == 300 else 0)
+        for got, want in zip(paired, alone):
+            self.assert_same_results(got, want)
+        # each job's results in stack order: the serial order stack by
+        # stack; the pairs run each job on both stacks before the next
+        n = len(STREAM_JOBS)
+        assert alone_order == [j for _ in range(len(alone[0])) for j in range(n)]
+        if shape[1] == 300:
+            pair = [j for j in range(n) for _ in range(2)]
+            assert paired_order == pair + pair + list(range(n))
+        # each slice has the bits of its own serial run
+        for (build, *args), got in zip(STREAM_JOBS, alone):
+            outs = np.concatenate([out for out, _, _ in got])
+            changes = [c for _, cs, _ in got for c in cs]
+            for sl, out, c in zip(vol, outs, changes, strict=True):
+                want, (trace,) = diffusion._serial(*build(sl[None], *args))
+                assert_same_bits(out, want[0])
+                assert c == trace.relative_changes
+
+    def test_one_job_streams_in_serial_order(self, workers, rng):
+        vol = rng.normal(1.0, 0.1, (5, 300, 64))
+        job = [STREAM_JOBS[4]]
+        workers(1)
+        want, _ = self.stream(vol, job)
+        workers(2)
+        got, order = self.stream(iter(vol), job)
+        assert order == [0] * 5
+        self.assert_same_results(got[0], want[0])
+
+    def test_a_lone_stack_splits_its_strips_on_the_streams_worker(self, monkeypatch, workers,
+                                                                  rng):
+        # a pair runs each stack's strips in one thread; the lone last stack
+        # runs its first job on the worker alone, then lends the worker to
+        # the strip passes of each job after it
+        split, workers_seen = diffusion._split, []
+
+        def record(ws, n, job):
+            workers_seen.append(ws.worker)
+            return split(ws, n, job)
+
+        monkeypatch.setattr(diffusion, "_split", record)
+        started = workers(2)
+        self.stream(rng.normal(1.0, 0.1, (5, 300, 64)), STREAM_JOBS)
+        assert len(started) == 1
+        assert None in workers_seen and set(workers_seen) == {None, started[0]}
+
+    def test_workspaces_are_built_in_the_calling_thread(self, monkeypatch, workers, rng):
+        built = []
+
+        class Recorded(diffusion._Workspace):
+            def __init__(self, *args, **kwargs):
+                built.append(threading.current_thread())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "_Workspace", Recorded)
+        started = workers(2)
+        self.stream(rng.normal(1.0, 0.1, (5, 300, 64)), STREAM_JOBS)
+        assert len(started) == 1
+        # five stacks, each job but the gain-0 identity with a workspace
+        assert built == [threading.current_thread()] * (5 * (len(STREAM_JOBS) - 1))
+
+    @staticmethod
+    def until_error(slices, jobs, error):
+        """The outputs a stream yields before it raises ``error``, per job."""
+        got = [[] for _ in jobs]
+        with pytest.raises(error) as info:
+            for j, (out, _) in diffusion._stream(slices, jobs):
+                got[j].append(out)
+        return got, info.value
+
+    @staticmethod
+    def assert_same_outputs(got, want):
+        assert [len(g) for g in got] == [len(w) for w in want]
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("bad", [0, 1, 4], ids=["worker's stack", "this thread's stack",
+                                                    "lone stack"])
+    def test_overflow_reaches_the_caller(self, workers, rng, bad):
+        # 1.7e308 beside -1.7e308: every kernel's differences overflow. In
+        # a pair, stack 0 runs on the worker and stack 1 in this thread
+        vol = rng.normal(1.0, 0.1, (5, 300, 64))
+        vol[bad, 280, 3], vol[bad, 280, 4] = 1.7e308, -1.7e308
+        jobs = STREAM_JOBS[:-1]
+        results = {}
+        for cpus in (1, 2):
+            started = workers(cpus)
+            threads = threading.active_count()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning from either thread fails the stream
+                # some of mip mode's products of this field underflow
+                # (0.5 * b in fields._gradient_strip), serially too
+                with np.errstate(all="raise", under="ignore"):
+                    raised, _ = self.until_error(vol, jobs, FloatingPointError)
+                with np.errstate(all="ignore"):
+                    ignored, exc = self.until_error(vol, jobs, ValueError)
+            assert str(exc) == "field contains NaN or Inf values"
+            assert threading.active_count() == threads
+            assert len(started) == (2 if cpus == 2 else 0)
+            results[cpus] = raised, ignored
+        for got, want in zip(results[2], results[1]):
+            self.assert_same_outputs(got, want)
+        # every job's results on the stacks before the bad one
+        assert [len(g) for g in results[1][0]] == [bad] * len(jobs)
+
+    @pytest.mark.parametrize("bad", [1, 2, 4])
+    def test_a_bad_read_gives_the_serial_error(self, workers, rng, bad):
+        # a NaN in slice `bad`, or a reader failing there: the stacks before
+        # it are yielded first, the pair's first stack included
+        vol = rng.normal(1.0, 0.1, (5, 300, 64))
+        nan = vol.copy()
+        nan[bad, 7, 9] = np.nan
+
+        def failing():
+            yield from vol[:bad]
+            raise OSError("read failed")
+
+        for slices, error, match in ((lambda: nan, ValueError, "field contains NaN or Inf"),
+                                     (failing, OSError, "read failed")):
+            results = {}
+            for cpus in (1, 2):
+                workers(cpus)
+                threads = threading.active_count()
+                got, exc = self.until_error(slices(), STREAM_JOBS, error)
+                assert match in str(exc)
+                assert threading.active_count() == threads
+                results[cpus] = got
+            assert [len(g) for g in results[1]] == [bad] * len(STREAM_JOBS)
+            self.assert_same_outputs(results[2], results[1])
+
+    @staticmethod
+    def failing(fails):
+        """A job without a workspace whose result is its stack, and whose run
+        raises ``ValueError("stack <i>")`` on the stacks tagged i in ``fails``."""
+        def build(u, threads=True):
+            i = int(u[0, 0, 0])
+
+            def run():
+                if i in fails:
+                    raise ValueError(f"stack {i}")
+                return u, []
+
+            return None, run
+
+        return (build,)
+
+    @pytest.mark.parametrize("fails, error", [
+        ([{1}, set()], "stack 1"),  # the second stack of the first pair
+        ([{3}, {2}], "stack 2"),  # the second pair's second stack, then its first
+        ([set(), {4}], "stack 4"),  # the lone stack, after both pairs
+        ([{1}, {0}], "stack 0"),
+    ])
+    def test_earliest_error_wins(self, workers, fails, error):
+        vol = np.arange(5.0)[:, None, None] + np.zeros((5, 300, 64))  # tagged 0 to 4
+        jobs = [self.failing(f) for f in fails]
+        for cpus in (1, 2):
+            workers(cpus)
+            threads = threading.active_count()
+            got, exc = self.until_error(vol, jobs, ValueError)
+            assert str(exc) == error
+            assert threading.active_count() == threads
+            # each job's results on the stacks before the failing one
+            first = int(error.split()[1])
+            for g in got:
+                assert [int(out[0, 0, 0]) for out in g][:first] == list(range(first))
+
+    def test_a_step_error_wins_over_the_next_read(self, workers, rng):
+        # stack 0 overflows on the worker, and the read of stack 1 finds a
+        # NaN: the step's error is raised, as in a serial run
+        vol = rng.normal(1.0, 0.1, (5, 300, 64))
+        vol[0, 280, 3], vol[0, 280, 4] = 1.7e308, -1.7e308
+        vol[1, 7, 9] = np.nan
+        for cpus in (1, 2):
+            workers(cpus)
+            with np.errstate(all="raise"):
+                assert self.until_error(vol, STREAM_JOBS[:1], FloatingPointError)[0] == [[]]
+        # a check that refuses the job's settings fails before any run
+        with pytest.raises(ValueError, match="grad_threshold must not be NaN"):
+            next(diffusion._stream(vol[2:], [(diffusion._directional_ad_job, STREAM_PM,
+                                              math.nan)]))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_consumer_that_stops_early_leaves_no_thread(self, workers, rng, cpus):
+        vol = rng.normal(1.0, 0.1, (5, 300, 64))
+        started = workers(cpus)
+        threads = threading.active_count()
+        stream = diffusion._stream(vol, STREAM_JOBS)
+        next(stream)
+        assert threading.active_count() == threads + (cpus == 2)
+        stream.close()
+        assert threading.active_count() == threads
+        for _ in diffusion._stream(vol, STREAM_JOBS):
+            break
+        assert threading.active_count() == threads
+        with pytest.raises(RuntimeError):
+            for _ in diffusion._stream(vol, STREAM_JOBS):
+                raise RuntimeError("the consumer failed")
+        assert threading.active_count() == threads
+        assert len(started) == (3 if cpus == 2 else 0)
 
 
 class TestEigenvectorFreeHotPath:
